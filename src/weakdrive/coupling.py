@@ -9,6 +9,10 @@ with z = 1/2 on the diagonal. The real part is the collective decay
 matrix (positive semidefinite); the imaginary part carries the
 dipole-dipole shifts. No short-distance regularisation is applied:
 zero separation is an error, not a limit.
+
+The matrix is always stored densely, whatever the ensemble size: the pair
+solve decomposes it, and every application of the pair map forms an
+n x n matrix product anyway, so evaluating Z lazily would save no memory.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import numpy as np
 
 from .errors import CoincidentAtomsError
 from .geometry import Ensemble
-
-DENSE_LIMIT = 512
 
 
 def pair_values(separations: np.ndarray, dipole: np.ndarray) -> np.ndarray:
@@ -80,72 +82,13 @@ class CouplingMatrix:
         return self.z @ mat
 
 
-class MatrixFreeCoupling:
-    """Coupling evaluated on demand for ensembles too large to store densely.
+def coupling_matrix(ens: Ensemble) -> CouplingMatrix:
+    """Dense coupling matrix of an ensemble.
 
-    Provides the same row/pairs/apply surface as CouplingMatrix; rows are
-    recomputed from positions in blocks, so memory stays O(n).
-    """
-
-    def __init__(self, ens: Ensemble, block: int = 256):
-        self.positions = ens.positions
-        self.dipole = ens.dipole
-        self.block = block
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    def row(self, i: int) -> np.ndarray:
-        out = np.empty(self.n, dtype=complex)
-        sep = self.positions[i] - self.positions
-        mask = np.ones(self.n, dtype=bool)
-        mask[i] = False
-        out[mask] = pair_values(sep[mask], self.dipole)
-        out[i] = 0.5
-        return out
-
-    def pairs(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        sep = self.positions[I] - self.positions[J]
-        off = I != J
-        vals = np.empty(len(I), dtype=complex)
-        vals[off] = pair_values(sep[off], self.dipole)
-        vals[~off] = 0.5
-        return vals
-
-    def _row_block(self, lo: int, hi: int) -> np.ndarray:
-        sep = self.positions[lo:hi, None, :] - self.positions[None, :, :]
-        r = np.linalg.norm(sep, axis=-1)
-        blockz = np.empty((hi - lo, self.n), dtype=complex)
-        mask = r > 0
-        blockz[mask] = pair_values(sep[mask], self.dipole)
-        blockz[~mask] = 0.5
-        return blockz
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n, dtype=complex)
-        for lo in range(0, self.n, self.block):
-            hi = min(lo + self.block, self.n)
-            out[lo:hi] = self._row_block(lo, hi) @ vec
-        return out
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n, mat.shape[1]), dtype=complex)
-        for lo in range(0, self.n, self.block):
-            hi = min(lo + self.block, self.n)
-            out[lo:hi] = self._row_block(lo, hi) @ mat
-        return out
-
-
-def coupling_matrix(ens: Ensemble, dense_limit: int = DENSE_LIMIT):
-    """Coupling for an ensemble: dense up to dense_limit atoms, lazy beyond.
-
-    The dense matrix is assembled from the upper triangle and mirrored, so
-    symmetry holds bitwise.
+    Assembled from the upper triangle and mirrored, so symmetry holds
+    bitwise.
     """
     n = ens.n
-    if n > dense_limit:
-        return MatrixFreeCoupling(ens)
     Z = np.full((n, n), 0.5 + 0j)
     if n > 1:
         I, J = np.triu_indices(n, 1)

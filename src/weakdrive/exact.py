@@ -78,11 +78,7 @@ def build_liouvillian(coupling, delta: float, w: np.ndarray, eta: float) -> Liou
 
     # rho -> A rho B maps to kron(A, B.T) for row-major vec
     L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    if hasattr(coupling, "dense"):
-        Z = coupling.dense()
-    else:
-        A, B = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        Z = coupling.pairs(A.ravel(), B.ravel()).reshape(n, n)
+    Z = coupling.dense()
     for a in range(n):
         for b in range(n):
             ab = sms[a].conj().T @ sms[b]
@@ -114,7 +110,7 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
         raise SolverConvergenceError(abs(tr), 0)
     rho = rho / tr
     residual = float(np.max(np.abs(liouv.matrix @ rho.reshape(-1))))
-    if residual > NULL_TOL:
+    if not residual <= NULL_TOL:
         raise SolverConvergenceError(residual, 0)
     return rho
 

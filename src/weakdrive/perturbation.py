@@ -7,29 +7,46 @@ u_mu and pair correlations v_munu obeying two linear systems:
     sum_xi ( z_muxi v~_xinu + z_nuxi v~_ximu ) - 2 i delta v_munu
         = z_munu (u_mu^2 + u_nu^2)
 
-with v~ the symmetric zero-diagonal extension of the pair table. The pair
-map is (Z S + S Z) on symmetric zero-diagonal matrices, so its action
-costs one n x n matrix product; the dense pair system (dimension
-n(n-1)/2) is assembled only below a configurable size and solved by
-pivoted LU, with a restarted GMRES fallback above it.
+with v~ the symmetric zero-diagonal extension of the pair table. The u
+system is solved by pivoted LU.
+
+The pair map is Z S + S Z^T - 2 i delta S on symmetric zero-diagonal S,
+read off above the diagonal. It is solved as the unconstrained Sylvester
+equation Z S + S Z^T - 2 i delta S = B + D, with a diagonal multiplier D
+chosen so that diag(S) = 0. With Z = P diag(lambda) P^-1 the Sylvester
+inverse is elementwise, S = P (G o (P^-1 X P^-T)) P^T with
+G_ab = 1 / (lambda_a + lambda_b - 2 i delta). The n multipliers solve the
+Schur complement K d = -diag(S_B), where K_ij is the i-th diagonal entry
+of the Sylvester inverse of e_j e_j^T. Building K costs O(n^4) in blocked
+GEMMs; everything else is O(n^3), and memory stays O(n^2). When cond(P)
+exceeds EIG_COND_GUARD (Z near-defective), the same projection runs on the
+complex Schur form of Z with LAPACK trsyl (Bartels-Stewart). Either way
+the solution is refined through the operator-form map pair_map_apply,
+whose residual also gates the result.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import get_lapack_funcs, schur
 
 from .basis import basis_dim, pair_arrays, pair_count, pair_index_table, scatter_pairs
 from .errors import ResonantSingularityError, SolverConvergenceError
 
 RESIDUAL_TOL = 1e-10
-DENSE_PAIR_LIMIT = 8000
 COND_LIMIT = 1e12
+# cond(P) of the eigenvector matrix of Z above which the pair solve leaves
+# the eigenbasis for the Schur form: random clouds measure up to ~80 and
+# lattices under 5, while the eigen kernel starts losing digits near 2e5
+EIG_COND_GUARD = 1e4
+# refinement steps of the pair solve; the first is always taken, because
+# the absolute residual gate cannot see relative errors in tiny entries
+REFINE_STEPS = 3
+# complex entries per Khatri-Rao block when building K
+K_BLOCK = 1 << 18
 
 
 # ----------------------------------------------------------------------
@@ -37,45 +54,22 @@ COND_LIMIT = 1e12
 # ----------------------------------------------------------------------
 
 def _solve_dense_checked(A: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
-    """Pivoted LU solve with a 1-norm condition estimate; raises when the
-    estimate exceeds COND_LIMIT instead of silently regularising."""
-    anorm = np.linalg.norm(A, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(A)
-    (gecon,) = get_lapack_funcs(("gecon",), (A,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0 or not np.isfinite(rcond) or 1.0 / rcond > COND_LIMIT:
-        cond = np.inf if rcond == 0.0 else 1.0 / rcond
+    """Pivoted LU solve gated by the 1-norm condition number; raises when it
+    exceeds COND_LIMIT (a non-finite A counts as singular) instead of
+    silently regularising."""
+    cond = float(np.nan_to_num(np.linalg.cond(A, 1), nan=np.inf))
+    if cond > COND_LIMIT:
         raise ResonantSingularityError(delta, cond)
-    return lu_solve((lu, piv), b)
+    return np.linalg.solve(A, b)
 
 
-def _gmres_checked(op, b, delta, rtol, restart, maxiter):
-    x, info = gmres(op, b, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter)
-    res = float(np.max(np.abs(op.matvec(x) - b)))
-    if info != 0:
-        raise SolverConvergenceError(res, info if info > 0 else maxiter * restart)
-    return x, res
-
-
-def solve_u(coupling, delta: float, w: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def solve_u(coupling, delta: float, w: np.ndarray) -> np.ndarray:
     """Single-excitation amplitudes from (Z - i delta) u = i w."""
-    n = coupling.n
-    w = np.asarray(w, dtype=complex)
-    b = 1j * w
-    if hasattr(coupling, "dense"):
-        A = coupling.dense() - 1j * delta * np.eye(n)
-        u = _solve_dense_checked(A, b, delta)
-        res = float(np.max(np.abs(A @ u - b)))
-    else:
-        op = LinearOperator(
-            (n, n),
-            matvec=lambda x: coupling.apply(x) - 1j * delta * x,
-            dtype=complex,
-        )
-        u, res = _gmres_checked(op, b, delta, rtol, restart=100, maxiter=50)
-    if res > RESIDUAL_TOL:
+    b = 1j * np.asarray(w, dtype=complex)
+    A = coupling.dense() - 1j * delta * np.eye(coupling.n)
+    u = _solve_dense_checked(A, b, delta)
+    res = float(np.max(np.abs(A @ u - b)))
+    if not res <= RESIDUAL_TOL:
         raise SolverConvergenceError(res, 0)
     return u
 
@@ -90,7 +84,7 @@ def pair_rhs(coupling, u: np.ndarray) -> np.ndarray:
 def pair_map_apply(coupling, delta: float, v: np.ndarray, n: int) -> np.ndarray:
     """Left-hand map of the pair system applied to a pair vector.
 
-    Uses (Z S)^T = S Z for symmetric S and Z, so one matrix product serves
+    Uses (Z S)^T = S Z^T for symmetric S, so one matrix product serves
     both terms.
     """
     I, J = pair_arrays(n)
@@ -100,78 +94,91 @@ def pair_map_apply(coupling, delta: float, v: np.ndarray, n: int) -> np.ndarray:
     return full[I, J] - 2j * delta * v
 
 
-def _assemble_pair_matrix(coupling, delta: float, n: int) -> np.ndarray:
-    I, J = pair_arrays(n)
-    M = len(I)
-    table = pair_index_table(n)
-    rows = np.repeat(np.arange(M), n)
-    xi = np.tile(np.arange(n), M)
-    Irep = np.repeat(I, n)
-    Jrep = np.repeat(J, n)
+def _eigen_kernel(P: np.ndarray, lam: np.ndarray, delta: float):
+    """Sylvester inverse X -> S in the eigenbasis Z = P diag(lam) P^-1, and
+    the Schur complement K of the diagonal multipliers."""
+    n = len(lam)
+    Q = np.linalg.inv(P)
+    # K_ij = sum_ab P_ia P_ib G_ab Q_aj Q_bj = F diag(vec G) H^T, with F and
+    # H the row-wise Khatri-Rao squares of P and Q^T, in GEMMs blocked over
+    # a. G is symmetric, so b runs from the block start only, with the
+    # terms b > a doubled. An exact resonance leaves G and K non-finite.
+    K = np.zeros((n, n), dtype=complex)
+    step = max(1, K_BLOCK // (n * n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = 1.0 / (lam[:, None] + lam[None, :] - 2j * delta)
+        G_upper = np.triu(G) + np.triu(G, 1)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            F = (P[:, lo:hi, None] * P[:, None, lo:]).reshape(n, -1)
+            H = (Q[lo:hi, None, :] * Q[None, lo:, :]).reshape(-1, n)
+            K += (F * G_upper[lo:hi, lo:].ravel()) @ H
 
-    A = np.zeros((M, M), dtype=complex)
-    keep = xi != Jrep
-    np.add.at(
-        A,
-        (rows[keep], table[xi[keep], Jrep[keep]]),
-        coupling.pairs(Irep[keep], xi[keep]),
-    )
-    keep = xi != Irep
-    np.add.at(
-        A,
-        (rows[keep], table[xi[keep], Irep[keep]]),
-        coupling.pairs(Jrep[keep], xi[keep]),
-    )
-    idx = np.arange(M)
-    A[idx, idx] -= 2j * delta
-    return A
+    def sylvester(X):
+        return P @ (G * (Q @ X @ Q.T)) @ P.T
+
+    return sylvester, K
 
 
-def solve_v(
-    coupling,
-    delta: float,
-    u: np.ndarray,
-    method: str = "auto",
-    dense_limit: int = DENSE_PAIR_LIMIT,
-    rtol: float = 1e-12,
-    restart: int = 150,
-    maxiter: int = 60,
-) -> np.ndarray:
+def _schur_kernel(Z: np.ndarray, delta: float):
+    """Sylvester inverse and K through the complex Schur form Z = U T U^H.
+
+    With S = U Y U^T the map becomes T Y + Y T^T - 2 i delta Y; reversing
+    the column order of Y turns T^T into the upper triangular J T^T J, so
+    LAPACK trsyl (Bartels-Stewart) takes it directly. trsyl reports common
+    eigenvalues of its two triangles, i.e. a resonance, through info.
+    """
+    n = Z.shape[0]
+    T, U = schur(Z, output="complex")
+    Uc = U.conj()
+    A = T - 2j * delta * np.eye(n)
+    R = T.T[::-1, ::-1]
+    (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
+
+    def sylvester(X):
+        Yj, scale, info = trsyl(A, R, (Uc.T @ X @ Uc)[:, ::-1])
+        if info != 0:
+            raise ResonantSingularityError(delta, np.inf)
+        return U @ (Yj[:, ::-1] / scale) @ U.T
+
+    K = np.column_stack([np.diagonal(sylvester(np.diag(e))) for e in np.eye(n)])
+    return sylvester, K
+
+
+def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
     """Pair correlations v over unordered pairs (lexicographic order).
 
-    method: "auto" picks the dense direct solve while the pair dimension
-    stays at or below dense_limit and falls back to matrix-free GMRES with
-    the diagonal preconditioner 1/(1 - 2 i delta) beyond it.
+    Projected Sylvester solve (see the module docstring), refined through
+    pair_map_apply until the residual meets RESIDUAL_TOL; at least one
+    refinement step is always taken.
     """
     n = coupling.n
-    M = pair_count(n)
-    if M == 0:
+    if pair_count(n) == 0:
         return np.zeros(0, dtype=complex)
+    I, J = pair_arrays(n)
     b = pair_rhs(coupling, u)
-    if method == "auto":
-        method = "dense" if M <= dense_limit else "iterative"
-    if method == "dense":
-        A = _assemble_pair_matrix(coupling, delta, n)
-        v = _solve_dense_checked(A, b, delta)
-    elif method == "iterative":
-        diag = 1.0 - 2j * delta
-        op = LinearOperator(
-            (M, M), matvec=lambda x: pair_map_apply(coupling, delta, x, n), dtype=complex
-        )
-        pre = LinearOperator((M, M), matvec=lambda x: x / diag, dtype=complex)
-        x, info = gmres(op, b, rtol=rtol, atol=0.0, restart=restart, maxiter=maxiter, M=pre)
-        if info != 0:
-            res = float(np.max(np.abs(pair_map_apply(coupling, delta, x, n) - b)))
-            raise SolverConvergenceError(res, info if info > 0 else restart * maxiter)
-        v = x
+    Z = coupling.dense()
+    lam, P = np.linalg.eig(Z)
+    if np.linalg.cond(P) <= EIG_COND_GUARD:
+        sylvester, K = _eigen_kernel(P, lam, delta)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    # residual always measured through the operator path, independent of the
-    # dense assembly
-    res = float(np.max(np.abs(pair_map_apply(coupling, delta, v, n) - b)))
-    if res > RESIDUAL_TOL:
-        raise SolverConvergenceError(res, 0)
-    return v
+        sylvester, K = _schur_kernel(Z, delta)
+    K_inv = _solve_dense_checked(K, np.eye(n), delta)
+
+    def project(rhs):
+        S = sylvester(scatter_pairs(rhs, n))
+        d = K_inv @ -np.diagonal(S)
+        return (S + sylvester(np.diag(d)))[I, J]
+
+    v = project(b)
+    r = b - pair_map_apply(coupling, delta, v, n)
+    for _ in range(REFINE_STEPS):
+        v = v + project(r)
+        r = b - pair_map_apply(coupling, delta, v, n)
+        res = float(np.max(np.abs(r)))
+        if res <= RESIDUAL_TOL:
+            return v
+    raise SolverConvergenceError(res, REFINE_STEPS)
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +226,11 @@ class PerturbState:
         return scatter_pairs(self.v, self.n)
 
 
-def steady_state(coupling, drive, ens, method: str = "auto", **kw) -> PerturbState:
+def steady_state(coupling, drive, ens) -> PerturbState:
     """Solve both amplitude systems for an ensemble under a drive."""
     w = drive.w(ens)
     u = solve_u(coupling, drive.delta, w)
-    v = solve_v(coupling, drive.delta, u, method=method, **kw)
+    v = solve_v(coupling, drive.delta, u)
     return PerturbState(
         u=u, v=v, w=w, delta=drive.delta, eta=drive.eta, atoms=tuple(range(ens.n))
     )

@@ -101,7 +101,7 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         ["eta", "N_model"],
         [[e, v] for e, v in zip(report.curve.etas, report.curve.values)],
     )
-    if cfg.dump_coupling and hasattr(coupling, "dense"):
+    if cfg.dump_coupling:
         z = coupling.dense()
         rows = [
             [a, b, z[a, b].real, z[a, b].imag]

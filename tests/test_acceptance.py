@@ -191,7 +191,7 @@ def _farfield_pipeline(npg, box, seed, delta):
     drive = Drive(delta=delta, eta=0.01, beam=PlaneWave(YHAT))
     coupling = coupling_matrix(ens)
     u = solve_u(coupling, delta, drive.w(ens))
-    v = solve_v(coupling, delta, u, method="iterative")
+    v = solve_v(coupling, delta, u)
     state = PerturbState(
         u=u, v=v, w=drive.w(ens), delta=delta, eta=0.01, atoms=tuple(range(ens.n))
     )

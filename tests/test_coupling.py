@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakdrive.coupling import MatrixFreeCoupling, coupling_matrix, pair_coupling
+from weakdrive.coupling import coupling_matrix, pair_coupling
 from weakdrive.errors import CoincidentAtomsError
 from weakdrive.geometry import explicit_ensemble, random_ensemble
 
@@ -71,25 +71,3 @@ def test_far_field_envelope():
 def test_zero_separation_rejected():
     with pytest.raises(CoincidentAtomsError):
         pair_coupling([0.0, 0.0, 0.0], DIPOLE)
-
-
-def test_matrix_free_matches_dense():
-    ens = random_ensemble(40, 25.0, 11, DIPOLE, min_distance=0.4)
-    dense = coupling_matrix(ens)
-    free = MatrixFreeCoupling(ens, block=7)
-    assert np.allclose(free.row(3), dense.dense()[3], atol=1e-15)
-    I = np.array([0, 1, 2, 5, 5])
-    J = np.array([3, 1, 7, 5, 0])
-    assert np.allclose(free.pairs(I, J), dense.dense()[I, J], atol=1e-15)
-    vec = np.random.default_rng(0).normal(size=40) + 0j
-    assert np.allclose(free.apply(vec), dense.dense() @ vec, atol=1e-12)
-    mat = np.random.default_rng(1).normal(size=(40, 4)) + 0j
-    assert np.allclose(free.apply_matrix(mat), dense.dense() @ mat, atol=1e-12)
-
-
-def test_large_ensemble_goes_matrix_free():
-    ens = random_ensemble(520, 300.0, 2, DIPOLE)
-    z = coupling_matrix(ens)
-    assert isinstance(z, MatrixFreeCoupling)
-    sep = ens.positions[4] - ens.positions[100]
-    assert z.row(4)[100] == pytest.approx(pair_coupling(sep, DIPOLE))
