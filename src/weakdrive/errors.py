@@ -30,14 +30,14 @@ class ResonantSingularityError(WeakdriveError):
 
 
 class SolverConvergenceError(WeakdriveError):
-    """An iterative solve stopped above the residual target."""
+    """A solve ended with its residual above the target; iterations counts
+    the refinement steps taken (0 for a direct solve)."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
-            f"iterative solver did not converge: residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"residual {residual:.3e} above target after {iterations} refinement steps"
         )
 
 

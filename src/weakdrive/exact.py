@@ -107,7 +107,8 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
-        raise SolverConvergenceError(abs(tr), 0)
+        # a traceless null vector has no normalised state to gate
+        raise SolverConvergenceError(np.inf, 0)
     rho = rho / tr
     residual = float(np.max(np.abs(liouv.matrix @ rho.reshape(-1))))
     if not residual <= NULL_TOL:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import basis_dim, pair_arrays
+from .basis import pair_arrays
 from .errors import PartitionError, ThresholdNotApplicableError
 from .geometry import Partition
 from .perturbation import PerturbState, restrict_state
@@ -25,23 +25,40 @@ DEGENERACY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class PartialTransposeMatrix:
-    """Hermitian second-order partial transpose on the truncated basis."""
+    """Hermitian second-order partial transpose on the truncated basis.
 
-    matrix: np.ndarray
+    Only the non-zero blocks are stored: ``core``, the [ground, singles]
+    block, and ``pair_col``, the ground-to-pairs column c. The pair-pair and
+    single-pair blocks vanish at second order.
+    """
+
+    core: np.ndarray
+    pair_col: np.ndarray
     n_a: int
     n_b: int
     atoms: tuple[int, ...]
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        self.core.setflags(write=False)
+        self.pair_col.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.core.shape[0] + len(self.pair_col)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full dim x dim matrix, built on demand."""
+        k = self.core.shape[0]
+        P = np.zeros((self.dim, self.dim), dtype=complex)
+        P[:k, :k] = self.core
+        P[0, k:] = self.pair_col
+        P[k:, 0] = np.conj(self.pair_col)
+        return P
 
 
 def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMatrix:
-    """Partial transpose over group B, element by element.
+    """Partial transpose over group B.
 
     The state is restricted to sorted(A) + sorted(B) first, so embedding the
     partition in a larger solved ensemble keeps the full-ensemble u and v.
@@ -54,47 +71,46 @@ def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMat
     sub = restrict_state(state, atoms_a + atoms_b)
     na, nb = len(atoms_a), len(atoms_b)
     n = na + nb
-    eta = sub.eta
+    e2 = sub.eta**2
     u = sub.u
-    vmat = sub.v_matrix()
+    in_a = np.arange(n) < na
 
-    dim = basis_dim(n)
-    P = np.zeros((dim, dim), dtype=complex)
-    P[0, 0] = 1.0 - eta**2 * float(np.sum(np.abs(u) ** 2))
+    core = np.empty((n + 1, n + 1), dtype=complex)
+    core[0, 0] = 1.0 - e2 * float(np.sum(np.abs(u) ** 2))
+    core[0, 1:] = sub.eta * np.where(in_a, np.conj(u), u)
+    core[1:, 0] = np.conj(core[0, 1:])
+    # same-group coherences u_a u_b^*, cross-group u_a u_b + v_ab; rows in B
+    # are conjugated
+    block = np.where(
+        in_a[:, None] == in_a[None, :],
+        np.outer(u, np.conj(u)),
+        np.outer(u, u) + sub.v_matrix(),
+    )
+    core[1:, 1:] = e2 * np.where(in_a[:, None], block, np.conj(block))
 
-    uhat = np.where(np.arange(n) < na, np.conj(u), u)
-    P[0, 1 : 1 + n] = eta * uhat
-    P[1 : 1 + n, 0] = np.conj(P[0, 1 : 1 + n])
-
-    for a in range(n):
-        for b in range(n):
-            if a < na and b < na:
-                P[1 + a, 1 + b] = eta**2 * u[a] * np.conj(u[b])
-            elif a >= na and b >= na:
-                P[1 + a, 1 + b] = eta**2 * np.conj(u[a]) * u[b]
-            elif a < na <= b:
-                P[1 + a, 1 + b] = eta**2 * (u[a] * u[b] + vmat[a, b])
-            else:
-                P[1 + a, 1 + b] = eta**2 * np.conj(u[a] * u[b] + vmat[a, b])
-
-    if n > 1:
-        I, J = pair_arrays(n)
-        both_a = J < na
-        both_b = I >= na
-        cross = ~(both_a | both_b)
-        col = np.empty(len(I), dtype=complex)
-        col[both_a] = eta**2 * np.conj(u[I[both_a]] * u[J[both_a]] + vmat[I[both_a], J[both_a]])
-        col[both_b] = eta**2 * (u[I[both_b]] * u[J[both_b]] + vmat[I[both_b], J[both_b]])
-        col[cross] = eta**2 * np.conj(u[I[cross]]) * u[J[cross]]
-        P[0, 1 + n :] = col
-        P[1 + n :, 0] = np.conj(col)
-
-    return PartialTransposeMatrix(matrix=P, n_a=na, n_b=nb, atoms=atoms_a + atoms_b)
+    I, J = pair_arrays(n)
+    amp = e2 * (u[I] * u[J] + sub.v)
+    pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, e2 * np.conj(u[I]) * u[J]))
+    return PartialTransposeMatrix(
+        core=core, pair_col=pair_col, n_a=na, n_b=nb, atoms=atoms_a + atoms_b
+    )
 
 
 def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
-    """Negativity (absolute sum of negative eigenvalues) and the spectrum."""
-    spectrum = np.linalg.eigvalsh(pt.matrix)
+    """Negativity (absolute sum of negative eigenvalues) and the spectrum.
+
+    The pairs couple only to the ground state, through c, so the spectrum is
+    that of the (n + 2) core on [ground, singles, c/|c|] (the stored block
+    bordered by |c|) plus M - 1 exact zeros; it is returned in full,
+    ascending.
+    """
+    k = pt.core.shape[0]
+    bordered = np.zeros((k + 1, k + 1), dtype=complex)
+    bordered[:k, :k] = pt.core
+    bordered[0, k] = bordered[k, 0] = np.linalg.norm(pt.pair_col)
+    spectrum = np.sort(
+        np.concatenate([np.linalg.eigvalsh(bordered), np.zeros(len(pt.pair_col) - 1)])
+    )
     neg = float(-spectrum[spectrum < 0].sum())
     return neg, spectrum
 
@@ -190,10 +206,14 @@ def threshold_omega(lambda2: float, lambda4: float) -> float:
 
 
 def eta_sign_change(lambda2: float, lambda4: float) -> Optional[float]:
-    """Drive ratio eta where the modelled eigenvalue crosses zero, or None."""
-    if lambda2 >= 0 or lambda4 <= 0:
+    """Drive ratio eta where the modelled eigenvalue crosses zero, or None.
+
+    Same closed form as threshold_omega, which reads it in units of Gamma.
+    """
+    try:
+        return threshold_omega(lambda2, lambda4)
+    except ThresholdNotApplicableError:
         return None
-    return float(np.sqrt(-lambda2 / lambda4))
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +378,7 @@ def negativity_report(
             ModeEntry(
                 lambda2=float(l2[k]),
                 lambda4=float(l4[k]),
-                threshold_omega=(ez if ez is not None else None),
+                threshold_omega=ez,
                 eta_zero=ez,
                 omega_zero=(2.0 * ez if ez is not None else None),
                 degenerate=bool(degenerate[k]),

@@ -1,15 +1,18 @@
 """Task orchestration: solve, sweep, bounds, oracle comparison, validation.
 
-Sweeps and oracle comparisons parallelise over grid points with a plain
-ordered process map; every point is an independent pure computation, so
-results are identical at any parallelism degree.
+Sweeps and oracle comparisons solve the amplitudes once and then walk the
+eta grid in order, in-process: a grid point costs one partial-transpose
+core of dimension n + 2 (plus, with the exact column, one Lindblad steady
+state). A point that raises a package error is recorded in point_errors
+and the walk goes on. The --parallel degree is validated and recorded in
+the provenance but does not change how points run, so results do not
+depend on it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -22,7 +25,7 @@ from .coupling import coupling_matrix
 from .errors import ConfigError, WeakdriveError
 from .exact import build_liouvillian, negativity_exact, reduce_state, steady_state_exact
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
-from .geometry import regime_check
+from .geometry import Partition, regime_check
 from .negativity import (
     build_pt_matrix,
     build_V,
@@ -57,13 +60,6 @@ def _provenance(cfg: RunConfig, parallelism: int) -> dict:
         "version": __version__,
         "parallelism": parallelism,
     }
-
-
-def _pmap(fn, payloads, parallelism: int):
-    if parallelism <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with multiprocessing.Pool(parallelism) as pool:
-        return pool.map(fn, payloads)
 
 
 # ----------------------------------------------------------------------
@@ -125,40 +121,21 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # sweep
 # ----------------------------------------------------------------------
 
-def _sweep_point(payload: dict) -> dict:
-    eta = payload["eta"]
+def _sweep_point(state: PerturbState, part: Partition, l2, l4, coupling, eta: float) -> dict:
+    """One sweep row; coupling is None unless the exact column is asked for."""
     row = {"eta": eta}
     try:
-        state = PerturbState(
-            u=payload["u"].copy(),
-            v=payload["v"].copy(),
-            w=payload["w"].copy(),
-            delta=payload["delta"],
-            eta=eta,
-            atoms=tuple(payload["atoms"]),
-        )
-        from .geometry import Partition
-
-        part = Partition(tuple(payload["group_a"]), tuple(payload["group_b"]))
-        l2 = payload["lambda2"]
-        l4 = payload["lambda4"]
         row["n_model"] = float(model_negativity_at(l2, l4, eta)[0])
         lam = eta**2 * l2 + eta**4 * l4
         row["min_lambda_model"] = float(lam.min()) if len(lam) else 0.0
-        n_pt, _ = pt_negativity(build_pt_matrix(state, part))
+        n_pt, _ = pt_negativity(build_pt_matrix(replace(state, eta=eta), part))
         row["n_pt"] = n_pt
-        if payload["exact"]:
-            z = payload["z"]
-            from .coupling import CouplingMatrix
-
-            liouv = build_liouvillian(
-                CouplingMatrix(z.copy()), payload["delta"], payload["w"], eta
-            )
+        if coupling is not None:
+            liouv = build_liouvillian(coupling, state.delta, state.w, eta)
             rho = steady_state_exact(liouv)
-            keep = list(payload["group_a"]) + list(payload["group_b"])
-            rho_ab = reduce_state(rho, keep, len(payload["atoms"]))
-            b_local = list(range(len(payload["group_a"]), len(keep)))
-            n_exact, _ = negativity_exact(rho_ab, b_local, len(keep))
+            rho_ab = reduce_state(rho, part.atoms, state.n)
+            b_local = list(range(len(part.group_a), len(part.atoms)))
+            n_exact, _ = negativity_exact(rho_ab, b_local, len(part.atoms))
             row["n_exact"] = n_exact
     except WeakdriveError as exc:
         row["error"] = str(exc)
@@ -194,22 +171,8 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     )
 
     grid = cfg.eta_sweep.grid()
-    base = {
-        "u": state.u,
-        "v": state.v,
-        "w": state.w,
-        "delta": state.delta,
-        "atoms": state.atoms,
-        "group_a": tuple(sorted(part.group_a)),
-        "group_b": tuple(sorted(part.group_b)),
-        "lambda2": l2,
-        "lambda4": l4,
-        "exact": cfg.exact,
-    }
-    if cfg.exact:
-        base["z"] = coupling.dense()
-    payloads = [{**base, "eta": float(e)} for e in grid]
-    rows = _pmap(_sweep_point, payloads, parallelism)
+    exact_coupling = coupling if cfg.exact else None
+    rows = [_sweep_point(state, part, l2, l4, exact_coupling, float(e)) for e in grid]
 
     ok = [r for r in rows if "error" not in r]
     etas = np.array([r["eta"] for r in ok])
@@ -249,27 +212,13 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # oracle comparison
 # ----------------------------------------------------------------------
 
-def _oracle_point(payload: dict) -> dict:
-    eta = payload["eta"]
+def _oracle_point(state: PerturbState, part: Partition, coupling, eta: float) -> dict:
     row = {"eta": eta}
     try:
-        from .coupling import CouplingMatrix
-        from .geometry import Partition
-
-        z = CouplingMatrix(payload["z"].copy())
-        liouv = build_liouvillian(z, payload["delta"], payload["w"], eta)
+        liouv = build_liouvillian(coupling, state.delta, state.w, eta)
         rho = steady_state_exact(liouv)
-        n_exact, _ = negativity_exact(rho, payload["b_atoms"], len(payload["w"]))
-        state = PerturbState(
-            u=payload["u"].copy(),
-            v=payload["v"].copy(),
-            w=payload["w"].copy(),
-            delta=payload["delta"],
-            eta=eta,
-            atoms=tuple(range(len(payload["w"]))),
-        )
-        part = Partition(tuple(payload["group_a"]), tuple(payload["group_b"]))
-        n_pt, _ = pt_negativity(build_pt_matrix(state, part))
+        n_exact, _ = negativity_exact(rho, list(part.group_b), state.n)
+        n_pt, _ = pt_negativity(build_pt_matrix(replace(state, eta=eta), part))
         row["n_exact"] = n_exact
         row["n_pt"] = n_pt
     except WeakdriveError as exc:
@@ -290,18 +239,7 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
 
-    base = {
-        "z": coupling.dense(),
-        "w": state.w,
-        "u": state.u,
-        "v": state.v,
-        "delta": state.delta,
-        "group_a": tuple(sorted(part.group_a)),
-        "group_b": tuple(sorted(part.group_b)),
-        "b_atoms": sorted(part.group_b),
-    }
-    payloads = [{**base, "eta": float(e)} for e in cfg.eta_sweep.grid()]
-    rows = _pmap(_oracle_point, payloads, parallelism)
+    rows = [_oracle_point(state, part, coupling, float(e)) for e in cfg.eta_sweep.grid()]
 
     table_rows = []
     errors = []

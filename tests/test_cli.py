@@ -151,18 +151,30 @@ def test_dark_groups_still_correlated(tmp_path):
     assert abs(complex(re_part, im_part)) > 0.0
 
 
-def test_sweep_parallel_determinism(tmp_path):
+@pytest.mark.parametrize(
+    "task, table, header",
+    [
+        ("sweep", "sweep.csv", "eta,N_model,N_pt,N_exact"),
+        ("oracle-compare", "oracle.csv", "eta,N_exact,N_perturbative,abs_error"),
+    ],
+    ids=["sweep", "oracle-compare"],
+)
+def test_sweep_parallel_determinism(tmp_path, task, table, header):
     config = dict(PAIR_CONFIG)
     del config["eta"]
     config["eta_sweep"] = {"min": 0.01, "max": 0.05, "points": 9}
-    config["exact"] = True
+    config["exact"] = task == "sweep"
     cfg = _write(tmp_path, config)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
-    assert cli.main(["sweep", "--config", cfg, "--out", str(out1), "--parallel", "1"]) == 0
-    assert cli.main(["sweep", "--config", cfg, "--out", str(out2), "--parallel", "2"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    header = (out1 / "sweep.csv").read_text().splitlines()[0]
-    assert header == "eta,N_model,N_pt,N_exact"
+    assert cli.main([task, "--config", cfg, "--out", str(out1), "--parallel", "1"]) == 0
+    assert cli.main([task, "--config", cfg, "--out", str(out2), "--parallel", "2"]) == 0
+    assert (out1 / table).read_bytes() == (out2 / table).read_bytes()
+    assert (out1 / table).read_text().splitlines()[0] == header
+    rep1 = json.loads((out1 / "report.json").read_text())
+    rep2 = json.loads((out2 / "report.json").read_text())
+    assert rep1["provenance"].pop("parallelism") == 1
+    assert rep2["provenance"].pop("parallelism") == 2
+    assert rep1 == rep2
 
 
 def test_sweep_farfield_pair_threshold_matches_bound(tmp_path):

@@ -4,7 +4,14 @@ import pytest
 from weakdrive.basis import pair_arrays
 from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import ThresholdNotApplicableError
-from weakdrive.geometry import Drive, Partition, PlaneWave, explicit_ensemble, random_ensemble
+from weakdrive.geometry import (
+    Drive,
+    MaskedBeam,
+    Partition,
+    PlaneWave,
+    explicit_ensemble,
+    random_ensemble,
+)
 from weakdrive.negativity import (
     build_pt_matrix,
     build_V,
@@ -16,7 +23,7 @@ from weakdrive.negativity import (
     pt_negativity,
     threshold_omega,
 )
-from weakdrive.perturbation import PerturbState, assemble_state, steady_state
+from weakdrive.perturbation import PerturbState, assemble_state, restrict_state, steady_state
 
 DIPOLE = np.array([0.0, 0.0, 1.0])
 BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
@@ -126,6 +133,52 @@ def test_subgroup_in_ensemble_uses_full_amplitudes():
     vmap = {(0, 1): state.v_pair(li, lj)}
     ref = _reference_pt(u, vmap, 1, 1, drive.eta)
     assert np.max(np.abs(pt.matrix - ref)) <= 1e-12
+
+
+def _assert_compressed_matches_full(state, part):
+    sub = restrict_state(state, part.atoms)
+    na = len(part.group_a)
+    vmap = {
+        (i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)
+    }
+    full = np.linalg.eigvalsh(_reference_pt(sub.u, vmap, na, sub.n - na, sub.eta))
+    neg, spectrum = pt_negativity(build_pt_matrix(state, part))
+    assert spectrum.shape == full.shape
+    assert np.all(np.diff(spectrum) >= 0.0)
+    assert np.max(np.abs(spectrum - full)) <= 1e-14
+    assert neg == pytest.approx(-full[full < 0].sum(), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_compressed_spectrum_matches_full_matrix(n):
+    # random clouds: balanced, unequal and embedded partitions, lit and
+    # partly masked beams, several drive strengths
+    ens = random_ensemble(n, 4.0, 100 + n, DIPOLE, min_distance=0.5)
+    mask = MaskedBeam(BEAM, range(0, n, 2))
+    partitions = [
+        Partition(tuple(range(n // 2)), tuple(range(n // 2, n))),
+        Partition((n - 1,), tuple(range(n - 1))),
+        Partition((0,), (n - 1, 1)),
+    ]
+    for beam in (BEAM, mask):
+        for eta in (0.01, 0.05, 0.2):
+            drive = Drive(delta=0.3, eta=eta, beam=beam)
+            state = steady_state(coupling_matrix(ens), drive, ens)
+            for part in partitions:
+                _assert_compressed_matches_full(state, part)
+
+
+def test_compressed_spectrum_single_pair_and_zero_column():
+    # two atoms: M = 1, so no zeros are padded
+    _, _, state = _solved([[0, 0, 0], [0.9, 0.4, 0.2]], delta=0.3)
+    part = Partition((0,), (1,))
+    _assert_compressed_matches_full(state, part)
+    assert len(pt_negativity(build_pt_matrix(state, part))[1]) == 4
+    # u = v = 0: the pair column vanishes and the border is zero
+    silent = _manual_state(np.zeros(4), np.zeros(6), eta=0.1)
+    pt = build_pt_matrix(silent, Partition((0, 1), (2, 3)))
+    assert np.all(pt.pair_col == 0.0)
+    _assert_compressed_matches_full(silent, Partition((0, 1), (2, 3)))
 
 
 def test_no_pair_correlation_negativity_is_higher_order():

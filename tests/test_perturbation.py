@@ -259,6 +259,19 @@ def test_iterative_nonconvergence_reports_residual(monkeypatch):
     assert exc.value.iterations == perturbation.REFINE_STEPS
 
 
+def test_direct_solve_failure_message(monkeypatch):
+    # the u solve is direct: the error names the residual and zero
+    # refinement steps, not a non-converged iteration
+    monkeypatch.setattr(perturbation, "RESIDUAL_TOL", -1.0)
+    ens, drive, coupling = _pair_state()
+    with pytest.raises(SolverConvergenceError) as exc:
+        solve_u(coupling, drive.delta, drive.w(ens))
+    assert exc.value.iterations == 0
+    assert str(exc.value) == (
+        f"residual {exc.value.residual:.3e} above target after 0 refinement steps"
+    )
+
+
 def test_restrict_empty_subset_rejected():
     ens, drive, coupling = _pair_state()
     state = steady_state(coupling, drive, ens)
