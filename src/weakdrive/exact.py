@@ -9,6 +9,14 @@ carries the collective coefficients z. The drive sign is fixed by the
 requirement that the perturbative amplitude equations and the
 non-perturbative single-atom fixed point come out of the same generator;
 both are enforced in the test suite.
+
+The generator is assembled from the two effective non-Hermitian
+Hamiltonians, one Kronecker product each, plus the jump term as one
+contraction over the stacked lowering operators. The steady state is one
+pivoted LU solve of the generator with its redundant (0, 0) population row
+replaced by the trace functional, gated by the 1-norm condition number; a
+degenerate null space makes that system singular, and only then does a
+full eigendecomposition run, which warns about the degeneracy.
 """
 
 from __future__ import annotations
@@ -21,8 +29,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import pair_arrays, pair_count
-from .errors import CapExceededError, PropagationError, SolverConvergenceError
-from .perturbation import PerturbState, pair_map_apply
+from .errors import (
+    CapExceededError,
+    PropagationError,
+    ResonantSingularityError,
+    SolverConvergenceError,
+)
+from .perturbation import PerturbState, _solve_dense_checked, pair_map_apply
 
 N_CAP = 5
 NULL_TOL = 1e-10
@@ -33,17 +46,20 @@ NULL_TOL = 1e-10
 # ----------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def lowering_ops(n: int) -> tuple[np.ndarray, ...]:
-    """Per-atom lowering operators on the 2^n product space, atom 0 first."""
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|, basis (g, e)
-    eye = np.eye(2, dtype=complex)
-    out = []
+def lowering_ops(n: int) -> np.ndarray:
+    """Per-atom lowering operators |g><e| on the 2^n product space, stacked
+    as a read-only real (n, 2^n, 2^n) array, atom 0 the leading factor.
+
+    The cached array is shared by every caller, hence read-only."""
+    d = 2**n
+    states = np.arange(d)
+    ops = np.zeros((n, d, d))
     for m in range(n):
-        op = np.array([[1.0 + 0j]])
-        for k in range(n):
-            op = np.kron(op, sm if k == m else eye)
-        out.append(op)
-    return tuple(out)
+        bit = 1 << (n - 1 - m)
+        excited = states[(states & bit) != 0]
+        ops[m, excited ^ bit, excited] = 1.0
+    ops.setflags(write=False)
+    return ops
 
 
 @dataclass(frozen=True)
@@ -62,48 +78,64 @@ class Liouvillian:
 
 
 def build_liouvillian(coupling, delta: float, w: np.ndarray, eta: float) -> Liouvillian:
-    """Rotating-frame generator, time in units of 1/Gamma; hard cap n <= 5."""
+    """Rotating-frame generator, time in units of 1/Gamma; hard cap n <= 5.
+
+    With D = sum_ab z_ab s_a^dag s_b the generator is
+    rho -> (-iH - D) rho + rho (iH - D^*) + sum_ab 2 Re z_ab s_a rho s_b^dag,
+    and rho -> A rho B maps to kron(A, B^T) on the row-major vector.
+    """
     n = coupling.n
     if n > N_CAP:
         raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {n}")
     w = np.asarray(w, dtype=complex)
     d = 2**n
-    sms = lowering_ops(n)
-    eye = np.eye(d, dtype=complex)
-
-    H = np.zeros((d, d), dtype=complex)
-    for m in range(n):
-        num = sms[m].conj().T @ sms[m]
-        H += -delta * num - eta * (np.conj(w[m]) * sms[m] + w[m] * sms[m].conj().T)
-
-    # rho -> A rho B maps to kron(A, B.T) for row-major vec
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    s = lowering_ops(n)
+    eye = np.eye(d)
     Z = coupling.dense()
-    for a in range(n):
-        for b in range(n):
-            ab = sms[a].conj().T @ sms[b]
-            L -= Z[a, b] * np.kron(ab, eye)
-            L -= np.conj(Z[a, b]) * np.kron(eye, ab.T)
-            L += 2.0 * Z[a, b].real * np.kron(sms[a], sms[b])
+
+    # the lowering operators are real, so s_a^dag = s_a^T and D^* = conj(D)
+    drive_op = np.tensordot(w.conj(), s, axes=1)
+    number = np.einsum("aji,ajk->ik", s, s)
+    H = -delta * number - eta * (drive_op + drive_op.conj().T)
+    D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))
+
+    L = np.kron(-1j * H - D, eye)
+    L += np.kron(eye, (1j * H - D.conj()).T)
+    jump = np.tensordot(2.0 * Z.real, s, axes=1)
+    L += np.einsum("aij,akl->ikjl", s, jump).reshape(d * d, d * d)
     return Liouvillian(matrix=L, n=n)
 
 
 def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     """Null vector of the generator, Hermitised and trace normalised.
 
-    A degenerate null space is reported through a warning and the first
-    vector returned.
+    The generator preserves the trace, so its row for the (0, 0) population
+    is redundant; replacing it by the trace functional leaves one LU solve
+    for the unit-trace steady state. A degenerate null space makes that
+    bordered matrix singular: the condition gate then hands over to a full
+    eigendecomposition, which reports the degeneracy through a warning and
+    returns the first vector.
     """
-    vals, vecs = np.linalg.eig(liouv.matrix)
-    order = np.argsort(np.abs(vals))
-    if len(order) > 1 and np.abs(vals[order[1]]) < NULL_TOL:
-        warnings.warn(
-            "degenerate steady-state manifold: second eigenvalue modulus "
-            f"{np.abs(vals[order[1]]):.2e}",
-            stacklevel=2,
-        )
     d = liouv.dim
-    rho = vecs[:, order[0]].reshape(d, d)
+    bordered = np.array(liouv.matrix)
+    bordered[0] = 0.0
+    bordered[0, :: d + 1] = 1.0
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        # no detuning belongs to this system; the error never leaves here
+        vec = _solve_dense_checked(bordered, rhs, np.nan)
+    except ResonantSingularityError:
+        vals, vecs = np.linalg.eig(liouv.matrix)
+        order = np.argsort(np.abs(vals))
+        if len(order) > 1 and np.abs(vals[order[1]]) < NULL_TOL:
+            warnings.warn(
+                "degenerate steady-state manifold: second eigenvalue modulus "
+                f"{np.abs(vals[order[1]]):.2e}",
+                stacklevel=2,
+            )
+        vec = vecs[:, order[0]]
+    rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:

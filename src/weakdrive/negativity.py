@@ -195,8 +195,9 @@ def lambda4_dilute(phi: np.ndarray, w: np.ndarray, delta: float) -> float:
 
 
 def threshold_omega(lambda2: float, lambda4: float) -> float:
-    """Leading-order closing drive per mode, sqrt(|lambda2| / lambda4), in
-    units of Gamma. Defined only for a negative quadratic and positive
+    """Closing drive per mode, sqrt(|lambda2| / lambda4), as the drive ratio
+    eta = Omega / (2 Gamma), i.e. Omega in units of 2 Gamma; twice it is
+    Omega / Gamma. Defined only for a negative quadratic and positive
     quartic coefficient."""
     if lambda2 >= 0 or lambda4 <= 0:
         raise ThresholdNotApplicableError(
@@ -208,7 +209,7 @@ def threshold_omega(lambda2: float, lambda4: float) -> float:
 def eta_sign_change(lambda2: float, lambda4: float) -> Optional[float]:
     """Drive ratio eta where the modelled eigenvalue crosses zero, or None.
 
-    Same closed form as threshold_omega, which reads it in units of Gamma.
+    Same closed form and units as threshold_omega.
     """
     try:
         return threshold_omega(lambda2, lambda4)

@@ -22,8 +22,14 @@ from .basis import pair_arrays
 from .checks import run_checks
 from .config import RunConfig, build_drive, build_ensemble, build_partition
 from .coupling import coupling_matrix
-from .errors import ConfigError, WeakdriveError
-from .exact import build_liouvillian, negativity_exact, reduce_state, steady_state_exact
+from .errors import CapExceededError, ConfigError, WeakdriveError
+from .exact import (
+    N_CAP,
+    build_liouvillian,
+    negativity_exact,
+    reduce_state,
+    steady_state_exact,
+)
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
 from .negativity import (
@@ -155,8 +161,8 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     ens = build_ensemble(cfg)
     drive = build_drive(cfg, ens, eta=cfg.eta_sweep.lo)
     part = build_partition(cfg, ens)
-    if cfg.exact and ens.n > 5:
-        raise ConfigError("exact", "exact columns need 5 atoms or fewer")
+    if cfg.exact and ens.n > N_CAP:
+        raise ConfigError("exact", f"exact columns need {N_CAP} atoms or fewer")
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
     regime = regime_check(ens, drive, part, farfield=True)
@@ -232,10 +238,8 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     part = build_partition(cfg, ens)
     if set(part.atoms) != set(range(ens.n)):
         raise ConfigError("partition", "oracle comparison needs A u B to cover all atoms")
-    if ens.n > 5:
-        from .errors import CapExceededError
-
-        raise CapExceededError(f"exact solver capped at 5 atoms, got {ens.n}")
+    if ens.n > N_CAP:
+        raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {ens.n}")
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from weakdrive.basis import pair_arrays
 from weakdrive.coupling import CouplingMatrix, coupling_matrix
@@ -9,12 +10,20 @@ from weakdrive.exact import (
     amplitude_drift,
     build_liouvillian,
     dilute_product_state,
+    lowering_ops,
     negativity_exact,
     propagate_truncated,
     reduce_state,
     steady_state_exact,
 )
-from weakdrive.geometry import Drive, Partition, PlaneWave, explicit_ensemble
+from weakdrive.geometry import (
+    Drive,
+    MaskedBeam,
+    Partition,
+    PlaneWave,
+    explicit_ensemble,
+    random_ensemble,
+)
 from weakdrive.negativity import build_pt_matrix, pt_negativity
 from weakdrive.perturbation import assemble_state, steady_state
 
@@ -27,6 +36,90 @@ def _system(positions, delta=0.0, eta=0.05):
     drive = Drive(delta=delta, eta=eta, beam=BEAM)
     coupling = coupling_matrix(ens)
     return ens, drive, coupling
+
+
+def _reference_liouvillian(coupling, delta, w, eta):
+    """Generator assembled term by term from Kronecker products of the
+    single-atom operators: the reference route."""
+    n = coupling.n
+    d = 2**n
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    sms = []
+    for m in range(n):
+        op = np.array([[1.0 + 0j]])
+        for k in range(n):
+            op = np.kron(op, sm if k == m else np.eye(2))
+        sms.append(op)
+    eye = np.eye(d, dtype=complex)
+    H = np.zeros((d, d), dtype=complex)
+    for m in range(n):
+        num = sms[m].conj().T @ sms[m]
+        H += -delta * num - eta * (np.conj(w[m]) * sms[m] + w[m] * sms[m].conj().T)
+    # rho -> A rho B maps to kron(A, B.T) for row-major vec
+    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    Z = coupling.dense()
+    for a in range(n):
+        for b in range(n):
+            ab = sms[a].conj().T @ sms[b]
+            L -= Z[a, b] * np.kron(ab, eye)
+            L -= np.conj(Z[a, b]) * np.kron(eye, ab.T)
+            L += 2.0 * Z[a, b].real * np.kron(sms[a], sms[b])
+    return L
+
+
+def _reference_steady_state(matrix):
+    """Eigenvector of the eigenvalue nearest zero, Hermitised and trace
+    normalised: the reference route."""
+    vals, vecs = np.linalg.eig(matrix)
+    d = int(round(np.sqrt(matrix.shape[0])))
+    rho = vecs[:, np.argmin(np.abs(vals))].reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho)
+
+
+# (n, masked, delta, eta): the full grid up to three atoms, a few corners
+# at four and five, where the reference eigendecomposition costs 0.1 s and
+# 3 s per point
+REFERENCE_CASES = [
+    (n, masked, delta, eta)
+    for n in range(1, 4)
+    for masked in (False, True)
+    for delta in (0.0, 0.3)
+    for eta in (0.01, 0.1, 0.7)
+] + [(4, False, 0.0, 0.01), (4, True, 0.3, 0.7), (4, True, 0.0, 0.1), (5, True, 0.3, 0.1)]
+
+
+@pytest.mark.parametrize("n, masked, delta, eta", REFERENCE_CASES)
+def test_routes_match_references(n, masked, delta, eta):
+    ens = random_ensemble(n, 2.0, 100 + n, DIPOLE, min_distance=0.6)
+    beam = MaskedBeam(BEAM, frozenset(range(0, n, 2))) if masked else BEAM
+    w = beam.amplitudes(ens)
+    coupling = coupling_matrix(ens)
+    liouv = build_liouvillian(coupling, delta, w, eta)
+    ref = _reference_liouvillian(coupling, delta, w, eta)
+    assert np.max(np.abs(liouv.matrix - ref)) <= 1e-14
+    rho = steady_state_exact(liouv)
+    assert np.max(np.abs(rho - _reference_steady_state(ref))) <= 1e-12
+
+
+def test_bordered_solve_runs_no_eigendecomposition(monkeypatch):
+    ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eig called on a non-degenerate generator")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    rho = steady_state_exact(liouv)
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(liouv.matrix @ rho.reshape(-1))) <= 1e-12
+
+
+def test_lowering_ops_read_only():
+    ops = lowering_ops(3)
+    assert ops.shape == (3, 8, 8)
+    with pytest.raises(ValueError):
+        ops[0, 0, 1] = 1.0
 
 
 def test_ground_state_stationary_without_drive():
@@ -150,6 +243,35 @@ def test_five_atoms_at_the_cap():
         state = steady_state(coupling, drive, ens)
         n_exact, _ = negativity_exact(rho, [2, 3, 4], 5)
         n_pt, _ = pt_negativity(build_pt_matrix(state, Partition((0, 1), (2, 3, 4))))
+        gaps.append(abs(n_exact - n_pt))
+    assert 8.0 <= gaps[0] / gaps[1] <= 32.0
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=3, max_value=5),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=0.01, max_value=0.04),
+)
+def test_oracle_negativity_gap_halving(n, seed, eta):
+    # random geometry, A/B split and lit subset: the perturbative negativity
+    # misses the exact one by O(eta^4) for a pair and by terms down to
+    # O(eta^3) from three atoms on, so halving eta shrinks the gap 8x to 16x;
+    # the window is that of the validate check oracle_negativity_scaling
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(n, 2.0, seed, DIPOLE, min_distance=0.6)
+    order = rng.permutation(n)
+    n_a = int(rng.integers(1, n))
+    part = Partition(tuple(order[:n_a]), tuple(order[n_a:]))
+    lit = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    beam = MaskedBeam(BEAM, frozenset(lit.tolist()))
+    coupling = coupling_matrix(ens)
+    gaps = []
+    for e in (eta, eta / 2):
+        drive = Drive(delta=0.0, eta=e, beam=beam)
+        rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens), e))
+        n_exact, _ = negativity_exact(rho, part.group_b, n)
+        n_pt, _ = pt_negativity(build_pt_matrix(steady_state(coupling, drive, ens), part))
         gaps.append(abs(n_exact - n_pt))
     assert 8.0 <= gaps[0] / gaps[1] <= 32.0
 
