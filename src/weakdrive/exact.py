@@ -13,10 +13,14 @@ both are enforced in the test suite.
 The generator is assembled from the two effective non-Hermitian
 Hamiltonians, one Kronecker product each, plus the jump term as one
 contraction over the stacked lowering operators. The steady state is one
-pivoted LU solve of the generator with its redundant (0, 0) population row
-replaced by the trace functional, gated by the 1-norm condition number; a
-degenerate null space makes that system singular, and only then does a
-full eigendecomposition run, which warns about the degeneracy.
+pivoted LU solve of a real system: the generator restricted to Hermitian
+states, in their d^2 real coordinates, with its redundant (0, 0)
+population row replaced by the trace functional, gated by the 1-norm
+condition number. The solution is scattered into a state that is Hermitian
+by construction. A degenerate null space makes that system singular, and
+only then does a full eigendecomposition of the complex generator run,
+which warns about the degeneracy and whose null vector is Hermitised. The
+residual gate always runs on the complex generator.
 """
 
 from __future__ import annotations
@@ -106,25 +110,92 @@ def build_liouvillian(coupling, delta: float, w: np.ndarray, eta: float) -> Liou
     return Liouvillian(matrix=L, n=n)
 
 
-def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
-    """Null vector of the generator, Hermitised and trace normalised.
+@dataclass(frozen=True)
+class HermitianCoords:
+    """Flat row-major indices of the real coordinates of a Hermitian d x d
+    matrix: the coordinates are Re rho_kk, then Re rho_kl and Im rho_kl
+    for k < l, with rho_lk = conj(rho_kl) implied."""
 
-    The generator preserves the trace, so its row for the (0, 0) population
-    is redundant; replacing it by the trace functional leaves one LU solve
-    for the unit-trace steady state. A degenerate null space makes that
-    bordered matrix singular: the condition gate then hands over to a full
-    eigendecomposition, which reports the degeneracy through a warning and
-    returns the first vector.
+    diag: np.ndarray  # k * d + k
+    upper: np.ndarray  # k * d + l, k < l, np.triu_indices order
+    lower: np.ndarray  # l * d + k, paired with upper
+
+    def to_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian matrix of real coordinates x, conjugate symmetric
+        by construction."""
+        d = len(self.diag)
+        m = len(self.upper)
+        off = x[d : d + m] + 1j * x[d + m :]
+        rho = np.empty(d * d, dtype=complex)
+        rho[self.diag] = x[:d]
+        rho[self.upper] = off
+        rho[self.lower] = off.conj()
+        return rho.reshape(d, d)
+
+
+@functools.lru_cache(maxsize=8)
+def hermitian_coords(d: int) -> HermitianCoords:
+    """Coordinate tables for d x d Hermitian matrices, cached per d and
+    read-only, since every caller shares them."""
+    k, l = np.triu_indices(d, 1)
+    tables = (np.arange(d) * (d + 1), k * d + l, l * d + k)
+    for t in tables:
+        t.setflags(write=False)
+    return HermitianCoords(*tables)
+
+
+def _real_bordered_system(L: np.ndarray, c: HermitianCoords) -> np.ndarray:
+    """The generator restricted to Hermitian states, in real coordinates,
+    with the (0, 0) population row replaced by the trace functional.
+
+    A Hermitian rho maps to a Hermitian L rho, so the real parts of the
+    diagonal and upper rows and the imaginary parts of the upper rows are
+    all its equations; the columns of rho_kl and rho_lk = conj(rho_kl)
+    combine into one column per real unknown. Blocks are gathered straight
+    from the .real/.imag views of L, so no complex copy of L is made.
+    """
+    d = len(c.diag)
+    nr = d + len(c.upper)  # real parts: diagonal, then upper
+    rows = np.concatenate([c.diag, c.upper])
+    Lr, Li = L.real, L.imag
+    A = np.empty((d * d, d * d))
+    top, bottom = A[:nr], A[nr:]
+
+    # Re (L rho)_r = Re L_rd x_d + Re(L_ru + L_rl) x_re - Im(L_ru - L_rl) x_im
+    top[:, :nr] = Lr[np.ix_(rows, rows)]
+    top[:, d:nr] += Lr[np.ix_(rows, c.lower)]
+    top[:, nr:] = Li[np.ix_(rows, c.lower)]
+    top[:, nr:] -= Li[np.ix_(rows, c.upper)]
+    # Im (L rho)_r = Im L_rd x_d + Im(L_ru + L_rl) x_re + Re(L_ru - L_rl) x_im
+    bottom[:, :nr] = Li[np.ix_(c.upper, rows)]
+    bottom[:, d:nr] += Li[np.ix_(c.upper, c.lower)]
+    bottom[:, nr:] = Lr[np.ix_(c.upper, c.upper)]
+    bottom[:, nr:] -= Lr[np.ix_(c.upper, c.lower)]
+
+    top[0] = 0.0
+    top[0, :d] = 1.0
+    return A
+
+
+def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
+    """Unit-trace null vector of the generator as a Hermitian matrix.
+
+    The steady state is Hermitian, so the equations are solved for its d^2
+    real coordinates (`hermitian_coords`). The generator preserves the
+    trace, so its row for the (0, 0) population is redundant; replacing it
+    by the trace functional leaves one real LU solve, and the solution is
+    Hermitian by construction. A degenerate null space makes that bordered
+    matrix singular: the condition gate then hands over to a full
+    eigendecomposition of the complex generator, which reports the
+    degeneracy through a warning and returns the first vector, Hermitised.
     """
     d = liouv.dim
-    bordered = np.array(liouv.matrix)
-    bordered[0] = 0.0
-    bordered[0, :: d + 1] = 1.0
-    rhs = np.zeros(d * d, dtype=complex)
+    coords = hermitian_coords(d)
+    rhs = np.zeros(d * d)
     rhs[0] = 1.0
     try:
         # no detuning belongs to this system; the error never leaves here
-        vec = _solve_dense_checked(bordered, rhs, np.nan)
+        x = _solve_dense_checked(_real_bordered_system(liouv.matrix, coords), rhs, np.nan)
     except ResonantSingularityError:
         vals, vecs = np.linalg.eig(liouv.matrix)
         order = np.argsort(np.abs(vals))
@@ -134,10 +205,12 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
                 f"{np.abs(vals[order[1]]):.2e}",
                 stacklevel=2,
             )
-        vec = vecs[:, order[0]]
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho)
+        rho = vecs[:, order[0]].reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+    else:
+        rho = coords.to_matrix(x)
+    # the diagonal of a Hermitian matrix is real
+    tr = np.trace(rho).real
     if abs(tr) < 1e-12:
         # a traceless null vector has no normalised state to gate
         raise SolverConvergenceError(np.inf, 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -10,6 +12,7 @@ from weakdrive.exact import (
     amplitude_drift,
     build_liouvillian,
     dilute_product_state,
+    hermitian_coords,
     lowering_ops,
     negativity_exact,
     propagate_truncated,
@@ -113,6 +116,54 @@ def test_bordered_solve_runs_no_eigendecomposition(monkeypatch):
     rho = steady_state_exact(liouv)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(liouv.matrix @ rho.reshape(-1))) <= 1e-12
+
+
+def test_bordered_solve_is_hermitian_by_construction(monkeypatch):
+    # the real-coordinate solve scatters into a Hermitian matrix; nothing
+    # symmetrises it afterwards
+    ens, drive, coupling = _system(
+        [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4]], delta=0.3, eta=0.1
+    )
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eig called on a non-degenerate generator")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    rho = steady_state_exact(liouv)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.max(np.abs(rho - np.triu(rho))) > 0.0
+
+
+@pytest.mark.parametrize("d", [8, 32])
+def test_hermitian_coords_round_trip(d):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = A + A.conj().T
+    c = hermitian_coords(d)
+    flat = rho.reshape(-1)
+    x = np.concatenate([flat[c.diag].real, flat[c.upper].real, flat[c.upper].imag])
+    assert x.shape == (d * d,)
+    assert np.array_equal(c.to_matrix(x), rho)
+    with pytest.raises(ValueError):
+        c.upper[0] = 0
+
+
+def test_steady_state_memory_above_generator():
+    # traced peak of the solve above the held 1024^2 complex generator
+    # (16 MB): the real bordered system, its condition-gate inverse and
+    # the LU copy are 8 MB each
+    ens, drive, coupling = _system(
+        [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], eta=0.02
+    )
+    liouv = build_liouvillian(coupling, 0.0, drive.w(ens), drive.eta)
+    tracemalloc.start()
+    try:
+        steady_state_exact(liouv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 32.0
 
 
 def test_lowering_ops_read_only():
@@ -228,7 +279,8 @@ def test_exact_negativity_threshold_scan():
 
 def test_five_atoms_at_the_cap():
     # largest supported exact system: physical state, and the perturbative
-    # negativity gap still shrinks at the even-order rate under halving
+    # negativity gap still shrinks under halving at its truncation order,
+    # eta^4 for a lit pair and down to eta^3 from three atoms on (8x-16x)
     ens, _, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]]
     )
@@ -288,6 +340,27 @@ def test_degenerate_null_space_warns():
     z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
     with pytest.warns(UserWarning, match="degenerate"):
         steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex), 0.0))
+
+
+def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
+    # three atoms under one collective decay channel keep several dark
+    # states: the real bordered system is singular, so the gate hands over
+    # to the eigendecomposition, which warns
+    calls = []
+    eig = np.linalg.eig
+
+    def counted_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    z = CouplingMatrix(np.full((3, 3), 0.5 + 0j))
+    liouv = build_liouvillian(z, 0.0, np.zeros(3, complex), 0.0)
+    with pytest.warns(UserWarning, match="degenerate"):
+        rho = steady_state_exact(liouv)
+    assert calls == [(64, 64)]
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(rho, rho.conj().T)
 
 
 def test_reduce_state_product():
