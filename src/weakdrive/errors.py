@@ -31,7 +31,9 @@ class ResonantSingularityError(WeakdriveError):
 
 class SolverConvergenceError(WeakdriveError):
     """A solve ended with its residual above the target; iterations counts
-    the refinement steps taken (0 for a direct solve)."""
+    the refinement steps taken (0 for a direct solve), or, for the GMRES
+    of the exact steady state, the GMRES iterations spent, with residual
+    the GMRES residual norm."""
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual

@@ -10,22 +10,35 @@ requirement that the perturbative amplitude equations and the
 non-perturbative single-atom fixed point come out of the same generator;
 both are enforced in the test suite.
 
-The generator is assembled from the two effective non-Hermitian
-Hamiltonians, one Kronecker product each, plus the jump term as one
-contraction over the stacked lowering operators. The steady state is one
-pivoted LU solve of a real system: the generator restricted to Hermitian
-states, in their d^2 real coordinates, with its redundant (0, 0)
-population row replaced by the trace functional, gated by the 1-norm
-condition number. The solution is scattered into a state that is Hermitian
-by construction. A degenerate null space makes that system singular, and
-only then does a full eigendecomposition of the complex generator run,
-which warns about the degeneracy and whose null vector is Hermitised. The
-residual gate always runs on the complex generator.
+The generator is kept in operator form, L = L0 + eta L1, and no
+d^2 x d^2 matrix is formed to find its steady state. The drive
+L1 rho = i[W + W^dag, rho] moves one excitation on either side of rho.
+The undriven part is L0 = S + J: S rho = A rho + rho A^dag with
+A = i delta N - D keeps every block (k, l) of excitation numbers, and the
+jump J rho = sum_ab 2 Re z_ab s_a rho s_b^dag maps block (k + 1, l + 1)
+to (k, l). So J is nilpotent, L0 is block triangular over the excitation
+levels, and on traceless matrices L0^-1 is one Sylvester solve per block,
+taken from the top level down: elementwise, 1/(lambda_i + conj lambda_j),
+in the eigenbasis of A on each level (dimension C(n, k)), with the (0, 0)
+entry fixed by the trace. The steady state rho = rho_G + X then solves
+(I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G, which GMRES (Saad & Schultz
+1986) solves in the real space of Hermitian matrices; jump and drive act
+by bit-flip index gathers. GMRES needs more iterations as the drive
+grows: about 20 at eta = 0.1 and about 390 at eta = 2 on five atoms.
+
+An ill-conditioned level eigenbasis or a vanishing Sylvester denominator
+(dark states, which can leave several steady states) hands the solve to
+an eigendecomposition of the dense generator for up to DENSE_CAP atoms,
+which warns about a degenerate steady-state manifold; above DENSE_CAP it
+raises ResonantSingularityError. Either route ends in the residual gate of
+the operator-form generator.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,16 +46,33 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import pair_arrays, pair_count
+from .coupling import CouplingMatrix
 from .errors import (
     CapExceededError,
     PropagationError,
     ResonantSingularityError,
     SolverConvergenceError,
 )
-from .perturbation import PerturbState, _solve_dense_checked, pair_map_apply
+from .perturbation import (
+    COND_LIMIT,
+    EIG_COND_GUARD,
+    PerturbState,
+    pair_map_apply,
+)
 
-N_CAP = 5
+N_CAP = 8
+# largest system whose dense generator is built: .matrix and the eig fallback
+DENSE_CAP = 5
 NULL_TOL = 1e-10
+# GMRES stops at this residual relative to the right-hand side
+GMRES_RTOL = 1e-13
+# GMRES iterations per steady state, and float64 entries of the Krylov
+# basis: up to five atoms it may grow to all d^2 directions unrestarted,
+# so GMRES cannot stall there; above, it restarts (64 vectors at n = 8)
+GMRES_MAXITER = 1024
+KRYLOV_ENTRIES = 1 << 23
+
+log = logging.getLogger("weakdrive.exact")
 
 
 # ----------------------------------------------------------------------
@@ -68,157 +98,352 @@ def lowering_ops(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense generator acting on row-major vectorised density matrices."""
+    """Rotating-frame generator in operator form: the couplings, detuning,
+    drive amplitudes and drive strength it is made of."""
 
-    matrix: np.ndarray
-    n: int
+    coupling: CouplingMatrix
+    delta: float
+    w: np.ndarray
+    eta: float
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "w", np.array(self.w, dtype=complex))
+        self.w.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.coupling.n
 
     @property
     def dim(self) -> int:
         return 2**self.n
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense generator on row-major vectorised density matrices,
+        built on demand for up to DENSE_CAP atoms."""
+        if self.n > DENSE_CAP:
+            raise CapExceededError(
+                f"dense generator capped at {DENSE_CAP} atoms, got {self.n}"
+            )
+        return _dense_generator(self)
+
 
 def build_liouvillian(coupling, delta: float, w: np.ndarray, eta: float) -> Liouvillian:
-    """Rotating-frame generator, time in units of 1/Gamma; hard cap n <= 5.
-
-    With D = sum_ab z_ab s_a^dag s_b the generator is
-    rho -> (-iH - D) rho + rho (iH - D^*) + sum_ab 2 Re z_ab s_a rho s_b^dag,
-    and rho -> A rho B maps to kron(A, B^T) on the row-major vector.
-    """
+    """Rotating-frame generator, time in units of 1/Gamma; hard cap
+    n <= N_CAP."""
     n = coupling.n
     if n > N_CAP:
         raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {n}")
-    w = np.asarray(w, dtype=complex)
-    d = 2**n
-    s = lowering_ops(n)
+    return Liouvillian(coupling=coupling, delta=float(delta), w=w, eta=float(eta))
+
+
+def _dense_generator(liouv: Liouvillian) -> np.ndarray:
+    """With D = sum_ab z_ab s_a^dag s_b the generator is
+    rho -> (-iH - D) rho + rho (iH - D^*) + sum_ab 2 Re z_ab s_a rho s_b^dag,
+    and rho -> A rho B maps to kron(A, B^T) on the row-major vector."""
+    d = liouv.dim
+    s = lowering_ops(liouv.n)
     eye = np.eye(d)
-    Z = coupling.dense()
+    Z = liouv.coupling.dense()
 
     # the lowering operators are real, so s_a^dag = s_a^T and D^* = conj(D)
-    drive_op = np.tensordot(w.conj(), s, axes=1)
+    drive_op = np.tensordot(liouv.w.conj(), s, axes=1)
     number = np.einsum("aji,ajk->ik", s, s)
-    H = -delta * number - eta * (drive_op + drive_op.conj().T)
+    H = -liouv.delta * number - liouv.eta * (drive_op + drive_op.conj().T)
     D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))
 
     L = np.kron(-1j * H - D, eye)
     L += np.kron(eye, (1j * H - D.conj()).T)
     jump = np.tensordot(2.0 * Z.real, s, axes=1)
     L += np.einsum("aij,akl->ikjl", s, jump).reshape(d * d, d * d)
-    return Liouvillian(matrix=L, n=n)
+    return L
 
+
+# ----------------------------------------------------------------------
+# excitation levels
+# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HermitianCoords:
-    """Flat row-major indices of the real coordinates of a Hermitian d x d
-    matrix: the coordinates are Re rho_kk, then Re rho_kl and Im rho_kl
-    for k < l, with rho_lk = conj(rho_kl) implied."""
+class _LevelTables:
+    """The 2^n basis ordered by excitation number, stably, so level k holds
+    positions off[k]:off[k + 1]; every table indexes that order.
 
-    diag: np.ndarray  # k * d + k
-    upper: np.ndarray  # k * d + l, k < l, np.triu_indices order
-    lower: np.ndarray  # l * d + k, paired with upper
+    rows[k] and cols[k] (k < n) serve the jump into level k: rows[k][a] is
+    the position in level k + 1 of each level-k state with atom a raised,
+    counted from off[k + 1], and C(n, k + 1) where atom a is already
+    excited; cols[k][a] is the same for the states of levels k..n-1, with
+    the sentinel d - off[k + 1]."""
 
-    def to_matrix(self, x: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix of real coordinates x, conjugate symmetric
-        by construction."""
-        d = len(self.diag)
-        m = len(self.upper)
-        off = x[d : d + m] + 1j * x[d + m :]
-        rho = np.empty(d * d, dtype=complex)
-        rho[self.diag] = x[:d]
-        rho[self.upper] = off
-        rho[self.lower] = off.conj()
-        return rho.reshape(d, d)
+    order: np.ndarray  # natural basis index at each position
+    pos: np.ndarray  # position of each natural basis index
+    off: np.ndarray  # n + 2 level offsets
+    excited: np.ndarray  # (n, d): atom a excited at each position
+    flip: np.ndarray  # (n, d): position with atom a flipped
+    rows: tuple
+    cols: tuple
 
 
 @functools.lru_cache(maxsize=8)
-def hermitian_coords(d: int) -> HermitianCoords:
-    """Coordinate tables for d x d Hermitian matrices, cached per d and
-    read-only, since every caller shares them."""
-    k, l = np.triu_indices(d, 1)
-    tables = (np.arange(d) * (d + 1), k * d + l, l * d + k)
-    for t in tables:
+def _level_tables(n: int) -> _LevelTables:
+    """Level tables of n atoms, cached and read-only."""
+    d = 2**n
+    bits = 1 << (n - 1 - np.arange(n))
+    level = ((np.arange(d)[None, :] & bits[:, None]) != 0).sum(axis=0)
+    order = np.argsort(level, kind="stable")
+    pos = np.empty(d, dtype=np.intp)
+    pos[order] = np.arange(d)
+    off = np.concatenate([[0], np.cumsum(np.bincount(level, minlength=n + 1))])
+    excited = (order[None, :] & bits[:, None]) != 0
+    flip = pos[order[None, :] ^ bits[:, None]]
+    up = np.where(excited, d, flip)
+    rows = tuple(
+        np.minimum(up[:, off[k] : off[k + 1]] - off[k + 1], off[k + 2] - off[k + 1])
+        for k in range(n)
+    )
+    cols = tuple(up[:, off[k] : off[n]] - off[k + 1] for k in range(n))
+    for t in (order, pos, off, excited, flip) + rows + cols:
         t.setflags(write=False)
-    return HermitianCoords(*tables)
+    return _LevelTables(order, pos, off, excited, flip, rows, cols)
 
 
-def _real_bordered_system(L: np.ndarray, c: HermitianCoords) -> np.ndarray:
-    """The generator restricted to Hermitian states, in real coordinates,
-    with the (0, 0) population row replaced by the trace functional.
+class _LevelSystem:
+    """The generator of one Liouvillian on the level-ordered basis: A on
+    each level, jump and drive by index gathers, and, once `factor` has
+    run, L0^-1 by per-block Sylvester solves."""
 
-    A Hermitian rho maps to a Hermitian L rho, so the real parts of the
-    diagonal and upper rows and the imaginary parts of the upper rows are
-    all its equations; the columns of rho_kl and rho_lk = conj(rho_kl)
-    combine into one column per real unknown. Blocks are gathered straight
-    from the .real/.imag views of L, so no complex copy of L is made.
-    """
-    d = len(c.diag)
-    nr = d + len(c.upper)  # real parts: diagonal, then upper
-    rows = np.concatenate([c.diag, c.upper])
-    Lr, Li = L.real, L.imag
-    A = np.empty((d * d, d * d))
-    top, bottom = A[:nr], A[nr:]
+    def __init__(self, liouv: Liouvillian):
+        self.n, self.d, self.eta = liouv.n, liouv.dim, liouv.eta
+        self.delta = liouv.delta
+        self.t = t = _level_tables(self.n)
+        Z = liouv.coupling.dense()
+        self.jump = 2.0 * Z.real
+        self.atoms = np.arange(self.n)[:, None]
+        # V = W + W^dag has V[x, flip_a(x)] = w_a if atom a is excited in x,
+        # conj(w_a) if not
+        self.coef = np.where(t.excited, liouv.w[:, None], liouv.w.conj()[:, None])
+        # A = i delta N - D on each level, D_k = sum_ab z_ab E_a^T E_b with
+        # E_a the lowering of atom a from level k to level k - 1
+        self.A = [np.zeros((1, 1), dtype=complex)]
+        for k in range(1, self.n + 1):
+            r = t.rows[k - 1]
+            c = int(t.off[k + 1] - t.off[k])
+            E = np.zeros((self.n, r.shape[1], c + 1))
+            E[self.atoms, np.arange(r.shape[1]), r] = 1.0
+            E = E[:, :, :c]
+            D = E.reshape(-1, c).T @ np.tensordot(Z, E, axes=1).reshape(-1, c)
+            self.A.append(1j * self.delta * k * np.eye(c) - D)
 
-    # Re (L rho)_r = Re L_rd x_d + Re(L_ru + L_rl) x_re - Im(L_ru - L_rl) x_im
-    top[:, :nr] = Lr[np.ix_(rows, rows)]
-    top[:, d:nr] += Lr[np.ix_(rows, c.lower)]
-    top[:, nr:] = Li[np.ix_(rows, c.lower)]
-    top[:, nr:] -= Li[np.ix_(rows, c.upper)]
-    # Im (L rho)_r = Im L_rd x_d + Im(L_ru + L_rl) x_re + Re(L_ru - L_rl) x_im
-    bottom[:, :nr] = Li[np.ix_(c.upper, rows)]
-    bottom[:, d:nr] += Li[np.ix_(c.upper, c.lower)]
-    bottom[:, nr:] = Lr[np.ix_(c.upper, c.upper)]
-    bottom[:, nr:] -= Lr[np.ix_(c.upper, c.lower)]
+    @property
+    def dims(self) -> list:
+        return [len(a) for a in self.A]
 
-    top[0] = 0.0
-    top[0, :d] = 1.0
-    return A
+    def factor(self) -> float:
+        """Eigenbasis of A on each level and the Sylvester multipliers
+        1/(lambda_i + conj lambda_j) of the blocks k <= l. Returns the
+        smallest denominator |lambda_i + conj lambda_j| off the (0, 0)
+        entry; raises ResonantSingularityError when an eigenvector matrix
+        is worse conditioned than EIG_COND_GUARD or a multiplier exceeds
+        COND_LIMIT."""
+        lam, self.P = zip(*map(np.linalg.eig, self.A))
+        cond = max(float(np.linalg.cond(p)) for p in self.P)
+        if not cond <= EIG_COND_GUARD:
+            raise ResonantSingularityError(self.delta, cond)
+        self.Pinv = [np.linalg.inv(p) for p in self.P]
+        self.PinvH = [p.conj().T for p in self.Pinv]
+        self.PH = [p.conj().T for p in self.P]
+        den = [[lam[k][:, None] + lam[l].conj() for l in range(k, self.n + 1)]
+               for k in range(self.n + 1)]
+        # the (0, 0) entry is the undriven steady state; the trace fixes it
+        den[0][0] = np.ones((1, 1))
+        smallest = min(float(np.abs(g).min()) for row in den for g in row)
+        if not smallest * COND_LIMIT >= 1.0:
+            raise ResonantSingularityError(self.delta, 1.0 / smallest if smallest else np.inf)
+        self.G = [[1.0 / g for g in row] for row in den]
+        self.G[0][0] = np.zeros((1, 1))
+        return smallest
+
+    def _jump_rows(self, X: np.ndarray, k: int) -> np.ndarray:
+        """Rows of level k, columns of levels k..n-1, of J X; no state
+        lowers into level n, so its columns vanish."""
+        lo, hi = self.t.off[k + 1], self.t.off[k + 2]
+        src = np.zeros((hi - lo + 1, self.d - lo + 1), dtype=complex)
+        src[:-1, :-1] = X[lo:hi, lo:]
+        # [b, y, i]: row i of level k + 1 at the column of y with atom b raised
+        raised = src.T[self.t.cols[k]]
+        mixed = (self.jump @ raised.reshape(self.n, -1).view(float)).view(complex)
+        mixed = mixed.reshape(raised.shape)
+        return mixed[self.atoms, :, self.t.rows[k]].sum(axis=0)
+
+    def drive(self, X: np.ndarray) -> np.ndarray:
+        """L1 X = i[V, X] for a Hermitian X, where X V = (V X)^dag."""
+        VX = np.einsum("ax,axy->xy", self.coef, X[self.t.flip])
+        return 1j * (VX - VX.conj().T)
+
+    def solve_undriven(self, Y: np.ndarray) -> np.ndarray:
+        """L0^-1 Y: the traceless Hermitian X with L0 X = Y for a traceless
+        Hermitian Y, one row of level blocks at a time from the top down."""
+        off, n = self.t.off, self.n
+        X = np.empty_like(Y)
+        for k in range(n, -1, -1):
+            a, b = off[k], off[k + 1]
+            R = Y[a:b, a:].copy()
+            if k < n:
+                R[:, : off[n] - a] -= self._jump_rows(X, k)
+            M = self.Pinv[k] @ R
+            for l in range(k, n + 1):
+                s = slice(off[l] - a, off[l + 1] - a)
+                M[:, s] = ((M[:, s] @ self.PinvH[l]) * self.G[k][l - k]) @ self.PH[l]
+            S = self.P[k] @ M
+            X[a:, a:b] = S.conj().T
+            X[a:b, a:] = S
+            X[a:b, a:b] = 0.5 * (S[:, : b - a] + S[:, : b - a].conj().T)
+        X[0, 0] = -X.diagonal()[1:].real.sum()
+        return X
+
+    def residual(self, rho: np.ndarray) -> float:
+        """max |L rho| of a Hermitian rho on the level-ordered basis."""
+        off, n = self.t.off, self.n
+        out = self.eta * self.drive(rho)
+        Arho = np.concatenate([A @ rho[off[k] : off[k + 1]] for k, A in enumerate(self.A)])
+        out += Arho + Arho.conj().T
+        for k in range(n):
+            a, b, c = off[k], off[k + 1], off[n]
+            S = self._jump_rows(rho, k)
+            out[a:b, a:c] += S
+            out[b:c, a:b] += S[:, b - a :].conj().T
+        return float(np.max(np.abs(out)))
+
+    def steady_state(self) -> tuple:
+        """rho_G + X with (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G, on the
+        level-ordered basis; returns it with the GMRES iterations and
+        residual."""
+        d = self.d
+        ground = np.zeros((d, d), dtype=complex)
+        ground[0, 0] = 1.0
+
+        def apply(x):
+            X = x.view(complex).reshape(d, d)
+            return (X + self.eta * self.solve_undriven(self.drive(X))).reshape(-1).view(float)
+
+        rhs = (-self.eta * self.solve_undriven(self.drive(ground))).reshape(-1).view(float)
+        restart = min(d * d, KRYLOV_ENTRIES // (2 * d * d))
+        tol = GMRES_RTOL * float(np.linalg.norm(rhs))
+        x, iterations, res = _gmres(apply, rhs, tol, restart, GMRES_MAXITER)
+        return ground + x.view(complex).reshape(d, d), iterations, res
+
+
+def _gmres(apply, b: np.ndarray, tol: float, restart: int, maxiter: int):
+    """GMRES (Saad & Schultz 1986) for a real vector b, restarted every
+    `restart` iterations: Arnoldi by classical Gram-Schmidt run twice,
+    Givens rotations on the Hessenberg columns. The basis grows as needed.
+    Returns the solution, the iteration count and the residual norm;
+    raises SolverConvergenceError after maxiter iterations."""
+    x = np.zeros_like(b)
+    r, its = b, 0
+    beta = float(np.linalg.norm(r))
+    while beta > tol:
+        if its >= maxiter:
+            raise SolverConvergenceError(beta, its)
+        m = min(restart, maxiter - its)
+        Q = np.empty((min(m, 31) + 1, b.size))
+        Q[0] = r / beta
+        R = []  # columns of the triangular factor
+        rot = []
+        g = [beta]
+        for j in range(m):
+            v = apply(Q[j])
+            its += 1
+            h = np.zeros(j + 1)
+            for _ in range(2):
+                p = Q[: j + 1] @ v
+                v -= p @ Q[: j + 1]
+                h += p
+            hn = float(np.linalg.norm(v))
+            col = h.tolist()
+            for i, (c, s) in enumerate(rot):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rr = math.hypot(col[j], hn)
+            if rr == 0.0:
+                raise SolverConvergenceError(abs(g[j]), its)
+            rot.append((col[j] / rr, hn / rr))
+            col[j] = rr
+            R.append(col)
+            g.append(-rot[j][1] * g[j])
+            g[j] *= rot[j][0]
+            if abs(g[j + 1]) <= tol or j + 1 == m:
+                break
+            if j + 2 > len(Q):
+                Q = np.concatenate([Q, np.empty((min(len(Q), m + 1 - len(Q)), b.size))])
+            Q[j + 1] = v / hn
+        k = j + 1
+        T = np.zeros((k, k))
+        for i, col in enumerate(R):
+            T[: i + 1, i] = col
+        x += np.linalg.solve(T, g[:k]) @ Q[:k]
+        r = b - apply(x)
+        beta = float(np.linalg.norm(r))
+    return x, its, beta
+
+
+def _dense_fallback(liouv: Liouvillian) -> np.ndarray:
+    """First null vector of the dense generator, Hermitised; warns when the
+    second eigenvalue vanishes too (a degenerate steady-state manifold)."""
+    d = liouv.dim
+    vals, vecs = np.linalg.eig(liouv.matrix)
+    order = np.argsort(np.abs(vals))
+    if len(order) > 1 and np.abs(vals[order[1]]) < NULL_TOL:
+        warnings.warn(
+            "degenerate steady-state manifold: second eigenvalue modulus "
+            f"{np.abs(vals[order[1]]):.2e}",
+            stacklevel=3,
+        )
+    return vecs[:, order[0]].reshape(d, d)
 
 
 def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
-    """Unit-trace null vector of the generator as a Hermitian matrix.
+    """Unit-trace steady state of the generator as a Hermitian matrix.
 
-    The steady state is Hermitian, so the equations are solved for its d^2
-    real coordinates (`hermitian_coords`). The generator preserves the
-    trace, so its row for the (0, 0) population is redundant; replacing it
-    by the trace functional leaves one real LU solve, and the solution is
-    Hermitian by construction. A degenerate null space makes that bordered
-    matrix singular: the condition gate then hands over to a full
-    eigendecomposition of the complex generator, which reports the
-    degeneracy through a warning and returns the first vector, Hermitised.
+    The level route (module docstring) solves for X = rho - rho_G by GMRES
+    on (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G and never forms the dense
+    generator. When a level guard trips (eigenvector condition above
+    EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
+    DENSE_CAP atoms the dense generator's null vector is taken instead,
+    which warns about a degenerate null space; above DENSE_CAP the guard's
+    ResonantSingularityError propagates. GMRES that does not converge
+    raises SolverConvergenceError with its residual and iteration count,
+    and every returned state has an operator-form residual within NULL_TOL.
+    The route, level dimensions, GMRES iterations and residual and the
+    smallest Sylvester denominator are logged at DEBUG on weakdrive.exact.
     """
-    d = liouv.dim
-    coords = hermitian_coords(d)
-    rhs = np.zeros(d * d)
-    rhs[0] = 1.0
+    system = _LevelSystem(liouv)
+    t = system.t
     try:
-        # no detuning belongs to this system; the error never leaves here
-        x = _solve_dense_checked(_real_bordered_system(liouv.matrix, coords), rhs, np.nan)
-    except ResonantSingularityError:
-        vals, vecs = np.linalg.eig(liouv.matrix)
-        order = np.argsort(np.abs(vals))
-        if len(order) > 1 and np.abs(vals[order[1]]) < NULL_TOL:
-            warnings.warn(
-                "degenerate steady-state manifold: second eigenvalue modulus "
-                f"{np.abs(vals[order[1]]):.2e}",
-                stacklevel=2,
-            )
-        rho = vecs[:, order[0]].reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
+        smallest = system.factor()
+    except ResonantSingularityError as exc:
+        if liouv.n > DENSE_CAP:
+            raise
+        log.debug("route dense fallback (%s); level dims %s", exc, system.dims)
+        rho = _dense_fallback(liouv)[np.ix_(t.order, t.order)]
+        iterations = 0
     else:
-        rho = coords.to_matrix(x)
+        rho, iterations, res = system.steady_state()
+        log.debug(
+            "route levels; level dims %s; gmres iterations %d, residual %.3e; "
+            "smallest denominator %.3e",
+            system.dims, iterations, res, smallest,
+        )
+    rho = 0.5 * (rho + rho.conj().T)
     # the diagonal of a Hermitian matrix is real
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
         # a traceless null vector has no normalised state to gate
         raise SolverConvergenceError(np.inf, 0)
     rho = rho / tr
-    residual = float(np.max(np.abs(liouv.matrix @ rho.reshape(-1))))
+    residual = system.residual(rho)
     if not residual <= NULL_TOL:
-        raise SolverConvergenceError(residual, 0)
-    return rho
+        raise SolverConvergenceError(residual, iterations)
+    return rho[np.ix_(t.pos, t.pos)]
 
 
 def reduce_state(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
@@ -270,7 +495,8 @@ class DiluteProductState:
     def full(self) -> np.ndarray:
         out = np.array([[1.0 + 0j]])
         for mu in range(len(self.populations)):
-            out = np.kron(out, self.single(mu))
+            m = 2 * len(out)
+            out = (out[:, None, :, None] * self.single(mu)[None, :, None, :]).reshape(m, m)
         return out
 
 

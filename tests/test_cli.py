@@ -7,6 +7,7 @@ from weakdrive import cli
 from weakdrive.config import parse_config
 from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import ConfigError
+from weakdrive.exact import N_CAP
 from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble
 from weakdrive.perturbation import steady_state
 from weakdrive.reporting import config_hash
@@ -299,11 +300,12 @@ def test_oracle_compare_errors(tmp_path, capsys):
     assert cli.main(["oracle-compare", "--config", cfg]) == 2
 
     # too many atoms for the exact solver -> numerical failure
+    n = N_CAP + 1
     config["geometry"] = {
         "mode": "explicit",
-        "positions": [[float(i), 0.0, 0.0] for i in range(6)],
+        "positions": [[float(i), 0.0, 0.0] for i in range(n)],
     }
-    config["partition"] = {"A": [0, 1, 2], "B": [3, 4, 5]}
+    config["partition"] = {"A": list(range(n // 2)), "B": list(range(n // 2, n))}
     cfg = _write(tmp_path, config)
     assert cli.main(["oracle-compare", "--config", cfg]) == 3
 
@@ -320,6 +322,34 @@ def test_oracle_compare_table(tmp_path):
     eta, n_exact, n_pt, err = map(float, lines[1].split(","))
     assert err == pytest.approx(abs(n_exact - n_pt), rel=1e-12)
     assert err < 1e-5
+
+
+def test_oracle_compare_three_plus_three(tmp_path):
+    # six atoms are past the dense generator: the exact column comes from
+    # the level solve alone, and the perturbative gap closes at weak drive
+    config = dict(PAIR_CONFIG)
+    del config["eta"]
+    config["geometry"] = {
+        "mode": "explicit",
+        "positions": [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4],
+                      [0.2, 0.3, 1.5], [1.4, 0.8, 1.1]],
+    }
+    config["delta"] = 0.3
+    config["partition"] = {"A": [0, 1, 2], "B": [3, 4, 5]}
+    config["eta_sweep"] = {"min": 0.005, "max": 0.01, "points": 2}
+    cfg = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["point_errors"] == []
+    rows = [list(map(float, r.split(",")))
+            for r in (out / "oracle.csv").read_text().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == [0.005, 0.01]
+    for eta, n_exact, n_pt, err in rows:
+        assert n_exact > 0.0
+        assert err == pytest.approx(abs(n_exact - n_pt), rel=1e-12)
+        assert err <= 1e-2 * n_exact
+    # the gap falls by eta^3 to eta^4 under halving
+    assert 8.0 <= rows[1][3] / rows[0][3] <= 32.0
 
 
 def test_validate_cli_and_fault_injection(capsys):

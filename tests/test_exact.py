@@ -1,18 +1,28 @@
+import functools
+import logging
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from weakdrive import exact
 from weakdrive.basis import pair_arrays
 from weakdrive.coupling import CouplingMatrix, coupling_matrix
-from weakdrive.errors import CapExceededError, PropagationError
+from weakdrive.errors import (
+    CapExceededError,
+    PropagationError,
+    ResonantSingularityError,
+    SolverConvergenceError,
+)
 from weakdrive.exact import (
+    DENSE_CAP,
+    N_CAP,
     amplitude_drift,
     build_liouvillian,
     dilute_product_state,
-    hermitian_coords,
     lowering_ops,
     negativity_exact,
     propagate_truncated,
@@ -80,6 +90,88 @@ def _reference_steady_state(matrix):
     return rho / np.trace(rho)
 
 
+@dataclass(frozen=True)
+class HermitianCoords:
+    """Flat row-major indices of the real coordinates of a Hermitian d x d
+    matrix: the coordinates are Re rho_kk, then Re rho_kl and Im rho_kl
+    for k < l, with rho_lk = conj(rho_kl) implied."""
+
+    diag: np.ndarray  # k * d + k
+    upper: np.ndarray  # k * d + l, k < l, np.triu_indices order
+    lower: np.ndarray  # l * d + k, paired with upper
+
+    def to_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian matrix of real coordinates x, conjugate symmetric
+        by construction."""
+        d = len(self.diag)
+        m = len(self.upper)
+        off = x[d : d + m] + 1j * x[d + m :]
+        rho = np.empty(d * d, dtype=complex)
+        rho[self.diag] = x[:d]
+        rho[self.upper] = off
+        rho[self.lower] = off.conj()
+        return rho.reshape(d, d)
+
+
+@functools.lru_cache(maxsize=8)
+def hermitian_coords(d: int) -> HermitianCoords:
+    """Coordinate tables for d x d Hermitian matrices, cached per d and
+    read-only, since every caller shares them."""
+    k, l = np.triu_indices(d, 1)
+    tables = (np.arange(d) * (d + 1), k * d + l, l * d + k)
+    for t in tables:
+        t.setflags(write=False)
+    return HermitianCoords(*tables)
+
+
+def _bordered_reference(L):
+    """Steady state from one dense real bordered solve: the generator
+    restricted to Hermitian states in their d^2 real coordinates, with the
+    (0, 0) population row replaced by the trace functional. The reference
+    route for the level solve.
+
+    A Hermitian rho maps to a Hermitian L rho, so the real parts of the
+    diagonal and upper rows and the imaginary parts of the upper rows are
+    all its equations; the columns of rho_kl and rho_lk = conj(rho_kl)
+    combine into one column per real unknown.
+    """
+    d = int(round(np.sqrt(L.shape[0])))
+    c = hermitian_coords(d)
+    nr = d + len(c.upper)  # real parts: diagonal, then upper
+    rows = np.concatenate([c.diag, c.upper])
+    Lr, Li = L.real, L.imag
+    A = np.empty((d * d, d * d))
+    top, bottom = A[:nr], A[nr:]
+
+    # Re (L rho)_r = Re L_rd x_d + Re(L_ru + L_rl) x_re - Im(L_ru - L_rl) x_im
+    top[:, :nr] = Lr[np.ix_(rows, rows)]
+    top[:, d:nr] += Lr[np.ix_(rows, c.lower)]
+    top[:, nr:] = Li[np.ix_(rows, c.lower)]
+    top[:, nr:] -= Li[np.ix_(rows, c.upper)]
+    # Im (L rho)_r = Im L_rd x_d + Im(L_ru + L_rl) x_re + Re(L_ru - L_rl) x_im
+    bottom[:, :nr] = Li[np.ix_(c.upper, rows)]
+    bottom[:, d:nr] += Li[np.ix_(c.upper, c.lower)]
+    bottom[:, nr:] = Lr[np.ix_(c.upper, c.upper)]
+    bottom[:, nr:] -= Lr[np.ix_(c.upper, c.lower)]
+
+    top[0] = 0.0
+    top[0, :d] = 1.0
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    return c.to_matrix(np.linalg.solve(A, rhs))
+
+
+def _random_liouvillian(n, seed, masked, delta, eta):
+    """Random cloud; the masked beam lights a seeded random subset."""
+    ens = random_ensemble(n, 2.0, seed, DIPOLE, min_distance=0.6)
+    beam = BEAM
+    if masked:
+        rng = np.random.default_rng(seed)
+        lit = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        beam = MaskedBeam(BEAM, frozenset(lit.tolist()))
+    return build_liouvillian(coupling_matrix(ens), delta, beam.amplitudes(ens), eta)
+
+
 # (n, masked, delta, eta): the full grid up to three atoms, a few corners
 # at four and five, where the reference eigendecomposition costs 0.1 s and
 # 3 s per point
@@ -105,38 +197,36 @@ def test_routes_match_references(n, masked, delta, eta):
     assert np.max(np.abs(rho - _reference_steady_state(ref))) <= 1e-12
 
 
-def test_bordered_solve_runs_no_eigendecomposition(monkeypatch):
-    ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
+def test_level_route_builds_no_dense_generator(monkeypatch):
+    # a non-degenerate five-atom state comes from the level solve alone;
+    # the dense generator is only built afterwards, for the check
+    ens, drive, coupling = _system(
+        [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], delta=0.3
+    )
     liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
 
-    def no_eig(*args, **kwargs):
-        raise AssertionError("eig called on a non-degenerate generator")
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense generator built on a non-degenerate system")
 
-    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(exact, "_dense_generator", no_dense)
     rho = steady_state_exact(liouv)
+    monkeypatch.undo()
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(liouv.matrix @ rho.reshape(-1))) <= 1e-12
 
 
-def test_bordered_solve_is_hermitian_by_construction(monkeypatch):
-    # the real-coordinate solve scatters into a Hermitian matrix; nothing
-    # symmetrises it afterwards
+def test_steady_state_is_exactly_hermitian():
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4]], delta=0.3, eta=0.1
     )
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
-
-    def no_eig(*args, **kwargs):
-        raise AssertionError("eig called on a non-degenerate generator")
-
-    monkeypatch.setattr(np.linalg, "eig", no_eig)
-    rho = steady_state_exact(liouv)
+    rho = steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta))
     assert np.array_equal(rho, rho.conj().T)
     assert np.max(np.abs(rho - np.triu(rho))) > 0.0
 
 
 @pytest.mark.parametrize("d", [8, 32])
 def test_hermitian_coords_round_trip(d):
+    # the coordinate tables of the test-only bordered reference
     rng = np.random.default_rng(d)
     A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = A + A.conj().T
@@ -149,10 +239,42 @@ def test_hermitian_coords_round_trip(d):
         c.upper[0] = 0
 
 
-def test_steady_state_memory_above_generator():
-    # traced peak of the solve above the held 1024^2 complex generator
-    # (16 MB): the real bordered system, its condition-gate inverse and
-    # the LU copy are 8 MB each
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=0.005, max_value=1.0),
+)
+@example(5, 0, True, 0.3, 0.05)
+@example(5, 5, False, 0.0, 1.0)
+def test_level_route_matches_bordered_reference(n, seed, masked, delta, eta):
+    liouv = _random_liouvillian(n, seed, masked, delta, eta)
+    rho = steady_state_exact(liouv)
+    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix))) <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [2.0, 5.0])
+def test_strong_drive_matches_bordered_reference(eta):
+    # hundreds of GMRES iterations, against a handful at weak drive
+    liouv = _random_liouvillian(4, 104, False, 0.3, eta)
+    rho = steady_state_exact(liouv)
+    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix))) <= 1e-12
+
+
+def test_gmres_nonconvergence_reports_residual(monkeypatch):
+    monkeypatch.setattr(exact, "GMRES_MAXITER", 3)
+    liouv = _random_liouvillian(3, 103, False, 0.3, 0.3)
+    with pytest.raises(SolverConvergenceError) as exc:
+        steady_state_exact(liouv)
+    assert exc.value.iterations == 3
+    assert 1e-10 < exc.value.residual < np.inf
+
+
+def test_steady_state_memory():
+    # traced peak of one five-atom solve: no d^2 x d^2 array (16 MB here,
+    # and 24 MB more for the dense bordered solve) is allocated
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], eta=0.02
     )
@@ -163,7 +285,25 @@ def test_steady_state_memory_above_generator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 2**20 <= 32.0
+    assert peak / 2**20 <= 8.0
+
+
+def test_steady_state_logs_route(caplog):
+    ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+        steady_state_exact(liouv)
+    (record,) = caplog.records
+    assert record.name == "weakdrive.exact"
+    message = record.getMessage()
+    assert message.startswith("route levels; level dims [1, 3, 3, 1]; gmres iterations ")
+    assert ", residual " in message and "; smallest denominator " in message
+    caplog.clear()
+    z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+        with pytest.warns(UserWarning, match="degenerate"):
+            steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex), 0.0))
+    assert caplog.records[0].getMessage().startswith("route dense fallback (")
 
 
 def test_lowering_ops_read_only():
@@ -278,7 +418,7 @@ def test_exact_negativity_threshold_scan():
 
 
 def test_five_atoms_at_the_cap():
-    # largest supported exact system: physical state, and the perturbative
+    # largest system with a dense reference: physical state, and the perturbative
     # negativity gap still shrinks under halving at its truncation order,
     # eta^4 for a lit pair and down to eta^3 from three atoms on (8x-16x)
     ens, _, coupling = _system(
@@ -329,10 +469,46 @@ def test_oracle_negativity_gap_halving(n, seed, eta):
 
 
 def test_cap_enforced():
-    pos = [[float(i), 0.0, 0.0] for i in range(6)]
+    pos = [[float(i), 0.0, 0.0] for i in range(N_CAP + 1)]
     ens, drive, coupling = _system(pos)
     with pytest.raises(CapExceededError):
         build_liouvillian(coupling, 0.0, drive.w(ens), 0.05)
+    # the dense generator stops at DENSE_CAP atoms
+    m = DENSE_CAP + 1
+    liouv = build_liouvillian(CouplingMatrix(coupling.dense()[:m, :m]), 0.0, drive.w(ens)[:m], 0.05)
+    with pytest.raises(CapExceededError):
+        liouv.matrix
+
+
+def test_above_dense_cap_residual_by_operator_products():
+    # seven atoms have no dense generator; the residual is taken from d x d
+    # operator products, independent of the level solve's index gathers
+    n = 7
+    ens = random_ensemble(n, 2.0, 107, DIPOLE, min_distance=0.6)
+    coupling = coupling_matrix(ens)
+    w = BEAM.amplitudes(ens)
+    delta, eta = 0.3, 0.1
+    rho = steady_state_exact(build_liouvillian(coupling, delta, w, eta))
+    s = lowering_ops(n)
+    Z = coupling.dense()
+    drive_op = np.tensordot(w.conj(), s, axes=1)
+    H = -delta * np.einsum("aji,ajk->ik", s, s) - eta * (drive_op + drive_op.T.conj())
+    D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))
+    out = (-1j * H - D) @ rho + rho @ (1j * H - D.conj())
+    jump = np.tensordot(2.0 * Z.real, s, axes=1)
+    out += sum(s[a] @ rho @ jump[a].T for a in range(n))
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+    assert np.max(np.abs(out)) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def test_degenerate_above_dense_cap_raises():
+    # one collective decay channel keeps dark states; past DENSE_CAP there
+    # is no eigendecomposition to fall back on
+    n = DENSE_CAP + 1
+    z = CouplingMatrix(np.full((n, n), 0.5 + 0j))
+    with pytest.raises(ResonantSingularityError):
+        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(n, complex), 0.0))
 
 
 def test_degenerate_null_space_warns():
@@ -344,8 +520,8 @@ def test_degenerate_null_space_warns():
 
 def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
     # three atoms under one collective decay channel keep several dark
-    # states: the real bordered system is singular, so the gate hands over
-    # to the eigendecomposition, which warns
+    # states: a Sylvester denominator of the level solve vanishes, so the
+    # guard hands over to the eigendecomposition, which warns
     calls = []
     eig = np.linalg.eig
 
@@ -358,7 +534,7 @@ def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
     liouv = build_liouvillian(z, 0.0, np.zeros(3, complex), 0.0)
     with pytest.warns(UserWarning, match="degenerate"):
         rho = steady_state_exact(liouv)
-    assert calls == [(64, 64)]
+    assert calls.count((64, 64)) == 1
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert np.array_equal(rho, rho.conj().T)
 
