@@ -268,7 +268,7 @@ def negativity_model(
         eta_thr = float(np.sqrt(closing.max()))
         candidates = set(closing[neg].tolist())
         lo = 0.0
-        for hi in np.sort(np.unique(closing[neg])):
+        for hi in sorted(candidates):
             active = closing >= hi
             xstar = float(np.sum(-l2[active]) / (2.0 * np.sum(l4[active])))
             if lo < xstar <= hi:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, schur
+import scipy
 
 from .basis import basis_dim, pair_arrays, pair_count, pair_index_table, scatter_pairs
 from .errors import ResonantSingularityError, SolverConvergenceError
@@ -127,13 +127,14 @@ def _schur_kernel(Z: np.ndarray, delta: float):
     the column order of Y turns T^T into the upper triangular J T^T J, so
     LAPACK trsyl (Bartels-Stewart) takes it directly. trsyl reports common
     eigenvalues of its two triangles, i.e. a resonance, through info.
+    scipy.linalg is first loaded here, so only this fallback pays its import.
     """
     n = Z.shape[0]
-    T, U = schur(Z, output="complex")
+    T, U = scipy.linalg.schur(Z, output="complex")
     Uc = U.conj()
     A = T - 2j * delta * np.eye(n)
     R = T.T[::-1, ::-1]
-    (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
+    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
 
     def sylvester(X):
         Yj, scale, info = trsyl(A, R, (Uc.T @ X @ Uc)[:, ::-1])

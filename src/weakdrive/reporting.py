@@ -1,7 +1,11 @@
 """Result serialisation: canonical hashes, JSON reports, CSV tables.
 
 CSV values carry 17 significant digits so reruns can be compared
-bit-for-bit across platforms.
+bit-for-bit across platforms. Table cells are numbers only, and a row is
+written with one %-format: a float prints as format(x, ".17g"), an integer
+of magnitude up to 2**53 (atom labels) as str(x), since %g goes through a
+double. A None cell raises TypeError; it is never written as an empty
+field.
 """
 
 from __future__ import annotations
@@ -54,10 +58,8 @@ def write_json(path: str, obj) -> None:
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_value(x) for x in row))
-    return "\n".join(lines) + "\n"
+    fmt = ",".join(["%" + FLOAT_FMT] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(fmt % tuple(row) for row in rows)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -73,20 +73,15 @@ def _provenance(cfg: RunConfig, parallelism: int) -> dict:
 # ----------------------------------------------------------------------
 
 def _amplitude_tables(state: PerturbState) -> dict:
-    tables = {}
-    tables["u"] = (
-        ["mu", "re", "im"],
-        [[a, state.u[i].real, state.u[i].imag] for i, a in enumerate(state.atoms)],
-    )
+    atoms = np.asarray(state.atoms, dtype=np.int64)
     I, J = pair_arrays(state.n)
-    tables["v"] = (
-        ["mu", "nu", "re", "im"],
-        [
-            [state.atoms[i], state.atoms[j], state.v[k].real, state.v[k].imag]
-            for k, (i, j) in enumerate(zip(I, J))
-        ],
-    )
-    return tables
+    u, v = state.u, state.v
+    u_rows = zip(atoms.tolist(), u.real.tolist(), u.imag.tolist())
+    v_rows = zip(atoms[I].tolist(), atoms[J].tolist(), v.real.tolist(), v.imag.tolist())
+    return {
+        "u": (["mu", "re", "im"], list(u_rows)),
+        "v": (["mu", "nu", "re", "im"], list(v_rows)),
+    }
 
 
 def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
@@ -101,15 +96,12 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     tables = _amplitude_tables(state)
     tables["curve"] = (
         ["eta", "N_model"],
-        [[e, v] for e, v in zip(report.curve.etas, report.curve.values)],
+        list(zip(report.curve.etas.tolist(), report.curve.values.tolist())),
     )
     if cfg.dump_coupling:
-        z = coupling.dense()
-        rows = [
-            [a, b, z[a, b].real, z[a, b].imag]
-            for a in range(ens.n)
-            for b in range(ens.n)
-        ]
+        z = coupling.dense().ravel()
+        mu, nu = np.divmod(np.arange(z.size), ens.n)
+        rows = list(zip(mu.tolist(), nu.tolist(), z.real.tolist(), z.imag.tolist()))
         tables["z"] = (["mu", "nu", "re", "im"], rows)
 
     bundle = ResultBundle(
