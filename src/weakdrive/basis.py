@@ -39,9 +39,3 @@ def scatter_pairs(values: np.ndarray, n: int) -> np.ndarray:
     S[J, I] = values
     return S
 
-
-def gather_pairs(matrix: np.ndarray) -> np.ndarray:
-    """Pair-ordered vector of the strict upper triangle."""
-    n = matrix.shape[0]
-    I, J = pair_arrays(n)
-    return matrix[I, J]

@@ -13,6 +13,8 @@ zero separation is an error, not a limit.
 The matrix is always stored densely, whatever the ensemble size: the pair
 solve decomposes it, and every application of the pair map forms an
 n x n matrix product anyway, so evaluating Z lazily would save no memory.
+``CouplingMatrix.z`` is that matrix, read-only; solvers index and multiply
+it directly.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def pair_coupling(separation, dipole) -> complex:
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Dense n x n symmetric coupling matrix with z_ii = 1/2."""
+    """Dense n x n symmetric coupling matrix with z_ii = 1/2, read-only."""
 
     z: np.ndarray
 
@@ -61,25 +63,6 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return self.z.shape[0]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.z.real
-
-    def dense(self) -> np.ndarray:
-        return self.z
-
-    def row(self, i: int) -> np.ndarray:
-        return self.z[i]
-
-    def pairs(self, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        return self.z[I, J]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.z @ vec
-
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        return self.z @ mat
 
 
 def coupling_matrix(ens: Ensemble) -> CouplingMatrix:

@@ -145,7 +145,7 @@ def _dense_generator(liouv: Liouvillian) -> np.ndarray:
     d = liouv.dim
     s = lowering_ops(liouv.n)
     eye = np.eye(d)
-    Z = liouv.coupling.dense()
+    Z = liouv.coupling.z
 
     # the lowering operators are real, so s_a^dag = s_a^T and D^* = conj(D)
     drive_op = np.tensordot(liouv.w.conj(), s, axes=1)
@@ -216,7 +216,7 @@ class _LevelSystem:
         self.n, self.d, self.eta = liouv.n, liouv.dim, liouv.eta
         self.delta = liouv.delta
         self.t = t = _level_tables(self.n)
-        Z = liouv.coupling.dense()
+        Z = liouv.coupling.z
         self.jump = 2.0 * Z.real
         self.atoms = np.arange(self.n)[:, None]
         # V = W + W^dag has V[x, flip_a(x)] = w_a if atom a is excited in x,
@@ -529,7 +529,7 @@ def amplitude_drift(coupling, delta: float, w: np.ndarray, eta: float, amps: np.
     a2 = amps[1 + n :]
     out = np.empty_like(amps)
     out[0] = 0.0
-    out[1 : 1 + n] = 1j * delta * a1 - coupling.apply(a1) + 1j * eta * w * a_g
+    out[1 : 1 + n] = 1j * delta * a1 - coupling.z @ a1 + 1j * eta * w * a_g
     if M:
         I, J = pair_arrays(n)
         flow = pair_map_apply(coupling, 0.0, a2, n)

@@ -66,7 +66,7 @@ def _solve_dense_checked(A: np.ndarray, b: np.ndarray, delta: float) -> np.ndarr
 def solve_u(coupling, delta: float, w: np.ndarray) -> np.ndarray:
     """Single-excitation amplitudes from (Z - i delta) u = i w."""
     b = 1j * np.asarray(w, dtype=complex)
-    A = coupling.dense() - 1j * delta * np.eye(coupling.n)
+    A = coupling.z - 1j * delta * np.eye(coupling.n)
     u = _solve_dense_checked(A, b, delta)
     res = float(np.max(np.abs(A @ u - b)))
     if not res <= RESIDUAL_TOL:
@@ -78,7 +78,7 @@ def pair_rhs(coupling, u: np.ndarray) -> np.ndarray:
     """Source term z_munu (u_mu^2 + u_nu^2) over unordered pairs."""
     n = len(u)
     I, J = pair_arrays(n)
-    return coupling.pairs(I, J) * (u[I] ** 2 + u[J] ** 2)
+    return coupling.z[I, J] * (u[I] ** 2 + u[J] ** 2)
 
 
 def pair_map_apply(coupling, delta: float, v: np.ndarray, n: int) -> np.ndarray:
@@ -89,7 +89,7 @@ def pair_map_apply(coupling, delta: float, v: np.ndarray, n: int) -> np.ndarray:
     """
     I, J = pair_arrays(n)
     S = scatter_pairs(v, n)
-    ZS = coupling.apply_matrix(S)
+    ZS = coupling.z @ S
     full = ZS + ZS.T
     return full[I, J] - 2j * delta * v
 
@@ -158,7 +158,7 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     I, J = pair_arrays(n)
     b = pair_rhs(coupling, u)
-    Z = coupling.dense()
+    Z = coupling.z
     lam, P = np.linalg.eig(Z)
     if np.linalg.cond(P) <= EIG_COND_GUARD:
         sylvester, K = _eigen_kernel(P, lam, delta)

@@ -1,12 +1,13 @@
 """Task orchestration: solve, sweep, bounds, oracle comparison, validation.
 
-Sweeps and oracle comparisons solve the amplitudes once and then walk the
-eta grid in order, in-process: a grid point costs one partial-transpose
-core of dimension n + 2 (plus, with the exact column, one Lindblad steady
-state). A point that raises a package error is recorded in point_errors
-and the walk goes on. The --parallel degree is validated and recorded in
-the provenance but does not change how points run, so results do not
-depend on it.
+Sweeps and oracle comparisons solve the amplitudes once and then share one
+walk over the eta grid, in order and in-process: a grid point costs one
+partial-transpose core of dimension n + 2 (plus, with the exact column, one
+Lindblad steady state); an oracle comparison is that walk with the exact
+column always on. A point that raises a package error is recorded in
+point_errors and the walk goes on. The --parallel degree is validated and
+recorded in the provenance but does not change how points run, so results
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -32,17 +33,8 @@ from .exact import (
 )
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
-from .negativity import (
-    build_pt_matrix,
-    build_V,
-    lambda2_spectrum,
-    lambda4_dilute,
-    model_negativity_at,
-    negativity_model,
-    negativity_report,
-    pt_negativity,
-)
-from .perturbation import PerturbState, restrict_state, steady_state
+from .negativity import build_pt_matrix, negativity_report, pt_negativity
+from .perturbation import PerturbState, steady_state
 from .reporting import config_hash, ensure_dir, write_csv, write_json
 
 
@@ -99,7 +91,7 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         list(zip(report.curve.etas.tolist(), report.curve.values.tolist())),
     )
     if cfg.dump_coupling:
-        z = coupling.dense().ravel()
+        z = coupling.z.ravel()
         mu, nu = np.divmod(np.arange(z.size), ens.n)
         rows = list(zip(mu.tolist(), nu.tolist(), z.real.tolist(), z.imag.tolist()))
         tables["z"] = (["mu", "nu", "re", "im"], rows)
@@ -116,28 +108,35 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 
 
 # ----------------------------------------------------------------------
-# sweep
+# sweep and oracle comparison
 # ----------------------------------------------------------------------
 
-def _sweep_point(state: PerturbState, part: Partition, l2, l4, coupling, eta: float) -> dict:
-    """One sweep row; coupling is None unless the exact column is asked for."""
-    row = {"eta": eta}
-    try:
-        row["n_model"] = float(model_negativity_at(l2, l4, eta)[0])
-        lam = eta**2 * l2 + eta**4 * l4
-        row["min_lambda_model"] = float(lam.min()) if len(lam) else 0.0
-        n_pt, _ = pt_negativity(build_pt_matrix(replace(state, eta=eta), part))
-        row["n_pt"] = n_pt
-        if coupling is not None:
-            liouv = build_liouvillian(coupling, state.delta, state.w, eta)
-            rho = steady_state_exact(liouv)
-            rho_ab = reduce_state(rho, part.atoms, state.n)
-            b_local = list(range(len(part.group_a), len(part.atoms)))
-            n_exact, _ = negativity_exact(rho_ab, b_local, len(part.atoms))
-            row["n_exact"] = n_exact
-    except WeakdriveError as exc:
-        row["error"] = str(exc)
-    return row
+def _point(state: PerturbState, part: Partition, coupling, eta: float) -> tuple:
+    """N_pt at one drive strength, and N_exact unless coupling is None.
+
+    The exact state is reduced to A then B before the transpose over B, so
+    a partition embedded in a larger ensemble is handled like a covering one.
+    """
+    n_pt, _ = pt_negativity(build_pt_matrix(replace(state, eta=eta), part))
+    if coupling is None:
+        return n_pt, None
+    rho = steady_state_exact(build_liouvillian(coupling, state.delta, state.w, eta))
+    rho_ab = reduce_state(rho, part.atoms, state.n)
+    b_local = list(range(len(part.group_a), len(part.atoms)))
+    n_exact, _ = negativity_exact(rho_ab, b_local, len(part.atoms))
+    return n_pt, n_exact
+
+
+def _walk_grid(state: PerturbState, part: Partition, coupling, grid: np.ndarray) -> tuple[list, list]:
+    """Every grid point in order: rows (k, eta, N_pt, N_exact) that passed,
+    and point_errors for those that raised a package error."""
+    rows, errors = [], []
+    for k, eta in enumerate(grid.tolist()):
+        try:
+            rows.append((k, eta) + _point(state, part, coupling, eta))
+        except WeakdriveError as exc:
+            errors.append({"eta": eta, "error": str(exc)})
+    return rows, errors
 
 
 def _interp_last_sign_change(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -159,36 +158,22 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     state = steady_state(coupling, drive, ens)
     regime = regime_check(ens, drive, part, farfield=True)
 
-    V = build_V(state, part)
-    l2, vecs = lambda2_spectrum(V)
-    sub = restrict_state(
-        state, tuple(sorted(part.group_a)) + tuple(sorted(part.group_b))
-    )
-    l4 = np.array(
-        [lambda4_dilute(vecs[:, k], sub.w, state.delta) for k in range(len(l2))]
-    )
-
     grid = cfg.eta_sweep.grid()
-    exact_coupling = coupling if cfg.exact else None
-    rows = [_sweep_point(state, part, l2, l4, exact_coupling, float(e)) for e in grid]
+    rep = negativity_report(state, part, eta_grid=grid, include_pt=False)
+    curve = rep.curve
+    l2 = np.array([m.lambda2 for m in rep.modes])
+    l4 = np.array([m.lambda4 for m in rep.modes])
 
-    ok = [r for r in rows if "error" not in r]
-    etas = np.array([r["eta"] for r in ok])
-    min_lam = np.array([r["min_lambda_model"] for r in ok])
-    model = negativity_model(l2, l4, grid)
-    threshold_eta = _interp_last_sign_change(etas, min_lam) if len(ok) else None
-
+    rows, errors = _walk_grid(state, part, coupling if cfg.exact else None, grid)
+    n_model = curve.values.tolist()
     header = ["eta", "N_model", "N_pt"] + (["N_exact"] if cfg.exact else [])
-    table_rows = []
-    errors = []
-    for r in rows:
-        if "error" in r:
-            errors.append({"eta": r["eta"], "error": r["error"]})
-            continue
-        line = [r["eta"], r["n_model"], r["n_pt"]]
-        if cfg.exact:
-            line.append(r["n_exact"])
-        table_rows.append(line)
+    table_rows = [
+        [eta, n_model[k], n_pt] + ([n_exact] if cfg.exact else [])
+        for k, eta, n_pt, n_exact in rows
+    ]
+    etas = [eta for _, eta, _, _ in rows]
+    min_lam = np.array([float((eta**2 * l2 + eta**4 * l4).min()) for eta in etas])
+    threshold_eta = _interp_last_sign_change(np.array(etas), min_lam)
 
     report = {
         "provenance": _provenance(cfg, parallelism),
@@ -197,31 +182,13 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         "threshold": {
             "eta_sweep_estimate": threshold_eta,
             "omega_sweep_estimate": None if threshold_eta is None else 2.0 * threshold_eta,
-            "eta_model": model.eta_threshold,
-            "omega_model": model.omega_threshold,
+            "eta_model": curve.eta_threshold,
+            "omega_model": curve.omega_threshold,
         },
-        "extremum": {"eta_max": model.eta_max, "n_max": model.n_max},
+        "extremum": {"eta_max": curve.eta_max, "n_max": curve.n_max},
         "point_errors": errors,
     }
     return ResultBundle(report=report, tables={"sweep": (header, table_rows)})
-
-
-# ----------------------------------------------------------------------
-# oracle comparison
-# ----------------------------------------------------------------------
-
-def _oracle_point(state: PerturbState, part: Partition, coupling, eta: float) -> dict:
-    row = {"eta": eta}
-    try:
-        liouv = build_liouvillian(coupling, state.delta, state.w, eta)
-        rho = steady_state_exact(liouv)
-        n_exact, _ = negativity_exact(rho, list(part.group_b), state.n)
-        n_pt, _ = pt_negativity(build_pt_matrix(replace(state, eta=eta), part))
-        row["n_exact"] = n_exact
-        row["n_pt"] = n_pt
-    except WeakdriveError as exc:
-        row["error"] = str(exc)
-    return row
 
 
 def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
@@ -235,17 +202,10 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
 
-    rows = [_oracle_point(state, part, coupling, float(e)) for e in cfg.eta_sweep.grid()]
-
-    table_rows = []
-    errors = []
-    for r in rows:
-        if "error" in r:
-            errors.append({"eta": r["eta"], "error": r["error"]})
-            continue
-        table_rows.append(
-            [r["eta"], r["n_exact"], r["n_pt"], abs(r["n_exact"] - r["n_pt"])]
-        )
+    rows, errors = _walk_grid(state, part, coupling, cfg.eta_sweep.grid())
+    table_rows = [
+        [eta, n_exact, n_pt, abs(n_exact - n_pt)] for _, eta, n_pt, n_exact in rows
+    ]
     report = {
         "provenance": _provenance(cfg, parallelism),
         "point_errors": errors,

@@ -250,7 +250,7 @@ def test_criterion_5_dilute_convergence():
         w = np.exp(1j * (pos @ np.array([1.0, 0.0, 0.0])))
         u = solve_u(coupling, delta, w)
         v = solve_v(coupling, delta, u)
-        z = coupling.dense()
+        z = coupling.z
         I, J = pair_arrays(10)
         vd = np.array([v_dilute(z[i, j], w[i], w[j], delta) for i, j in zip(I, J)])
         errs.append(float(np.max(np.abs(v - vd)) / np.max(np.abs(v))))

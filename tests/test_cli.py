@@ -38,7 +38,7 @@ def test_solve_matches_closed_form(tmp_path, capsys):
     ens = explicit_ensemble(PAIR_CONFIG["geometry"]["positions"], [0, 0, 1])
     drive = Drive(delta=0.0, eta=0.05, beam=PlaneWave(np.array([0.0, 1.0, 0.0])))
     state = steady_state(coupling_matrix(ens), drive, ens)
-    z12 = coupling_matrix(ens).dense()[0, 1]
+    z12 = coupling_matrix(ens).z[0, 1]
     v_closed = -2.0 * z12 / (0.5 + z12) ** 2
     expected = drive.eta**2 * abs(v_closed)
     assert report["negativity"]["negativity2"] == pytest.approx(expected, rel=1e-12)
@@ -221,14 +221,15 @@ def test_sweep_below_threshold_all_positive(tmp_path):
         assert n_pt > 0.0
 
 
-def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch):
+@pytest.mark.parametrize("task", ["sweep", "oracle-compare"])
+def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task):
     import weakdrive.runner as runner_mod
     from weakdrive.errors import SolverConvergenceError
 
     real = runner_mod.steady_state_exact
 
     def flaky(liouv):
-        # fail one grid point; the sweep must keep the others
+        # fail one grid point; the walk must keep the others
         if flaky.calls == 1:
             flaky.calls += 1
             raise SolverConvergenceError(1.0, 0)
@@ -240,13 +241,46 @@ def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch):
     config = dict(PAIR_CONFIG)
     del config["eta"]
     config["eta_sweep"] = {"min": 0.01, "max": 0.03, "points": 3}
+    config["exact"] = task == "sweep"
+    cfg = parse_config(config, task)
+    grid = cfg.eta_sweep.grid().tolist()
+    bundle = runner_mod.TASK_RUNNERS[task](cfg, parallelism=1)
+    errors = bundle.report["point_errors"]
+    assert [e["eta"] for e in errors] == [grid[1]]
+    ((header, rows),) = bundle.tables.values()
+    assert [r[0] for r in rows] == [grid[0], grid[2]]
+    if task == "sweep":
+        assert bundle.report["threshold"]["eta_model"] is not None
+
+
+@pytest.mark.parametrize(
+    "group_a, group_b, tol",
+    [([0], [1, 2], 0.0), ([2], [0, 1], 1e-15)],
+    ids=["a-first", "b-first"],
+)
+def test_sweep_exact_and_oracle_compare_agree(group_a, group_b, tol):
+    # one covering partition run both ways: the same N_pt, and the same
+    # N_exact up to the reordering of the atoms when B precedes A
+    from weakdrive.runner import run_oracle_compare, run_sweep
+
+    config = dict(PAIR_CONFIG)
+    del config["eta"]
+    config["geometry"] = {
+        "mode": "explicit",
+        "positions": [[0, 0, 0], [1.2, 0, 0], [0, 1.5, 0]],
+    }
+    config["partition"] = {"A": group_a, "B": group_b}
+    config["eta_sweep"] = {"min": 0.01, "max": 0.3, "points": 4}
+    oracle = run_oracle_compare(parse_config(config, "oracle-compare"))
     config["exact"] = True
-    cfg = parse_config(config, "sweep")
-    bundle = runner_mod.run_sweep(cfg, parallelism=1)
-    assert len(bundle.report["point_errors"]) == 1
-    header, rows = bundle.tables["sweep"]
-    assert len(rows) == 2
-    assert bundle.report["threshold"]["eta_model"] is not None
+    sweep = run_sweep(parse_config(config, "sweep"))
+    _, sweep_rows = sweep.tables["sweep"]
+    _, oracle_rows = oracle.tables["oracle"]
+    assert len(sweep_rows) == len(oracle_rows) == 4
+    for (eta, _, n_pt, n_exact), (o_eta, o_exact, o_pt, _) in zip(sweep_rows, oracle_rows):
+        assert eta == o_eta
+        assert n_pt == o_pt
+        assert abs(n_exact - o_exact) <= tol
 
 
 def test_report_without_pt_spectrum():

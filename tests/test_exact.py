@@ -70,7 +70,7 @@ def _reference_liouvillian(coupling, delta, w, eta):
         H += -delta * num - eta * (np.conj(w[m]) * sms[m] + w[m] * sms[m].conj().T)
     # rho -> A rho B maps to kron(A, B.T) for row-major vec
     L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    Z = coupling.dense()
+    Z = coupling.z
     for a in range(n):
         for b in range(n):
             ab = sms[a].conj().T @ sms[b]
@@ -475,7 +475,7 @@ def test_cap_enforced():
         build_liouvillian(coupling, 0.0, drive.w(ens), 0.05)
     # the dense generator stops at DENSE_CAP atoms
     m = DENSE_CAP + 1
-    liouv = build_liouvillian(CouplingMatrix(coupling.dense()[:m, :m]), 0.0, drive.w(ens)[:m], 0.05)
+    liouv = build_liouvillian(CouplingMatrix(coupling.z[:m, :m]), 0.0, drive.w(ens)[:m], 0.05)
     with pytest.raises(CapExceededError):
         liouv.matrix
 
@@ -490,7 +490,7 @@ def test_above_dense_cap_residual_by_operator_products():
     delta, eta = 0.3, 0.1
     rho = steady_state_exact(build_liouvillian(coupling, delta, w, eta))
     s = lowering_ops(n)
-    Z = coupling.dense()
+    Z = coupling.z
     drive_op = np.tensordot(w.conj(), s, axes=1)
     H = -delta * np.einsum("aji,ajk->ik", s, s) - eta * (drive_op + drive_op.T.conj())
     D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))

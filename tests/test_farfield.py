@@ -61,7 +61,7 @@ def test_v_dilute_against_solver_scaling():
         p = pos * scale
         w = np.exp(1j * (p @ KHAT))
         coupling, u, v = _solve_pair_table(p, delta, w)
-        z = coupling.dense()
+        z = coupling.z
         I, J = np.triu_indices(len(p), 1)
         vd = np.array([v_dilute(z[i, j], w[i], w[j], delta) for i, j in zip(I, J)])
         err = np.max(np.abs(v - vd)) / np.max(np.abs(v))
@@ -79,7 +79,7 @@ def test_v_dark_zero_and_single_scatterer():
     assert v_dark(coupling, w, 0.0, 1, 2) == 0.0
     # one illuminated scatterer at delta = 0: 8 z_mu0 z_nu0 w0^2
     w[0] = np.exp(0.7j)
-    z = coupling.dense()
+    z = coupling.z
     expected = 8.0 * z[1, 0] * z[2, 0] * w[0] ** 2
     assert v_dark(coupling, w, 0.0, 1, 2) == pytest.approx(expected)
     with pytest.raises(IlluminatedAtomError):
@@ -135,7 +135,7 @@ def test_farfield_V_matches_dilute_route():
     cfg = farfield_config(ens, part, drive)
     V_ff = build_V_farfield(cfg, pa, pb, KHAT)
     w = drive.w(ens)
-    z = coupling_matrix(ens).dense()
+    z = coupling_matrix(ens).z
     Vd = np.array(
         [
             [v_dilute(z[a, npg + b], w[a], w[npg + b], delta) for b in range(npg)]

@@ -54,7 +54,7 @@ def test_symmetric_pair_closed_form():
     ens, drive, coupling = _pair_state()
     # beam orthogonal to the pair axis drives both atoms in phase
     u = solve_u(coupling, 0.0, drive.w(ens))
-    z12 = coupling.dense()[0, 1]
+    z12 = coupling.z[0, 1]
     expected = 1j / (0.5 + z12)
     assert np.allclose(u, expected, atol=1e-13)
 
@@ -63,7 +63,7 @@ def test_pair_closed_form_v():
     ens, drive, coupling = _pair_state()
     u = solve_u(coupling, 0.0, drive.w(ens))
     v = solve_v(coupling, 0.0, u)
-    z12 = coupling.dense()[0, 1]
+    z12 = coupling.z[0, 1]
     assert v[0] == pytest.approx(-2.0 * z12 / (0.5 + z12) ** 2, abs=1e-13)
 
 
@@ -89,13 +89,13 @@ def _reference_pair_matrix(coupling, delta, n):
     np.add.at(
         A,
         (rows[keep], table[xi[keep], Jrep[keep]]),
-        coupling.pairs(Irep[keep], xi[keep]),
+        coupling.z[Irep[keep], xi[keep]],
     )
     keep = xi != Irep
     np.add.at(
         A,
         (rows[keep], table[xi[keep], Irep[keep]]),
-        coupling.pairs(Jrep[keep], xi[keep]),
+        coupling.z[Jrep[keep], xi[keep]],
     )
     idx = np.arange(M)
     A[idx, idx] -= 2j * delta
@@ -132,7 +132,7 @@ def test_solve_v_matches_reference_random():
 def test_solve_v_matches_reference_lattice():
     ens = lattice_ensemble(3, 1.0, DIPOLE)
     coupling = coupling_matrix(ens)
-    lam = np.linalg.eigvals(coupling.dense())
+    lam = np.linalg.eigvals(coupling.z)
     gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(ens.n)
     assert gaps.min() <= 1e-12  # the cubic symmetry leaves degenerate modes
     drive = Drive(delta=0.3, eta=0.05, beam=BEAM)
@@ -143,7 +143,7 @@ def test_solve_v_matches_reference_lattice():
 
 def test_defective_coupling_takes_schur_kernel(monkeypatch):
     coupling = _defective_coupling()
-    _, P = np.linalg.eig(coupling.dense())
+    _, P = np.linalg.eig(coupling.z)
     assert np.linalg.cond(P) > perturbation.EIG_COND_GUARD
 
     def refuse(*args):
@@ -232,7 +232,7 @@ def test_residuals_within_tolerance():
     w = drive.w(ens)
     u = solve_u(coupling, drive.delta, w)
     v = solve_v(coupling, drive.delta, u)
-    res_u = np.max(np.abs(coupling.dense() @ u - 1j * drive.delta * u - 1j * w))
+    res_u = np.max(np.abs(coupling.z @ u - 1j * drive.delta * u - 1j * w))
     res_v = np.max(np.abs(pair_map_apply(coupling, drive.delta, v, ens.n) - pair_rhs(coupling, u)))
     assert res_u <= 1e-10
     assert res_v <= 1e-10

@@ -48,7 +48,7 @@ from weakdrive import perturbation
 
 assert "scipy.linalg" not in sys.modules
 coupling = _defective_coupling()
-_, P = np.linalg.eig(coupling.dense())
+_, P = np.linalg.eig(coupling.z)
 assert np.linalg.cond(P) > perturbation.EIG_COND_GUARD
 u = perturbation.solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
 v = perturbation.solve_v(coupling, 0.3, u)
