@@ -71,7 +71,6 @@ from .negativity import (
 )
 from .perturbation import (
     PerturbState,
-    TruncatedDensity,
     assemble_state,
     pair_correlation,
     restrict_state,

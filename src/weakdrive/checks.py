@@ -83,8 +83,6 @@ def truncated_partial_trace(matrix: np.ndarray, n: int, keep: tuple[int, ...]) -
 
 @dataclass
 class Scenario:
-    ens: object
-    drive: Drive
     part: Partition
     coupling: object
     state: PerturbState
@@ -100,7 +98,7 @@ def build_scenario(seed: int = 1, inject: Optional[str] = None) -> Scenario:
         coupling = CouplingMatrix(z)
     state = steady_state(clean, drive, ens)
     part = Partition((0, 1), (2, 3, 4))
-    return Scenario(ens=ens, drive=drive, part=part, coupling=coupling, state=state)
+    return Scenario(part=part, coupling=coupling, state=state)
 
 
 # ----------------------------------------------------------------------
@@ -148,15 +146,15 @@ def check_pt_trace(sc: Scenario) -> CheckResult:
 
 def check_restriction_partial_trace(sc: Scenario) -> CheckResult:
     keep = (0, 1, 3)
-    direct = assemble_state(restrict_state(sc.state, keep)).matrix
-    traced = truncated_partial_trace(assemble_state(sc.state).matrix, sc.state.n, keep)
+    direct = assemble_state(restrict_state(sc.state, keep))
+    traced = truncated_partial_trace(assemble_state(sc.state), sc.state.n, keep)
     measured = float(np.max(np.abs(direct - traced)))
     return CheckResult("restriction_partial_trace", measured <= 1e-12, measured, 1e-12)
 
 
-def check_phase_invariance(sc: Scenario, chi: float = 0.7) -> CheckResult:
+def check_phase_invariance(sc: Scenario) -> CheckResult:
     st = sc.state
-    w2 = st.w * np.exp(1j * chi)
+    w2 = st.w * np.exp(1j * 0.7)
     u2 = solve_u(sc.coupling, st.delta, w2)
     v2 = solve_v(sc.coupling, st.delta, u2)
     st2 = PerturbState(u=u2, v=v2, w=w2, delta=st.delta, eta=st.eta, atoms=st.atoms)
@@ -187,7 +185,7 @@ def _oracle_errors(seed: int) -> tuple[tuple, tuple]:
         neg_errors.append(abs(n_exact - n_pt))
         # map truncated basis {G, 1, 2, 12} onto the two-qubit product basis
         target = np.zeros((4, 4), dtype=complex)
-        tr = assemble_state(state).matrix
+        tr = assemble_state(state)
         mapping = [0, 2, 1, 3]
         for a in range(4):
             for b in range(4):

@@ -187,6 +187,8 @@ def _parse_farfield(data, path="farfield") -> dict:
         raise ConfigError(f"{path}.n_a", "group sizes must be >= 1")
     if out["mean_spacing"] <= 0:
         raise ConfigError(f"{path}.mean_spacing", "must be positive")
+    if out["omega_over_gamma"] < 0:
+        raise ConfigError(f"{path}.omega_over_gamma", "must be non-negative")
     return out
 
 

@@ -473,7 +473,8 @@ def negativity_exact(rho: np.ndarray, b_atoms: Sequence[int], n: int) -> tuple[f
         perm[m], perm[n + m] = perm[n + m], perm[m]
     pt = t.transpose(perm).reshape(d, d)
     spectrum = np.linalg.eigvalsh(pt)
-    return float(-spectrum[spectrum < 0].sum()), spectrum
+    # abs, not negation: an empty sum must give +0.0, never -0.0
+    return float(abs(spectrum[spectrum < 0].sum())), spectrum
 
 
 # ----------------------------------------------------------------------

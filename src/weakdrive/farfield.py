@@ -152,12 +152,7 @@ def build_V_farfield(
     w2b = np.exp(2j * (pb @ khat))
     pha = np.exp(1j * (pa @ cfg.e))
     phb = np.exp(-1j * (pb @ cfg.e))
-    V = cfg.x * np.outer(pha, phb) * (w2a[:, None] + w2b[None, :])
-    return VOperator(
-        matrix=V,
-        atoms_a=tuple(range(len(pa))),
-        atoms_b=tuple(range(len(pa), len(pa) + len(pb))),
-    )
+    return VOperator(cfg.x * np.outer(pha, phb) * (w2a[:, None] + w2b[None, :]))
 
 
 def quartic_spectrum(cfg: FarFieldConfig) -> np.ndarray:

@@ -24,6 +24,8 @@ ETA_FLOOR = 10.0 * FINE_STRUCTURE**3
 ETA_CEILING = 0.1
 DILUTE_MIN_DISTANCE = 10.0
 FARFIELD_FACTOR = 100.0
+# draws per atom before random_ensemble gives up on min_distance
+MAX_TRIES = 10000
 
 VELOCITY_NOTE = (
     "static positions assumed: valid for atom speeds well below Gamma/k0 "
@@ -172,14 +174,13 @@ class RegimeReport:
     eta_window_ok: bool
     dilute_ok: bool
     farfield_ok: Optional[bool]
-    velocity_note: str = VELOCITY_NOTE
 
     def to_dict(self) -> dict:
         return {
             "eta_window_ok": self.eta_window_ok,
             "dilute_ok": self.dilute_ok,
             "farfield_ok": self.farfield_ok,
-            "velocity_note": self.velocity_note,
+            "velocity_note": VELOCITY_NOTE,
         }
 
 
@@ -208,7 +209,6 @@ def random_ensemble(
     seed: int,
     dipole,
     min_distance: float = 0.0,
-    max_tries: int = 10000,
 ) -> Ensemble:
     """Uniform positions in [0, box]^3, reproducible for a given 64-bit seed.
 
@@ -226,7 +226,7 @@ def random_ensemble(
     else:
         placed = []
         for _ in range(count):
-            for attempt in range(max_tries):
+            for attempt in range(MAX_TRIES):
                 cand = rng.uniform(0.0, 1.0, 3) * box
                 if all(np.linalg.norm(cand - p) >= min_distance for p in placed):
                     placed.append(cand)
@@ -254,8 +254,7 @@ def to_physical(ens: Ensemble, k0_inverse: float) -> np.ndarray:
 def _group_geometry(ens: Ensemble, part: Partition):
     pa = ens.positions[list(part.group_a)]
     pb = ens.positions[list(part.group_b)]
-    ca, cb = pa.mean(axis=0), pb.mean(axis=0)
-    centroid_distance = float(np.linalg.norm(cb - ca))
+    centroid_distance = float(np.linalg.norm(pb.mean(axis=0) - pa.mean(axis=0)))
 
     def diameter(p):
         if len(p) < 2:
@@ -263,26 +262,25 @@ def _group_geometry(ens: Ensemble, part: Partition):
         d = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
         return float(d.max())
 
-    return centroid_distance, max(diameter(pa), diameter(pb)), ca, cb
+    return centroid_distance, max(diameter(pa), diameter(pb))
 
 
 def regime_check(
     ens: Ensemble,
     drive: Drive,
     part: Optional[Partition] = None,
-    farfield: bool = False,
 ) -> RegimeReport:
     """Advisory flags for the weak-drive window, diluteness, and far field.
 
     farfield_ok compares the centroid distance D against 100 L^2 with L the
     larger group diameter (all in k0 units); it is None when no partition is
-    given or farfield is not requested.
+    given.
     """
     eta_ok = ETA_FLOOR <= drive.eta <= ETA_CEILING
     dilute_ok = ens.min_distance() >= DILUTE_MIN_DISTANCE
     ff: Optional[bool] = None
-    if farfield and part is not None:
+    if part is not None:
         part.check_range(ens.n)
-        dist, diam, _, _ = _group_geometry(ens, part)
+        dist, diam = _group_geometry(ens, part)
         ff = dist >= FARFIELD_FACTOR * diam**2
     return RegimeReport(eta_window_ok=eta_ok, dilute_ok=dilute_ok, farfield_ok=ff)

@@ -6,6 +6,10 @@ numbered first. Its small eigenvalues are controlled by the pair-
 correlation operator V (entries v_munu with mu in A, nu in B): the
 non-zero eigenvalues of V + V^dag come in +/- pairs equal to the singular
 values of V, and each negative mode closes at a finite drive strength.
+
+build_V, build_pt_matrix and negativity_report all restrict the solved
+state to part.atoms (sorted A, then sorted B) with restrict_state, so a
+partition atom absent from the state raises PartitionError on every path.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import pair_arrays
-from .errors import PartitionError, ThresholdNotApplicableError
+from .errors import ThresholdNotApplicableError
 from .geometry import Partition
 from .perturbation import PerturbState, restrict_state
 
@@ -34,9 +38,6 @@ class PartialTransposeMatrix:
 
     core: np.ndarray
     pair_col: np.ndarray
-    n_a: int
-    n_b: int
-    atoms: tuple[int, ...]
 
     def __post_init__(self):
         self.core.setflags(write=False)
@@ -60,17 +61,14 @@ class PartialTransposeMatrix:
 def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMatrix:
     """Partial transpose over group B.
 
-    The state is restricted to sorted(A) + sorted(B) first, so embedding the
-    partition in a larger solved ensemble keeps the full-ensemble u and v.
+    The state is restricted to part.atoms (sorted A, then sorted B) first, so
+    embedding the partition in a larger solved ensemble keeps the
+    full-ensemble u and v. An atom absent from the state raises
+    PartitionError.
     """
-    atoms_a = tuple(sorted(part.group_a))
-    atoms_b = tuple(sorted(part.group_b))
-    for a in atoms_a + atoms_b:
-        if a not in state.atoms:
-            raise PartitionError(f"atom {a} not present in the solved state")
-    sub = restrict_state(state, atoms_a + atoms_b)
-    na, nb = len(atoms_a), len(atoms_b)
-    n = na + nb
+    sub = restrict_state(state, part.atoms)
+    na = len(part.group_a)
+    n = sub.n
     e2 = sub.eta**2
     u = sub.u
     in_a = np.arange(n) < na
@@ -91,9 +89,7 @@ def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMat
     I, J = pair_arrays(n)
     amp = e2 * (u[I] * u[J] + sub.v)
     pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, e2 * np.conj(u[I]) * u[J]))
-    return PartialTransposeMatrix(
-        core=core, pair_col=pair_col, n_a=na, n_b=nb, atoms=atoms_a + atoms_b
-    )
+    return PartialTransposeMatrix(core=core, pair_col=pair_col)
 
 
 def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
@@ -111,7 +107,8 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
     spectrum = np.sort(
         np.concatenate([np.linalg.eigvalsh(bordered), np.zeros(len(pt.pair_col) - 1)])
     )
-    neg = float(-spectrum[spectrum < 0].sum())
+    # abs, not negation: an empty sum must give +0.0, never -0.0
+    neg = float(abs(spectrum[spectrum < 0].sum()))
     return neg, spectrum
 
 
@@ -124,8 +121,6 @@ class VOperator:
     """n_A x n_B block of pair correlations v between the two groups."""
 
     matrix: np.ndarray
-    atoms_a: tuple[int, ...]
-    atoms_b: tuple[int, ...]
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -151,13 +146,11 @@ class VOperator:
 
 
 def build_V(state: PerturbState, part: Partition) -> VOperator:
-    atoms_a = tuple(sorted(part.group_a))
-    atoms_b = tuple(sorted(part.group_b))
-    la = [state.local_index(a) for a in atoms_a]
-    lb = [state.local_index(b) for b in atoms_b]
-    vmat = state.v_matrix()
-    V = vmat[np.ix_(la, lb)]
-    return VOperator(matrix=np.array(V, dtype=complex), atoms_a=atoms_a, atoms_b=atoms_b)
+    """A x B block of the pair correlations of the state restricted to
+    part.atoms; an atom absent from the state raises PartitionError."""
+    na = len(part.group_a)
+    vmat = restrict_state(state, part.atoms).v_matrix()
+    return VOperator(matrix=vmat[:na, na:].copy())
 
 
 def lambda2_spectrum(V: VOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +243,14 @@ def negativity_model(
     The extremum is found from one-variable calculus in x = eta^2: on each
     interval between mode-closing points the active set is fixed and the
     stationary point is sum|l2| / (2 sum l4); the best candidate wins.
+    The grid must be non-negative and strictly increasing; at eta = 0 the
+    model value is 0.
     """
     l2 = np.asarray(lambda2, dtype=float)
     l4 = np.asarray(lambda4, dtype=float)
     etas = np.asarray(eta_grid, dtype=float)
-    if len(etas) and (np.any(etas <= 0) or np.any(np.diff(etas) <= 0)):
-        raise ValueError("eta grid must be positive and strictly increasing")
+    if len(etas) and (np.any(etas < 0) or np.any(np.diff(etas) <= 0)):
+        raise ValueError("eta grid must be non-negative and strictly increasing")
     values = model_negativity_at(l2, l4, etas)
 
     neg = l2 < 0
@@ -308,8 +303,6 @@ class NegativityReport:
     negativity2: float
     modes: list[ModeEntry]
     curve: ModelCurve
-    eta_max: Optional[float]
-    n_max: float
     pt_spectrum: Optional[np.ndarray]
     negativity_pt: Optional[float]
     entanglement: str
@@ -324,8 +317,8 @@ class NegativityReport:
                 "eta": self.curve.etas.tolist(),
                 "negativity_model": self.curve.values.tolist(),
             },
-            "eta_max": self.eta_max,
-            "n_max": self.n_max,
+            "eta_max": self.curve.eta_max,
+            "n_max": self.curve.n_max,
             "eta_threshold": self.curve.eta_threshold,
             "omega_threshold": self.curve.omega_threshold,
             "entanglement": self.entanglement,
@@ -346,7 +339,6 @@ def _default_grid(eta_thr: Optional[float]) -> np.ndarray:
 def negativity_report(
     state: PerturbState,
     part: Partition,
-    eta: Optional[float] = None,
     eta_grid: Optional[Sequence[float]] = None,
     include_pt: bool = True,
     dilute_ok: Optional[bool] = None,
@@ -358,9 +350,7 @@ def negativity_report(
     A zero negativity is reported as entanglement "undetected", never as
     separability.
     """
-    if eta is None:
-        eta = state.eta
-    sub = restrict_state(state, tuple(sorted(part.group_a)) + tuple(sorted(part.group_b)))
+    sub = restrict_state(state, part.atoms)
     V = build_V(state, part)
     l2, vecs = lambda2_spectrum(V)
     l4 = np.array([lambda4_dilute(vecs[:, k], sub.w, state.delta) for k in range(len(l2))])
@@ -391,7 +381,7 @@ def negativity_report(
         max((m.eta_zero for m in modes if m.eta_zero), default=None)
     ) if eta_grid is None else eta_grid)
 
-    negativity2 = float(eta**2 * V.singular_values().sum())
+    negativity2 = float(state.eta**2 * V.singular_values().sum())
 
     pt_spectrum_vals = None
     neg_pt = None
@@ -400,12 +390,10 @@ def negativity_report(
         neg_pt, pt_spectrum_vals = pt_negativity(pt)
 
     return NegativityReport(
-        eta=float(eta),
+        eta=float(state.eta),
         negativity2=negativity2,
         modes=modes,
         curve=curve,
-        eta_max=curve.eta_max,
-        n_max=curve.n_max,
         pt_spectrum=pt_spectrum_vals,
         negativity_pt=neg_pt,
         entanglement="detected" if negativity2 > 0.0 else "undetected",

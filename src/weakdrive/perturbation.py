@@ -23,6 +23,12 @@ exceeds EIG_COND_GUARD (Z near-defective), the same projection runs on the
 complex Schur form of Z with LAPACK trsyl (Bartels-Stewart). Either way
 the solution is refined through the operator-form map pair_map_apply,
 whose residual also gates the result.
+
+PerturbState.local_index maps an atom label to its local position and
+raises PartitionError for an atom absent from the state, so every
+restriction to a partition fails with that one typed error.
+assemble_state returns the second-order density matrix on {ground,
+singles, pairs} as a read-only array.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 import scipy
 
 from .basis import basis_dim, pair_arrays, pair_count, pair_index_table, scatter_pairs
-from .errors import ResonantSingularityError, SolverConvergenceError
+from .errors import PartitionError, ResonantSingularityError, SolverConvergenceError
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e12
@@ -210,10 +216,11 @@ class PerturbState:
         return len(self.u)
 
     def local_index(self, atom: int) -> int:
+        """Local position of an atom label; PartitionError if absent."""
         try:
             return self.atoms.index(atom)
         except ValueError:
-            raise KeyError(f"atom {atom} not part of this state") from None
+            raise PartitionError(f"atom {atom} not present in the solved state") from None
 
     def v_pair(self, i: int, j: int) -> complex:
         """Pair correlation for local indices i != j."""
@@ -260,23 +267,10 @@ def restrict_state(state: PerturbState, subset: Iterable[int]) -> PerturbState:
     )
 
 
-@dataclass(frozen=True)
-class TruncatedDensity:
-    """Hermitian matrix on {ground, singles, pairs}, exact through eta^2."""
-
-    matrix: np.ndarray
-    atoms: tuple[int, ...]
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def assemble_state(state: PerturbState) -> TruncatedDensity:
-    """Second-order density matrix of the normalised driven state.
+def assemble_state(state: PerturbState) -> np.ndarray:
+    """Second-order density matrix of the normalised driven state, a
+    read-only Hermitian array on {ground, singles, pairs} in the local
+    order of state.atoms, exact through eta^2.
 
     Ground population carries the -eta^2 sum|u|^2 correction, so the trace
     is one through second order.
@@ -294,7 +288,8 @@ def assemble_state(state: PerturbState) -> TruncatedDensity:
         amp = eta**2 * (state.u[I] * state.u[J] + state.v)
         rho[1 + n :, 0] = amp
         rho[0, 1 + n :] = np.conj(amp)
-    return TruncatedDensity(matrix=rho, atoms=state.atoms)
+    rho.setflags(write=False)
+    return rho
 
 
 def pair_correlation(state: PerturbState, atom_i: int, atom_j: int) -> np.ndarray:

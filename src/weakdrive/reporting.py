@@ -5,14 +5,16 @@ bit-for-bit across platforms. Table cells are numbers only, and a row is
 written with one %-format: a float prints as format(x, ".17g"), an integer
 of magnitude up to 2**53 (atom labels) as str(x), since %g goes through a
 double. A None cell raises TypeError; it is never written as an empty
-field.
+field. report.json is written by json.dumps as is: report values must
+already be JSON types (float, int, str, bool, None, lists and dicts of
+them), and anything else, such as an array or a complex number, raises
+TypeError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,25 +37,9 @@ def config_hash(data) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serialisable: {type(obj)}")
-
-
-def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, default=_json_default)
-
-
 def write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        fh.write(dump_json(obj))
+        fh.write(json.dumps(obj, indent=2))
         fh.write("\n")
 
 
@@ -65,7 +51,3 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w") as fh:
         fh.write(csv_text(header, rows))
-
-
-def ensure_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)

@@ -35,7 +35,7 @@ from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analyti
 from .geometry import Partition, regime_check
 from .negativity import build_pt_matrix, negativity_report, pt_negativity
 from .perturbation import PerturbState, steady_state
-from .reporting import config_hash, ensure_dir, write_csv, write_json
+from .reporting import config_hash, write_csv, write_json
 
 
 @dataclass
@@ -44,7 +44,7 @@ class ResultBundle:
     tables: dict = field(default_factory=dict)
 
     def write(self, outdir: str) -> None:
-        ensure_dir(outdir)
+        os.makedirs(outdir, exist_ok=True)
         write_json(os.path.join(outdir, "report.json"), self.report)
         for name, (header, rows) in self.tables.items():
             write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
@@ -82,7 +82,7 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     part = build_partition(cfg, ens)
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
-    regime = regime_check(ens, drive, part, farfield=True)
+    regime = regime_check(ens, drive, part)
     report = negativity_report(state, part, dilute_ok=regime.dilute_ok)
 
     tables = _amplitude_tables(state)
@@ -156,7 +156,7 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         raise ConfigError("exact", f"exact columns need {N_CAP} atoms or fewer")
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
-    regime = regime_check(ens, drive, part, farfield=True)
+    regime = regime_check(ens, drive, part)
 
     grid = cfg.eta_sweep.grid()
     rep = negativity_report(state, part, eta_grid=grid, include_pt=False)

@@ -316,6 +316,40 @@ def test_bounds_task(tmp_path):
     assert 48.0 <= report["L_min"] <= 54.0
 
 
+def test_bounds_rejects_negative_drive(tmp_path, capsys):
+    config = {
+        "delta": 0.0,
+        "farfield": {
+            "k0_distance": 1e7,
+            "theta": np.pi / 2,
+            "n_a": 100,
+            "n_b": 100,
+            "omega_over_gamma": -0.1,
+            "mean_spacing": 1.0,
+        },
+    }
+    cfg = _write(tmp_path, config)
+    assert cli.main(["bounds", "--config", cfg]) == 2
+    assert "farfield.omega_over_gamma: must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, table, zero_row",
+    [("sweep", "sweep.csv", "0,0,0"), ("oracle-compare", "oracle.csv", "0,0,0,0")],
+)
+def test_linear_sweep_from_zero_drive(tmp_path, task, table, zero_row):
+    config = dict(PAIR_CONFIG)
+    del config["eta"]
+    config["eta_sweep"] = {"min": 0, "max": 0.03, "points": 4}
+    cfg = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / table).read_text().strip().splitlines()
+    assert lines[1] == zero_row
+    assert len(lines) == 1 + 4
+    assert json.loads((out / "report.json").read_text())["point_errors"] == []
+
+
 def test_oracle_compare_errors(tmp_path, capsys):
     config = dict(PAIR_CONFIG)
     del config["eta"]

@@ -371,7 +371,7 @@ def test_pair_state_matches_perturbative():
     ens, drive, coupling = _system([[0, 0, 0], [1.0, 0, 0]], eta=0.01)
     state = steady_state(coupling, drive, ens)
     rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens), drive.eta))
-    truncated = assemble_state(state).matrix
+    truncated = assemble_state(state)
     mapping = [0, 2, 1, 3]
     target = np.zeros((4, 4), dtype=complex)
     for a in range(4):

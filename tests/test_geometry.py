@@ -97,9 +97,9 @@ def test_regime_farfield_flag():
     ens = explicit_ensemble(pos, DIPOLE)
     drive = Drive(delta=0.0, eta=0.05, beam=BEAM)
     part = Partition((0, 1), (2, 3))
-    assert regime_check(ens, drive, part, farfield=True).farfield_ok
+    assert regime_check(ens, drive, part).farfield_ok
     near = explicit_ensemble([[0, 0, 0], [10.0, 0, 0], [50.0, 0, 0], [60.0, 0, 0]], DIPOLE)
-    assert not regime_check(near, drive, part, farfield=True).farfield_ok
+    assert not regime_check(near, drive, part).farfield_ok
 
 
 def test_to_physical_scaling():

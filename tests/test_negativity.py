@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from weakdrive.basis import pair_arrays
 from weakdrive.coupling import coupling_matrix
-from weakdrive.errors import ThresholdNotApplicableError
+from weakdrive.exact import negativity_exact
+from weakdrive.errors import PartitionError, ThresholdNotApplicableError
 from weakdrive.geometry import (
     Drive,
     MaskedBeam,
@@ -70,7 +73,7 @@ def test_pt_ground_population():
 def _two_qubit_pt_route(state, eta):
     """Independent partial transpose: map the assembled two-atom state onto
     the qubit product basis and transpose atom B's indices there."""
-    tr = assemble_state(state).matrix
+    tr = assemble_state(state)
     mapping = [0, 2, 1, 3]  # {G, |1>, |2>, |12>} -> product-basis indices
     rho = np.zeros((4, 4), dtype=complex)
     for a in range(4):
@@ -348,3 +351,38 @@ def test_report_fields_and_flags():
     silent = _manual_state([0.2, 0.1j], [0.0], eta=0.05)
     rep0 = negativity_report(silent, Partition((0,), (1,)))
     assert rep0.entanglement == "undetected"
+
+
+def test_absent_partition_atom_raises_partition_error():
+    _, _, state = _solved([[0, 0, 0], [1.0, 0, 0], [0, 1.3, 0]])
+    cases = [
+        (state, Partition((0,), (3,))),
+        # an embedded partition on a restricted state that lacks atom 1
+        (restrict_state(state, (0, 2)), Partition((0,), (1, 2))),
+    ]
+    for st, part in cases:
+        for build in (build_V, build_pt_matrix, negativity_report):
+            with pytest.raises(PartitionError, match="not present"):
+                build(st, part)
+
+
+def test_zero_negativity_is_positive_zero():
+    state = _manual_state([0.3 + 0.2j, -0.1j], [0.05 + 0.02j], eta=0.0)
+    neg, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
+    assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
+    ground = np.zeros((4, 4), dtype=complex)
+    ground[0, 0] = 1.0
+    neg_exact, _ = negativity_exact(ground, [1], 2)
+    assert neg_exact == 0.0 and math.copysign(1.0, neg_exact) == 1.0
+
+
+def test_model_grid_may_start_at_zero():
+    a, b = 0.3, 12.0
+    curve = negativity_model([-a], [b], np.linspace(0.0, 0.2, 5))
+    assert curve.values[0] == 0.0
+    shifted = negativity_model([-a], [b], np.linspace(0.05, 0.2, 4))
+    assert np.array_equal(curve.values[1:], shifted.values)
+    assert curve.n_max == shifted.n_max and curve.eta_max == shifted.eta_max
+    for bad in ([-0.1, 0.1], [0.0, 0.0, 0.1], [0.2, 0.1]):
+        with pytest.raises(ValueError, match="non-negative and strictly increasing"):
+            negativity_model([-a], [b], bad)

@@ -283,7 +283,7 @@ def test_assemble_ground_state_at_zero_drive():
     ens, _, coupling = _pair_state()
     drive = Drive(delta=0.0, eta=0.0, beam=BEAM)
     state = steady_state(coupling, drive, ens)
-    rho = assemble_state(state).matrix
+    rho = assemble_state(state)
     expected = np.zeros_like(rho)
     expected[0, 0] = 1.0
     assert np.allclose(rho, expected, atol=1e-15)
@@ -294,7 +294,7 @@ def test_assemble_entries_and_trace():
     coupling = coupling_matrix(ens)
     drive = Drive(delta=0.3, eta=0.07, beam=BEAM)
     state = steady_state(coupling, drive, ens)
-    rho = assemble_state(state).matrix
+    rho = assemble_state(state)
     n = ens.n
     singles = rho[1 : 1 + n, 1 : 1 + n]
     assert np.allclose(singles, drive.eta**2 * np.outer(state.u, state.u.conj()), atol=1e-15)
@@ -335,8 +335,8 @@ def test_restriction_equals_partial_trace():
     drive = Drive(delta=0.1, eta=0.04, beam=BEAM)
     state = steady_state(coupling, drive, ens)
     keep = (0, 1)
-    direct = _embed_truncated(assemble_state(restrict_state(state, keep)).matrix, 2)
-    traced = reduce_state(_embed_truncated(assemble_state(state).matrix, 3), keep, 3)
+    direct = _embed_truncated(assemble_state(restrict_state(state, keep)), 2)
+    traced = reduce_state(_embed_truncated(assemble_state(state), 3), keep, 3)
     assert np.max(np.abs(direct - traced)) <= 1e-12
 
 
@@ -346,7 +346,7 @@ def test_singleton_restriction_formula():
     drive = Drive(delta=-0.2, eta=0.06, beam=BEAM)
     state = steady_state(coupling, drive, ens)
     mu = 1
-    rho = assemble_state(restrict_state(state, (mu,))).matrix
+    rho = assemble_state(restrict_state(state, (mu,)))
     eta, u = drive.eta, state.u[mu]
     phi = np.array([1.0, eta * u])  # (g, e) amplitudes
     expected = np.outer(phi, phi.conj())
@@ -412,9 +412,9 @@ def test_pair_correlation_matches_state_reduction():
     drive = Drive(delta=0.25, eta=0.03, beam=BEAM)
     state = steady_state(coupling, drive, ens)
     i, j = 0, 2
-    rho_ij = _embed_truncated(assemble_state(restrict_state(state, (i, j))).matrix, 2)
-    rho_i = assemble_state(restrict_state(state, (i,))).matrix
-    rho_j = assemble_state(restrict_state(state, (j,))).matrix
+    rho_ij = _embed_truncated(assemble_state(restrict_state(state, (i, j))), 2)
+    rho_i = assemble_state(restrict_state(state, (i,)))
+    rho_j = assemble_state(restrict_state(state, (j,)))
     product = _kron_truncated(rho_i, rho_j, drive.eta)
     assert np.max(np.abs(rho_ij - product - pair_correlation(state, i, j))) <= 1e-12
 

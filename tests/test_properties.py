@@ -34,11 +34,7 @@ def test_pair_coupling_inversion_symmetry(sep, dip):
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_embedding_spectrum_pairs(n_a, n_b, seed):
     rng = np.random.default_rng(seed)
-    V = VOperator(
-        matrix=rng.normal(size=(n_a, n_b)) + 1j * rng.normal(size=(n_a, n_b)),
-        atoms_a=tuple(range(n_a)),
-        atoms_b=tuple(range(n_a, n_a + n_b)),
-    )
+    V = VOperator(matrix=rng.normal(size=(n_a, n_b)) + 1j * rng.normal(size=(n_a, n_b)))
     vals, _ = lambda2_spectrum(V)
     assert abs(vals.sum()) <= 1e-10 * max(1.0, np.abs(vals).max())
     assert np.max(np.abs(np.sort(vals) + np.sort(vals)[::-1])) <= 1e-10 * max(
