@@ -21,10 +21,21 @@ levels, and on traceless matrices L0^-1 is one Sylvester solve per block,
 taken from the top level down: elementwise, 1/(lambda_i + conj lambda_j),
 in the eigenbasis of A on each level (dimension C(n, k)), with the (0, 0)
 entry fixed by the trace. The steady state rho = rho_G + X then solves
-(I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G, which GMRES (Saad & Schultz
-1986) solves in the real space of Hermitian matrices; jump and drive act
-by bit-flip index gathers. GMRES needs more iterations as the drive
-grows: about 20 at eta = 0.1 and about 390 at eta = 2 on five atoms.
+(I + eta K) X = eta b0 with K = L0^-1 L1 and b0 = -K rho_G, which GMRES
+(Saad & Schultz 1986) solves in the real space of Hermitian matrices;
+jump and drive act by bit-flip index gathers. GMRES needs more
+iterations as the drive grows: about 20 at eta = 0.1 and about 390 at
+eta = 2 on five atoms.
+
+Only the shift depends on eta: the Krylov space of I + eta K from b0 is
+that of K for every eta (Frommer & Glaessner 1998). So the factored
+levels, b0 and one Arnoldi basis of K are kept for the last (z, delta,
+w) and shared by the drive strengths of a grid; the basis grows as far
+as the slowest point needs, and each point solves its own small least
+squares problem on it. A point still unconverged after one cycle (in
+practice from six atoms on, at strong drive) restarts on a private
+basis, for which the shared one is dropped. The results do not depend on
+the order of the points or on what was kept.
 
 An ill-conditioned level eigenbasis or a vanishing Sylvester denominator
 (dark states, which can leave several steady states) hands the solve to
@@ -66,9 +77,10 @@ DENSE_CAP = 5
 NULL_TOL = 1e-10
 # GMRES stops at this residual relative to the right-hand side
 GMRES_RTOL = 1e-13
-# GMRES iterations per steady state, and float64 entries of the Krylov
-# basis: up to five atoms it may grow to all d^2 directions unrestarted,
-# so GMRES cannot stall there; above, it restarts (64 vectors at n = 8)
+# GMRES iterations per steady state, and float64 entries of Krylov
+# storage, the kept shared basis and a private restart basis together: up
+# to five atoms a basis may grow to all d^2 directions unrestarted, so
+# GMRES cannot stall there; above, it restarts (64 vectors at n = 8)
 GMRES_MAXITER = 1024
 KRYLOV_ENTRIES = 1 << 23
 
@@ -208,12 +220,14 @@ def _level_tables(n: int) -> _LevelTables:
 
 
 class _LevelSystem:
-    """The generator of one Liouvillian on the level-ordered basis: A on
-    each level, jump and drive by index gathers, and, once `factor` has
-    run, L0^-1 by per-block Sylvester solves."""
+    """The drive-independent part of one generator on the level-ordered
+    basis: A on each level, jump and drive by index gathers and, once
+    `factor` has run, L0^-1 by per-block Sylvester solves, the start
+    vector b0 = -K rho_G of K = L0^-1 L1 and the Arnoldi basis of K grown
+    from it, which every drive strength shares."""
 
     def __init__(self, liouv: Liouvillian):
-        self.n, self.d, self.eta = liouv.n, liouv.dim, liouv.eta
+        self.n, self.d = liouv.n, liouv.dim
         self.delta = liouv.delta
         self.t = t = _level_tables(self.n)
         Z = liouv.coupling.z
@@ -233,18 +247,19 @@ class _LevelSystem:
             E = E[:, :, :c]
             D = E.reshape(-1, c).T @ np.tensordot(Z, E, axes=1).reshape(-1, c)
             self.A.append(1j * self.delta * k * np.eye(c) - D)
+        self.krylov = None
 
     @property
     def dims(self) -> list:
         return [len(a) for a in self.A]
 
-    def factor(self) -> float:
-        """Eigenbasis of A on each level and the Sylvester multipliers
-        1/(lambda_i + conj lambda_j) of the blocks k <= l. Returns the
-        smallest denominator |lambda_i + conj lambda_j| off the (0, 0)
-        entry; raises ResonantSingularityError when an eigenvector matrix
-        is worse conditioned than EIG_COND_GUARD or a multiplier exceeds
-        COND_LIMIT."""
+    def factor(self) -> None:
+        """Eigenbasis of A on each level, the Sylvester multipliers
+        1/(lambda_i + conj lambda_j) of the blocks k <= l, and b0. Sets
+        `smallest`, the smallest denominator |lambda_i + conj lambda_j|
+        off the (0, 0) entry; raises ResonantSingularityError when an
+        eigenvector matrix is worse conditioned than EIG_COND_GUARD or a
+        multiplier exceeds COND_LIMIT."""
         lam, self.P = zip(*map(np.linalg.eig, self.A))
         cond = max(float(np.linalg.cond(p)) for p in self.P)
         if not cond <= EIG_COND_GUARD:
@@ -256,12 +271,16 @@ class _LevelSystem:
                for k in range(self.n + 1)]
         # the (0, 0) entry is the undriven steady state; the trace fixes it
         den[0][0] = np.ones((1, 1))
-        smallest = min(float(np.abs(g).min()) for row in den for g in row)
-        if not smallest * COND_LIMIT >= 1.0:
-            raise ResonantSingularityError(self.delta, 1.0 / smallest if smallest else np.inf)
+        self.smallest = min(float(np.abs(g).min()) for row in den for g in row)
+        if not self.smallest * COND_LIMIT >= 1.0:
+            raise ResonantSingularityError(
+                self.delta, 1.0 / self.smallest if self.smallest else np.inf
+            )
         self.G = [[1.0 / g for g in row] for row in den]
         self.G[0][0] = np.zeros((1, 1))
-        return smallest
+        ground = np.zeros(2 * self.d**2)
+        ground[0] = 1.0
+        self.b0 = -self.operator(ground)
 
     def _jump_rows(self, X: np.ndarray, k: int) -> np.ndarray:
         """Rows of level k, columns of levels k..n-1, of J X; no state
@@ -301,10 +320,15 @@ class _LevelSystem:
         X[0, 0] = -X.diagonal()[1:].real.sum()
         return X
 
-    def residual(self, rho: np.ndarray) -> float:
+    def operator(self, x: np.ndarray) -> np.ndarray:
+        """K = L0^-1 L1 on the real view of a d x d Hermitian matrix."""
+        X = x.view(complex).reshape(self.d, self.d)
+        return self.solve_undriven(self.drive(X)).reshape(-1).view(float)
+
+    def residual(self, rho: np.ndarray, eta: float) -> float:
         """max |L rho| of a Hermitian rho on the level-ordered basis."""
         off, n = self.t.off, self.n
-        out = self.eta * self.drive(rho)
+        out = eta * self.drive(rho)
         Arho = np.concatenate([A @ rho[off[k] : off[k + 1]] for k, A in enumerate(self.A)])
         out += Arho + Arho.conj().T
         for k in range(n):
@@ -314,76 +338,114 @@ class _LevelSystem:
             out[b:c, a:b] += S[:, b - a :].conj().T
         return float(np.max(np.abs(out)))
 
-    def steady_state(self) -> tuple:
-        """rho_G + X with (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G, on the
-        level-ordered basis; returns it with the GMRES iterations and
-        residual."""
+    def steady_state(self, eta: float) -> tuple:
+        """rho_G + X with (I + eta K) X = eta b0, K = L0^-1 L1, on the
+        level-ordered basis, by GMRES; returns it with the Krylov
+        dimension of X (the GMRES iterations) and the residual.
+
+        The first cycle takes the columns it needs of the shared basis;
+        an unconverged point restarts from its own residual on a private
+        basis, and the shared one is dropped first, so the two never hold
+        more than KRYLOV_ENTRIES float64 entries together."""
         d = self.d
+        restart = min(d * d, KRYLOV_ENTRIES // (2 * d * d))
+        rhs = eta * self.b0
+        tol = GMRES_RTOL * float(np.linalg.norm(rhs))
+        x = np.zeros_like(rhs)
+        r, its = rhs, 0
+        beta = float(np.linalg.norm(r))
+        while beta > tol:
+            if its >= GMRES_MAXITER:
+                raise SolverConvergenceError(beta, its)
+            if its == 0:
+                if self.krylov is None:
+                    self.krylov = _Arnoldi(self.b0, restart)
+                basis = self.krylov
+            else:
+                self.krylov = basis = None
+                basis = _Arnoldi(r, restart)
+            m = min(basis.size, GMRES_MAXITER - its)
+            y = _shifted_gmres(self.operator, basis, eta, beta, tol, m, its)
+            x += y @ basis.Q[: len(y)]
+            its += len(y)
+            r = rhs - (x + eta * self.operator(x))
+            beta = float(np.linalg.norm(r))
         ground = np.zeros((d, d), dtype=complex)
         ground[0, 0] = 1.0
-
-        def apply(x):
-            X = x.view(complex).reshape(d, d)
-            return (X + self.eta * self.solve_undriven(self.drive(X))).reshape(-1).view(float)
-
-        rhs = (-self.eta * self.solve_undriven(self.drive(ground))).reshape(-1).view(float)
-        restart = min(d * d, KRYLOV_ENTRIES // (2 * d * d))
-        tol = GMRES_RTOL * float(np.linalg.norm(rhs))
-        x, iterations, res = _gmres(apply, rhs, tol, restart, GMRES_MAXITER)
-        return ground + x.view(complex).reshape(d, d), iterations, res
+        return ground + x.view(complex).reshape(d, d), its, beta
 
 
-def _gmres(apply, b: np.ndarray, tol: float, restart: int, maxiter: int):
-    """GMRES (Saad & Schultz 1986) for a real vector b, restarted every
-    `restart` iterations: Arnoldi by classical Gram-Schmidt run twice,
-    Givens rotations on the Hessenberg columns. The basis grows as needed.
-    Returns the solution, the iteration count and the residual norm;
-    raises SolverConvergenceError after maxiter iterations."""
-    x = np.zeros_like(b)
-    r, its = b, 0
-    beta = float(np.linalg.norm(r))
-    while beta > tol:
-        if its >= maxiter:
-            raise SolverConvergenceError(beta, its)
-        m = min(restart, maxiter - its)
-        Q = np.empty((min(m, 31) + 1, b.size))
-        Q[0] = r / beta
-        R = []  # columns of the triangular factor
-        rot = []
-        g = [beta]
-        for j in range(m):
-            v = apply(Q[j])
-            its += 1
-            h = np.zeros(j + 1)
+class _Arnoldi:
+    """Orthonormal basis Q of the Krylov space of an operator from a real
+    start vector, grown one column at a time up to `size` vectors by
+    classical Gram-Schmidt run twice. H[j] holds the Hessenberg column
+    of apply(Q[j]): its projections on Q[:j + 1] and the norm of the
+    remainder, which is Q[j + 1] unless the space is invariant. The
+    operator is passed in, not kept, so a basis held by its level system
+    forms no reference cycle and is freed as soon as it is dropped."""
+
+    def __init__(self, start: np.ndarray, size: int):
+        self.size = size
+        self.Q = np.empty((min(size, 32), start.size))
+        self.Q[0] = start / np.linalg.norm(start)
+        self.H = []
+
+    def column(self, j: int, apply) -> tuple:
+        """H[j], growing the basis with `apply` as far as it needs."""
+        while len(self.H) <= j:
+            k = len(self.H)
+            v = apply(self.Q[k])
+            h = np.zeros(k + 1)
             for _ in range(2):
-                p = Q[: j + 1] @ v
-                v -= p @ Q[: j + 1]
+                p = self.Q[: k + 1] @ v
+                v -= p @ self.Q[: k + 1]
                 h += p
             hn = float(np.linalg.norm(v))
-            col = h.tolist()
-            for i, (c, s) in enumerate(rot):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            rr = math.hypot(col[j], hn)
-            if rr == 0.0:
-                raise SolverConvergenceError(abs(g[j]), its)
-            rot.append((col[j] / rr, hn / rr))
-            col[j] = rr
-            R.append(col)
-            g.append(-rot[j][1] * g[j])
-            g[j] *= rot[j][0]
-            if abs(g[j + 1]) <= tol or j + 1 == m:
-                break
-            if j + 2 > len(Q):
-                Q = np.concatenate([Q, np.empty((min(len(Q), m + 1 - len(Q)), b.size))])
-            Q[j + 1] = v / hn
-        k = j + 1
-        T = np.zeros((k, k))
-        for i, col in enumerate(R):
-            T[: i + 1, i] = col
-        x += np.linalg.solve(T, g[:k]) @ Q[:k]
-        r = b - apply(x)
-        beta = float(np.linalg.norm(r))
-    return x, its, beta
+            self.H.append((h, hn))
+            if k + 1 < self.size and hn > 0.0:
+                if k + 1 == len(self.Q):
+                    grow = min(len(self.Q), self.size - len(self.Q))
+                    self.Q = np.concatenate([self.Q, np.empty((grow, v.size))])
+                self.Q[k + 1] = v / hn
+        return self.H[j]
+
+
+def _shifted_gmres(
+    apply, basis: _Arnoldi, eta: float, beta: float, tol: float, m: int, its: int
+) -> np.ndarray:
+    """One GMRES cycle (Saad & Schultz 1986) for I + eta K, K = apply, on
+    an Arnoldi basis of K that starts in the residual direction, beta the
+    residual norm. The Krylov space of I + eta K is that of K for every
+    eta, with Hessenberg matrix I + eta H (Frommer & Glaessner 1998), so
+    Givens rotations run on those columns until the residual estimate
+    meets tol or m columns are spent. Returns the coefficients y of the
+    update y Q[:len(y)]; a vanishing column raises SolverConvergenceError
+    with the iterations so far, the `its` of earlier cycles included."""
+    R = []  # columns of the triangular factor
+    rot = []
+    g = [beta]
+    for j in range(m):
+        h, hn = basis.column(j, apply)
+        col = (eta * h).tolist()
+        col[j] += 1.0
+        sub = eta * hn
+        for i, (c, s) in enumerate(rot):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rr = math.hypot(col[j], sub)
+        if rr == 0.0:
+            raise SolverConvergenceError(abs(g[j]), its + j + 1)
+        rot.append((col[j] / rr, sub / rr))
+        col[j] = rr
+        R.append(col)
+        g.append(-rot[j][1] * g[j])
+        g[j] *= rot[j][0]
+        if abs(g[j + 1]) <= tol:
+            break
+    k = len(R)
+    T = np.zeros((k, k))
+    for i, col in enumerate(R):
+        T[: i + 1, i] = col
+    return np.linalg.solve(T, g[:k])
 
 
 def _dense_fallback(liouv: Liouvillian) -> np.ndarray:
@@ -401,37 +463,51 @@ def _dense_fallback(liouv: Liouvillian) -> np.ndarray:
     return vecs[:, order[0]].reshape(d, d)
 
 
+# the factored level system of the last generator, under its (delta, z, w)
+# key: a grid of drive strengths shares its factors and Krylov basis
+_last_system: dict = {}
+
+
 def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     """Unit-trace steady state of the generator as a Hermitian matrix.
 
     The level route (module docstring) solves for X = rho - rho_G by GMRES
     on (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G and never forms the dense
-    generator. When a level guard trips (eigenvector condition above
-    EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
+    generator. Its factors and Krylov basis depend on the couplings,
+    detuning and drive amplitudes only, and are kept for the next call
+    with the same three. When a level guard trips (eigenvector condition
+    above EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
     DENSE_CAP atoms the dense generator's null vector is taken instead,
     which warns about a degenerate null space; above DENSE_CAP the guard's
     ResonantSingularityError propagates. GMRES that does not converge
     raises SolverConvergenceError with its residual and iteration count,
     and every returned state has an operator-form residual within NULL_TOL.
-    The route, level dimensions, GMRES iterations and residual and the
-    smallest Sylvester denominator are logged at DEBUG on weakdrive.exact.
+    The route, level dimensions, GMRES iterations (the Krylov dimension of
+    this drive strength's solution) and residual and the smallest
+    Sylvester denominator are logged at DEBUG on weakdrive.exact.
     """
-    system = _LevelSystem(liouv)
-    t = system.t
+    # bytes, not floats: a detuning of -0.0 is not that of 0.0
+    key = (np.float64(liouv.delta).tobytes(), liouv.coupling.z.tobytes(), liouv.w.tobytes())
+    system = _last_system.get(key)
     try:
-        smallest = system.factor()
+        if system is None:
+            # drop the previous basis before the next one is built
+            _last_system.clear()
+            system = _LevelSystem(liouv)
+            system.factor()
+            _last_system[key] = system
     except ResonantSingularityError as exc:
         if liouv.n > DENSE_CAP:
             raise
         log.debug("route dense fallback (%s); level dims %s", exc, system.dims)
-        rho = _dense_fallback(liouv)[np.ix_(t.order, t.order)]
+        rho = _dense_fallback(liouv)[np.ix_(system.t.order, system.t.order)]
         iterations = 0
     else:
-        rho, iterations, res = system.steady_state()
+        rho, iterations, res = system.steady_state(liouv.eta)
         log.debug(
             "route levels; level dims %s; gmres iterations %d, residual %.3e; "
             "smallest denominator %.3e",
-            system.dims, iterations, res, smallest,
+            system.dims, iterations, res, system.smallest,
         )
     rho = 0.5 * (rho + rho.conj().T)
     # the diagonal of a Hermitian matrix is real
@@ -440,10 +516,10 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
         # a traceless null vector has no normalised state to gate
         raise SolverConvergenceError(np.inf, 0)
     rho = rho / tr
-    residual = system.residual(rho)
+    residual = system.residual(rho, liouv.eta)
     if not residual <= NULL_TOL:
         raise SolverConvergenceError(residual, iterations)
-    return rho[np.ix_(t.pos, t.pos)]
+    return rho[np.ix_(system.t.pos, system.t.pos)]
 
 
 def reduce_state(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import functools
 import logging
 import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weakdrive import exact
 from weakdrive.basis import pair_arrays
+from weakdrive.config import parse_config
 from weakdrive.coupling import CouplingMatrix, coupling_matrix
 from weakdrive.errors import (
     CapExceededError,
@@ -39,6 +41,7 @@ from weakdrive.geometry import (
 )
 from weakdrive.negativity import build_pt_matrix, pt_negativity
 from weakdrive.perturbation import assemble_state, steady_state
+from weakdrive.runner import run_oracle_compare
 
 DIPOLE = np.array([0.0, 0.0, 1.0])
 BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
@@ -306,6 +309,94 @@ def test_steady_state_logs_route(caplog):
     assert caplog.records[0].getMessage().startswith("route dense fallback (")
 
 
+def _iterations(caplog):
+    """GMRES iterations of each logged level solve, in call order."""
+    return [
+        int(r.getMessage().split("gmres iterations ")[1].split(",")[0])
+        for r in caplog.records
+        if r.getMessage().startswith("route levels")
+    ]
+
+
+def test_grid_independent_of_order_and_cache(monkeypatch, caplog):
+    # four atoms at eta = 5 need 186 Krylov directions; with 180-vector
+    # cycles that point restarts on a private basis and drops the shared one
+    # that the weak points use, which later points build again
+    monkeypatch.setattr(exact, "KRYLOV_ENTRIES", 180 * 2 * 4**4)
+    monkeypatch.setattr(exact, "_last_system", {})
+    # the shared and the private basis never hold more than
+    # KRYLOV_ENTRIES float64 entries together
+    live = weakref.WeakSet()
+    column = exact._Arnoldi.column
+
+    def checked(self, j, apply):
+        live.add(self)
+        out = column(self, j, apply)
+        assert sum(basis.Q.size for basis in live) <= exact.KRYLOV_ENTRIES
+        return out
+
+    monkeypatch.setattr(exact._Arnoldi, "column", checked)
+    etas = [0.01, 0.1, 5.0]
+
+    def solve(eta, cold=False):
+        if cold:
+            exact._last_system.clear()
+        return steady_state_exact(_random_liouvillian(4, 104, False, 0.3, eta))
+
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+        ascending = [solve(eta) for eta in etas]
+    assert _iterations(caplog)[2] > 180
+    descending = [solve(eta) for eta in reversed(etas)][::-1]
+    cold = [solve(eta, cold=True) for eta in etas]
+    for a, b, c in zip(ascending, descending, cold):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert np.max(np.abs(ascending[2] - _bordered_reference(
+        _random_liouvillian(4, 104, False, 0.3, 5.0).matrix))) <= 1e-12
+
+
+@pytest.mark.parametrize("change", ["delta", "mask", "z"])
+def test_cached_basis_never_stale(monkeypatch, change):
+    # a call right after another system of the same size must equal the
+    # cold-cache solve bit for bit
+    monkeypatch.setattr(exact, "_last_system", {})
+    ens = random_ensemble(4, 2.0, 11, DIPOLE, min_distance=0.6)
+    coupling, delta, w = coupling_matrix(ens), 0.3, BEAM.amplitudes(ens)
+    other = {
+        "delta": (coupling, 0.0, w),
+        "mask": (coupling, delta, MaskedBeam(BEAM, frozenset({0, 2})).amplitudes(ens)),
+        "z": (coupling_matrix(random_ensemble(4, 2.0, 12, DIPOLE, min_distance=0.6)), delta, w),
+    }[change]
+    eta = 0.1
+    steady_state_exact(build_liouvillian(coupling, delta, w, 0.05))
+    warm = steady_state_exact(build_liouvillian(*other, eta))
+    exact._last_system.clear()
+    assert np.array_equal(warm, steady_state_exact(build_liouvillian(*other, eta)))
+
+
+def test_grid_shares_one_factorisation_and_basis(monkeypatch, caplog):
+    # the level system is factored once per (z, delta, w), and the Krylov
+    # basis grows only as far as the slowest point needs: one operator
+    # application per basis vector, one for b0 and one residual per point
+    monkeypatch.setattr(exact, "_last_system", {})
+    counts = {"factor": 0, "solve_undriven": 0}
+    for name in counts:
+        method = getattr(exact._LevelSystem, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(exact._LevelSystem, name, counted)
+    etas = np.geomspace(0.01, 0.1, 4)
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+        for eta in etas:
+            steady_state_exact(_random_liouvillian(5, 3, False, 0.0, eta))
+    iterations = _iterations(caplog)
+    assert len(iterations) == len(etas)
+    assert counts["factor"] == 1
+    assert counts["solve_undriven"] <= max(iterations) + 2 * len(etas) + 1
+
+
 def test_lowering_ops_read_only():
     ops = lowering_ops(3)
     assert ops.shape == (3, 8, 8)
@@ -480,25 +571,64 @@ def test_cap_enforced():
         liouv.matrix
 
 
+def _operator_residual(coupling, delta, w, eta, rho):
+    """max |L rho| from d x d operator products, independent of the level
+    solve's index gathers."""
+    n = coupling.n
+    s = lowering_ops(n)
+    Z = coupling.z
+    drive_op = np.tensordot(w.conj(), s, axes=1)
+    # sum_a s_a^T M_a as one matrix product over (a, j)
+    H = -delta * np.tensordot(s, s, axes=([0, 1], [0, 1])) - eta * (drive_op + drive_op.T.conj())
+    D = np.tensordot(s, np.tensordot(Z, s, axes=1), axes=([0, 1], [0, 1]))
+    out = (-1j * H - D) @ rho + rho @ (1j * H - D.conj())
+    jump = np.tensordot(2.0 * Z.real, s, axes=1)
+    out += sum(s[a] @ rho @ jump[a].T for a in range(n))
+    return np.max(np.abs(out))
+
+
 def test_above_dense_cap_residual_by_operator_products():
     # seven atoms have no dense generator; the residual is taken from d x d
-    # operator products, independent of the level solve's index gathers
+    # operator products
     n = 7
     ens = random_ensemble(n, 2.0, 107, DIPOLE, min_distance=0.6)
     coupling = coupling_matrix(ens)
     w = BEAM.amplitudes(ens)
     delta, eta = 0.3, 0.1
     rho = steady_state_exact(build_liouvillian(coupling, delta, w, eta))
-    s = lowering_ops(n)
-    Z = coupling.z
-    drive_op = np.tensordot(w.conj(), s, axes=1)
-    H = -delta * np.einsum("aji,ajk->ik", s, s) - eta * (drive_op + drive_op.T.conj())
-    D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))
-    out = (-1j * H - D) @ rho + rho @ (1j * H - D.conj())
-    jump = np.tensordot(2.0 * Z.real, s, axes=1)
-    out += sum(s[a] @ rho @ jump[a].T for a in range(n))
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(out)) <= 1e-12
+    assert _operator_residual(coupling, delta, w, eta, rho) <= 1e-12
+    assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+
+def test_oracle_compare_four_plus_four():
+    # N_CAP atoms: three weak points share one factorisation and Krylov
+    # basis, each state is physical, and the perturbative gap closes by
+    # eta^3 to eta^4 under each halving
+    positions = [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4],
+                 [0.2, 0.3, 1.5], [1.4, 0.8, 1.1], [2.0, 0.1, 0.6], [0.6, 2.1, 1.0]]
+    assert len(positions) == N_CAP
+    cfg = parse_config({
+        "geometry": {"mode": "explicit", "positions": positions},
+        "dipole": [0, 0, 1],
+        "beam": {"direction": [0, 1, 0]},
+        "delta": 0.3,
+        "partition": {"A": [0, 1, 2, 3], "B": [4, 5, 6, 7]},
+        "eta_sweep": {"min": 0.0025, "max": 0.01, "points": 3, "log": True},
+    }, "oracle-compare")
+    bundle = run_oracle_compare(cfg)
+    assert bundle.report["point_errors"] == []
+    rows = bundle.tables["oracle"][1]
+    assert [r[0] for r in rows] == pytest.approx([0.0025, 0.005, 0.01], rel=1e-12)
+    for eta, n_exact, n_pt, err in rows:
+        assert n_exact > 0.0 and err <= 1e-2 * n_exact
+    assert 8.0 <= rows[1][3] / rows[0][3] <= 32.0
+    assert 8.0 <= rows[2][3] / rows[1][3] <= 32.0
+    ens, _, coupling = _system(positions)
+    w = BEAM.amplitudes(ens)
+    rho = steady_state_exact(build_liouvillian(coupling, 0.3, w, 0.01))
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+    assert _operator_residual(coupling, 0.3, w, 0.01, rho) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
