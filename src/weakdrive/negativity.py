@@ -7,9 +7,18 @@ correlation operator V (entries v_munu with mu in A, nu in B): the
 non-zero eigenvalues of V + V^dag come in +/- pairs equal to the singular
 values of V, and each negative mode closes at a finite drive strength.
 
-build_V, build_pt_matrix and negativity_report all restrict the solved
-state to part.atoms (sorted A, then sorted B) with restrict_state, so a
-partition atom absent from the state raises PartitionError on every path.
+The partial transpose is assembled in one place, _UnitCore: the pieces
+that do not depend on the drive (u, v, sum|u|^2, the coherence row, the
+group-conjugated singles block and |c|) are built once per state, and the
+(n + 2) core at any eta is those pieces scaled by 1, eta or eta^2. A grid
+of drive strengths costs one stacked eigvalsh per block of cores
+(pt_negativity_grid); build_pt_matrix and negativity_report take the same
+route at the state's own eta.
+
+build_V, build_pt_matrix, pt_negativity_grid and negativity_report all
+restrict the solved state to part.atoms (sorted A, then sorted B) with
+restrict_state, so a partition atom absent from the state raises
+PartitionError on every path.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from .geometry import Partition
 from .perturbation import PerturbState, restrict_state
 
 DEGENERACY_RTOL = 1e-8
+# complex entries per stack of partial-transpose cores handed to one
+# eigvalsh call (512 kB), so memory grows with neither the grid nor n
+PT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -59,37 +71,19 @@ class PartialTransposeMatrix:
 
 
 def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMatrix:
-    """Partial transpose over group B.
+    """Partial transpose over group B at the state's drive strength.
 
     The state is restricted to part.atoms (sorted A, then sorted B) first, so
     embedding the partition in a larger solved ensemble keeps the
     full-ensemble u and v. An atom absent from the state raises
     PartitionError.
     """
-    sub = restrict_state(state, part.atoms)
-    na = len(part.group_a)
-    n = sub.n
-    e2 = sub.eta**2
-    u = sub.u
-    in_a = np.arange(n) < na
-
-    core = np.empty((n + 1, n + 1), dtype=complex)
-    core[0, 0] = 1.0 - e2 * float(np.sum(np.abs(u) ** 2))
-    core[0, 1:] = sub.eta * np.where(in_a, np.conj(u), u)
-    core[1:, 0] = np.conj(core[0, 1:])
-    # same-group coherences u_a u_b^*, cross-group u_a u_b + v_ab; rows in B
-    # are conjugated
-    block = np.where(
-        in_a[:, None] == in_a[None, :],
-        np.outer(u, np.conj(u)),
-        np.outer(u, u) + sub.v_matrix(),
+    unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
+    k = len(unit.row) + 1
+    return PartialTransposeMatrix(
+        core=unit.cores(np.array([state.eta]))[0, :k, :k],
+        pair_col=state.eta**2 * unit.pair_col,
     )
-    core[1:, 1:] = e2 * np.where(in_a[:, None], block, np.conj(block))
-
-    I, J = pair_arrays(n)
-    amp = e2 * (u[I] * u[J] + sub.v)
-    pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, e2 * np.conj(u[I]) * u[J]))
-    return PartialTransposeMatrix(core=core, pair_col=pair_col)
 
 
 def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
@@ -101,15 +95,93 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
     ascending.
     """
     k = pt.core.shape[0]
-    bordered = np.zeros((k + 1, k + 1), dtype=complex)
-    bordered[:k, :k] = pt.core
-    bordered[0, k] = bordered[k, 0] = np.linalg.norm(pt.pair_col)
-    spectrum = np.sort(
-        np.concatenate([np.linalg.eigvalsh(bordered), np.zeros(len(pt.pair_col) - 1)])
+    bordered = np.zeros((1, k + 1, k + 1), dtype=complex)
+    bordered[0, :k, :k] = pt.core
+    bordered[0, 0, k] = bordered[0, k, 0] = np.linalg.norm(pt.pair_col)
+    spectra = np.linalg.eigvalsh(bordered)
+    return float(_negativities(spectra)[0]), _full_spectrum(spectra[0], len(pt.pair_col))
+
+
+def pt_negativity_grid(state: PerturbState, part: Partition, etas) -> np.ndarray:
+    """N_pt at every drive strength of a grid (state.eta is not used).
+
+    The drive-independent pieces are built once; the (n + 2) cores of the
+    grid are then stacked and diagonalised in blocks of at most PT_BLOCK
+    complex entries, one eigvalsh call per block. Each point is computed
+    alone, so its value does not depend on the grid's order or length.
+    """
+    unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
+    return _negativities(_core_spectra(unit, np.asarray(etas, dtype=float)))
+
+
+@dataclass(frozen=True)
+class _UnitCore:
+    """The partial transpose of a restricted state at unit drive, split by
+    the power of eta each piece carries."""
+
+    s: float  # sum |u|^2: the ground entry is 1 - eta^2 s
+    row: np.ndarray  # ground-to-singles row, scaled by eta
+    block: np.ndarray  # singles block, scaled by eta^2
+    pair_col: np.ndarray  # ground-to-pairs column c, scaled by eta^2
+    border: float  # |c|
+
+    def cores(self, etas: np.ndarray) -> np.ndarray:
+        """Stack of the (n + 2) cores on [ground, singles, c/|c|], one per eta."""
+        n = len(self.row)
+        e2 = etas**2
+        out = np.zeros((len(etas), n + 2, n + 2), dtype=complex)
+        out[:, 0, 0] = 1.0 - e2 * self.s
+        out[:, 0, 1 : n + 1] = etas[:, None] * self.row
+        out[:, 1 : n + 1, 0] = np.conj(out[:, 0, 1 : n + 1])
+        # in place: a broadcast temporary would cost several times the product
+        np.multiply(e2[:, None, None], self.block, out=out[:, 1 : n + 1, 1 : n + 1])
+        out[:, 0, n + 1] = out[:, n + 1, 0] = e2 * self.border
+        return out
+
+
+def _unit_core(sub: PerturbState, na: int) -> _UnitCore:
+    """Unit-drive pieces of the partial transpose over the atoms after the
+    first na of sub."""
+    n = sub.n
+    u = sub.u
+    in_a = np.arange(n) < na
+    # same-group coherences u_a u_b^*, cross-group u_a u_b + v_ab; rows in B
+    # are conjugated
+    block = np.where(
+        in_a[:, None] == in_a[None, :],
+        np.outer(u, np.conj(u)),
+        np.outer(u, u) + sub.v_matrix(),
     )
+    I, J = pair_arrays(n)
+    amp = u[I] * u[J] + sub.v
+    pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, np.conj(u[I]) * u[J]))
+    return _UnitCore(
+        s=float(np.sum(np.abs(u) ** 2)),
+        row=np.where(in_a, np.conj(u), u),
+        block=np.where(in_a[:, None], block, np.conj(block)),
+        pair_col=pair_col,
+        border=float(np.linalg.norm(pair_col)),
+    )
+
+
+def _core_spectra(unit: _UnitCore, etas: np.ndarray) -> np.ndarray:
+    """Ascending core eigenvalues at every eta, one row per point."""
+    k = len(unit.row) + 2
+    step = max(1, PT_BLOCK // (k * k))
+    out = np.empty((len(etas), k))
+    for lo in range(0, len(etas), step):
+        out[lo : lo + step] = np.linalg.eigvalsh(unit.cores(etas[lo : lo + step]))
+    return out
+
+
+def _negativities(spectra: np.ndarray) -> np.ndarray:
     # abs, not negation: an empty sum must give +0.0, never -0.0
-    neg = float(abs(spectrum[spectrum < 0].sum()))
-    return neg, spectrum
+    return np.abs(np.where(spectra < 0, spectra, 0.0).sum(axis=-1))
+
+
+def _full_spectrum(core_spectrum: np.ndarray, pairs: int) -> np.ndarray:
+    """Core eigenvalues plus the pairs - 1 exact zeros, ascending."""
+    return np.sort(np.concatenate([core_spectrum, np.zeros(pairs - 1)]))
 
 
 # ----------------------------------------------------------------------
@@ -386,8 +458,9 @@ def negativity_report(
     pt_spectrum_vals = None
     neg_pt = None
     if include_pt:
-        pt = build_pt_matrix(state, part)
-        neg_pt, pt_spectrum_vals = pt_negativity(pt)
+        spectra = _core_spectra(_unit_core(sub, len(part.group_a)), np.array([state.eta]))
+        neg_pt = float(_negativities(spectra)[0])
+        pt_spectrum_vals = _full_spectrum(spectra[0], len(sub.v))
 
     return NegativityReport(
         eta=float(state.eta),

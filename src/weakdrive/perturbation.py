@@ -59,13 +59,24 @@ K_BLOCK = 1 << 18
 # linear solves
 # ----------------------------------------------------------------------
 
+def _inverse_checked(A: np.ndarray, delta: float) -> np.ndarray:
+    """inv(A), gated by the 1-norm condition number read off that inverse;
+    raises when it exceeds COND_LIMIT (a singular or non-finite A counts as
+    infinitely ill-conditioned) instead of silently regularising."""
+    try:
+        A_inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        raise ResonantSingularityError(delta, np.inf) from None
+    with np.errstate(all="ignore"):
+        cond = float(np.linalg.norm(A, 1) * np.linalg.norm(A_inv, 1))
+    if not cond <= COND_LIMIT:
+        raise ResonantSingularityError(delta, float(np.nan_to_num(cond, nan=np.inf)))
+    return A_inv
+
+
 def _solve_dense_checked(A: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
-    """Pivoted LU solve gated by the 1-norm condition number; raises when it
-    exceeds COND_LIMIT (a non-finite A counts as singular) instead of
-    silently regularising."""
-    cond = float(np.nan_to_num(np.linalg.cond(A, 1), nan=np.inf))
-    if cond > COND_LIMIT:
-        raise ResonantSingularityError(delta, cond)
+    """Pivoted LU solve behind the condition gate of _inverse_checked."""
+    _inverse_checked(A, delta)
     return np.linalg.solve(A, b)
 
 
@@ -170,7 +181,7 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
         sylvester, K = _eigen_kernel(P, lam, delta)
     else:
         sylvester, K = _schur_kernel(Z, delta)
-    K_inv = _solve_dense_checked(K, np.eye(n), delta)
+    K_inv = _inverse_checked(K, delta)
 
     def project(rhs):
         S = sylvester(scatter_pairs(rhs, n))

@@ -1,10 +1,12 @@
 """Task orchestration: solve, sweep, bounds, oracle comparison, validation.
 
 Sweeps and oracle comparisons solve the amplitudes once and then share one
-walk over the eta grid, in order and in-process: a grid point costs one
-partial-transpose core of dimension n + 2 (plus, with the exact column, one
-Lindblad steady state); an oracle comparison is that walk with the exact
-column always on. A point that raises a package error is recorded in
+walk over the eta grid, in order and in-process: the partial-transpose
+cores (dimension n + 2) of the whole grid are built from one set of
+drive-independent pieces and diagonalised as stacks, one eigvalsh call per
+block, and with the exact column each point adds one Lindblad steady
+state; an oracle comparison is that walk with the exact column always on.
+A point whose exact column raises a package error is recorded in
 point_errors and the walk goes on. The --parallel degree is validated and
 recorded in the provenance but does not change how points run, so results
 do not depend on it.
@@ -13,7 +15,7 @@ do not depend on it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,7 +35,7 @@ from .exact import (
 )
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
-from .negativity import build_pt_matrix, negativity_report, pt_negativity
+from .negativity import negativity_report, pt_negativity_grid
 from .perturbation import PerturbState, steady_state
 from .reporting import config_hash, write_csv, write_json
 
@@ -111,31 +113,35 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # sweep and oracle comparison
 # ----------------------------------------------------------------------
 
-def _point(state: PerturbState, part: Partition, coupling, eta: float) -> tuple:
-    """N_pt at one drive strength, and N_exact unless coupling is None.
+def _exact_negativity(state: PerturbState, part: Partition, coupling, eta: float) -> float:
+    """N_exact at one drive strength.
 
     The exact state is reduced to A then B before the transpose over B, so
     a partition embedded in a larger ensemble is handled like a covering one.
     """
-    n_pt, _ = pt_negativity(build_pt_matrix(replace(state, eta=eta), part))
-    if coupling is None:
-        return n_pt, None
     rho = steady_state_exact(build_liouvillian(coupling, state.delta, state.w, eta))
     rho_ab = reduce_state(rho, part.atoms, state.n)
     b_local = list(range(len(part.group_a), len(part.atoms)))
     n_exact, _ = negativity_exact(rho_ab, b_local, len(part.atoms))
-    return n_pt, n_exact
+    return n_exact
 
 
 def _walk_grid(state: PerturbState, part: Partition, coupling, grid: np.ndarray) -> tuple[list, list]:
     """Every grid point in order: rows (k, eta, N_pt, N_exact) that passed,
-    and point_errors for those that raised a package error."""
+    and point_errors for those whose exact column raised a package error.
+
+    N_pt comes from pt_negativity_grid over the whole grid; N_exact is
+    solved per point, or None when coupling is None.
+    """
+    n_pt = pt_negativity_grid(state, part, grid).tolist()
     rows, errors = [], []
     for k, eta in enumerate(grid.tolist()):
         try:
-            rows.append((k, eta) + _point(state, part, coupling, eta))
+            n_exact = None if coupling is None else _exact_negativity(state, part, coupling, eta)
         except WeakdriveError as exc:
             errors.append({"eta": eta, "error": str(exc)})
+            continue
+        rows.append((k, eta, n_pt[k], n_exact))
     return rows, errors
 
 
@@ -171,9 +177,10 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         [eta, n_model[k], n_pt] + ([n_exact] if cfg.exact else [])
         for k, eta, n_pt, n_exact in rows
     ]
-    etas = [eta for _, eta, _, _ in rows]
-    min_lam = np.array([float((eta**2 * l2 + eta**4 * l4).min()) for eta in etas])
-    threshold_eta = _interp_last_sign_change(np.array(etas), min_lam)
+    # the modelled minimum eigenvalue exists at every grid point, whether or
+    # not that point's exact column failed
+    min_lam = np.array([float((eta**2 * l2 + eta**4 * l4).min()) for eta in grid.tolist()])
+    threshold_eta = _interp_last_sign_change(grid, min_lam)
 
     report = {
         "provenance": _provenance(cfg, parallelism),

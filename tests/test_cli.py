@@ -236,21 +236,29 @@ def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task)
         flaky.calls += 1
         return real(liouv)
 
-    flaky.calls = 0
-    monkeypatch.setattr(runner_mod, "steady_state_exact", flaky)
     config = dict(PAIR_CONFIG)
     del config["eta"]
-    config["eta_sweep"] = {"min": 0.01, "max": 0.03, "points": 3}
+    # the modelled minimum eigenvalue changes sign between the failing
+    # point and the last one (eta_model ~ 0.28)
+    config["eta_sweep"] = {"min": 0.1, "max": 0.3, "points": 3}
     config["exact"] = task == "sweep"
     cfg = parse_config(config, task)
     grid = cfg.eta_sweep.grid().tolist()
+    clean = runner_mod.TASK_RUNNERS[task](cfg, parallelism=1)
+    flaky.calls = 0
+    monkeypatch.setattr(runner_mod, "steady_state_exact", flaky)
     bundle = runner_mod.TASK_RUNNERS[task](cfg, parallelism=1)
     errors = bundle.report["point_errors"]
     assert [e["eta"] for e in errors] == [grid[1]]
     ((header, rows),) = bundle.tables.values()
     assert [r[0] for r in rows] == [grid[0], grid[2]]
+    ((_, clean_rows),) = clean.tables.values()
+    assert rows == [clean_rows[0], clean_rows[2]]
     if task == "sweep":
-        assert bundle.report["threshold"]["eta_model"] is not None
+        # the estimate interpolates the model over the whole grid, so an
+        # exact failure next to the crossing moves nothing
+        assert bundle.report["threshold"] == clean.report["threshold"]
+        assert grid[1] < bundle.report["threshold"]["eta_sweep_estimate"] < grid[2]
 
 
 @pytest.mark.parametrize(
@@ -281,6 +289,28 @@ def test_sweep_exact_and_oracle_compare_agree(group_a, group_b, tol):
         assert eta == o_eta
         assert n_pt == o_pt
         assert abs(n_exact - o_exact) <= tol
+
+
+def test_solve_negativity_pt_equals_sweep_n_pt(tmp_path):
+    # an embedded partition of four atoms: solve at eta and a sweep whose
+    # last grid point is that eta report the same N_pt, bit for bit
+    from weakdrive.runner import run_solve, run_sweep
+
+    config = dict(PAIR_CONFIG)
+    config["geometry"] = {
+        "mode": "explicit",
+        "positions": [[0, 0, 0], [1.2, 0, 0], [0, 1.5, 0], [0.7, 0.6, 0.9]],
+    }
+    config["partition"] = {"A": [3], "B": [0, 2]}
+    config["eta"] = 0.13
+    solve = run_solve(parse_config(config, "solve"))
+    del config["eta"]
+    config["eta_sweep"] = {"min": 0.01, "max": 0.13, "points": 5}
+    sweep = run_sweep(parse_config(config, "sweep"))
+    _, rows = sweep.tables["sweep"]
+    eta, _, n_pt = rows[-1]
+    assert eta == 0.13
+    assert solve.report["negativity"]["negativity_pt"] == n_pt
 
 
 def test_report_without_pt_spectrum():

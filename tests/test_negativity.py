@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from weakdrive import negativity
 from weakdrive.basis import pair_arrays
 from weakdrive.coupling import coupling_matrix
 from weakdrive.exact import negativity_exact
@@ -24,6 +26,7 @@ from weakdrive.negativity import (
     negativity_model,
     negativity_report,
     pt_negativity,
+    pt_negativity_grid,
     threshold_omega,
 )
 from weakdrive.perturbation import PerturbState, assemble_state, restrict_state, steady_state
@@ -182,6 +185,62 @@ def test_compressed_spectrum_single_pair_and_zero_column():
     pt = build_pt_matrix(silent, Partition((0, 1), (2, 3)))
     assert np.all(pt.pair_col == 0.0)
     _assert_compressed_matches_full(silent, Partition((0, 1), (2, 3)))
+
+
+GRID = np.concatenate([[0.0], np.geomspace(0.005, 0.5, 9)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_grid_matches_full_matrix_per_point(n):
+    # random clouds, lit and partly masked, with covering and embedded
+    # partitions: the stacked grid route against eigvalsh of the full
+    # truncated matrix at every eta, built both by build_pt_matrix and by
+    # the element table
+    ens = random_ensemble(n, 4.0, 200 + n, DIPOLE, min_distance=0.5)
+    partitions = [
+        Partition(tuple(range(n // 2)), tuple(range(n // 2, n))),
+        Partition((n - 1,), tuple(range(1, n - 1))),
+        Partition((0, n - 1), (1,)),
+    ]
+    for beam in (BEAM, MaskedBeam(BEAM, range(1, n, 2))):
+        state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
+        for part in partitions:
+            sub = restrict_state(state, part.atoms)
+            na = len(part.group_a)
+            vmap = {
+                (i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)
+            }
+            grid_neg = pt_negativity_grid(state, part, GRID)
+            for eta, got in zip(GRID, grid_neg):
+                for P in (
+                    build_pt_matrix(replace(state, eta=eta), part).matrix,
+                    _reference_pt(sub.u, vmap, na, sub.n - na, eta),
+                ):
+                    full = np.linalg.eigvalsh(P)
+                    assert abs(got - abs(full[full < 0].sum())) <= 1e-13
+
+
+def test_grid_values_independent_of_blocks_order_and_length(monkeypatch):
+    ens = random_ensemble(6, 4.0, 31, DIPOLE, min_distance=0.5)
+    state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
+    part = Partition((0, 1, 2), (3, 4))
+    grid = np.linspace(0.0, 0.4, 41)
+    ref = pt_negativity_grid(state, part, grid)
+    assert ref[0] == 0.0 and math.copysign(1.0, ref[0]) == 1.0
+    assert np.all(ref[1:] > 0.0)
+    # cores of dimension 7: one per block, five per block (a ragged last
+    # block), and the default budget (the whole grid in one block)
+    for budget in (1, 5 * 49, negativity.PT_BLOCK):
+        monkeypatch.setattr(negativity, "PT_BLOCK", budget)
+        assert np.array_equal(pt_negativity_grid(state, part, grid), ref)
+        assert np.array_equal(pt_negativity_grid(state, part, grid[::-1]), ref[::-1])
+        for k in (1, 2, 17):
+            assert np.array_equal(pt_negativity_grid(state, part, grid[:k]), ref[:k])
+    single = pt_negativity_grid(state, part, [grid[9]])
+    assert single.shape == (1,) and single[0] == ref[9]
+    # the one-point API agrees with the grid to rounding
+    neg, _ = pt_negativity(build_pt_matrix(replace(state, eta=grid[9]), part))
+    assert neg == pytest.approx(ref[9], rel=1e-13)
 
 
 def test_no_pair_correlation_negativity_is_higher_order():
