@@ -8,6 +8,7 @@ __version__ = "0.1.0"
 
 from .coupling import CouplingMatrix, coupling_matrix, pair_coupling
 from .errors import (
+    AsymmetricCouplingError,
     CapExceededError,
     CoincidentAtomsError,
     ConfigError,

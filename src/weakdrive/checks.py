@@ -16,6 +16,7 @@ import numpy as np
 
 from .basis import basis_dim, pair_arrays
 from .coupling import CouplingMatrix, coupling_matrix
+from .errors import AsymmetricCouplingError
 from .exact import (
     amplitude_drift,
     build_liouvillian,
@@ -156,7 +157,12 @@ def check_phase_invariance(sc: Scenario) -> CheckResult:
     st = sc.state
     w2 = st.w * np.exp(1j * 0.7)
     u2 = solve_u(sc.coupling, st.delta, w2)
-    v2 = solve_v(sc.coupling, st.delta, u2)
+    try:
+        v2 = solve_v(sc.coupling, st.delta, u2)
+    except AsymmetricCouplingError as exc:
+        # the pair solve needs Z = Z^T; report the asymmetry it refused
+        return CheckResult("phase_invariance", False, exc.asymmetry, 1e-10,
+                           note=f"pair solve refused the coupling: {exc}")
     st2 = PerturbState(u=u2, v=v2, w=w2, delta=st.delta, eta=st.eta, atoms=st.atoms)
     n1, _ = pt_negativity(build_pt_matrix(st, sc.part))
     n2, _ = pt_negativity(build_pt_matrix(st2, sc.part))

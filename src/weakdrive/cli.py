@@ -79,10 +79,16 @@ def main(argv=None) -> int:
             print(f"{key} = {fmt_value(bundle.report[key])}")
     elif args.task == "sweep":
         thr = bundle.report["threshold"]
-        print(
-            f"sweep threshold: eta = {fmt_value(thr['eta_sweep_estimate'])} "
-            f"(omega/Gamma = {fmt_value(thr['omega_sweep_estimate'])})"
-        )
+        if thr["eta_sweep_estimate"] is None:
+            print(
+                "sweep threshold: none, the modelled minimum eigenvalue "
+                "does not change sign on the grid"
+            )
+        else:
+            print(
+                f"sweep threshold: eta = {fmt_value(thr['eta_sweep_estimate'])} "
+                f"(omega/Gamma = {fmt_value(thr['omega_sweep_estimate'])})"
+            )
         ext = bundle.report["extremum"]
         print(f"extremum: N_max = {fmt_value(ext['n_max'])} at eta = {fmt_value(ext['eta_max'])}")
         failures = bundle.report["point_errors"]

@@ -29,6 +29,19 @@ class ResonantSingularityError(WeakdriveError):
         )
 
 
+class AsymmetricCouplingError(WeakdriveError):
+    """The pair solve was handed a coupling matrix that is not symmetric;
+    carries max|Z - Z^T| and max|Z|."""
+
+    def __init__(self, asymmetry: float, scale: float):
+        self.asymmetry = asymmetry
+        self.scale = scale
+        super().__init__(
+            f"coupling matrix not symmetric: max|Z - Z^T| = {asymmetry:.3e} "
+            f"against max|Z| = {scale:.3e}"
+        )
+
+
 class SolverConvergenceError(WeakdriveError):
     """A solve ended with its residual above the target; iterations counts
     the refinement steps taken (0 for a direct solve), or, for the GMRES

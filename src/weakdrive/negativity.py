@@ -244,19 +244,21 @@ def lambda2_spectrum(V: VOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def lambda4_dilute(phi: np.ndarray, w: np.ndarray, delta: float) -> float:
+def lambda4_dilute(phi: np.ndarray, w: np.ndarray, delta: float) -> float | np.ndarray:
     """Quartic eigenvalue coefficient in the dilute asymptotic form.
 
-    phi is a single-excitation eigenvector over the A u B atoms and w the
-    matching drive amplitudes; masked atoms drop out through |w|^4.
+    phi is a single-excitation eigenvector over the A u B atoms, or a block
+    of them as columns, and w the matching drive amplitudes; masked atoms
+    drop out through |w|^4. Returns a float for one vector and an array with
+    one coefficient per column for a block.
     """
     phi = np.asarray(phi, dtype=complex)
-    norm = np.linalg.norm(phi)
-    if norm == 0:
+    norm = np.linalg.norm(phi, axis=0)
+    if np.any(norm == 0):
         raise ValueError("zero eigenvector")
-    phi = phi / norm
-    w = np.asarray(w, dtype=complex)
-    return float((0.25 + delta**2) ** -2 * np.sum(np.abs(w) ** 4 * np.abs(phi) ** 2))
+    w4 = np.abs(np.asarray(w, dtype=complex)) ** 4
+    l4 = (0.25 + delta**2) ** -2 * (w4 @ np.abs(phi / norm) ** 2)
+    return float(l4) if phi.ndim == 1 else l4
 
 
 def threshold_omega(lambda2: float, lambda4: float) -> float:
@@ -425,7 +427,7 @@ def negativity_report(
     sub = restrict_state(state, part.atoms)
     V = build_V(state, part)
     l2, vecs = lambda2_spectrum(V)
-    l4 = np.array([lambda4_dilute(vecs[:, k], sub.w, state.delta) for k in range(len(l2))])
+    l4 = lambda4_dilute(vecs, sub.w, state.delta)
 
     scale = max(1.0, float(np.max(np.abs(l2))) if len(l2) else 1.0)
     degenerate = np.zeros(len(l2), dtype=bool)

@@ -17,12 +17,18 @@ chosen so that diag(S) = 0. With Z = P diag(lambda) P^-1 the Sylvester
 inverse is elementwise, S = P (G o (P^-1 X P^-T)) P^T with
 G_ab = 1 / (lambda_a + lambda_b - 2 i delta). The n multipliers solve the
 Schur complement K d = -diag(S_B), where K_ij is the i-th diagonal entry
-of the Sylvester inverse of e_j e_j^T. Building K costs O(n^4) in blocked
-GEMMs; everything else is O(n^3), and memory stays O(n^2). When cond(P)
-exceeds EIG_COND_GUARD (Z near-defective), the same projection runs on the
-complex Schur form of Z with LAPACK trsyl (Bartels-Stewart). Either way
-the solution is refined through the operator-form map pair_map_apply,
-whose residual also gates the result.
+of the Sylvester inverse of e_j e_j^T. For symmetric Z the pair map is
+symmetric under <A, B> = tr(A^T B), so K = K^T; solve_v therefore raises
+AsymmetricCouplingError when max|Z - Z^T| > SYMMETRY_RTOL max|Z|, before
+decomposing. K_ij is a quadratic form x^T G x in x_a = P_ia (P^-1)_aj, built
+for j >= i only and with the symmetric G cut into four column blocks of
+which those below the diagonal are skipped: ~5n^4/16 complex multiply-adds
+in GEMMs through one fixed row buffer of max(K_BLOCK, n^2) entries and a
+product buffer a quarter that size. Everything else is O(n^3), and memory
+stays O(n^2). When cond(P) exceeds EIG_COND_GUARD (Z near-defective), the
+same projection runs on the complex Schur form of Z with LAPACK trsyl
+(Bartels-Stewart). Either way the solution is refined through the
+operator-form map pair_map_apply, whose residual also gates the result.
 
 PerturbState.local_index maps an atom label to its local position and
 raises PartitionError for an atom absent from the state, so every
@@ -40,7 +46,12 @@ import numpy as np
 import scipy
 
 from .basis import basis_dim, pair_arrays, pair_count, pair_index_table, scatter_pairs
-from .errors import PartitionError, ResonantSingularityError, SolverConvergenceError
+from .errors import (
+    AsymmetricCouplingError,
+    PartitionError,
+    ResonantSingularityError,
+    SolverConvergenceError,
+)
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e12
@@ -51,8 +62,13 @@ EIG_COND_GUARD = 1e4
 # refinement steps of the pair solve; the first is always taken, because
 # the absolute residual gate cannot see relative errors in tiny entries
 REFINE_STEPS = 3
-# complex entries per Khatri-Rao block when building K
+# complex entries (4 MB) in the row buffer of the K build, which grows to
+# n^2 entries when n rows of length n do not fit; its product buffer holds
+# a quarter of that
 K_BLOCK = 1 << 18
+# relative asymmetry of Z above which the pair solve refuses it: the eigen
+# kernel builds one triangle of K and mirrors it, which needs Z = Z^T
+SYMMETRY_RTOL = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -116,20 +132,44 @@ def _eigen_kernel(P: np.ndarray, lam: np.ndarray, delta: float):
     the Schur complement K of the diagonal multipliers."""
     n = len(lam)
     Q = np.linalg.inv(P)
-    # K_ij = sum_ab P_ia P_ib G_ab Q_aj Q_bj = F diag(vec G) H^T, with F and
-    # H the row-wise Khatri-Rao squares of P and Q^T, in GEMMs blocked over
-    # a. G is symmetric, so b runs from the block start only, with the
-    # terms b > a doubled. An exact resonance leaves G and K non-finite.
+    Qt = np.ascontiguousarray(Q.T)
+    # K_ij = x^T G x with x_a = P_ia Q_aj, for j >= i only: K is symmetric
+    # for symmetric Z, so the lower triangle is mirrored. The rows x of
+    # consecutive i fill xbuf, which is multiplied by G in four column
+    # blocks b into ybuf, a quarter its size. G is symmetric, so the rows a
+    # of the blocks left of b are doubled and those right of b skipped:
+    # ~5n^4/16 complex multiply-adds in all. Row sums of sum_b (X G_b) o X_b
+    # are the forms. An exact resonance leaves G and K non-finite.
+    rows = max(K_BLOCK, n * n) // n
+    edges = [n * c // 4 for c in range(5)]
+    xbuf = np.empty((rows, n), dtype=complex)
+    ybuf = np.empty(rows * (n - edges[3]), dtype=complex)  # the widest block
     K = np.zeros((n, n), dtype=complex)
-    step = max(1, K_BLOCK // (n * n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         G = 1.0 / (lam[:, None] + lam[None, :] - 2j * delta)
-        G_upper = np.triu(G) + np.triu(G, 1)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            F = (P[:, lo:hi, None] * P[:, None, lo:]).reshape(n, -1)
-            H = (Q[lo:hi, None, :] * Q[None, lo:, :]).reshape(-1, n)
-            K += (F * G_upper[lo:hi, lo:].ravel()) @ H
+        blocks = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi > lo:
+                Gb = G[:hi, lo:hi].copy()
+                Gb[:lo] *= 2.0
+                blocks.append((lo, hi, Gb))
+        i = 0
+        while i < n:
+            first, m = i, 0
+            while i < n and m + n - i <= rows:
+                np.multiply(Qt[i:], P[i], out=xbuf[m : m + n - i])
+                m += n - i
+                i += 1
+            forms = np.zeros(m, dtype=complex)
+            for lo, hi, Gb in blocks:
+                XG = ybuf[: m * (hi - lo)].reshape(m, hi - lo)
+                np.matmul(xbuf[:m, :hi], Gb, out=XG)
+                forms += np.einsum("ij,ij->i", XG, xbuf[:m, lo:hi])
+            r = 0
+            for k in range(first, i):
+                K[k, k:] = forms[r : r + n - k]
+                r += n - k
+        K += np.triu(K, 1).T
 
     def sylvester(X):
         return P @ (G * (Q @ X @ Q.T)) @ P.T
@@ -168,14 +208,19 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
 
     Projected Sylvester solve (see the module docstring), refined through
     pair_map_apply until the residual meets RESIDUAL_TOL; at least one
-    refinement step is always taken.
+    refinement step is always taken. Z must be symmetric to
+    SYMMETRY_RTOL relative, or AsymmetricCouplingError is raised.
     """
     n = coupling.n
     if pair_count(n) == 0:
         return np.zeros(0, dtype=complex)
+    Z = coupling.z
+    asym = float(np.max(np.abs(Z - Z.T)))
+    scale = float(np.max(np.abs(Z)))
+    if not asym <= SYMMETRY_RTOL * scale:
+        raise AsymmetricCouplingError(asym, scale)
     I, J = pair_arrays(n)
     b = pair_rhs(coupling, u)
-    Z = coupling.z
     lam, P = np.linalg.eig(Z)
     if np.linalg.cond(P) <= EIG_COND_GUARD:
         sylvester, K = _eigen_kernel(P, lam, delta)

@@ -221,6 +221,24 @@ def test_sweep_below_threshold_all_positive(tmp_path):
         assert n_pt > 0.0
 
 
+def test_sweep_without_crossing_prints_no_threshold(tmp_path, capsys):
+    config = dict(PAIR_CONFIG)
+    del config["eta"]
+    config["eta_sweep"] = {"min": 0.005, "max": 0.05, "points": 7}
+    cfg = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    threshold = json.loads((out / "report.json").read_text())["threshold"]
+    assert threshold["eta_sweep_estimate"] is None
+    assert threshold["omega_sweep_estimate"] is None
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "sweep threshold: none, the modelled minimum eigenvalue does not change sign on the grid"
+        in lines
+    )
+    assert not any("eta =  (" in line for line in lines)
+
+
 @pytest.mark.parametrize("task", ["sweep", "oracle-compare"])
 def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task):
     import weakdrive.runner as runner_mod
@@ -457,6 +475,9 @@ def test_validate_cli_and_fault_injection(capsys):
     bundle = run_validate(parse_config({"seed": 1}, "validate"), inject="z_asymmetry")
     broken = {c["name"]: c for c in bundle.report["checks"]}
     assert not broken["z_symmetry"]["passed"]
+    # the pair solve refuses the asymmetric Z instead of solving it
+    assert not broken["phase_invariance"]["passed"]
+    assert broken["phase_invariance"]["note"].startswith("pair solve refused")
     assert not bundle.report["all_passed"]
 
 

@@ -306,6 +306,19 @@ def test_lambda4_plane_wave_values():
     assert lambda4_dilute(phi, np.zeros(3, dtype=complex), 0.0) == 0.0
 
 
+def test_lambda4_block_matches_columns():
+    rng = np.random.default_rng(4)
+    vecs = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+    w = rng.normal(size=9) + 1j * rng.normal(size=9)
+    w[[2, 5]] = 0.0  # masked atoms
+    block = lambda4_dilute(vecs, w, 0.3)
+    cols = np.array([lambda4_dilute(vecs[:, k], w, 0.3) for k in range(6)])
+    assert block.shape == (6,)
+    assert np.max(np.abs(block - cols) / np.abs(cols)) <= 1e-15
+    with pytest.raises(ValueError):
+        lambda4_dilute(np.column_stack([vecs[:, 0], np.zeros(9)]), w, 0.3)
+
+
 def test_threshold_arithmetic():
     assert threshold_omega(-0.04, 16.0) == pytest.approx(0.05)
     with pytest.raises(ThresholdNotApplicableError):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 from weakdrive import perturbation
 from weakdrive.basis import pair_arrays, pair_index_table, scatter_pairs
 from weakdrive.coupling import CouplingMatrix, coupling_matrix
-from weakdrive.errors import ResonantSingularityError, SolverConvergenceError
+from weakdrive.checks import build_scenario
+from weakdrive.errors import (
+    AsymmetricCouplingError,
+    ResonantSingularityError,
+    SolverConvergenceError,
+)
 from weakdrive.exact import reduce_state
 from weakdrive.geometry import (
     Drive,
@@ -143,6 +149,9 @@ def test_solve_v_matches_reference_lattice():
 
 def test_defective_coupling_takes_schur_kernel(monkeypatch):
     coupling = _defective_coupling()
+    z = coupling.z
+    # symmetric to rounding only, which the symmetry gate lets through
+    assert 0.0 < np.max(np.abs(z - z.T)) <= perturbation.SYMMETRY_RTOL * np.max(np.abs(z))
     _, P = np.linalg.eig(coupling.z)
     assert np.linalg.cond(P) > perturbation.EIG_COND_GUARD
 
@@ -153,6 +162,78 @@ def test_defective_coupling_takes_schur_kernel(monkeypatch):
     u = solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
     v = solve_v(coupling, 0.3, u)
     assert _relative_gap(v, _reference_v(coupling, 0.3, u)) <= 1e-12
+
+
+def _cloud_kernel(n, cloud):
+    """Eigen-kernel inputs of an n-atom random cloud at delta = 0.3.
+
+    "sparse" is a 30-wide box; "dense" has the density of the benchmark's
+    masked 100-atom solve (a 20-wide box at 100 atoms). A beam mask does not
+    enter Z, so the density is what a masked cloud changes for K.
+    """
+    box = 30.0 if cloud == "sparse" else 20.0 * (n / 100.0) ** (1.0 / 3.0)
+    ens = random_ensemble(n, box, 1000 + n, DIPOLE, min_distance=0.5)
+    lam, P = np.linalg.eig(coupling_matrix(ens).z)
+    return P, lam, 0.3
+
+
+@pytest.mark.parametrize("cloud", ["sparse", "dense"])
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 161])
+def test_eigen_kernel_K_matches_column_definition(n, cloud):
+    # n = 2 leaves two of the four G blocks empty, n = 3, 5, 17 and 161 make
+    # them unequal, and n = 100 and 161 take several row batches, the last
+    # one partly filled
+    sylvester, K = perturbation._eigen_kernel(*_cloud_kernel(n, cloud))
+    ref = np.column_stack([np.diagonal(sylvester(np.diag(e))) for e in np.eye(n)])
+    assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(K, K.T)
+
+
+def test_eigen_kernel_K_matches_schur_kernel_on_degenerate_lattice():
+    z = coupling_matrix(lattice_ensemble(3, 1.0, DIPOLE)).z
+    lam, P = np.linalg.eig(z)
+    assert np.linalg.cond(P) <= perturbation.EIG_COND_GUARD
+    _, K = perturbation._eigen_kernel(P, lam, 0.3)
+    _, K_schur = perturbation._schur_kernel(z, 0.3)
+    assert np.array_equal(K, K.T)
+    assert np.max(np.abs(K - K_schur)) <= 1e-12 * np.max(np.abs(K_schur))
+
+
+def test_eigen_kernel_memory_bound():
+    # a row buffer of max(K_BLOCK, n^2) entries, a product buffer a quarter
+    # that size and a few n x n arrays
+    n = 160
+    args = _cloud_kernel(n, "sparse")
+    tracemalloc.start()
+    try:
+        perturbation._eigen_kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * perturbation.K_BLOCK + 8 * n * n) * 16
+
+
+def _asymmetric_40_atoms():
+    ens = random_ensemble(40, 20.0, 3, DIPOLE, min_distance=0.5)
+    z = coupling_matrix(ens).z.copy()
+    z[0, 1] += 0.1
+    u = solve_u(CouplingMatrix(z), 0.3, Drive(delta=0.3, eta=0.05, beam=BEAM).w(ens))
+    return CouplingMatrix(z), 0.3, u, 0.1
+
+
+def _validate_z_asymmetry():
+    sc = build_scenario(inject="z_asymmetry")
+    u = solve_u(sc.coupling, sc.state.delta, sc.state.w)
+    return sc.coupling, sc.state.delta, u, 1e-3
+
+
+@pytest.mark.parametrize("case", [_asymmetric_40_atoms, _validate_z_asymmetry])
+def test_asymmetric_coupling_refused(case):
+    coupling, delta, u, added = case()
+    with pytest.raises(AsymmetricCouplingError) as exc:
+        solve_v(coupling, delta, u)
+    assert exc.value.asymmetry == pytest.approx(added)
+    assert exc.value.scale == np.max(np.abs(coupling.z))
 
 
 def test_farfield_cross_block_matches_reference():
