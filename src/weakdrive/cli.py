@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(task)
         p.add_argument("--config", help="JSON run configuration", default=None)
         p.add_argument("--out", help="output directory", default=None)
-        p.add_argument("--parallel", type=int, default=1, help="worker processes")
+        p.add_argument("--parallel", type=int, default=1, help="must be >= 1; recorded "
+                       "in the provenance only, every task runs in this process")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
     return parser
 
@@ -90,7 +91,15 @@ def main(argv=None) -> int:
                 f"(omega/Gamma = {fmt_value(thr['omega_sweep_estimate'])})"
             )
         ext = bundle.report["extremum"]
-        print(f"extremum: N_max = {fmt_value(ext['n_max'])} at eta = {fmt_value(ext['eta_max'])}")
+        if ext["eta_max"] is not None:
+            print(
+                f"extremum: N_max = {fmt_value(ext['n_max'])} "
+                f"at eta = {fmt_value(ext['eta_max'])}"
+            )
+        elif min(bundle.report["modes"]["lambda2"], default=0.0) < 0:
+            print("extremum: none, a negative mode never closes (lambda4 = 0)")
+        else:
+            print("extremum: none, no mode's modelled eigenvalue is negative")
         failures = bundle.report["point_errors"]
         if failures:
             print(f"warning: {len(failures)} grid point(s) failed; see report.json")

@@ -10,10 +10,12 @@ values of V, and each negative mode closes at a finite drive strength.
 The partial transpose is assembled in one place, _UnitCore: the pieces
 that do not depend on the drive (u, v, sum|u|^2, the coherence row, the
 group-conjugated singles block and |c|) are built once per state, and the
-(n + 2) core at any eta is those pieces scaled by 1, eta or eta^2. A grid
-of drive strengths costs one stacked eigvalsh per block of cores
-(pt_negativity_grid); build_pt_matrix and negativity_report take the same
-route at the state's own eta.
+(n + 2) core at any eta is those pieces scaled by 1, eta or eta^2, the
+border |c| included. A grid of drive strengths costs one stacked eigvalsh
+per block of cores (pt_negativity_grid). build_pt_matrix keeps the core at
+the state's own eta, pt_negativity diagonalises it as a stack of one, and
+negativity_report takes its partial-transpose fields from those two, so
+all three give the grid's values bit for bit.
 
 build_V, build_pt_matrix, pt_negativity_grid and negativity_report all
 restrict the solved state to part.atoms (sorted A, then sorted B) with
@@ -43,8 +45,9 @@ PT_BLOCK = 1 << 15
 class PartialTransposeMatrix:
     """Hermitian second-order partial transpose on the truncated basis.
 
-    Only the non-zero blocks are stored: ``core``, the [ground, singles]
-    block, and ``pair_col``, the ground-to-pairs column c. The pair-pair and
+    Only the non-zero blocks are stored: ``pair_col``, the ground-to-pairs
+    column c, and ``core``, the (n + 2) block on [ground, singles, c/|c|]:
+    the [ground, singles] block bordered by |c|. The pair-pair and
     single-pair blocks vanish at second order.
     """
 
@@ -57,14 +60,14 @@ class PartialTransposeMatrix:
 
     @property
     def dim(self) -> int:
-        return self.core.shape[0] + len(self.pair_col)
+        return self.core.shape[0] - 1 + len(self.pair_col)
 
     @property
     def matrix(self) -> np.ndarray:
         """The full dim x dim matrix, built on demand."""
-        k = self.core.shape[0]
+        k = self.core.shape[0] - 1
         P = np.zeros((self.dim, self.dim), dtype=complex)
-        P[:k, :k] = self.core
+        P[:k, :k] = self.core[:k, :k]
         P[0, k:] = self.pair_col
         P[k:, 0] = np.conj(self.pair_col)
         return P
@@ -79,9 +82,8 @@ def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMat
     PartitionError.
     """
     unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
-    k = len(unit.row) + 1
     return PartialTransposeMatrix(
-        core=unit.cores(np.array([state.eta]))[0, :k, :k],
+        core=unit.cores(np.array([state.eta]))[0],
         pair_col=state.eta**2 * unit.pair_col,
     )
 
@@ -90,16 +92,13 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
     """Negativity (absolute sum of negative eigenvalues) and the spectrum.
 
     The pairs couple only to the ground state, through c, so the spectrum is
-    that of the (n + 2) core on [ground, singles, c/|c|] (the stored block
-    bordered by |c|) plus M - 1 exact zeros; it is returned in full,
-    ascending.
+    that of the bordered core plus M - 1 exact zeros; it is returned in
+    full, ascending. The core is diagonalised as a stack of one, as
+    pt_negativity_grid diagonalises its blocks, so both agree bit for bit.
     """
-    k = pt.core.shape[0]
-    bordered = np.zeros((1, k + 1, k + 1), dtype=complex)
-    bordered[0, :k, :k] = pt.core
-    bordered[0, 0, k] = bordered[0, k, 0] = np.linalg.norm(pt.pair_col)
-    spectra = np.linalg.eigvalsh(bordered)
-    return float(_negativities(spectra)[0]), _full_spectrum(spectra[0], len(pt.pair_col))
+    spectra = np.linalg.eigvalsh(pt.core[None])
+    zeros = np.zeros(len(pt.pair_col) - 1)
+    return float(_negativities(spectra)[0]), np.sort(np.concatenate([spectra[0], zeros]))
 
 
 def pt_negativity_grid(state: PerturbState, part: Partition, etas) -> np.ndarray:
@@ -111,7 +110,13 @@ def pt_negativity_grid(state: PerturbState, part: Partition, etas) -> np.ndarray
     alone, so its value does not depend on the grid's order or length.
     """
     unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
-    return _negativities(_core_spectra(unit, np.asarray(etas, dtype=float)))
+    etas = np.asarray(etas, dtype=float)
+    k = len(unit.row) + 2
+    step = max(1, PT_BLOCK // (k * k))
+    spectra = np.empty((len(etas), k))
+    for lo in range(0, len(etas), step):
+        spectra[lo : lo + step] = np.linalg.eigvalsh(unit.cores(etas[lo : lo + step]))
+    return _negativities(spectra)
 
 
 @dataclass(frozen=True)
@@ -164,24 +169,9 @@ def _unit_core(sub: PerturbState, na: int) -> _UnitCore:
     )
 
 
-def _core_spectra(unit: _UnitCore, etas: np.ndarray) -> np.ndarray:
-    """Ascending core eigenvalues at every eta, one row per point."""
-    k = len(unit.row) + 2
-    step = max(1, PT_BLOCK // (k * k))
-    out = np.empty((len(etas), k))
-    for lo in range(0, len(etas), step):
-        out[lo : lo + step] = np.linalg.eigvalsh(unit.cores(etas[lo : lo + step]))
-    return out
-
-
 def _negativities(spectra: np.ndarray) -> np.ndarray:
     # abs, not negation: an empty sum must give +0.0, never -0.0
     return np.abs(np.where(spectra < 0, spectra, 0.0).sum(axis=-1))
-
-
-def _full_spectrum(core_spectrum: np.ndarray, pairs: int) -> np.ndarray:
-    """Core eigenvalues plus the pairs - 1 exact zeros, ascending."""
-    return np.sort(np.concatenate([core_spectrum, np.zeros(pairs - 1)]))
 
 
 # ----------------------------------------------------------------------
@@ -457,12 +447,9 @@ def negativity_report(
 
     negativity2 = float(state.eta**2 * V.singular_values().sum())
 
-    pt_spectrum_vals = None
-    neg_pt = None
+    neg_pt = pt_spectrum_vals = None
     if include_pt:
-        spectra = _core_spectra(_unit_core(sub, len(part.group_a)), np.array([state.eta]))
-        neg_pt = float(_negativities(spectra)[0])
-        pt_spectrum_vals = _full_spectrum(spectra[0], len(sub.v))
+        neg_pt, pt_spectrum_vals = pt_negativity(build_pt_matrix(state, part))
 
     return NegativityReport(
         eta=float(state.eta),

@@ -263,7 +263,7 @@ def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # ----------------------------------------------------------------------
 
 def run_validate(cfg: RunConfig, parallelism: int = 1, inject: Optional[str] = None) -> ResultBundle:
-    results = run_checks(seed=cfg.seed if cfg.seed else 1, inject=inject)
+    results = run_checks(seed=cfg.seed, inject=inject)
     report = {
         "provenance": _provenance(cfg, parallelism),
         "checks": [r.to_dict() for r in results],

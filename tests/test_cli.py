@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weakdrive import cli
+from weakdrive.checks import run_checks
 from weakdrive.config import parse_config
 from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import ConfigError
@@ -237,6 +238,37 @@ def test_sweep_without_crossing_prints_no_threshold(tmp_path, capsys):
         in lines
     )
     assert not any("eta =  (" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "mask, lambda2_negative, line",
+    [
+        ([0, 1, 2], False, "extremum: none, no mode's modelled eigenvalue is negative"),
+        ([1, 2], True, "extremum: none, a negative mode never closes (lambda4 = 0)"),
+    ],
+    ids=["all-dark", "dark-groups"],
+)
+def test_sweep_without_extremum_prints_why(tmp_path, capsys, mask, lambda2_negative, line):
+    # every atom dark gives no negative mode; dark groups lit only through
+    # the third atom give a negative mode whose dilute lambda4 is 0
+    config = {
+        "geometry": {"mode": "explicit", "positions": [[0, 0, 0], [40.0, 0, 0], [0, 55.0, 0]]},
+        "dipole": [0, 0, 1],
+        "beam": {"direction": [0, 1, 0], "mask": mask},
+        "delta": 0.0,
+        "eta_sweep": {"min": 0.01, "max": 0.2, "points": 5},
+        "partition": {"A": [1], "B": [2]},
+        "seed": 1,
+    }
+    cfg = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["extremum"]["eta_max"] is None
+    assert (min(report["modes"]["lambda2"]) < 0) == lambda2_negative
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert not any(ln.startswith("extremum: N_max") for ln in lines)
 
 
 @pytest.mark.parametrize("task", ["sweep", "oracle-compare"])
@@ -494,8 +526,30 @@ def test_validate_exit_code_on_failure(monkeypatch, capsys):
     assert cli.main(["validate"]) == 4
 
 
+def test_validate_runs_the_seed_it_records():
+    measured = {}
+    for seed in (0, 1):
+        report = run_validate(parse_config({"seed": seed}, "validate")).report
+        assert report["provenance"]["seed"] == seed
+        assert report["all_passed"]
+        measured[seed] = [c["measured"] for c in report["checks"]]
+        assert measured[seed] == [c.measured for c in run_checks(seed=seed)]
+    assert measured[0] != measured[1]
+
+
 def test_parallel_flag_must_be_positive(capsys):
     assert cli.main(["validate", "--parallel", "0"]) == 2
+
+
+def test_parallel_help_starts_no_processes(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert (
+        "--parallel PARALLEL must be >= 1; recorded in the provenance only, every task "
+        "runs in this process" in text
+    )
+    assert "worker" not in text
 
 
 def test_seed_override_changes_hash(tmp_path):

@@ -195,7 +195,8 @@ def test_grid_matches_full_matrix_per_point(n):
     # random clouds, lit and partly masked, with covering and embedded
     # partitions: the stacked grid route against eigvalsh of the full
     # truncated matrix at every eta, built both by build_pt_matrix and by
-    # the element table
+    # the element table; the one-point API and negativity_report diagonalise
+    # the same bordered core, so they equal the grid bit for bit
     ens = random_ensemble(n, 4.0, 200 + n, DIPOLE, min_distance=0.5)
     partitions = [
         Partition(tuple(range(n // 2)), tuple(range(n // 2, n))),
@@ -212,12 +213,15 @@ def test_grid_matches_full_matrix_per_point(n):
             }
             grid_neg = pt_negativity_grid(state, part, GRID)
             for eta, got in zip(GRID, grid_neg):
-                for P in (
-                    build_pt_matrix(replace(state, eta=eta), part).matrix,
-                    _reference_pt(sub.u, vmap, na, sub.n - na, eta),
-                ):
+                at_eta = replace(state, eta=eta)
+                pt = build_pt_matrix(at_eta, part)
+                for P in (pt.matrix, _reference_pt(sub.u, vmap, na, sub.n - na, eta)):
                     full = np.linalg.eigvalsh(P)
                     assert abs(got - abs(full[full < 0].sum())) <= 1e-13
+                neg, spectrum = pt_negativity(pt)
+                report = negativity_report(at_eta, part)
+                assert neg == got == report.negativity_pt
+                assert np.array_equal(spectrum, report.pt_spectrum)
 
 
 def test_grid_values_independent_of_blocks_order_and_length(monkeypatch):
@@ -238,9 +242,9 @@ def test_grid_values_independent_of_blocks_order_and_length(monkeypatch):
             assert np.array_equal(pt_negativity_grid(state, part, grid[:k]), ref[:k])
     single = pt_negativity_grid(state, part, [grid[9]])
     assert single.shape == (1,) and single[0] == ref[9]
-    # the one-point API agrees with the grid to rounding
+    # the one-point API diagonalises the same core as a stack of one
     neg, _ = pt_negativity(build_pt_matrix(replace(state, eta=grid[9]), part))
-    assert neg == pytest.approx(ref[9], rel=1e-13)
+    assert neg == ref[9]
 
 
 def test_no_pair_correlation_negativity_is_higher_order():
