@@ -4,6 +4,8 @@ Pairs (i, j) with i < j are enumerated lexicographically; the truncated
 basis of an n-atom block has dimension 1 + n + n(n-1)/2.
 """
 
+import functools
+
 import numpy as np
 
 
@@ -15,10 +17,15 @@ def basis_dim(n: int) -> int:
     return 1 + n + pair_count(n)
 
 
+@functools.lru_cache(maxsize=8)
 def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays (I, J) with I < J, lexicographic order."""
-    iu = np.triu_indices(n, 1)
-    return iu[0], iu[1]
+    """Row/column index arrays (I, J) with I < J, lexicographic order.
+
+    The cached arrays are shared by every caller, hence read-only."""
+    I, J = np.triu_indices(n, 1)
+    I.setflags(write=False)
+    J.setflags(write=False)
+    return I, J
 
 
 def pair_index_table(n: int) -> np.ndarray:

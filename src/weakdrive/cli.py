@@ -28,14 +28,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "two-level atom ensembles"
         ),
     )
-    sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
-        p = sub.add_parser(task)
-        p.add_argument("--config", help="JSON run configuration", default=None)
-        p.add_argument("--out", help="output directory", default=None)
-        p.add_argument("--parallel", type=int, default=1, help="must be >= 1; recorded "
-                       "in the provenance only, every task runs in this process")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("--config", help="JSON run configuration", default=None)
+    parser.add_argument("--out", help="output directory", default=None)
+    parser.add_argument("--parallel", type=int, default=1, help="must be >= 1; recorded "
+                        "in the provenance only, every task runs in this process")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     return parser
 
 
@@ -96,7 +94,7 @@ def main(argv=None) -> int:
                 f"extremum: N_max = {fmt_value(ext['n_max'])} "
                 f"at eta = {fmt_value(ext['eta_max'])}"
             )
-        elif min(bundle.report["modes"]["lambda2"], default=0.0) < 0:
+        elif ext["n_max"] is None:
             print("extremum: none, a negative mode never closes (lambda4 = 0)")
         else:
             print("extremum: none, no mode's modelled eigenvalue is negative")

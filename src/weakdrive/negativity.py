@@ -7,15 +7,23 @@ correlation operator V (entries v_munu with mu in A, nu in B): the
 non-zero eigenvalues of V + V^dag come in +/- pairs equal to the singular
 values of V, and each negative mode closes at a finite drive strength.
 
-The partial transpose is assembled in one place, _UnitCore: the pieces
-that do not depend on the drive (u, v, sum|u|^2, the coherence row, the
-group-conjugated singles block and |c|) are built once per state, and the
-(n + 2) core at any eta is those pieces scaled by 1, eta or eta^2, the
-border |c| included. A grid of drive strengths costs one stacked eigvalsh
-per block of cores (pt_negativity_grid). build_pt_matrix keeps the core at
-the state's own eta, pt_negativity diagonalises it as a stack of one, and
-negativity_report takes its partial-transpose fields from those two, so
-all three give the grid's values bit for bit.
+The pairs couple only to the ground state, through one column c, so the
+spectrum is that of an (n + 2) core on [ground, singles, c/|c|] plus
+exact zeros. Only eta changes along a sweep: the ground entry is
+1 - eta^2 sum|u|^2, the ground row is eta times a fixed row, and the
+singles block B and the border |c| are eta^2 times fixed ones. So
+_UnitCore diagonalises B once per state, B = U diag(beta) U^dag, and
+rotates the phase of each column of U until the ground row is real and
+non-negative on it. On [ground, rotated columns of U, c/|c|] the core at
+any eta is the real symmetric arrowhead with diagonal
+(1 - eta^2 s, eta^2 beta, 0) and ground border (eta |row U|, eta^2 |c|)
+(O'Leary & Stewart, J. Comput. Phys. 90, 1990). _UnitCore.cores is the
+only place these formulas live. A grid of drive strengths costs one
+stacked real eigvalsh per block of arrowheads (pt_negativity_grid).
+build_pt_matrix keeps the arrowhead at the state's own eta,
+pt_negativity diagonalises it as a stack of one, and negativity_report
+takes its partial-transpose fields from those two, so all three give the
+grid's values bit for bit.
 
 build_V, build_pt_matrix, pt_negativity_grid and negativity_report all
 restrict the solved state to part.atoms (sorted A, then sorted B) with
@@ -36,8 +44,8 @@ from .geometry import Partition
 from .perturbation import PerturbState, restrict_state
 
 DEGENERACY_RTOL = 1e-8
-# complex entries per stack of partial-transpose cores handed to one
-# eigvalsh call (512 kB), so memory grows with neither the grid nor n
+# real entries per stack of partial-transpose cores handed to one eigvalsh
+# call (256 kB), so memory grows with neither the grid nor n
 PT_BLOCK = 1 << 15
 
 
@@ -45,17 +53,24 @@ PT_BLOCK = 1 << 15
 class PartialTransposeMatrix:
     """Hermitian second-order partial transpose on the truncated basis.
 
-    Only the non-zero blocks are stored: ``pair_col``, the ground-to-pairs
-    column c, and ``core``, the (n + 2) block on [ground, singles, c/|c|]:
-    the [ground, singles] block bordered by |c|. The pair-pair and
-    single-pair blocks vanish at second order.
+    Only the non-zero blocks are stored. ``pair_col`` is the ground-to-
+    pairs column c; the pair-pair and single-pair blocks vanish at second
+    order. ``core`` is the (n + 2) real symmetric arrowhead that carries
+    the rest of the spectrum, on the basis [ground, columns of
+    ``singles_basis``, c/|c|]. ``singles_basis`` holds the eigenvectors
+    of the singles block as columns, each phase-rotated so that the
+    ground row is real and non-negative on it; ``core`` has the block's
+    eigenvalues on its diagonal, the ground row and |c| on its first row
+    and column, and zeros elsewhere.
     """
 
     core: np.ndarray
+    singles_basis: np.ndarray
     pair_col: np.ndarray
 
     def __post_init__(self):
         self.core.setflags(write=False)
+        self.singles_basis.setflags(write=False)
         self.pair_col.setflags(write=False)
 
     @property
@@ -64,10 +79,15 @@ class PartialTransposeMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The full dim x dim matrix, built on demand."""
+        """The full dim x dim matrix on the original truncated basis,
+        built on demand."""
         k = self.core.shape[0] - 1
+        W = self.singles_basis
         P = np.zeros((self.dim, self.dim), dtype=complex)
-        P[:k, :k] = self.core[:k, :k]
+        P[0, 0] = self.core[0, 0]
+        P[0, 1:k] = W.conj() @ self.core[0, 1:k]
+        P[1:k, 0] = np.conj(P[0, 1:k])
+        P[1:k, 1:k] = (W * np.diagonal(self.core)[1:k]) @ W.conj().T
         P[0, k:] = self.pair_col
         P[k:, 0] = np.conj(self.pair_col)
         return P
@@ -84,6 +104,7 @@ def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMat
     unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
     return PartialTransposeMatrix(
         core=unit.cores(np.array([state.eta]))[0],
+        singles_basis=unit.basis,
         pair_col=state.eta**2 * unit.pair_col,
     )
 
@@ -92,7 +113,7 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
     """Negativity (absolute sum of negative eigenvalues) and the spectrum.
 
     The pairs couple only to the ground state, through c, so the spectrum is
-    that of the bordered core plus M - 1 exact zeros; it is returned in
+    that of the arrowhead core plus M - 1 exact zeros; it is returned in
     full, ascending. The core is diagonalised as a stack of one, as
     pt_negativity_grid diagonalises its blocks, so both agree bit for bit.
     """
@@ -104,14 +125,14 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
 def pt_negativity_grid(state: PerturbState, part: Partition, etas) -> np.ndarray:
     """N_pt at every drive strength of a grid (state.eta is not used).
 
-    The drive-independent pieces are built once; the (n + 2) cores of the
-    grid are then stacked and diagonalised in blocks of at most PT_BLOCK
-    complex entries, one eigvalsh call per block. Each point is computed
+    The singles block is diagonalised once; the real (n + 2) arrowheads of
+    the grid are then stacked and diagonalised in blocks of at most
+    PT_BLOCK entries, one eigvalsh call per block. Each point is computed
     alone, so its value does not depend on the grid's order or length.
     """
     unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
     etas = np.asarray(etas, dtype=float)
-    k = len(unit.row) + 2
+    k = len(unit.beta) + 2
     step = max(1, PT_BLOCK // (k * k))
     spectra = np.empty((len(etas), k))
     for lo in range(0, len(etas), step):
@@ -121,25 +142,27 @@ def pt_negativity_grid(state: PerturbState, part: Partition, etas) -> np.ndarray
 
 @dataclass(frozen=True)
 class _UnitCore:
-    """The partial transpose of a restricted state at unit drive, split by
-    the power of eta each piece carries."""
+    """The partial transpose of a restricted state at unit drive, on the
+    eigenbasis of its singles block, split by the power of eta each piece
+    carries."""
 
     s: float  # sum |u|^2: the ground entry is 1 - eta^2 s
-    row: np.ndarray  # ground-to-singles row, scaled by eta
-    block: np.ndarray  # singles block, scaled by eta^2
+    beta: np.ndarray  # eigenvalues of the singles block, scaled by eta^2
+    reach: np.ndarray  # |ground row| on the eigenbasis, scaled by eta
+    basis: np.ndarray  # eigenvectors of the singles block, phase-rotated
     pair_col: np.ndarray  # ground-to-pairs column c, scaled by eta^2
-    border: float  # |c|
+    border: float  # |c|, scaled by eta^2
 
     def cores(self, etas: np.ndarray) -> np.ndarray:
-        """Stack of the (n + 2) cores on [ground, singles, c/|c|], one per eta."""
-        n = len(self.row)
+        """Stack of the real (n + 2) arrowheads on [ground, basis, c/|c|],
+        one per eta."""
+        n = len(self.beta)
         e2 = etas**2
-        out = np.zeros((len(etas), n + 2, n + 2), dtype=complex)
+        diag = np.arange(1, n + 1)
+        out = np.zeros((len(etas), n + 2, n + 2))
         out[:, 0, 0] = 1.0 - e2 * self.s
-        out[:, 0, 1 : n + 1] = etas[:, None] * self.row
-        out[:, 1 : n + 1, 0] = np.conj(out[:, 0, 1 : n + 1])
-        # in place: a broadcast temporary would cost several times the product
-        np.multiply(e2[:, None, None], self.block, out=out[:, 1 : n + 1, 1 : n + 1])
+        out[:, 0, 1 : n + 1] = out[:, 1 : n + 1, 0] = etas[:, None] * self.reach
+        out[:, diag, diag] = e2[:, None] * self.beta
         out[:, 0, n + 1] = out[:, n + 1, 0] = e2 * self.border
         return out
 
@@ -157,13 +180,19 @@ def _unit_core(sub: PerturbState, na: int) -> _UnitCore:
         np.outer(u, np.conj(u)),
         np.outer(u, u) + sub.v_matrix(),
     )
+    beta, U = np.linalg.eigh(np.where(in_a[:, None], block, np.conj(block)))
+    row = np.where(in_a, np.conj(u), u) @ U
+    reach = np.abs(row)
+    # rotate each eigenvector so the ground row is real and >= 0 on it
+    phase = np.divide(np.conj(row), reach, out=np.ones(n, dtype=complex), where=reach > 0)
     I, J = pair_arrays(n)
     amp = u[I] * u[J] + sub.v
     pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, np.conj(u[I]) * u[J]))
     return _UnitCore(
         s=float(np.sum(np.abs(u) ** 2)),
-        row=np.where(in_a, np.conj(u), u),
-        block=np.where(in_a[:, None], block, np.conj(block)),
+        beta=beta,
+        reach=reach,
+        basis=U * phase,
         pair_col=pair_col,
         border=float(np.linalg.norm(pair_col)),
     )
@@ -280,12 +309,17 @@ def eta_sign_change(lambda2: float, lambda4: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class ModelCurve:
-    """N(eta) from the per-mode model lambda_q = eta^2 l2 + eta^4 l4."""
+    """N(eta) from the per-mode model lambda_q = eta^2 l2 + eta^4 l4.
+
+    n_max is 0.0 when no mode is negative, and None, with eta_max, when a
+    negative mode has l4 <= 0: that mode never closes, so the model has no
+    maximum.
+    """
 
     etas: np.ndarray
     values: np.ndarray
     eta_max: Optional[float]
-    n_max: float
+    n_max: Optional[float]
     eta_threshold: Optional[float]
 
     @property
@@ -307,8 +341,10 @@ def negativity_model(
     The extremum is found from one-variable calculus in x = eta^2: on each
     interval between mode-closing points the active set is fixed and the
     stationary point is sum|l2| / (2 sum l4); the best candidate wins.
-    The grid must be non-negative and strictly increasing; at eta = 0 the
-    model value is 0.
+    A negative mode with l4 <= 0 never closes, so the model grows without
+    bound: n_max, eta_max and the threshold are then None. The grid must
+    be non-negative and strictly increasing; at eta = 0 the model value
+    is 0.
     """
     l2 = np.asarray(lambda2, dtype=float)
     l4 = np.asarray(lambda4, dtype=float)
@@ -320,8 +356,10 @@ def negativity_model(
     neg = l2 < 0
     eta_thr: Optional[float] = None
     eta_max: Optional[float] = None
-    n_max = 0.0
-    if np.any(neg) and np.all(l4[neg] > 0):
+    n_max: Optional[float] = 0.0
+    if not np.all(l4[neg] > 0):
+        n_max = None
+    elif np.any(neg):
         closing = np.zeros(len(l2))  # per-mode closing point in x = eta^2
         closing[neg] = -l2[neg] / l4[neg]
         eta_thr = float(np.sqrt(closing.max()))

@@ -147,6 +147,8 @@ def test_dark_groups_still_correlated(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["negativity"]["negativity2"] > 0.0
+    # the negative mode never closes (lambda4 = 0): the model has no maximum
+    assert report["negativity"]["n_max"] is None
     rows = (out / "v.csv").read_text().strip().splitlines()[1:]
     dark_pair = [r for r in rows if r.startswith("1,2,")][0]
     re_part, im_part = map(float, dark_pair.split(",")[2:])
@@ -241,14 +243,14 @@ def test_sweep_without_crossing_prints_no_threshold(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mask, lambda2_negative, line",
+    "mask, lambda2_negative, n_max, line",
     [
-        ([0, 1, 2], False, "extremum: none, no mode's modelled eigenvalue is negative"),
-        ([1, 2], True, "extremum: none, a negative mode never closes (lambda4 = 0)"),
+        ([0, 1, 2], False, 0.0, "extremum: none, no mode's modelled eigenvalue is negative"),
+        ([1, 2], True, None, "extremum: none, a negative mode never closes (lambda4 = 0)"),
     ],
     ids=["all-dark", "dark-groups"],
 )
-def test_sweep_without_extremum_prints_why(tmp_path, capsys, mask, lambda2_negative, line):
+def test_sweep_without_extremum_prints_why(tmp_path, capsys, mask, lambda2_negative, n_max, line):
     # every atom dark gives no negative mode; dark groups lit only through
     # the third atom give a negative mode whose dilute lambda4 is 0
     config = {
@@ -265,6 +267,7 @@ def test_sweep_without_extremum_prints_why(tmp_path, capsys, mask, lambda2_negat
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["extremum"]["eta_max"] is None
+    assert report["extremum"]["n_max"] == n_max
     assert (min(report["modes"]["lambda2"]) < 0) == lambda2_negative
     lines = capsys.readouterr().out.splitlines()
     assert line in lines

@@ -190,13 +190,46 @@ def test_compressed_spectrum_single_pair_and_zero_column():
 GRID = np.concatenate([[0.0], np.geomspace(0.005, 0.5, 9)])
 
 
+def _assert_arrowhead_route(state, part, etas):
+    """The real arrowhead core against eigvalsh of the full truncated matrix,
+    built both by build_pt_matrix and by the element table, and the grid,
+    the one-point API and negativity_report against each other bit for bit."""
+    sub = restrict_state(state, part.atoms)
+    na = len(part.group_a)
+    vmap = {(i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)}
+    grid_neg = pt_negativity_grid(state, part, etas)
+    for eta, got in zip(etas, grid_neg):
+        at_eta = replace(state, eta=eta)
+        pt = build_pt_matrix(at_eta, part)
+        core = pt.core
+        # diagonal plus a non-negative ground row and column, zero elsewhere
+        arrow = np.diag(np.diagonal(core))
+        arrow[0, :], arrow[:, 0] = core[0, :], core[:, 0]
+        assert core.dtype == np.float64 and np.array_equal(core, arrow)
+        assert np.array_equal(core, core.T) and np.all(core[0, 1:] >= 0.0)
+        assert core[-1, -1] == 0.0
+        W = pt.singles_basis
+        assert np.max(np.abs(W.conj().T @ W - np.eye(sub.n))) <= 1e-13
+        # the basis maps the core back onto the original truncated basis
+        ref = _reference_pt(sub.u, vmap, na, sub.n - na, eta)
+        assert np.max(np.abs(pt.matrix - ref)) <= 1e-14
+        for P in (pt.matrix, ref):
+            full = np.linalg.eigvalsh(P)
+            assert abs(got - abs(full[full < 0].sum())) <= 1e-13
+        neg, spectrum = pt_negativity(pt)
+        report = negativity_report(at_eta, part)
+        assert neg == got == report.negativity_pt
+        assert np.array_equal(spectrum, report.pt_spectrum)
+    return grid_neg
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_grid_matches_full_matrix_per_point(n):
     # random clouds, lit and partly masked, with covering and embedded
     # partitions: the stacked grid route against eigvalsh of the full
     # truncated matrix at every eta, built both by build_pt_matrix and by
     # the element table; the one-point API and negativity_report diagonalise
-    # the same bordered core, so they equal the grid bit for bit
+    # the same arrowhead core, so they equal the grid bit for bit
     ens = random_ensemble(n, 4.0, 200 + n, DIPOLE, min_distance=0.5)
     partitions = [
         Partition(tuple(range(n // 2)), tuple(range(n // 2, n))),
@@ -206,22 +239,52 @@ def test_grid_matches_full_matrix_per_point(n):
     for beam in (BEAM, MaskedBeam(BEAM, range(1, n, 2))):
         state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
         for part in partitions:
-            sub = restrict_state(state, part.atoms)
-            na = len(part.group_a)
-            vmap = {
-                (i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)
-            }
-            grid_neg = pt_negativity_grid(state, part, GRID)
-            for eta, got in zip(GRID, grid_neg):
-                at_eta = replace(state, eta=eta)
-                pt = build_pt_matrix(at_eta, part)
-                for P in (pt.matrix, _reference_pt(sub.u, vmap, na, sub.n - na, eta)):
-                    full = np.linalg.eigvalsh(P)
-                    assert abs(got - abs(full[full < 0].sum())) <= 1e-13
-                neg, spectrum = pt_negativity(pt)
-                report = negativity_report(at_eta, part)
-                assert neg == got == report.negativity_pt
-                assert np.array_equal(spectrum, report.pt_spectrum)
+            _assert_arrowhead_route(state, part, GRID)
+
+
+def test_arrowhead_repeated_eigenvalues_and_zero_border():
+    # the diagonal partition of a square lit face-on has a doubly zero
+    # singles block eigenvalue on which the ground row vanishes, lit or with
+    # one diagonal masked; one lit atom with v = 0 leaves a triple zero and
+    # an exactly zero border
+    ens = explicit_ensemble([[0, 0, 0], [1.1, 0, 0], [0, 1.1, 0], [1.1, 1.1, 0]], DIPOLE)
+    face_on = PlaneWave(np.array([0.0, 0.0, 1.0]))
+    part = Partition((0, 3), (1, 2))
+    for beam in (face_on, MaskedBeam(face_on, [1, 2])):
+        state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
+        unit = negativity._unit_core(restrict_state(state, part.atoms), 2)
+        assert np.sum(np.abs(unit.beta) <= 1e-14) == 2
+        assert np.sum(unit.reach <= 1e-15) == 2
+        _assert_arrowhead_route(state, part, GRID)
+    dark = _manual_state([0.0, 0.0, 0.2 - 0.1j, 0.0], np.zeros(6))
+    unit = negativity._unit_core(dark, 2)
+    assert np.sum(unit.beta == 0.0) == 3 and np.sum(unit.reach == 0.0) == 3
+    _assert_arrowhead_route(dark, Partition((0, 1), (2, 3)), GRID)
+
+
+def test_arrowhead_unequal_groups():
+    ens = random_ensemble(6, 4.0, 41, DIPOLE, min_distance=0.5)
+    for beam in (BEAM, MaskedBeam(BEAM, [0, 3])):
+        state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
+        for part in (
+            Partition((2,), (0, 1, 3, 4, 5)),
+            Partition((0, 1, 3, 5), (4,)),
+            Partition((5,), (0, 2, 3)),
+        ):
+            _assert_arrowhead_route(state, part, GRID)
+
+
+def test_arrowhead_zero_drive_gives_positive_zero():
+    ens = random_ensemble(5, 4.0, 43, DIPOLE, min_distance=0.5)
+    state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
+    part = Partition((0, 1), (2, 3, 4))
+    for etas in ([0.0], [0.0, 0.1], [0.1, 0.0]):
+        got = _assert_arrowhead_route(state, part, np.array(etas))
+        zero = got[etas.index(0.0)]
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    neg, spectrum = pt_negativity(build_pt_matrix(replace(state, eta=0.0), part))
+    assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
+    assert spectrum[-1] == 1.0 and np.all(spectrum[:-1] == 0.0)
 
 
 def test_grid_values_independent_of_blocks_order_and_length(monkeypatch):
@@ -345,6 +408,17 @@ def test_model_no_negative_modes():
     assert np.all(curve.values == 0.0)
     assert curve.n_max == 0.0
     assert curve.eta_threshold is None
+
+
+def test_model_never_closing_mode_has_no_maximum():
+    # a negative mode with lambda4 <= 0 makes the model grow without bound:
+    # no maximum is reported, where no negative mode at all reports 0.0
+    grid = np.linspace(0.01, 0.5, 20)
+    for l4 in (0.0, -3.0):
+        curve = negativity_model([-0.01, 0.02], [l4, 16.0], grid)
+        assert np.all(curve.values > 0.0) and np.all(np.diff(curve.values) > 0.0)
+        assert curve.n_max is None and curve.eta_max is None
+        assert curve.eta_threshold is None
 
 
 def test_model_degenerate_far_field_identity():
