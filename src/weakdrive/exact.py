@@ -42,7 +42,8 @@ An ill-conditioned level eigenbasis or a vanishing Sylvester denominator
 an eigendecomposition of the dense generator for up to DENSE_CAP atoms,
 which warns about a degenerate steady-state manifold; above DENSE_CAP it
 raises ResonantSingularityError. Either route ends in the residual gate of
-the operator-form generator.
+the operator-form generator; a fallback state that fails it raises the
+guard's ResonantSingularityError too.
 """
 
 from __future__ import annotations
@@ -478,7 +479,8 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     with the same three. When a level guard trips (eigenvector condition
     above EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
     DENSE_CAP atoms the dense generator's null vector is taken instead,
-    which warns about a degenerate null space; above DENSE_CAP the guard's
+    which warns about a degenerate null space; above DENSE_CAP, or when that
+    null vector fails the residual gate, the guard's
     ResonantSingularityError propagates. GMRES that does not converge
     raises SolverConvergenceError with its residual and iteration count,
     and every returned state has an operator-form residual within NULL_TOL.
@@ -489,6 +491,7 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     # bytes, not floats: a detuning of -0.0 is not that of 0.0
     key = (np.float64(liouv.delta).tobytes(), liouv.coupling.z.tobytes(), liouv.w.tobytes())
     system = _last_system.get(key)
+    guard = None
     try:
         if system is None:
             # drop the previous basis before the next one is built
@@ -500,6 +503,7 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
         if liouv.n > DENSE_CAP:
             raise
         log.debug("route dense fallback (%s); level dims %s", exc, system.dims)
+        guard = exc
         rho = _dense_fallback(liouv)[np.ix_(system.t.order, system.t.order)]
         iterations = 0
     else:
@@ -512,13 +516,12 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
     # the diagonal of a Hermitian matrix is real
     tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        # a traceless null vector has no normalised state to gate
-        raise SolverConvergenceError(np.inf, 0)
-    rho = rho / tr
-    residual = system.residual(rho, liouv.eta)
+    # a traceless null vector has no normalised state to gate
+    rho = rho / tr if abs(tr) >= 1e-12 else None
+    residual = np.inf if rho is None else system.residual(rho, liouv.eta)
     if not residual <= NULL_TOL:
-        raise SolverConvergenceError(residual, iterations)
+        # a fallback state that fails the gate is the level guard's refusal
+        raise guard if guard is not None else SolverConvergenceError(residual, iterations)
     return rho[np.ix_(system.t.pos, system.t.pos)]
 
 

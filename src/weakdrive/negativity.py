@@ -11,24 +11,23 @@ The pairs couple only to the ground state, through one column c, so the
 spectrum is that of an (n + 2) core on [ground, singles, c/|c|] plus
 exact zeros. Only eta changes along a sweep: the ground entry is
 1 - eta^2 sum|u|^2, the ground row is eta times a fixed row, and the
-singles block B and the border |c| are eta^2 times fixed ones. So
-_UnitCore diagonalises B once per state, B = U diag(beta) U^dag, and
-rotates the phase of each column of U until the ground row is real and
-non-negative on it. On [ground, rotated columns of U, c/|c|] the core at
-any eta is the real symmetric arrowhead with diagonal
+singles block B and the border |c| are eta^2 times fixed ones. So a
+PartialTransposeMatrix diagonalises B once per restricted state,
+B = U diag(beta) U^dag, and rotates the phase of each column of U until the
+ground row is real and non-negative on it. On [ground, rotated columns of
+U, c/|c|] the core at any eta is the real symmetric arrowhead with diagonal
 (1 - eta^2 s, eta^2 beta, 0) and ground border (eta |row U|, eta^2 |c|)
-(O'Leary & Stewart, J. Comput. Phys. 90, 1990). _UnitCore.cores is the
-only place these formulas live. A grid of drive strengths costs one
-stacked real eigvalsh per block of arrowheads (pt_negativity_grid).
-build_pt_matrix keeps the arrowhead at the state's own eta,
-pt_negativity diagonalises it as a stack of one, and negativity_report
-takes its partial-transpose fields from those two, so all three give the
-grid's values bit for bit.
+(O'Leary & Stewart, J. Comput. Phys. 90, 1990). PartialTransposeMatrix.cores
+is the only place these formulas live. pt_negativity diagonalises the core
+at the object's own eta as a stack of one, and pt_negativity_grid the
+cores of a grid of drive strengths as stacked real eigvalsh calls, so both
+give the same value at the same eta bit for bit.
 
-build_V, build_pt_matrix, pt_negativity_grid and negativity_report all
-restrict the solved state to part.atoms (sorted A, then sorted B) with
-restrict_state, so a partition atom absent from the state raises
-PartitionError on every path.
+The solved state is restricted to part.atoms (sorted A, then sorted B) with
+restrict_state once per object: build_V and build_pt_matrix each restrict
+it, and negativity_report restricts it once and builds V and the partial
+transpose from the same restriction and pair matrix. An atom of the
+partition absent from the state raises PartitionError on every path.
 """
 
 from __future__ import annotations
@@ -51,46 +50,101 @@ PT_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class PartialTransposeMatrix:
-    """Hermitian second-order partial transpose on the truncated basis.
+    """Hermitian second-order partial transpose of a restricted state.
 
-    Only the non-zero blocks are stored. ``pair_col`` is the ground-to-
-    pairs column c; the pair-pair and single-pair blocks vanish at second
-    order. ``core`` is the (n + 2) real symmetric arrowhead that carries
-    the rest of the spectrum, on the basis [ground, columns of
-    ``singles_basis``, c/|c|]. ``singles_basis`` holds the eigenvectors
-    of the singles block as columns, each phase-rotated so that the
-    ground row is real and non-negative on it; ``core`` has the block's
-    eigenvalues on its diagonal, the ground row and |c| on its first row
-    and column, and zeros elsewhere.
+    The drive-independent pieces are kept, each split from the power of
+    eta it carries, so one object serves every drive strength (cores);
+    eta is the drive strength of the state it was built from. At that eta,
+    ``pair_col`` is the ground-to-pairs column c (the pair-pair and
+    single-pair blocks vanish at second order) and ``core`` is the (n + 2)
+    real symmetric arrowhead that carries the rest of the spectrum, on the
+    basis [ground, columns of ``singles_basis``, c/|c|]. ``singles_basis``
+    holds the eigenvectors of the singles block as columns, each
+    phase-rotated so that the ground row is real and non-negative on it;
+    ``core`` has the block's eigenvalues on its diagonal, the ground row and
+    |c| on its first row and column, and zeros elsewhere.
     """
 
-    core: np.ndarray
+    eta: float
+    s: float  # sum |u|^2: the ground entry is 1 - eta^2 s
+    beta: np.ndarray  # eigenvalues of the singles block, scaled by eta^2
+    reach: np.ndarray  # |ground row| on singles_basis, scaled by eta
     singles_basis: np.ndarray
-    pair_col: np.ndarray
+    unit_pair_col: np.ndarray  # c, scaled by eta^2
+    border: float  # |c|, scaled by eta^2
 
     def __post_init__(self):
-        self.core.setflags(write=False)
-        self.singles_basis.setflags(write=False)
-        self.pair_col.setflags(write=False)
+        for a in (self.beta, self.reach, self.singles_basis, self.unit_pair_col):
+            a.setflags(write=False)
+
+    def cores(self, etas: np.ndarray) -> np.ndarray:
+        """Stack of the real (n + 2) arrowheads on [ground, singles_basis,
+        c/|c|], one per eta."""
+        n = len(self.beta)
+        e2 = etas**2
+        diag = np.arange(1, n + 1)
+        out = np.zeros((len(etas), n + 2, n + 2))
+        out[:, 0, 0] = 1.0 - e2 * self.s
+        out[:, 0, 1 : n + 1] = out[:, 1 : n + 1, 0] = etas[:, None] * self.reach
+        out[:, diag, diag] = e2[:, None] * self.beta
+        out[:, 0, n + 1] = out[:, n + 1, 0] = e2 * self.border
+        return out
+
+    @property
+    def core(self) -> np.ndarray:
+        return self.cores(np.array([self.eta]))[0]
+
+    @property
+    def pair_col(self) -> np.ndarray:
+        return self.eta**2 * self.unit_pair_col
 
     @property
     def dim(self) -> int:
-        return self.core.shape[0] - 1 + len(self.pair_col)
+        return 1 + len(self.beta) + len(self.unit_pair_col)
 
     @property
     def matrix(self) -> np.ndarray:
         """The full dim x dim matrix on the original truncated basis,
         built on demand."""
-        k = self.core.shape[0] - 1
+        k = len(self.beta) + 1
         W = self.singles_basis
+        core = self.core
         P = np.zeros((self.dim, self.dim), dtype=complex)
-        P[0, 0] = self.core[0, 0]
-        P[0, 1:k] = W.conj() @ self.core[0, 1:k]
+        P[0, 0] = core[0, 0]
+        P[0, 1:k] = W.conj() @ core[0, 1:k]
         P[1:k, 0] = np.conj(P[0, 1:k])
-        P[1:k, 1:k] = (W * np.diagonal(self.core)[1:k]) @ W.conj().T
+        P[1:k, 1:k] = (W * np.diagonal(core)[1:k]) @ W.conj().T
         P[0, k:] = self.pair_col
-        P[k:, 0] = np.conj(self.pair_col)
+        P[k:, 0] = np.conj(P[0, k:])
         return P
+
+
+def _restricted_pt(sub: PerturbState, vmat: np.ndarray, na: int) -> PartialTransposeMatrix:
+    """Partial transpose over the atoms after the first na of sub; vmat is
+    sub.v_matrix()."""
+    n = sub.n
+    u = sub.u
+    in_a = np.arange(n) < na
+    # same-group coherences u_a u_b^*, cross-group u_a u_b + v_ab; rows in B
+    # are conjugated
+    block = np.where(in_a[:, None] == in_a[None, :], np.outer(u, np.conj(u)), np.outer(u, u) + vmat)
+    beta, U = np.linalg.eigh(np.where(in_a[:, None], block, np.conj(block)))
+    row = np.where(in_a, np.conj(u), u) @ U
+    reach = np.abs(row)
+    # rotate each eigenvector so the ground row is real and >= 0 on it
+    phase = np.divide(np.conj(row), reach, out=np.ones(n, dtype=complex), where=reach > 0)
+    I, J = pair_arrays(n)
+    amp = u[I] * u[J] + sub.v
+    pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, np.conj(u[I]) * u[J]))
+    return PartialTransposeMatrix(
+        eta=sub.eta,
+        s=float(np.sum(np.abs(u) ** 2)),
+        beta=beta,
+        reach=reach,
+        singles_basis=U * phase,
+        unit_pair_col=pair_col,
+        border=float(np.linalg.norm(pair_col)),
+    )
 
 
 def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMatrix:
@@ -101,12 +155,8 @@ def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMat
     full-ensemble u and v. An atom absent from the state raises
     PartitionError.
     """
-    unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
-    return PartialTransposeMatrix(
-        core=unit.cores(np.array([state.eta]))[0],
-        singles_basis=unit.basis,
-        pair_col=state.eta**2 * unit.pair_col,
-    )
+    sub = restrict_state(state, part.atoms)
+    return _restricted_pt(sub, sub.v_matrix(), len(part.group_a))
 
 
 def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
@@ -118,84 +168,25 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
     pt_negativity_grid diagonalises its blocks, so both agree bit for bit.
     """
     spectra = np.linalg.eigvalsh(pt.core[None])
-    zeros = np.zeros(len(pt.pair_col) - 1)
+    zeros = np.zeros(len(pt.unit_pair_col) - 1)
     return float(_negativities(spectra)[0]), np.sort(np.concatenate([spectra[0], zeros]))
 
 
-def pt_negativity_grid(state: PerturbState, part: Partition, etas) -> np.ndarray:
-    """N_pt at every drive strength of a grid (state.eta is not used).
+def pt_negativity_grid(pt: PartialTransposeMatrix, etas) -> np.ndarray:
+    """N_pt at every drive strength of a grid (pt.eta is not used).
 
-    The singles block is diagonalised once; the real (n + 2) arrowheads of
-    the grid are then stacked and diagonalised in blocks of at most
-    PT_BLOCK entries, one eigvalsh call per block. Each point is computed
-    alone, so its value does not depend on the grid's order or length.
+    The real (n + 2) arrowheads of the grid are stacked and diagonalised in
+    blocks of at most PT_BLOCK entries, one eigvalsh call per block. Each
+    point is computed alone, so its value does not depend on the grid's
+    order or length.
     """
-    unit = _unit_core(restrict_state(state, part.atoms), len(part.group_a))
     etas = np.asarray(etas, dtype=float)
-    k = len(unit.beta) + 2
+    k = len(pt.beta) + 2
     step = max(1, PT_BLOCK // (k * k))
     spectra = np.empty((len(etas), k))
     for lo in range(0, len(etas), step):
-        spectra[lo : lo + step] = np.linalg.eigvalsh(unit.cores(etas[lo : lo + step]))
+        spectra[lo : lo + step] = np.linalg.eigvalsh(pt.cores(etas[lo : lo + step]))
     return _negativities(spectra)
-
-
-@dataclass(frozen=True)
-class _UnitCore:
-    """The partial transpose of a restricted state at unit drive, on the
-    eigenbasis of its singles block, split by the power of eta each piece
-    carries."""
-
-    s: float  # sum |u|^2: the ground entry is 1 - eta^2 s
-    beta: np.ndarray  # eigenvalues of the singles block, scaled by eta^2
-    reach: np.ndarray  # |ground row| on the eigenbasis, scaled by eta
-    basis: np.ndarray  # eigenvectors of the singles block, phase-rotated
-    pair_col: np.ndarray  # ground-to-pairs column c, scaled by eta^2
-    border: float  # |c|, scaled by eta^2
-
-    def cores(self, etas: np.ndarray) -> np.ndarray:
-        """Stack of the real (n + 2) arrowheads on [ground, basis, c/|c|],
-        one per eta."""
-        n = len(self.beta)
-        e2 = etas**2
-        diag = np.arange(1, n + 1)
-        out = np.zeros((len(etas), n + 2, n + 2))
-        out[:, 0, 0] = 1.0 - e2 * self.s
-        out[:, 0, 1 : n + 1] = out[:, 1 : n + 1, 0] = etas[:, None] * self.reach
-        out[:, diag, diag] = e2[:, None] * self.beta
-        out[:, 0, n + 1] = out[:, n + 1, 0] = e2 * self.border
-        return out
-
-
-def _unit_core(sub: PerturbState, na: int) -> _UnitCore:
-    """Unit-drive pieces of the partial transpose over the atoms after the
-    first na of sub."""
-    n = sub.n
-    u = sub.u
-    in_a = np.arange(n) < na
-    # same-group coherences u_a u_b^*, cross-group u_a u_b + v_ab; rows in B
-    # are conjugated
-    block = np.where(
-        in_a[:, None] == in_a[None, :],
-        np.outer(u, np.conj(u)),
-        np.outer(u, u) + sub.v_matrix(),
-    )
-    beta, U = np.linalg.eigh(np.where(in_a[:, None], block, np.conj(block)))
-    row = np.where(in_a, np.conj(u), u) @ U
-    reach = np.abs(row)
-    # rotate each eigenvector so the ground row is real and >= 0 on it
-    phase = np.divide(np.conj(row), reach, out=np.ones(n, dtype=complex), where=reach > 0)
-    I, J = pair_arrays(n)
-    amp = u[I] * u[J] + sub.v
-    pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, np.conj(u[I]) * u[J]))
-    return _UnitCore(
-        s=float(np.sum(np.abs(u) ** 2)),
-        beta=beta,
-        reach=reach,
-        basis=U * phase,
-        pair_col=pair_col,
-        border=float(np.linalg.norm(pair_col)),
-    )
 
 
 def _negativities(spectra: np.ndarray) -> np.ndarray:
@@ -250,17 +241,15 @@ def lambda2_spectrum(V: VOperator) -> tuple[np.ndarray, np.ndarray]:
     Each eigenvector column is rotated so its largest-magnitude component
     is real and positive, keeping reports reproducible.
     """
-    H = V.embed()
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(V.embed())
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        j = int(np.argmax(np.abs(col)))
-        if abs(col[j]) > 0:
-            vecs[:, k] = col * (np.conj(col[j]) / abs(col[j]))
-    return vals, vecs
+    piv = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    # hypot, as abs() of one complex scalar computes it
+    mag = np.hypot(piv.real, piv.imag)
+    phase = np.divide(np.conj(piv), mag, out=np.ones(len(mag), dtype=complex), where=mag > 0)
+    return vals, vecs * phase
 
 
 def lambda4_dilute(phi: np.ndarray, w: np.ndarray, delta: float) -> float | np.ndarray:
@@ -403,15 +392,18 @@ class ModeEntry:
 class NegativityReport:
     eta: float
     negativity2: float
+    lambda2: np.ndarray
+    lambda4: np.ndarray
     modes: list[ModeEntry]
     curve: ModelCurve
-    pt_spectrum: Optional[np.ndarray]
-    negativity_pt: Optional[float]
+    pt: PartialTransposeMatrix
+    pt_spectrum: np.ndarray
+    negativity_pt: float
     entanglement: str
     dilute_extrapolated: bool
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "eta": self.eta,
             "negativity2": self.negativity2,
             "modes": [m.to_dict() for m in self.modes],
@@ -425,11 +417,9 @@ class NegativityReport:
             "omega_threshold": self.curve.omega_threshold,
             "entanglement": self.entanglement,
             "dilute_extrapolated": self.dilute_extrapolated,
+            "pt_spectrum": self.pt_spectrum.tolist(),
+            "negativity_pt": self.negativity_pt,
         }
-        if self.pt_spectrum is not None:
-            d["pt_spectrum"] = self.pt_spectrum.tolist()
-            d["negativity_pt"] = self.negativity_pt
-        return d
 
 
 def _default_grid(eta_thr: Optional[float]) -> np.ndarray:
@@ -442,59 +432,53 @@ def negativity_report(
     state: PerturbState,
     part: Partition,
     eta_grid: Optional[Sequence[float]] = None,
-    include_pt: bool = True,
     dilute_ok: Optional[bool] = None,
 ) -> NegativityReport:
     """Everything downstream of the solved amplitudes for one partition.
 
-    When diluteness was not established the per-mode thresholds keep the
-    asymptotic quartic coefficient and are flagged dilute_extrapolated.
-    A zero negativity is reported as entanglement "undetected", never as
-    separability.
+    The state is restricted once; V and the partial transpose (kept as
+    ``pt``, for a grid of drive strengths) are built from that restriction's
+    one pair matrix. When diluteness was not established the per-mode
+    thresholds keep the asymptotic quartic coefficient and are flagged
+    dilute_extrapolated. A zero negativity is reported as entanglement
+    "undetected", never as separability.
     """
     sub = restrict_state(state, part.atoms)
-    V = build_V(state, part)
+    vmat = sub.v_matrix()
+    na = len(part.group_a)
+    V = VOperator(matrix=vmat[:na, na:].copy())
     l2, vecs = lambda2_spectrum(V)
     l4 = lambda4_dilute(vecs, sub.w, state.delta)
 
     scale = max(1.0, float(np.max(np.abs(l2))) if len(l2) else 1.0)
-    degenerate = np.zeros(len(l2), dtype=bool)
-    for k in range(len(l2) - 1):
-        if abs(l2[k] - l2[k + 1]) <= DEGENERACY_RTOL * scale:
-            degenerate[k] = degenerate[k + 1] = True
+    close = np.abs(np.diff(l2)) <= DEGENERACY_RTOL * scale
+    degenerate = np.append(close, False) | np.insert(close, 0, False)
 
     flag = dilute_ok is False
     modes = []
-    for k in range(len(l2)):
-        ez = eta_sign_change(float(l2[k]), float(l4[k]))
-        modes.append(
-            ModeEntry(
-                lambda2=float(l2[k]),
-                lambda4=float(l4[k]),
-                threshold_omega=ez,
-                eta_zero=ez,
-                omega_zero=(2.0 * ez if ez is not None else None),
-                degenerate=bool(degenerate[k]),
-                dilute_extrapolated=flag,
-            )
-        )
+    for a, b, deg in zip(l2.tolist(), l4.tolist(), degenerate.tolist()):
+        ez = eta_sign_change(a, b)
+        modes.append(ModeEntry(lambda2=a, lambda4=b, threshold_omega=ez, eta_zero=ez,
+                               omega_zero=None if ez is None else 2.0 * ez,
+                               degenerate=deg, dilute_extrapolated=flag))
 
     curve = negativity_model(l2, l4, _default_grid(
         max((m.eta_zero for m in modes if m.eta_zero), default=None)
     ) if eta_grid is None else eta_grid)
 
     negativity2 = float(state.eta**2 * V.singular_values().sum())
-
-    neg_pt = pt_spectrum_vals = None
-    if include_pt:
-        neg_pt, pt_spectrum_vals = pt_negativity(build_pt_matrix(state, part))
+    pt = _restricted_pt(sub, vmat, na)
+    neg_pt, pt_spectrum = pt_negativity(pt)
 
     return NegativityReport(
         eta=float(state.eta),
         negativity2=negativity2,
+        lambda2=l2,
+        lambda4=l4,
         modes=modes,
         curve=curve,
-        pt_spectrum=pt_spectrum_vals,
+        pt=pt,
+        pt_spectrum=pt_spectrum,
         negativity_pt=neg_pt,
         entanglement="detected" if negativity2 > 0.0 else "undetected",
         dilute_extrapolated=flag,

@@ -35,7 +35,7 @@ from .exact import (
 )
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
-from .negativity import negativity_report, pt_negativity_grid
+from .negativity import PartialTransposeMatrix, build_pt_matrix, negativity_report, pt_negativity_grid
 from .perturbation import PerturbState, steady_state
 from .reporting import config_hash, write_csv, write_json
 
@@ -126,14 +126,15 @@ def _exact_negativity(state: PerturbState, part: Partition, coupling, eta: float
     return n_exact
 
 
-def _walk_grid(state: PerturbState, part: Partition, coupling, grid: np.ndarray) -> tuple[list, list]:
+def _walk_grid(pt: PartialTransposeMatrix, state: PerturbState, part: Partition, coupling,
+               grid: np.ndarray) -> tuple[list, list]:
     """Every grid point in order: rows (k, eta, N_pt, N_exact) that passed,
     and point_errors for those whose exact column raised a package error.
 
-    N_pt comes from pt_negativity_grid over the whole grid; N_exact is
+    N_pt comes from pt_negativity_grid of pt over the whole grid; N_exact is
     solved per point, or None when coupling is None.
     """
-    n_pt = pt_negativity_grid(state, part, grid).tolist()
+    n_pt = pt_negativity_grid(pt, grid).tolist()
     rows, errors = [], []
     for k, eta in enumerate(grid.tolist()):
         try:
@@ -165,12 +166,11 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     regime = regime_check(ens, drive, part)
 
     grid = cfg.eta_sweep.grid()
-    rep = negativity_report(state, part, eta_grid=grid, include_pt=False)
+    rep = negativity_report(state, part, eta_grid=grid)
     curve = rep.curve
-    l2 = np.array([m.lambda2 for m in rep.modes])
-    l4 = np.array([m.lambda4 for m in rep.modes])
+    l2, l4 = rep.lambda2, rep.lambda4
 
-    rows, errors = _walk_grid(state, part, coupling if cfg.exact else None, grid)
+    rows, errors = _walk_grid(rep.pt, state, part, coupling if cfg.exact else None, grid)
     n_model = curve.values.tolist()
     header = ["eta", "N_model", "N_pt"] + (["N_exact"] if cfg.exact else [])
     table_rows = [
@@ -178,8 +178,10 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         for k, eta, n_pt, n_exact in rows
     ]
     # the modelled minimum eigenvalue exists at every grid point, whether or
-    # not that point's exact column failed
-    min_lam = np.array([float((eta**2 * l2 + eta**4 * l4).min()) for eta in grid.tolist()])
+    # not that point's exact column failed; float_power is libm pow, as the
+    # scalar eta**2 and eta**4 are, bit for bit
+    e = grid[:, None]
+    min_lam = (np.float_power(e, 2) * l2 + np.float_power(e, 4) * l4).min(axis=1)
     threshold_eta = _interp_last_sign_change(grid, min_lam)
 
     report = {
@@ -209,7 +211,8 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
 
-    rows, errors = _walk_grid(state, part, coupling, cfg.eta_sweep.grid())
+    pt = build_pt_matrix(state, part)
+    rows, errors = _walk_grid(pt, state, part, coupling, cfg.eta_sweep.grid())
     table_rows = [
         [eta, n_exact, n_pt, abs(n_exact - n_pt)] for _, eta, n_pt, n_exact in rows
     ]

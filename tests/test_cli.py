@@ -209,6 +209,27 @@ def test_sweep_farfield_pair_threshold_matches_bound(tmp_path):
     assert abs(omega_numeric - bound) / bound <= 0.01
 
 
+def test_sweep_threshold_matches_per_point_loop():
+    # the vectorised modelled minimum eigenvalue against the per-point loop
+    # it replaced, on a grid where numpy's vector power (eta_grid**4) would
+    # move the estimate in its last bit
+    from weakdrive.runner import _interp_last_sign_change, run_sweep
+
+    config = dict(PAIR_CONFIG)
+    del config["eta"]
+    config["geometry"] = {"mode": "lattice", "edge": 2, "spacing": 0.9}
+    config["partition"] = {"A": [0, 1, 2], "B": [5, 6, 7]}
+    config["eta_sweep"] = {"min": 0.001, "max": 0.3, "points": 16}
+    cfg = parse_config(config, "sweep")
+    report = run_sweep(cfg).report
+    l2, l4 = (np.array(report["modes"][k]) for k in ("lambda2", "lambda4"))
+    grid = cfg.eta_sweep.grid()
+    min_lam = np.array([float((eta**2 * l2 + eta**4 * l4).min()) for eta in grid.tolist()])
+    expected = _interp_last_sign_change(grid, min_lam)
+    assert expected is not None
+    assert report["threshold"]["eta_sweep_estimate"] == expected
+
+
 def test_sweep_below_threshold_all_positive(tmp_path):
     config = dict(PAIR_CONFIG)
     del config["eta"]
@@ -366,17 +387,35 @@ def test_solve_negativity_pt_equals_sweep_n_pt(tmp_path):
     assert solve.report["negativity"]["negativity_pt"] == n_pt
 
 
-def test_report_without_pt_spectrum():
-    from weakdrive.geometry import Partition
-    from weakdrive.negativity import negativity_report
+@pytest.mark.parametrize("task", ["solve", "sweep", "oracle-compare"])
+def test_task_restricts_the_state_once(monkeypatch, task):
+    # one restriction of the solved state and one pair matrix per task feed
+    # both V and the partial transpose
+    from weakdrive import negativity
+    from weakdrive.perturbation import PerturbState
+    from weakdrive.runner import TASK_RUNNERS
 
-    ens = explicit_ensemble(PAIR_CONFIG["geometry"]["positions"], [0, 0, 1])
-    drive = Drive(delta=0.0, eta=0.05, beam=PlaneWave(np.array([0.0, 1.0, 0.0])))
-    state = steady_state(coupling_matrix(ens), drive, ens)
-    rep = negativity_report(state, Partition((0,), (1,)), include_pt=False)
-    assert rep.pt_spectrum is None and rep.negativity_pt is None
-    assert "pt_spectrum" not in rep.to_dict()
-    assert rep.negativity2 > 0
+    calls = {"restrict_state": 0, "v_matrix": 0}
+    restrict, v_matrix = negativity.restrict_state, PerturbState.v_matrix
+
+    def counted_restrict(*args):
+        calls["restrict_state"] += 1
+        return restrict(*args)
+
+    def counted_v_matrix(self):
+        calls["v_matrix"] += 1
+        return v_matrix(self)
+
+    monkeypatch.setattr(negativity, "restrict_state", counted_restrict)
+    monkeypatch.setattr(PerturbState, "v_matrix", counted_v_matrix)
+    config = dict(PAIR_CONFIG)
+    config["geometry"] = {"mode": "explicit", "positions": [[0, 0, 0], [1.2, 0, 0], [0, 1.5, 0]]}
+    config["partition"] = {"A": [2], "B": [0, 1]}
+    if task != "solve":
+        del config["eta"]
+        config["eta_sweep"] = {"min": 0.01, "max": 0.04, "points": 3}
+    TASK_RUNNERS[task](parse_config(config, task))
+    assert calls == {"restrict_state": 1, "v_matrix": 1}
 
 
 def test_bounds_task(tmp_path):
@@ -578,3 +617,90 @@ def test_config_validation_details():
         bad = dict(PAIR_CONFIG)
         bad["beam"] = {"direction": [0, 1, 0], "mask": [-1]}
         parse_config(bad, "solve")
+
+
+def test_lattice_geometry_matches_explicit_corners(tmp_path):
+    # the lattice mode numbers its sites with the last axis fastest: the
+    # same cube given as explicit positions gives the same outputs
+    lattice = dict(PAIR_CONFIG)
+    lattice["geometry"] = {"mode": "lattice", "edge": 2, "spacing": 1.3}
+    lattice["partition"] = {"A": [0, 1], "B": [6, 7]}
+    assert parse_config(lattice, "solve").geometry == lattice["geometry"]
+    corners = [[1.3 * i, 1.3 * j, 1.3 * k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    explicit = {**lattice, "geometry": {"mode": "explicit", "positions": corners}}
+    outs = []
+    for name, config in (("lattice", lattice), ("explicit", explicit)):
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", _write(tmp_path, config), "--out", str(out)]) == 0
+        outs.append(out)
+    assert len((outs[0] / "u.csv").read_text().splitlines()) == 1 + 8
+    for table in ("u.csv", "v.csv", "curve.csv"):
+        assert (outs[0] / table).read_bytes() == (outs[1] / table).read_bytes()
+    reports = [json.loads((o / "report.json").read_text()) for o in outs]
+    assert reports[0]["negativity"] == reports[1]["negativity"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--config", "{missing}"], "config: file not found: "),
+        (["solve", "--config", "{invalid}"], "config: invalid JSON: "),
+        (["solve"], "config: --config is required for this task"),
+        (["sweep"], "config: --config is required for this task"),
+        (["bounds", "--seed", "3"], "config: --config is required for this task"),
+    ],
+)
+def test_config_file_errors_exit_2(tmp_path, capsys, argv, message):
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text('{"delta": 0.0,')
+    paths = {"missing": str(tmp_path / "absent.json"), "invalid": str(invalid)}
+    argv = [a.format(**paths) for a in argv]
+    assert cli.main(argv) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+SWEEP_CONFIG = {k: v for k, v in PAIR_CONFIG.items() if k != "eta"}
+SWEEP_CONFIG["eta_sweep"] = {"min": 0.01, "max": 0.04, "points": 3}
+FARFIELD = {"k0_distance": 1e7, "theta": 1.0, "n_a": 10, "n_b": 10,
+            "omega_over_gamma": 0.1, "mean_spacing": 1.0}
+
+
+@pytest.mark.parametrize(
+    "task, change, path",
+    [
+        ("solve", {"geometry": {"mode": "lattice", "edge": 0, "spacing": 1.0}}, "geometry.edge"),
+        ("solve", {"geometry": {"mode": "lattice", "edge": 2, "spacing": 0.0}}, "geometry.spacing"),
+        ("solve", {"geometry": {"mode": "lattice", "edge": 2.5, "spacing": 1.0}}, "geometry.edge"),
+        ("solve", {"geometry": {"mode": "lattice", "edge": 2}}, "geometry.spacing"),
+        ("solve", {"geometry": {"mode": "explicit", "positions": []}}, "geometry.positions"),
+        ("solve", {"geometry": {"mode": "explicit", "positions": [[0, 0]]}},
+         "geometry.positions[0]"),
+        ("solve", {"geometry": {"mode": "random", "count": 0, "box": [1, 1, 1]}}, "geometry.count"),
+        ("solve", {"geometry": {"mode": "random", "count": 9, "box": 1.0, "min_distance": 1.0}},
+         "geometry"),
+        ("solve", {"geometry": []}, "geometry"),
+        ("solve", {"dipole": [0, 0, 2]}, "dipole"),
+        ("solve", {"dipole": [0, 0, "z"]}, "dipole[2]"),
+        ("solve", {"beam": {"direction": [0, 2, 0]}}, "beam.direction"),
+        ("solve", {"beam": {"direction": [0, 1, 0], "mask": [5]}}, "beam.mask"),
+        ("solve", {"beam": {"direction": [0, 1, 0], "mask": 5}}, "beam.mask"),
+        ("solve", {"eta": -0.1}, "eta"),
+        ("solve", {"exact": 1}, "exact"),
+        ("solve", {"dump_coupling": "yes"}, "dump_coupling"),
+        ("solve", {"partition": {"A": [0], "B": [4]}}, "partition"),
+        ("sweep", {"eta_sweep": {"min": 0.01, "max": 0.04, "points": 3, "log": 1}},
+         "eta_sweep.log"),
+        ("sweep", {"eta_sweep": {"min": 0.01, "max": 0.04, "points": 1}}, "eta_sweep.points"),
+        ("sweep", {"eta_sweep": {"min": 0, "max": 0.04, "points": 3, "log": True}},
+         "eta_sweep.min"),
+        ("sweep", {"eta_sweep": {"min": -0.01, "max": 0.04, "points": 3}}, "eta_sweep.min"),
+        ("bounds", {"farfield": {**FARFIELD, "k0_distance": 0.0}}, "farfield.k0_distance"),
+        ("bounds", {"farfield": {**FARFIELD, "n_b": 0}}, "farfield.n_a"),
+        ("bounds", {"farfield": {**FARFIELD, "mean_spacing": -1.0}}, "farfield.mean_spacing"),
+    ],
+)
+def test_invalid_field_exits_2_with_its_path(tmp_path, capsys, task, change, path):
+    base = {"solve": PAIR_CONFIG, "sweep": SWEEP_CONFIG, "bounds": {"delta": 0.0}}[task]
+    cfg = _write(tmp_path, {**base, **change})
+    assert cli.main([task, "--config", cfg]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err

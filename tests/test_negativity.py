@@ -18,6 +18,7 @@ from weakdrive.geometry import (
     random_ensemble,
 )
 from weakdrive.negativity import (
+    VOperator,
     build_pt_matrix,
     build_V,
     eta_sign_change,
@@ -197,7 +198,7 @@ def _assert_arrowhead_route(state, part, etas):
     sub = restrict_state(state, part.atoms)
     na = len(part.group_a)
     vmap = {(i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)}
-    grid_neg = pt_negativity_grid(state, part, etas)
+    grid_neg = pt_negativity_grid(build_pt_matrix(state, part), etas)
     for eta, got in zip(etas, grid_neg):
         at_eta = replace(state, eta=eta)
         pt = build_pt_matrix(at_eta, part)
@@ -220,6 +221,10 @@ def _assert_arrowhead_route(state, part, etas):
         report = negativity_report(at_eta, part)
         assert neg == got == report.negativity_pt
         assert np.array_equal(spectrum, report.pt_spectrum)
+        # the report keeps the same partial transpose, at the same eta
+        assert report.pt.eta == pt.eta == eta
+        for field in ("core", "singles_basis", "pair_col"):
+            assert np.array_equal(getattr(report.pt, field), getattr(pt, field))
     return grid_neg
 
 
@@ -252,13 +257,13 @@ def test_arrowhead_repeated_eigenvalues_and_zero_border():
     part = Partition((0, 3), (1, 2))
     for beam in (face_on, MaskedBeam(face_on, [1, 2])):
         state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
-        unit = negativity._unit_core(restrict_state(state, part.atoms), 2)
-        assert np.sum(np.abs(unit.beta) <= 1e-14) == 2
-        assert np.sum(unit.reach <= 1e-15) == 2
+        pt = build_pt_matrix(state, part)
+        assert np.sum(np.abs(pt.beta) <= 1e-14) == 2
+        assert np.sum(pt.reach <= 1e-15) == 2
         _assert_arrowhead_route(state, part, GRID)
     dark = _manual_state([0.0, 0.0, 0.2 - 0.1j, 0.0], np.zeros(6))
-    unit = negativity._unit_core(dark, 2)
-    assert np.sum(unit.beta == 0.0) == 3 and np.sum(unit.reach == 0.0) == 3
+    pt = build_pt_matrix(dark, Partition((0, 1), (2, 3)))
+    assert np.sum(pt.beta == 0.0) == 3 and np.sum(pt.reach == 0.0) == 3
     _assert_arrowhead_route(dark, Partition((0, 1), (2, 3)), GRID)
 
 
@@ -292,18 +297,19 @@ def test_grid_values_independent_of_blocks_order_and_length(monkeypatch):
     state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
     part = Partition((0, 1, 2), (3, 4))
     grid = np.linspace(0.0, 0.4, 41)
-    ref = pt_negativity_grid(state, part, grid)
+    pt = build_pt_matrix(state, part)
+    ref = pt_negativity_grid(pt, grid)
     assert ref[0] == 0.0 and math.copysign(1.0, ref[0]) == 1.0
     assert np.all(ref[1:] > 0.0)
     # cores of dimension 7: one per block, five per block (a ragged last
     # block), and the default budget (the whole grid in one block)
     for budget in (1, 5 * 49, negativity.PT_BLOCK):
         monkeypatch.setattr(negativity, "PT_BLOCK", budget)
-        assert np.array_equal(pt_negativity_grid(state, part, grid), ref)
-        assert np.array_equal(pt_negativity_grid(state, part, grid[::-1]), ref[::-1])
+        assert np.array_equal(pt_negativity_grid(pt, grid), ref)
+        assert np.array_equal(pt_negativity_grid(pt, grid[::-1]), ref[::-1])
         for k in (1, 2, 17):
-            assert np.array_equal(pt_negativity_grid(state, part, grid[:k]), ref[:k])
-    single = pt_negativity_grid(state, part, [grid[9]])
+            assert np.array_equal(pt_negativity_grid(pt, grid[:k]), ref[:k])
+    single = pt_negativity_grid(pt, [grid[9]])
     assert single.shape == (1,) and single[0] == ref[9]
     # the one-point API diagonalises the same core as a stack of one
     neg, _ = pt_negativity(build_pt_matrix(replace(state, eta=grid[9]), part))
@@ -363,6 +369,37 @@ def test_lambda2_pairing_and_trace():
         j = np.argmax(np.abs(vecs[:, k]))
         assert vecs[j, k].imag == pytest.approx(0.0, abs=1e-14)
         assert vecs[j, k].real > 0
+
+
+def test_vectorised_phase_fix_and_degenerate_flags_match_loops():
+    # lambda2_spectrum's phase fix and negativity_report's degenerate flags
+    # against the per-column and per-pair loops they replaced, bit for bit;
+    # unequal groups leave |n_A - n_B| degenerate zero modes
+    rng = np.random.default_rng(12)
+    for na, nb in ((1, 1), (1, 3), (2, 5), (4, 4), (6, 2)):
+        V = VOperator(rng.normal(size=(na, nb)) + 1j * rng.normal(size=(na, nb)))
+        vals, vecs = lambda2_spectrum(V)
+        ref_vals, ref = np.linalg.eigh(V.embed())
+        ref = ref[:, np.argsort(ref_vals)[::-1]]
+        for k in range(ref.shape[1]):
+            col = ref[:, k]
+            j = int(np.argmax(np.abs(col)))
+            if abs(col[j]) > 0:
+                ref[:, k] = col * (np.conj(col[j]) / abs(col[j]))
+        assert vecs.tobytes() == ref.tobytes()
+
+        n = na + nb
+        state = _manual_state(rng.normal(size=n) + 1j * rng.normal(size=n),
+                              rng.normal(size=n * (n - 1) // 2) + 0j)
+        rep = negativity_report(state, Partition(tuple(range(na)), tuple(range(na, n))))
+        l2 = rep.lambda2
+        scale = max(1.0, float(np.max(np.abs(l2))))
+        flags = [False] * len(l2)
+        for k in range(len(l2) - 1):
+            if abs(l2[k] - l2[k + 1]) <= negativity.DEGENERACY_RTOL * scale:
+                flags[k] = flags[k + 1] = True
+        assert [m.degenerate for m in rep.modes] == flags
+        assert sum(flags) == (abs(na - nb) if abs(na - nb) > 1 else 0)
 
 
 def test_lambda4_plane_wave_values():
