@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError, PartitionError
+from .errors import ConfigError, DuplicatePositionError, PartitionError
 from .geometry import (
     Drive,
     Ensemble,
@@ -133,6 +133,8 @@ def _parse_geometry(data, path="geometry") -> dict:
         md = _number(g.get("min_distance", 0.0), f"{path}.min_distance")
         if count < 1:
             raise ConfigError(f"{path}.count", "must be >= 1")
+        if not md >= 0:
+            raise ConfigError(f"{path}.min_distance", "must be non-negative")
         return {"mode": "random", "count": count, "box": box, "min_distance": md}
     raise ConfigError(f"{path}.mode", "must be one of explicit, lattice, random")
 
@@ -215,6 +217,8 @@ def parse_config(data: Any, task: str) -> RunConfig:
         raise ConfigError("eta", "give either eta or eta_sweep, not both")
 
     seed = _integer(top.get("seed", 0), "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed", "must be an unsigned 64-bit integer")
     delta = _number(top.get("delta", 0.0), "delta")
 
     geometry = _parse_geometry(top["geometry"]) if "geometry" in top else None
@@ -281,6 +285,8 @@ def build_ensemble(cfg: RunConfig) -> Ensemble:
         return random_ensemble(
             g["count"], g["box"], cfg.seed, cfg.dipole, min_distance=g["min_distance"]
         )
+    except DuplicatePositionError as exc:
+        raise ConfigError("geometry.positions", str(exc)) from None
     except ValueError as exc:
         raise ConfigError("geometry", str(exc)) from None
 

@@ -37,13 +37,14 @@ practice from six atoms on, at strong drive) restarts on a private
 basis, for which the shared one is dropped. The results do not depend on
 the order of the points or on what was kept.
 
-An ill-conditioned level eigenbasis or a vanishing Sylvester denominator
-(dark states, which can leave several steady states) hands the solve to
-an eigendecomposition of the dense generator for up to DENSE_CAP atoms,
-which warns about a degenerate steady-state manifold; above DENSE_CAP it
-raises ResonantSingularityError. Either route ends in the residual gate of
-the operator-form generator; a fallback state that fails it raises the
-guard's ResonantSingularityError too.
+A level eigenbasis that perturbation.eigenbasis refuses (kappa above
+EIG_COND_GUARD, against at most 2 on five-atom clouds) or a vanishing
+Sylvester denominator (dark states, which can leave several steady states)
+hands the solve to an eigendecomposition of the dense generator up to
+DENSE_CAP atoms, which warns about a degenerate steady-state manifold;
+above DENSE_CAP it raises ResonantSingularityError. Either route ends in
+the residual gate of the operator-form generator; a fallback state that
+fails it raises the guard's ResonantSingularityError too.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from .errors import (
 )
 from .perturbation import (
     COND_LIMIT,
-    EIG_COND_GUARD,
     PerturbState,
+    eigenbasis,
     pair_map_apply,
 )
 
@@ -258,14 +259,9 @@ class _LevelSystem:
         """Eigenbasis of A on each level, the Sylvester multipliers
         1/(lambda_i + conj lambda_j) of the blocks k <= l, and b0. Sets
         `smallest`, the smallest denominator |lambda_i + conj lambda_j|
-        off the (0, 0) entry; raises ResonantSingularityError when an
-        eigenvector matrix is worse conditioned than EIG_COND_GUARD or a
-        multiplier exceeds COND_LIMIT."""
-        lam, self.P = zip(*map(np.linalg.eig, self.A))
-        cond = max(float(np.linalg.cond(p)) for p in self.P)
-        if not cond <= EIG_COND_GUARD:
-            raise ResonantSingularityError(self.delta, cond)
-        self.Pinv = [np.linalg.inv(p) for p in self.P]
+        off the (0, 0) entry; raises ResonantSingularityError when
+        eigenbasis refuses a level or a multiplier exceeds COND_LIMIT."""
+        lam, self.P, self.Pinv = zip(*(eigenbasis(a, self.delta) for a in self.A))
         self.PinvH = [p.conj().T for p in self.Pinv]
         self.PH = [p.conj().T for p in self.P]
         den = [[lam[k][:, None] + lam[l].conj() for l in range(k, self.n + 1)]
@@ -476,8 +472,8 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     on (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G and never forms the dense
     generator. Its factors and Krylov basis depend on the couplings,
     detuning and drive amplitudes only, and are kept for the next call
-    with the same three. When a level guard trips (eigenvector condition
-    above EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
+    with the same three. When a level guard trips (kappa above
+    EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
     DENSE_CAP atoms the dense generator's null vector is taken instead,
     which warns about a degenerate null space; above DENSE_CAP, or when that
     null vector fails the residual gate, the guard's

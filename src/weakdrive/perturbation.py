@@ -20,13 +20,16 @@ Schur complement K d = -diag(S_B), where K_ij is the i-th diagonal entry
 of the Sylvester inverse of e_j e_j^T. For symmetric Z the pair map is
 symmetric under <A, B> = tr(A^T B), so K = K^T; solve_v therefore raises
 AsymmetricCouplingError when max|Z - Z^T| > SYMMETRY_RTOL max|Z|, before
-decomposing. K_ij is a quadratic form x^T G x in x_a = P_ia (P^-1)_aj, built
-for j >= i only and with the symmetric G cut into four column blocks of
-which those below the diagonal are skipped: ~5n^4/16 complex multiply-adds
-in GEMMs through one fixed row buffer of max(K_BLOCK, n^2) entries and a
-product buffer a quarter that size. Everything else is O(n^3), and memory
-stays O(n^2). When cond(P) exceeds EIG_COND_GUARD (Z near-defective), the
-same projection runs on the complex Schur form of Z with LAPACK trsyl
+decomposing. K_ij is a quadratic form x^T G x in x_a = P_ia (P^-1)_aj,
+built from the symmetries of K and G in ~5n^4/16 complex multiply-adds
+through two fixed buffers (see _eigen_kernel). Everything else is O(n^3),
+and memory stays O(n^2). P and P^-1 come from eigenbasis, shared with the
+exact oracle's levels, which reads off kappa = max_i |p_i| |q_i| (q_i row
+i of P^-1), the largest eigenvalue condition number (Golub & Van Loan
+7.2.2), never above cond_2(P). Random clouds of 40-640 atoms measure kappa
+5-254, lattices and the oracle's levels at most 2, and the eigen kernel
+loses digits from kappa ~ 1e5 on. Above EIG_COND_GUARD (Z near-defective)
+the same projection runs on the complex Schur form of Z with LAPACK trsyl
 (Bartels-Stewart). Either way the solution is refined through the
 operator-form map pair_map_apply, whose residual also gates the result.
 
@@ -55,10 +58,7 @@ from .errors import (
 
 RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e12
-# cond(P) of the eigenvector matrix of Z above which the pair solve leaves
-# the eigenbasis for the Schur form: random clouds measure up to ~80 and
-# lattices under 5, while the eigen kernel starts losing digits near 2e5
-EIG_COND_GUARD = 1e4
+EIG_COND_GUARD = 1e4  # kappa above which eigenbasis refuses (module docstring)
 # refinement steps of the pair solve; the first is always taken, because
 # the absolute residual gate cannot see relative errors in tiny entries
 REFINE_STEPS = 3
@@ -90,17 +90,12 @@ def _inverse_checked(A: np.ndarray, delta: float) -> np.ndarray:
     return A_inv
 
 
-def _solve_dense_checked(A: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
-    """Pivoted LU solve behind the condition gate of _inverse_checked."""
-    _inverse_checked(A, delta)
-    return np.linalg.solve(A, b)
-
-
 def solve_u(coupling, delta: float, w: np.ndarray) -> np.ndarray:
     """Single-excitation amplitudes from (Z - i delta) u = i w."""
     b = 1j * np.asarray(w, dtype=complex)
     A = coupling.z - 1j * delta * np.eye(coupling.n)
-    u = _solve_dense_checked(A, b, delta)
+    _inverse_checked(A, delta)
+    u = np.linalg.solve(A, b)
     res = float(np.max(np.abs(A @ u - b)))
     if not res <= RESIDUAL_TOL:
         raise SolverConvergenceError(res, 0)
@@ -127,11 +122,21 @@ def pair_map_apply(coupling, delta: float, v: np.ndarray, n: int) -> np.ndarray:
     return full[I, J] - 2j * delta * v
 
 
-def _eigen_kernel(P: np.ndarray, lam: np.ndarray, delta: float):
-    """Sylvester inverse X -> S in the eigenbasis Z = P diag(lam) P^-1, and
-    the Schur complement K of the diagonal multipliers."""
+def eigenbasis(A: np.ndarray, delta: float):
+    """lam, P and Q = P^-1 (from _inverse_checked) of A = P diag(lam) Q;
+    ResonantSingularityError when kappa > EIG_COND_GUARD, read at call time."""
+    lam, P = np.linalg.eig(A)
+    Q = _inverse_checked(P, delta)
+    kappa = float(np.max(np.linalg.norm(P, axis=0) * np.linalg.norm(Q, axis=1)))
+    if not kappa <= EIG_COND_GUARD:
+        raise ResonantSingularityError(delta, kappa)
+    return lam, P, Q
+
+
+def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
+    """Sylvester inverse X -> S in the eigenbasis Z = P diag(lam) Q with
+    Q = P^-1, and the Schur complement K of the diagonal multipliers."""
     n = len(lam)
-    Q = np.linalg.inv(P)
     Qt = np.ascontiguousarray(Q.T)
     # K_ij = x^T G x with x_a = P_ia Q_aj, for j >= i only: K is symmetric
     # for symmetric Z, so the lower triangle is mirrored. The rows x of
@@ -221,10 +226,9 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
         raise AsymmetricCouplingError(asym, scale)
     I, J = pair_arrays(n)
     b = pair_rhs(coupling, u)
-    lam, P = np.linalg.eig(Z)
-    if np.linalg.cond(P) <= EIG_COND_GUARD:
-        sylvester, K = _eigen_kernel(P, lam, delta)
-    else:
+    try:
+        sylvester, K = _eigen_kernel(*eigenbasis(Z, delta), delta)
+    except ResonantSingularityError:  # refused by eigenbasis
         sylvester, K = _schur_kernel(Z, delta)
     K_inv = _inverse_checked(K, delta)
 

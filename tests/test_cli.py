@@ -659,6 +659,18 @@ def test_config_file_errors_exit_2(tmp_path, capsys, argv, message):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("task", ["validate", "solve"])
+def test_seed_override_outside_u64_exits_2(tmp_path, capsys, task, seed):
+    # on a random geometry, where the seed is drawn from
+    cloud = {"mode": "random", "count": 4, "box": 3.0, "min_distance": 0.5}
+    argv = [task, "--seed", seed]
+    if task == "solve":
+        argv += ["--config", _write(tmp_path, {**PAIR_CONFIG, "geometry": cloud})]
+    assert cli.main(argv) == 2
+    assert "config error: seed: " in capsys.readouterr().err
+
+
 SWEEP_CONFIG = {k: v for k, v in PAIR_CONFIG.items() if k != "eta"}
 SWEEP_CONFIG["eta_sweep"] = {"min": 0.01, "max": 0.04, "points": 3}
 FARFIELD = {"k0_distance": 1e7, "theta": 1.0, "n_a": 10, "n_b": 10,
@@ -697,6 +709,12 @@ FARFIELD = {"k0_distance": 1e7, "theta": 1.0, "n_a": 10, "n_b": 10,
         ("bounds", {"farfield": {**FARFIELD, "k0_distance": 0.0}}, "farfield.k0_distance"),
         ("bounds", {"farfield": {**FARFIELD, "n_b": 0}}, "farfield.n_a"),
         ("bounds", {"farfield": {**FARFIELD, "mean_spacing": -1.0}}, "farfield.mean_spacing"),
+        ("solve", {"geometry": {"mode": "random", "count": 2, "box": 1.0, "min_distance": -0.5}},
+         "geometry.min_distance"),
+        ("solve", {"geometry": {"mode": "explicit", "positions": [[0, 0, 0], [0, 0, 0]]}},
+         "geometry.positions"),
+        ("solve", {"seed": -1}, "seed"),
+        ("solve", {"seed": 2**64}, "seed"),
     ],
 )
 def test_invalid_field_exits_2_with_its_path(tmp_path, capsys, task, change, path):

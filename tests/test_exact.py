@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
-from weakdrive import exact
+from weakdrive import exact, perturbation
 from weakdrive.basis import pair_arrays
 from weakdrive.config import parse_config
 from weakdrive.coupling import CouplingMatrix, coupling_matrix
@@ -307,6 +307,22 @@ def test_steady_state_logs_route(caplog):
         with pytest.warns(UserWarning, match="degenerate"):
             steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex), 0.0))
     assert caplog.records[0].getMessage().startswith("route dense fallback (")
+
+
+def test_level_solve_reads_the_shared_eigenbasis_guard(monkeypatch, caplog):
+    # the level eigenbases pass the gate of perturbation.eigenbasis, which
+    # reads EIG_COND_GUARD at call time: a guard of 0 refuses every level
+    ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+    monkeypatch.setattr(exact, "_last_system", {})
+    levels = steady_state_exact(liouv)
+    monkeypatch.setattr(exact, "_last_system", {})
+    monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+        dense = steady_state_exact(liouv)
+    (record,) = caplog.records
+    assert record.getMessage().startswith("route dense fallback (")
+    assert np.max(np.abs(dense - levels)) <= 1e-10
 
 
 def _iterations(caplog):

@@ -117,10 +117,13 @@ def _relative_gap(v, ref):
     return float(np.max(np.abs(v - ref)) / np.max(np.abs(ref)))
 
 
-def _defective_coupling():
+def _defective_coupling(eps=0.0):
     """Complex-symmetric Z with a 2 x 2 Jordan block, rotated by a real
-    orthogonal matrix so every pair couples."""
-    core = np.diag([0.7 + 0.1j, 0.3 + 0.1j, 0.6 - 0.2j, 0.45 + 0.3j, 0.7, 0.55 - 0.1j])
+    orthogonal matrix so every pair couples; eps > 0 splits the block into
+    eigenvalues 0.5 + 0.1i +- (0.4 eps + eps^2)^(1/2)."""
+    core = np.diag(
+        [0.7 + eps + 0.1j, 0.3 - eps + 0.1j, 0.6 - 0.2j, 0.45 + 0.3j, 0.7, 0.55 - 0.1j]
+    )
     core[0, 1] = core[1, 0] = 0.2j  # 0.5 + 0.1i plus 0.2 [[1, i], [i, -1]]
     R, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))
     return CouplingMatrix(R @ core @ R.T)
@@ -152,16 +155,48 @@ def test_defective_coupling_takes_schur_kernel(monkeypatch):
     z = coupling.z
     # symmetric to rounding only, which the symmetry gate lets through
     assert 0.0 < np.max(np.abs(z - z.T)) <= perturbation.SYMMETRY_RTOL * np.max(np.abs(z))
-    _, P = np.linalg.eig(coupling.z)
-    assert np.linalg.cond(P) > perturbation.EIG_COND_GUARD
+    with pytest.raises(ResonantSingularityError) as exc:
+        perturbation.eigenbasis(z, 0.3)
+    assert exc.value.cond > perturbation.EIG_COND_GUARD
 
     def refuse(*args):
-        raise AssertionError("eigen kernel used above the cond(P) guard")
+        raise AssertionError("eigen kernel used above the kappa guard")
 
     monkeypatch.setattr(perturbation, "_eigen_kernel", refuse)
     u = solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
     v = solve_v(coupling, 0.3, u)
     assert _relative_gap(v, _reference_v(coupling, 0.3, u)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 0.0]
+)
+def test_near_defective_family_takes_kernel_by_kappa(monkeypatch, eps):
+    # kappa ~ 0.32 / sqrt(eps) crosses EIG_COND_GUARD at eps ~ 1e-9, which
+    # is left out so that rounding cannot move a point across the gate
+    coupling = _defective_coupling(eps)
+    _, P = np.linalg.eig(coupling.z)
+    # for complex-symmetric Z the left eigenvectors are conj(P), so the
+    # eigenvalue condition numbers are 1 / |p_i^T p_i| for unit columns
+    kappa = float(np.max(1.0 / np.abs(np.sum(P * P, axis=0))))
+    assert not 0.5 <= kappa / perturbation.EIG_COND_GUARD <= 2.0
+    kernels = []
+    for name in ("_eigen_kernel", "_schur_kernel"):
+        def spy(*args, _name=name, _kernel=getattr(perturbation, name)):
+            kernels.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(perturbation, name, spy)
+    u = solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
+    v = solve_v(coupling, 0.3, u)
+    assert _relative_gap(v, _reference_v(coupling, 0.3, u)) <= 1e-12
+    if kappa <= perturbation.EIG_COND_GUARD:
+        assert kernels == ["_eigen_kernel"]
+    else:
+        assert kernels == ["_schur_kernel"]
+        with pytest.raises(ResonantSingularityError) as exc:
+            perturbation.eigenbasis(coupling.z, 0.3)
+        assert exc.value.cond == pytest.approx(kappa, rel=1e-6)
 
 
 def _cloud_kernel(n, cloud):
@@ -173,8 +208,7 @@ def _cloud_kernel(n, cloud):
     """
     box = 30.0 if cloud == "sparse" else 20.0 * (n / 100.0) ** (1.0 / 3.0)
     ens = random_ensemble(n, box, 1000 + n, DIPOLE, min_distance=0.5)
-    lam, P = np.linalg.eig(coupling_matrix(ens).z)
-    return P, lam, 0.3
+    return (*perturbation.eigenbasis(coupling_matrix(ens).z, 0.3), 0.3)
 
 
 @pytest.mark.parametrize("cloud", ["sparse", "dense"])
@@ -191,9 +225,8 @@ def test_eigen_kernel_K_matches_column_definition(n, cloud):
 
 def test_eigen_kernel_K_matches_schur_kernel_on_degenerate_lattice():
     z = coupling_matrix(lattice_ensemble(3, 1.0, DIPOLE)).z
-    lam, P = np.linalg.eig(z)
-    assert np.linalg.cond(P) <= perturbation.EIG_COND_GUARD
-    _, K = perturbation._eigen_kernel(P, lam, 0.3)
+    # eigenbasis refuses a basis whose kappa exceeds EIG_COND_GUARD
+    _, K = perturbation._eigen_kernel(*perturbation.eigenbasis(z, 0.3), 0.3)
     _, K_schur = perturbation._schur_kernel(z, 0.3)
     assert np.array_equal(K, K.T)
     assert np.max(np.abs(K - K_schur)) <= 1e-12 * np.max(np.abs(K_schur))

@@ -1,0 +1,67 @@
+"""In-process wall times of two solver layers, printed one line each.
+
+- solve_v on a 160-atom random cloud (5 calls);
+- a sweep's negativity layer, negativity_report plus pt_negativity_grid,
+  on a 40-atom half/half cloud over 50 eta points (20 calls).
+
+Run from the repository root:
+
+    PYTHONPATH=src python tools/layer_timings.py
+
+The numbers are recorded, not gated: they depend on the machine and on
+its load.
+"""
+
+import time
+
+import numpy as np
+
+from weakdrive import Drive, Partition, PlaneWave, coupling_matrix, random_ensemble
+from weakdrive.negativity import negativity_report, pt_negativity_grid
+from weakdrive.perturbation import solve_u, solve_v, steady_state
+
+DIPOLE = [0.0, 0.0, 1.0]
+BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
+
+
+def _times(call, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def solve_v_times():
+    ens = random_ensemble(160, 20.0, 0, DIPOLE, min_distance=0.5)
+    coupling = coupling_matrix(ens)
+    drive = Drive(delta=0.3, eta=0.05, beam=BEAM)
+    u = solve_u(coupling, drive.delta, drive.w(ens))
+    return _times(lambda: solve_v(coupling, drive.delta, u), 5)
+
+
+def negativity_layer_times():
+    ens = random_ensemble(40, 10.0, 0, DIPOLE, min_distance=0.5)
+    drive = Drive(delta=0.3, eta=0.01, beam=BEAM)
+    state = steady_state(coupling_matrix(ens), drive, ens)
+    part = Partition(tuple(range(20)), tuple(range(20, 40)))
+    grid = np.linspace(0.01, 0.2, 50)
+
+    def layer():
+        report = negativity_report(state, part, eta_grid=grid)
+        pt_negativity_grid(report.pt, grid)
+
+    return _times(layer, 20)
+
+
+def main():
+    times = solve_v_times()
+    print(f"solve_v, n = 160: median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
+    times = negativity_layer_times()
+    print(f"negativity_report + pt_negativity_grid, n = 40, 50 points: "
+          f"median {np.median(times) * 1e3:.2f} ms, min {min(times) * 1e3:.2f} ms over 20")
+
+
+if __name__ == "__main__":
+    main()
