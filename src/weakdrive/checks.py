@@ -180,12 +180,13 @@ def _oracle_errors(seed: int) -> tuple[tuple, tuple]:
     ens = explicit_ensemble([[0.0, 0.0, 0.0], sep.tolist()], [0.0, 0.0, 1.0])
     coupling = coupling_matrix(ens)
     beam = PlaneWave(np.array([0.0, 1.0, 0.0]))
+    liouv = build_liouvillian(coupling, 0.0, beam.amplitudes(ens))
     neg_errors = []
     state_errors = []
     for eta in (0.04, 0.02, 0.01):
         drive = Drive(delta=0.0, eta=eta, beam=beam)
         state = steady_state(coupling, drive, ens)
-        rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens), eta))
+        rho = steady_state_exact(liouv, eta)
         n_exact, _ = negativity_exact(rho, [1], 2)
         n_pt, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
         neg_errors.append(abs(n_exact - n_pt))

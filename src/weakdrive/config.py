@@ -8,6 +8,7 @@ ill-typed ones. Exit-code mapping and task orchestration live in the CLI.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -48,7 +49,13 @@ def _check_keys(d: dict, path: str, required: set[str], optional: set[str] = fro
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):  # json reads NaN, Infinity and 1e400
+        raise ConfigError(path, "must be a finite number")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -185,8 +192,9 @@ def _parse_farfield(data, path="farfield") -> dict:
     }
     if out["k0_distance"] <= 0:
         raise ConfigError(f"{path}.k0_distance", "must be positive")
-    if out["n_a"] < 1 or out["n_b"] < 1:
-        raise ConfigError(f"{path}.n_a", "group sizes must be >= 1")
+    for key in ("n_a", "n_b"):
+        if out[key] < 1:
+            raise ConfigError(f"{path}.{key}", "group size must be >= 1")
     if out["mean_spacing"] <= 0:
         raise ConfigError(f"{path}.mean_spacing", "must be positive")
     if out["omega_over_gamma"] < 0:

@@ -28,14 +28,13 @@ iterations as the drive grows: about 20 at eta = 0.1 and about 390 at
 eta = 2 on five atoms.
 
 Only the shift depends on eta: the Krylov space of I + eta K from b0 is
-that of K for every eta (Frommer & Glaessner 1998). So the factored
-levels, b0 and one Arnoldi basis of K are kept for the last (z, delta,
-w) and shared by the drive strengths of a grid; the basis grows as far
-as the slowest point needs, and each point solves its own small least
-squares problem on it. A point still unconverged after one cycle (in
-practice from six atoms on, at strong drive) restarts on a private
-basis, for which the shared one is dropped. The results do not depend on
-the order of the points or on what was kept.
+that of K for every eta (Frommer & Glaessner 1998). So a Liouvillian
+keeps its factored levels, b0 and one Arnoldi basis of K for all the
+drive strengths solved on it; the basis grows as far as the slowest
+point needs, and each point solves its own small least squares problem
+on it. A point still unconverged after one cycle (from six atoms on, at
+strong drive) restarts on a private basis, dropping the shared one.
+Results depend neither on the order of the points nor on what was kept.
 
 A level eigenbasis that perturbation.eigenbasis refuses (kappa above
 EIG_COND_GUARD, against at most 2 on five-atom clouds) or a vanishing
@@ -112,13 +111,14 @@ def lowering_ops(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Rotating-frame generator in operator form: the couplings, detuning,
-    drive amplitudes and drive strength it is made of."""
+    """Rotating-frame generator L = L0 + eta L1 in operator form, made of
+    couplings, detuning and drive amplitudes. Its level system is factored
+    on first use and kept for every eta solved on it: solve one Liouvillian
+    from one thread at a time. Separate objects share nothing."""
 
     coupling: CouplingMatrix
     delta: float
     w: np.ndarray
-    eta: float
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.array(self.w, dtype=complex))
@@ -132,27 +132,28 @@ class Liouvillian:
     def dim(self) -> int:
         return 2**self.n
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense generator on row-major vectorised density matrices,
-        built on demand for up to DENSE_CAP atoms."""
+    def matrix(self, eta: float) -> np.ndarray:
+        """The dense generator at drive strength eta on row-major
+        vectorised density matrices, built for up to DENSE_CAP atoms."""
         if self.n > DENSE_CAP:
-            raise CapExceededError(
-                f"dense generator capped at {DENSE_CAP} atoms, got {self.n}"
-            )
-        return _dense_generator(self)
+            raise CapExceededError(f"dense generator capped at {DENSE_CAP} atoms, got {self.n}")
+        return _dense_generator(self, eta)
+
+    @functools.cached_property
+    def _levels(self) -> "_LevelSystem":
+        return _LevelSystem(self)
 
 
-def build_liouvillian(coupling, delta: float, w: np.ndarray, eta: float) -> Liouvillian:
+def build_liouvillian(coupling, delta: float, w: np.ndarray) -> Liouvillian:
     """Rotating-frame generator, time in units of 1/Gamma; hard cap
     n <= N_CAP."""
     n = coupling.n
     if n > N_CAP:
         raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {n}")
-    return Liouvillian(coupling=coupling, delta=float(delta), w=w, eta=float(eta))
+    return Liouvillian(coupling=coupling, delta=float(delta), w=w)
 
 
-def _dense_generator(liouv: Liouvillian) -> np.ndarray:
+def _dense_generator(liouv: Liouvillian, eta: float) -> np.ndarray:
     """With D = sum_ab z_ab s_a^dag s_b the generator is
     rho -> (-iH - D) rho + rho (iH - D^*) + sum_ab 2 Re z_ab s_a rho s_b^dag,
     and rho -> A rho B maps to kron(A, B^T) on the row-major vector."""
@@ -164,7 +165,7 @@ def _dense_generator(liouv: Liouvillian) -> np.ndarray:
     # the lowering operators are real, so s_a^dag = s_a^T and D^* = conj(D)
     drive_op = np.tensordot(liouv.w.conj(), s, axes=1)
     number = np.einsum("aji,ajk->ik", s, s)
-    H = -liouv.delta * number - liouv.eta * (drive_op + drive_op.conj().T)
+    H = -liouv.delta * number - eta * (drive_op + drive_op.conj().T)
     D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))
 
     L = np.kron(-1j * H - D, eye)
@@ -223,10 +224,11 @@ def _level_tables(n: int) -> _LevelTables:
 
 class _LevelSystem:
     """The drive-independent part of one generator on the level-ordered
-    basis: A on each level, jump and drive by index gathers and, once
-    `factor` has run, L0^-1 by per-block Sylvester solves, the start
-    vector b0 = -K rho_G of K = L0^-1 L1 and the Arnoldi basis of K grown
-    from it, which every drive strength shares."""
+    basis: A on each level, jump and drive by index gathers and, unless
+    `factor` refused (the refusal is kept in `refused`), L0^-1 by
+    per-block Sylvester solves, the start vector b0 = -K rho_G of
+    K = L0^-1 L1 and the Arnoldi basis of K grown from it, which every
+    drive strength shares."""
 
     def __init__(self, liouv: Liouvillian):
         self.n, self.d = liouv.n, liouv.dim
@@ -249,7 +251,12 @@ class _LevelSystem:
             E = E[:, :, :c]
             D = E.reshape(-1, c).T @ np.tensordot(Z, E, axes=1).reshape(-1, c)
             self.A.append(1j * self.delta * k * np.eye(c) - D)
-        self.krylov = None
+        self.krylov = self.refused = None
+        try:
+            self.factor()
+        except ResonantSingularityError as exc:
+            # without its traceback, whose frames would hold self
+            self.refused = exc.with_traceback(None)
 
     @property
     def dims(self) -> list:
@@ -445,65 +452,48 @@ def _shifted_gmres(
     return np.linalg.solve(T, g[:k])
 
 
-def _dense_fallback(liouv: Liouvillian) -> np.ndarray:
+def _dense_fallback(liouv: Liouvillian, eta: float) -> np.ndarray:
     """First null vector of the dense generator, Hermitised; warns when the
     second eigenvalue vanishes too (a degenerate steady-state manifold)."""
     d = liouv.dim
-    vals, vecs = np.linalg.eig(liouv.matrix)
+    vals, vecs = np.linalg.eig(liouv.matrix(eta))
     order = np.argsort(np.abs(vals))
     if len(order) > 1 and np.abs(vals[order[1]]) < NULL_TOL:
-        warnings.warn(
-            "degenerate steady-state manifold: second eigenvalue modulus "
-            f"{np.abs(vals[order[1]]):.2e}",
-            stacklevel=3,
-        )
+        warnings.warn("degenerate steady-state manifold: second eigenvalue modulus "
+                      f"{np.abs(vals[order[1]]):.2e}", stacklevel=3)
     return vecs[:, order[0]].reshape(d, d)
 
 
-# the factored level system of the last generator, under its (delta, z, w)
-# key: a grid of drive strengths shares its factors and Krylov basis
-_last_system: dict = {}
-
-
-def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
-    """Unit-trace steady state of the generator as a Hermitian matrix.
+def steady_state_exact(liouv: Liouvillian, eta: float) -> np.ndarray:
+    """Unit-trace Hermitian steady state of liouv at drive strength eta.
 
     The level route (module docstring) solves for X = rho - rho_G by GMRES
     on (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G and never forms the dense
-    generator. Its factors and Krylov basis depend on the couplings,
-    detuning and drive amplitudes only, and are kept for the next call
-    with the same three. When a level guard trips (kappa above
-    EIG_COND_GUARD, a Sylvester multiplier above COND_LIMIT), up to
-    DENSE_CAP atoms the dense generator's null vector is taken instead,
-    which warns about a degenerate null space; above DENSE_CAP, or when that
-    null vector fails the residual gate, the guard's
-    ResonantSingularityError propagates. GMRES that does not converge
-    raises SolverConvergenceError with its residual and iteration count,
-    and every returned state has an operator-form residual within NULL_TOL.
-    The route, level dimensions, GMRES iterations (the Krylov dimension of
-    this drive strength's solution) and residual and the smallest
-    Sylvester denominator are logged at DEBUG on weakdrive.exact.
+    generator. Its factors and Krylov basis, or the refusal of a level
+    guard (kappa above EIG_COND_GUARD, a Sylvester multiplier above
+    COND_LIMIT), are kept on liouv for the next drive strength. After a
+    refusal, up to DENSE_CAP atoms the dense generator's null vector is
+    taken instead, which warns about a degenerate null space; above
+    DENSE_CAP, or when that null vector fails the residual gate, the
+    guard's ResonantSingularityError is raised. GMRES that does not
+    converge raises SolverConvergenceError with its residual and iteration
+    count, and every returned state has an operator-form residual within
+    NULL_TOL. The route, level dimensions, GMRES iterations (the Krylov
+    dimension of the solution), residual and smallest Sylvester
+    denominator are logged at DEBUG on weakdrive.exact.
     """
-    # bytes, not floats: a detuning of -0.0 is not that of 0.0
-    key = (np.float64(liouv.delta).tobytes(), liouv.coupling.z.tobytes(), liouv.w.tobytes())
-    system = _last_system.get(key)
-    guard = None
-    try:
-        if system is None:
-            # drop the previous basis before the next one is built
-            _last_system.clear()
-            system = _LevelSystem(liouv)
-            system.factor()
-            _last_system[key] = system
-    except ResonantSingularityError as exc:
+    system = liouv._levels
+    guard = system.refused
+    if guard is not None:
+        # a fresh copy, so that the kept refusal gathers no traceback
+        guard = ResonantSingularityError(guard.delta, guard.cond)
         if liouv.n > DENSE_CAP:
-            raise
-        log.debug("route dense fallback (%s); level dims %s", exc, system.dims)
-        guard = exc
-        rho = _dense_fallback(liouv)[np.ix_(system.t.order, system.t.order)]
+            raise guard
+        log.debug("route dense fallback (%s); level dims %s", guard, system.dims)
+        rho = _dense_fallback(liouv, eta)[np.ix_(system.t.order, system.t.order)]
         iterations = 0
     else:
-        rho, iterations, res = system.steady_state(liouv.eta)
+        rho, iterations, res = system.steady_state(eta)
         log.debug(
             "route levels; level dims %s; gmres iterations %d, residual %.3e; "
             "smallest denominator %.3e",
@@ -514,7 +504,7 @@ def steady_state_exact(liouv: Liouvillian) -> np.ndarray:
     tr = np.trace(rho).real
     # a traceless null vector has no normalised state to gate
     rho = rho / tr if abs(tr) >= 1e-12 else None
-    residual = np.inf if rho is None else system.residual(rho, liouv.eta)
+    residual = np.inf if rho is None else system.residual(rho, eta)
     if not residual <= NULL_TOL:
         # a fallback state that fails the gate is the level guard's refusal
         raise guard if guard is not None else SolverConvergenceError(residual, iterations)

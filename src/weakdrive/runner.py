@@ -113,14 +113,14 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # sweep and oracle comparison
 # ----------------------------------------------------------------------
 
-def _exact_negativity(state: PerturbState, part: Partition, coupling, eta: float) -> float:
+def _exact_negativity(liouv, part: Partition, eta: float) -> float:
     """N_exact at one drive strength.
 
     The exact state is reduced to A then B before the transpose over B, so
     a partition embedded in a larger ensemble is handled like a covering one.
     """
-    rho = steady_state_exact(build_liouvillian(coupling, state.delta, state.w, eta))
-    rho_ab = reduce_state(rho, part.atoms, state.n)
+    rho = steady_state_exact(liouv, eta)
+    rho_ab = reduce_state(rho, part.atoms, liouv.n)
     b_local = list(range(len(part.group_a), len(part.atoms)))
     n_exact, _ = negativity_exact(rho_ab, b_local, len(part.atoms))
     return n_exact
@@ -132,13 +132,14 @@ def _walk_grid(pt: PartialTransposeMatrix, state: PerturbState, part: Partition,
     and point_errors for those whose exact column raised a package error.
 
     N_pt comes from pt_negativity_grid of pt over the whole grid; N_exact is
-    solved per point, or None when coupling is None.
+    solved per point on one Liouvillian, or None when coupling is None.
     """
     n_pt = pt_negativity_grid(pt, grid).tolist()
+    liouv = None if coupling is None else build_liouvillian(coupling, state.delta, state.w)
     rows, errors = [], []
     for k, eta in enumerate(grid.tolist()):
         try:
-            n_exact = None if coupling is None else _exact_negativity(state, part, coupling, eta)
+            n_exact = None if liouv is None else _exact_negativity(liouv, part, eta)
         except WeakdriveError as exc:
             errors.append({"eta": eta, "error": str(exc)})
             continue

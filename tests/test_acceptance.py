@@ -108,10 +108,9 @@ def test_criterion_2_oracle_equivalence():
                 drive = Drive(delta=delta, eta=0.04, beam=PlaneWave(YHAT))
                 state = steady_state(coupling, drive, ens)
                 errors = []
+                liouv = build_liouvillian(coupling, delta, state.w)
                 for eta in (0.04, 0.02, 0.01):
-                    rho = steady_state_exact(
-                        build_liouvillian(coupling, delta, state.w, eta)
-                    )
+                    rho = steady_state_exact(liouv, eta)
                     n_exact, _ = negativity_exact(rho, list(range(n_a, n)), n)
                     st = PerturbState(
                         u=state.u, v=state.v, w=state.w,
@@ -355,7 +354,7 @@ def test_criterion_8_single_atom_exactness():
     w = np.array([np.exp(0.4j)])
     for eta in (0.01, 0.1, 1.0):
         for delta in (0.0, 0.5):
-            rho = steady_state_exact(build_liouvillian(z, delta, w, eta))
+            rho = steady_state_exact(build_liouvillian(z, delta, w), eta)
             ref = dilute_product_state(w, delta, eta).single(0)
             worst = max(worst, float(np.max(np.abs(rho - ref))))
     ok = worst <= 1e-12

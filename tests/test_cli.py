@@ -302,13 +302,13 @@ def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task)
 
     real = runner_mod.steady_state_exact
 
-    def flaky(liouv):
+    def flaky(liouv, eta):
         # fail one grid point; the walk must keep the others
         if flaky.calls == 1:
             flaky.calls += 1
             raise SolverConvergenceError(1.0, 0)
         flaky.calls += 1
-        return real(liouv)
+        return real(liouv, eta)
 
     config = dict(PAIR_CONFIG)
     del config["eta"]
@@ -707,7 +707,7 @@ FARFIELD = {"k0_distance": 1e7, "theta": 1.0, "n_a": 10, "n_b": 10,
          "eta_sweep.min"),
         ("sweep", {"eta_sweep": {"min": -0.01, "max": 0.04, "points": 3}}, "eta_sweep.min"),
         ("bounds", {"farfield": {**FARFIELD, "k0_distance": 0.0}}, "farfield.k0_distance"),
-        ("bounds", {"farfield": {**FARFIELD, "n_b": 0}}, "farfield.n_a"),
+        ("bounds", {"farfield": {**FARFIELD, "n_b": 0}}, "farfield.n_b"),
         ("bounds", {"farfield": {**FARFIELD, "mean_spacing": -1.0}}, "farfield.mean_spacing"),
         ("solve", {"geometry": {"mode": "random", "count": 2, "box": 1.0, "min_distance": -0.5}},
          "geometry.min_distance"),
@@ -715,10 +715,24 @@ FARFIELD = {"k0_distance": 1e7, "theta": 1.0, "n_a": 10, "n_b": 10,
          "geometry.positions"),
         ("solve", {"seed": -1}, "seed"),
         ("solve", {"seed": 2**64}, "seed"),
+        ("bounds", {"farfield": {**FARFIELD, "n_a": 0}}, "farfield.n_a"),
+        ("solve", {"eta": float("nan")}, "eta"),
+        ("solve", {"eta": float("inf")}, "eta"),
+        ("solve", {"eta": 10**400}, "eta"),
+        ("solve", {"delta": float("nan")}, "delta"),
+        ("sweep", {"eta_sweep": {"min": 0.01, "max": float("inf"), "points": 3}},
+         "eta_sweep.max"),
+        ("oracle-compare", {"eta_sweep": {"min": 0.01, "max": float("inf"), "points": 3}},
+         "eta_sweep.max"),
+        ("solve", {"geometry": {"mode": "explicit",
+                                "positions": [[0, 0, 0], [float("nan"), 0, 0]]}},
+         "geometry.positions[1][0]"),
+        ("bounds", {"farfield": {**FARFIELD, "theta": float("nan")}}, "farfield.theta"),
     ],
 )
 def test_invalid_field_exits_2_with_its_path(tmp_path, capsys, task, change, path):
-    base = {"solve": PAIR_CONFIG, "sweep": SWEEP_CONFIG, "bounds": {"delta": 0.0}}[task]
+    base = {"solve": PAIR_CONFIG, "sweep": SWEEP_CONFIG, "oracle-compare": SWEEP_CONFIG,
+            "bounds": {"delta": 0.0}}[task]
     cfg = _write(tmp_path, {**base, **change})
     assert cli.main([task, "--config", cfg]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err

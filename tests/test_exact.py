@@ -164,7 +164,7 @@ def _bordered_reference(L):
     return c.to_matrix(np.linalg.solve(A, rhs))
 
 
-def _random_liouvillian(n, seed, masked, delta, eta):
+def _random_liouvillian(n, seed, masked, delta):
     """Random cloud; the masked beam lights a seeded random subset."""
     ens = random_ensemble(n, 2.0, seed, DIPOLE, min_distance=0.6)
     beam = BEAM
@@ -172,7 +172,7 @@ def _random_liouvillian(n, seed, masked, delta, eta):
         rng = np.random.default_rng(seed)
         lit = rng.permutation(n)[: int(rng.integers(1, n + 1))]
         beam = MaskedBeam(BEAM, frozenset(lit.tolist()))
-    return build_liouvillian(coupling_matrix(ens), delta, beam.amplitudes(ens), eta)
+    return build_liouvillian(coupling_matrix(ens), delta, beam.amplitudes(ens))
 
 
 # (n, masked, delta, eta): the full grid up to three atoms, a few corners
@@ -193,10 +193,10 @@ def test_routes_match_references(n, masked, delta, eta):
     beam = MaskedBeam(BEAM, frozenset(range(0, n, 2))) if masked else BEAM
     w = beam.amplitudes(ens)
     coupling = coupling_matrix(ens)
-    liouv = build_liouvillian(coupling, delta, w, eta)
+    liouv = build_liouvillian(coupling, delta, w)
     ref = _reference_liouvillian(coupling, delta, w, eta)
-    assert np.max(np.abs(liouv.matrix - ref)) <= 1e-14
-    rho = steady_state_exact(liouv)
+    assert np.max(np.abs(liouv.matrix(eta) - ref)) <= 1e-14
+    rho = steady_state_exact(liouv, eta)
     assert np.max(np.abs(rho - _reference_steady_state(ref))) <= 1e-12
 
 
@@ -206,23 +206,23 @@ def test_level_route_builds_no_dense_generator(monkeypatch):
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], delta=0.3
     )
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
 
     def no_dense(*args, **kwargs):
         raise AssertionError("dense generator built on a non-degenerate system")
 
     monkeypatch.setattr(exact, "_dense_generator", no_dense)
-    rho = steady_state_exact(liouv)
+    rho = steady_state_exact(liouv, drive.eta)
     monkeypatch.undo()
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(liouv.matrix @ rho.reshape(-1))) <= 1e-12
+    assert np.max(np.abs(liouv.matrix(drive.eta) @ rho.reshape(-1))) <= 1e-12
 
 
 def test_steady_state_is_exactly_hermitian():
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4]], delta=0.3, eta=0.1
     )
-    rho = steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta))
+    rho = steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
     assert np.array_equal(rho, rho.conj().T)
     assert np.max(np.abs(rho - np.triu(rho))) > 0.0
 
@@ -253,24 +253,24 @@ def test_hermitian_coords_round_trip(d):
 @example(5, 0, True, 0.3, 0.05)
 @example(5, 5, False, 0.0, 1.0)
 def test_level_route_matches_bordered_reference(n, seed, masked, delta, eta):
-    liouv = _random_liouvillian(n, seed, masked, delta, eta)
-    rho = steady_state_exact(liouv)
-    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix))) <= 1e-12
+    liouv = _random_liouvillian(n, seed, masked, delta)
+    rho = steady_state_exact(liouv, eta)
+    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix(eta)))) <= 1e-12
 
 
 @pytest.mark.parametrize("eta", [2.0, 5.0])
 def test_strong_drive_matches_bordered_reference(eta):
     # hundreds of GMRES iterations, against a handful at weak drive
-    liouv = _random_liouvillian(4, 104, False, 0.3, eta)
-    rho = steady_state_exact(liouv)
-    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix))) <= 1e-12
+    liouv = _random_liouvillian(4, 104, False, 0.3)
+    rho = steady_state_exact(liouv, eta)
+    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix(eta)))) <= 1e-12
 
 
 def test_gmres_nonconvergence_reports_residual(monkeypatch):
     monkeypatch.setattr(exact, "GMRES_MAXITER", 3)
-    liouv = _random_liouvillian(3, 103, False, 0.3, 0.3)
+    liouv = _random_liouvillian(3, 103, False, 0.3)
     with pytest.raises(SolverConvergenceError) as exc:
-        steady_state_exact(liouv)
+        steady_state_exact(liouv, 0.3)
     assert exc.value.iterations == 3
     assert 1e-10 < exc.value.residual < np.inf
 
@@ -281,10 +281,10 @@ def test_steady_state_memory():
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], eta=0.02
     )
-    liouv = build_liouvillian(coupling, 0.0, drive.w(ens), drive.eta)
+    liouv = build_liouvillian(coupling, 0.0, drive.w(ens))
     tracemalloc.start()
     try:
-        steady_state_exact(liouv)
+        steady_state_exact(liouv, drive.eta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,9 +293,9 @@ def test_steady_state_memory():
 
 def test_steady_state_logs_route(caplog):
     ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
-        steady_state_exact(liouv)
+        steady_state_exact(liouv, drive.eta)
     (record,) = caplog.records
     assert record.name == "weakdrive.exact"
     message = record.getMessage()
@@ -305,7 +305,7 @@ def test_steady_state_logs_route(caplog):
     z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
         with pytest.warns(UserWarning, match="degenerate"):
-            steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex), 0.0))
+            steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex)), 0.0)
     assert caplog.records[0].getMessage().startswith("route dense fallback (")
 
 
@@ -313,13 +313,12 @@ def test_level_solve_reads_the_shared_eigenbasis_guard(monkeypatch, caplog):
     # the level eigenbases pass the gate of perturbation.eigenbasis, which
     # reads EIG_COND_GUARD at call time: a guard of 0 refuses every level
     ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
-    monkeypatch.setattr(exact, "_last_system", {})
-    levels = steady_state_exact(liouv)
-    monkeypatch.setattr(exact, "_last_system", {})
+    levels = steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
     monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
-        dense = steady_state_exact(liouv)
+        dense = steady_state_exact(
+            build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta
+        )
     (record,) = caplog.records
     assert record.getMessage().startswith("route dense fallback (")
     assert np.max(np.abs(dense - levels)) <= 1e-10
@@ -339,7 +338,6 @@ def test_grid_independent_of_order_and_cache(monkeypatch, caplog):
     # cycles that point restarts on a private basis and drops the shared one
     # that the weak points use, which later points build again
     monkeypatch.setattr(exact, "KRYLOV_ENTRIES", 180 * 2 * 4**4)
-    monkeypatch.setattr(exact, "_last_system", {})
     # the shared and the private basis never hold more than
     # KRYLOV_ENTRIES float64 entries together
     live = weakref.WeakSet()
@@ -353,49 +351,25 @@ def test_grid_independent_of_order_and_cache(monkeypatch, caplog):
 
     monkeypatch.setattr(exact._Arnoldi, "column", checked)
     etas = [0.01, 0.1, 5.0]
-
-    def solve(eta, cold=False):
-        if cold:
-            exact._last_system.clear()
-        return steady_state_exact(_random_liouvillian(4, 104, False, 0.3, eta))
-
+    # one generator for both warm passes; a cold point has a fresh one
+    liouv = _random_liouvillian(4, 104, False, 0.3)
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
-        ascending = [solve(eta) for eta in etas]
+        ascending = [steady_state_exact(liouv, eta) for eta in etas]
     assert _iterations(caplog)[2] > 180
-    descending = [solve(eta) for eta in reversed(etas)][::-1]
-    cold = [solve(eta, cold=True) for eta in etas]
+    descending = [steady_state_exact(liouv, eta) for eta in reversed(etas)][::-1]
+    # its kept basis would count against the cold points' budget
+    del liouv
+    cold = [steady_state_exact(_random_liouvillian(4, 104, False, 0.3), eta) for eta in etas]
     for a, b, c in zip(ascending, descending, cold):
         assert np.array_equal(a, b) and np.array_equal(a, c)
     assert np.max(np.abs(ascending[2] - _bordered_reference(
-        _random_liouvillian(4, 104, False, 0.3, 5.0).matrix))) <= 1e-12
+        _random_liouvillian(4, 104, False, 0.3).matrix(5.0)))) <= 1e-12
 
 
-@pytest.mark.parametrize("change", ["delta", "mask", "z"])
-def test_cached_basis_never_stale(monkeypatch, change):
-    # a call right after another system of the same size must equal the
-    # cold-cache solve bit for bit
-    monkeypatch.setattr(exact, "_last_system", {})
-    ens = random_ensemble(4, 2.0, 11, DIPOLE, min_distance=0.6)
-    coupling, delta, w = coupling_matrix(ens), 0.3, BEAM.amplitudes(ens)
-    other = {
-        "delta": (coupling, 0.0, w),
-        "mask": (coupling, delta, MaskedBeam(BEAM, frozenset({0, 2})).amplitudes(ens)),
-        "z": (coupling_matrix(random_ensemble(4, 2.0, 12, DIPOLE, min_distance=0.6)), delta, w),
-    }[change]
-    eta = 0.1
-    steady_state_exact(build_liouvillian(coupling, delta, w, 0.05))
-    warm = steady_state_exact(build_liouvillian(*other, eta))
-    exact._last_system.clear()
-    assert np.array_equal(warm, steady_state_exact(build_liouvillian(*other, eta)))
-
-
-def test_grid_shares_one_factorisation_and_basis(monkeypatch, caplog):
-    # the level system is factored once per (z, delta, w), and the Krylov
-    # basis grows only as far as the slowest point needs: one operator
-    # application per basis vector, one for b0 and one residual per point
-    monkeypatch.setattr(exact, "_last_system", {})
-    counts = {"factor": 0, "solve_undriven": 0}
-    for name in counts:
+def _count_calls(monkeypatch, names):
+    """Calls of the named _LevelSystem methods, counted from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         method = getattr(exact._LevelSystem, name)
 
         def counted(self, *args, _method=method, _name=name):
@@ -403,14 +377,53 @@ def test_grid_shares_one_factorisation_and_basis(monkeypatch, caplog):
             return _method(self, *args)
 
         monkeypatch.setattr(exact._LevelSystem, name, counted)
+    return counts
+
+
+def test_grid_shares_one_factorisation_and_basis(monkeypatch, caplog):
+    # one Liouvillian is factored once, and the Krylov basis grows only as
+    # far as the slowest point needs: one operator application per basis
+    # vector, one for b0 and one residual per point
+    counts = _count_calls(monkeypatch, ["factor", "solve_undriven"])
+    liouv = _random_liouvillian(5, 3, False, 0.0)
     etas = np.geomspace(0.01, 0.1, 4)
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
         for eta in etas:
-            steady_state_exact(_random_liouvillian(5, 3, False, 0.0, eta))
+            steady_state_exact(liouv, eta)
     iterations = _iterations(caplog)
     assert len(iterations) == len(etas)
     assert counts["factor"] == 1
     assert counts["solve_undriven"] <= max(iterations) + 2 * len(etas) + 1
+
+
+def test_fallback_grid_keeps_its_refused_factorisation(monkeypatch, caplog):
+    # one collective decay channel refuses the level factorisation; the
+    # refusal is kept, so every point goes straight to the dense fallback
+    counts = _count_calls(monkeypatch, ["factor"])
+    z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
+    liouv = build_liouvillian(z, 0.0, np.zeros(2, complex))
+    etas = np.geomspace(0.01, 0.1, 4)
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+        with pytest.warns(UserWarning, match="degenerate"):
+            states = [steady_state_exact(liouv, eta) for eta in etas]
+    assert counts["factor"] == 1
+    routes = [r.getMessage().split(" (")[0] for r in caplog.records]
+    assert routes == ["route dense fallback"] * len(etas)
+    for rho in states:
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(rho, states[0])
+
+
+def test_level_system_freed_with_its_liouvillian():
+    # the factors and the Krylov basis live on the generator, not in module
+    # state: dropping the last reference frees both, without a collection
+    liouv = _random_liouvillian(5, 3, False, 0.3)
+    steady_state_exact(liouv, 0.05)
+    system = weakref.ref(liouv._levels)
+    basis = weakref.ref(liouv._levels.krylov)
+    assert system() is not None and basis() is not None
+    del liouv
+    assert system() is None and basis() is None
 
 
 def test_lowering_ops_read_only():
@@ -422,28 +435,28 @@ def test_lowering_ops_read_only():
 
 def test_ground_state_stationary_without_drive():
     ens, drive, coupling = _system([[0, 0, 0]], eta=0.0)
-    liouv = build_liouvillian(coupling, 0.0, drive.w(ens), 0.0)
-    rho = steady_state_exact(liouv)
+    liouv = build_liouvillian(coupling, 0.0, drive.w(ens))
+    rho = steady_state_exact(liouv, 0.0)
     assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert abs(rho[1, 1]) <= 1e-12
 
 
 def test_trace_preservation():
     ens, drive, coupling = _system([[0, 0, 0], [1.4, 0.2, 0]], delta=0.3, eta=0.2)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
     identity_vec = np.eye(4, dtype=complex).reshape(-1)
-    assert np.max(np.abs(liouv.matrix.conj().T @ identity_vec)) <= 1e-10
+    assert np.max(np.abs(liouv.matrix(drive.eta).conj().T @ identity_vec)) <= 1e-10
 
 
 def test_generates_positive_evolution():
     ens, drive, coupling = _system([[0, 0, 0], [0.9, 0, 0]], delta=0.1, eta=0.3)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens), drive.eta)
+    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
     rng = np.random.default_rng(3)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho0 = A @ A.conj().T
     rho0 /= np.trace(rho0)
     for t in (0.3, 1.7):
-        prop = sla.expm(liouv.matrix * t)
+        prop = sla.expm(liouv.matrix(drive.eta) * t)
         rho_t = (prop @ rho0.reshape(-1)).reshape(4, 4)
         assert np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().T)).min() >= -1e-8
 
@@ -451,7 +464,7 @@ def test_generates_positive_evolution():
 def test_decoupled_pair_factorises():
     z = CouplingMatrix(np.diag([0.5 + 0j, 0.5 + 0j]))
     w = np.array([np.exp(0.3j), np.exp(-0.8j)])
-    rho = steady_state_exact(build_liouvillian(z, 0.2, w, 0.15))
+    rho = steady_state_exact(build_liouvillian(z, 0.2, w), 0.15)
     product = dilute_product_state(w, 0.2, 0.15).full()
     assert np.max(np.abs(rho - product)) <= 1e-10
 
@@ -461,14 +474,14 @@ def test_decoupled_pair_factorises():
 def test_single_atom_nonperturbative(eta, delta):
     z = CouplingMatrix(np.array([[0.5 + 0j]]))
     w = np.array([np.exp(0.4j)])
-    rho = steady_state_exact(build_liouvillian(z, delta, w, eta))
+    rho = steady_state_exact(build_liouvillian(z, delta, w), eta)
     ref = dilute_product_state(w, delta, eta).single(0)
     assert np.max(np.abs(rho - ref)) <= 1e-12
 
 
 def test_zero_drive_many_atoms():
     ens, drive, coupling = _system([[0, 0, 0], [1.3, 0, 0], [0, 1.7, 0]], eta=0.0)
-    rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens), 0.0))
+    rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), 0.0)
     expected = np.zeros((8, 8), dtype=complex)
     expected[0, 0] = 1.0
     assert np.max(np.abs(rho - expected)) <= 1e-10
@@ -477,7 +490,7 @@ def test_zero_drive_many_atoms():
 def test_pair_state_matches_perturbative():
     ens, drive, coupling = _system([[0, 0, 0], [1.0, 0, 0]], eta=0.01)
     state = steady_state(coupling, drive, ens)
-    rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens), drive.eta))
+    rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
     truncated = assemble_state(state)
     mapping = [0, 2, 1, 3]
     target = np.zeros((4, 4), dtype=complex)
@@ -507,8 +520,11 @@ def test_exact_negativity_threshold_scan():
     state = steady_state(coupling, Drive(delta=0.0, eta=0.01, beam=BEAM), ens)
     lam2 = abs(state.v[0])
     eta_est = np.sqrt(lam2 / 16.0)
+    # the bisection solves every drive strength on one generator
+    liouv = build_liouvillian(coupling, 0.0, w)
+
     def exact_neg(eta):
-        rho = steady_state_exact(build_liouvillian(coupling, 0.0, w, eta))
+        rho = steady_state_exact(liouv, eta)
         return negativity_exact(rho, [1], 2)[0]
 
     assert exact_neg(0.3 * eta_est) > 0.0
@@ -531,12 +547,11 @@ def test_five_atoms_at_the_cap():
     ens, _, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]]
     )
+    liouv = build_liouvillian(coupling, 0.0, BEAM.amplitudes(ens))
     gaps = []
     for eta in (0.02, 0.01):
         drive = Drive(delta=0.0, eta=eta, beam=BEAM)
-        rho = steady_state_exact(
-            build_liouvillian(coupling, 0.0, drive.w(ens), drive.eta)
-        )
+        rho = steady_state_exact(liouv, drive.eta)
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
         state = steady_state(coupling, drive, ens)
@@ -568,7 +583,7 @@ def test_oracle_negativity_gap_halving(n, seed, eta):
     gaps = []
     for e in (eta, eta / 2):
         drive = Drive(delta=0.0, eta=e, beam=beam)
-        rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens), e))
+        rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), e)
         n_exact, _ = negativity_exact(rho, part.group_b, n)
         n_pt, _ = pt_negativity(build_pt_matrix(steady_state(coupling, drive, ens), part))
         gaps.append(abs(n_exact - n_pt))
@@ -579,12 +594,12 @@ def test_cap_enforced():
     pos = [[float(i), 0.0, 0.0] for i in range(N_CAP + 1)]
     ens, drive, coupling = _system(pos)
     with pytest.raises(CapExceededError):
-        build_liouvillian(coupling, 0.0, drive.w(ens), 0.05)
+        build_liouvillian(coupling, 0.0, drive.w(ens))
     # the dense generator stops at DENSE_CAP atoms
     m = DENSE_CAP + 1
-    liouv = build_liouvillian(CouplingMatrix(coupling.z[:m, :m]), 0.0, drive.w(ens)[:m], 0.05)
+    liouv = build_liouvillian(CouplingMatrix(coupling.z[:m, :m]), 0.0, drive.w(ens)[:m])
     with pytest.raises(CapExceededError):
-        liouv.matrix
+        liouv.matrix(0.05)
 
 
 def _operator_residual(coupling, delta, w, eta, rho):
@@ -611,7 +626,7 @@ def test_above_dense_cap_residual_by_operator_products():
     coupling = coupling_matrix(ens)
     w = BEAM.amplitudes(ens)
     delta, eta = 0.3, 0.1
-    rho = steady_state_exact(build_liouvillian(coupling, delta, w, eta))
+    rho = steady_state_exact(build_liouvillian(coupling, delta, w), eta)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert _operator_residual(coupling, delta, w, eta, rho) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
@@ -642,7 +657,7 @@ def test_oracle_compare_four_plus_four():
     assert 8.0 <= rows[2][3] / rows[1][3] <= 32.0
     ens, _, coupling = _system(positions)
     w = BEAM.amplitudes(ens)
-    rho = steady_state_exact(build_liouvillian(coupling, 0.3, w, 0.01))
+    rho = steady_state_exact(build_liouvillian(coupling, 0.3, w), 0.01)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert _operator_residual(coupling, 0.3, w, 0.01, rho) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
@@ -654,14 +669,14 @@ def test_degenerate_above_dense_cap_raises():
     n = DENSE_CAP + 1
     z = CouplingMatrix(np.full((n, n), 0.5 + 0j))
     with pytest.raises(ResonantSingularityError):
-        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(n, complex), 0.0))
+        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(n, complex)), 0.0)
 
 
 def test_degenerate_null_space_warns():
     # perfectly subradiant synthetic coupling leaves a dark steady state
     z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
     with pytest.warns(UserWarning, match="degenerate"):
-        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex), 0.0))
+        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex)), 0.0)
 
 
 def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
@@ -677,9 +692,9 @@ def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
     z = CouplingMatrix(np.full((3, 3), 0.5 + 0j))
-    liouv = build_liouvillian(z, 0.0, np.zeros(3, complex), 0.0)
+    liouv = build_liouvillian(z, 0.0, np.zeros(3, complex))
     with pytest.warns(UserWarning, match="degenerate"):
-        rho = steady_state_exact(liouv)
+        rho = steady_state_exact(liouv, 0.0)
     assert calls.count((64, 64)) == 1
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert np.array_equal(rho, rho.conj().T)
@@ -695,14 +710,16 @@ def test_near_coincident_pair_is_gated_or_refused(monkeypatch, k0r, eta):
     # the amplitude solve raises it, never a SolverConvergenceError
     calls = []
     fallback = exact._dense_fallback
-    monkeypatch.setattr(exact, "_dense_fallback", lambda liouv: calls.append(1) or fallback(liouv))
+    monkeypatch.setattr(
+        exact, "_dense_fallback", lambda liouv, eta: calls.append(1) or fallback(liouv, eta)
+    )
     ens, drive, coupling = _system([[0, 0, 0], [k0r, 0, 0]], eta=eta)
     w = drive.w(ens)
     assert np.array_equal(w, np.ones(2))
     with pytest.raises(ResonantSingularityError):
         steady_state(coupling, drive, ens)
     try:
-        rho = steady_state_exact(build_liouvillian(coupling, 0.0, w, eta))
+        rho = steady_state_exact(build_liouvillian(coupling, 0.0, w), eta)
     except ResonantSingularityError:
         rho = None
     assert calls == [1]

@@ -1,8 +1,12 @@
-"""In-process wall times of two solver layers, printed one line each.
+"""In-process wall times of three solver layers, printed one line each.
 
 - solve_v on a 160-atom random cloud (5 calls);
 - a sweep's negativity layer, negativity_report plus pt_negativity_grid,
-  on a 40-atom half/half cloud over 50 eta points (20 calls).
+  on a 40-atom half/half cloud over 50 eta points (20 calls);
+- the exact oracle's grid, steady_state_exact at four log-spaced eta from
+  0.01 to 0.1 on one Liouvillian, on 5 atoms (20 calls) and on 4 + 4
+  atoms (5 calls); each call builds a fresh Liouvillian, so it factors
+  the levels and grows the Krylov basis again.
 
 Run from the repository root:
 
@@ -17,6 +21,7 @@ import time
 import numpy as np
 
 from weakdrive import Drive, Partition, PlaneWave, coupling_matrix, random_ensemble
+from weakdrive.exact import build_liouvillian, steady_state_exact
 from weakdrive.negativity import negativity_report, pt_negativity_grid
 from weakdrive.perturbation import solve_u, solve_v, steady_state
 
@@ -55,12 +60,28 @@ def negativity_layer_times():
     return _times(layer, 20)
 
 
+def exact_grid_times(n, repeats):
+    ens = random_ensemble(n, 2.0, 0, DIPOLE, min_distance=0.5)
+    coupling, w = coupling_matrix(ens), BEAM.amplitudes(ens)
+
+    def grid():
+        liouv = build_liouvillian(coupling, 0.3, w)
+        for eta in np.geomspace(0.01, 0.1, 4):
+            steady_state_exact(liouv, eta)
+
+    return _times(grid, repeats)
+
+
 def main():
     times = solve_v_times()
     print(f"solve_v, n = 160: median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
     times = negativity_layer_times()
     print(f"negativity_report + pt_negativity_grid, n = 40, 50 points: "
           f"median {np.median(times) * 1e3:.2f} ms, min {min(times) * 1e3:.2f} ms over 20")
+    five, eight = exact_grid_times(5, 20), exact_grid_times(8, 5)
+    print(f"steady_state_exact, 4 eta points on one Liouvillian: n = 5 median "
+          f"{np.median(five) * 1e3:.1f} ms over 20, n = 4 + 4 median "
+          f"{np.median(eight) * 1e3:.0f} ms over 5")
 
 
 if __name__ == "__main__":
