@@ -59,10 +59,8 @@ from .geometry import (
 from .negativity import (
     NegativityReport,
     PartialTransposeMatrix,
-    VOperator,
     build_pt_matrix,
     build_V,
-    eta_sign_change,
     lambda2_spectrum,
     lambda4_dilute,
     negativity_model,

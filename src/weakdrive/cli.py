@@ -51,6 +51,11 @@ def main(argv=None) -> int:
             data["seed"] = args.seed
         cfg = parse_config(data, args.task)
         bundle = TASK_RUNNERS[args.task](cfg, parallelism=args.parallel)
+        if args.out:
+            try:
+                bundle.write(args.out)
+            except OSError as exc:
+                raise ConfigError("out", f"cannot write results: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -59,7 +64,6 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
     if args.out:
-        bundle.write(args.out)
         print(f"results written to {args.out}")
 
     if args.task == "validate":

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import IlluminatedAtomError, ThresholdNotApplicableError
 from .geometry import Drive, Ensemble, MaskedBeam, Partition
-from .negativity import VOperator
 
 
 def v_dilute(z_pair: complex, w_mu: complex, w_nu: complex, delta: float) -> complex:
@@ -139,8 +138,9 @@ def build_V_farfield(
     positions_a: np.ndarray,
     positions_b: np.ndarray,
     khat: np.ndarray,
-) -> VOperator:
-    """Rank-two correlation operator of the spherical-wave limit.
+) -> np.ndarray:
+    """Rank-two correlation operator of the spherical-wave limit, as a
+    read-only n_A x n_B array.
 
     Entries x e^{i e.(r_mu - r_nu)} (w_mu^2 + w_nu^2) with w = e^{i K.r};
     the positional phase twist is a diagonal unitary, so every spectrum
@@ -152,7 +152,9 @@ def build_V_farfield(
     w2b = np.exp(2j * (pb @ khat))
     pha = np.exp(1j * (pa @ cfg.e))
     phb = np.exp(-1j * (pb @ cfg.e))
-    return VOperator(cfg.x * np.outer(pha, phb) * (w2a[:, None] + w2b[None, :]))
+    V = cfg.x * np.outer(pha, phb) * (w2a[:, None] + w2b[None, :])
+    V.setflags(write=False)
+    return V
 
 
 def quartic_spectrum(cfg: FarFieldConfig) -> np.ndarray:

@@ -26,8 +26,9 @@ give the same value at the same eta bit for bit.
 The solved state is restricted to part.atoms (sorted A, then sorted B) with
 restrict_state once per object: build_V and build_pt_matrix each restrict
 it, and negativity_report restricts it once and builds V and the partial
-transpose from the same restriction and pair matrix. An atom of the
-partition absent from the state raises PartitionError on every path.
+transpose from the same restriction and pair matrix. V is a plain read-only
+n_A x n_B complex array. An atom of the partition absent from the state
+raises PartitionError on every path.
 """
 
 from __future__ import annotations
@@ -198,50 +199,29 @@ def _negativities(spectra: np.ndarray) -> np.ndarray:
 # pair-correlation operator between the groups
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VOperator:
-    """n_A x n_B block of pair correlations v between the two groups."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def n_a(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_b(self) -> int:
-        return self.matrix.shape[1]
-
-    def embed(self) -> np.ndarray:
-        """Hermitian embedding [[0, V], [V^dag, 0]] on the singles of A u B."""
-        na, nb = self.n_a, self.n_b
-        H = np.zeros((na + nb, na + nb), dtype=complex)
-        H[:na, na:] = self.matrix
-        H[na:, :na] = self.matrix.conj().T
-        return H
-
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
-
-
-def build_V(state: PerturbState, part: Partition) -> VOperator:
-    """A x B block of the pair correlations of the state restricted to
-    part.atoms; an atom absent from the state raises PartitionError."""
-    na = len(part.group_a)
+def build_V(state: PerturbState, part: Partition) -> np.ndarray:
+    """Read-only A x B block of the pair correlations of the state restricted
+    to part.atoms; an atom absent from the state raises PartitionError."""
     vmat = restrict_state(state, part.atoms).v_matrix()
-    return VOperator(matrix=vmat[:na, na:].copy())
+    return _cross_block(vmat, len(part.group_a))
 
 
-def lambda2_spectrum(V: VOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of V + V^dag, descending, with a fixed vector phase.
+def _cross_block(vmat: np.ndarray, na: int) -> np.ndarray:
+    V = vmat[:na, na:].copy()
+    V.setflags(write=False)
+    return V
+
+
+def lambda2_spectrum(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian embedding [[0, V], [V^dag, 0]] of the
+    n_A x n_B block V, descending, with a fixed vector phase.
 
     Each eigenvector column is rotated so its largest-magnitude component
     is real and positive, keeping reports reproducible.
     """
-    vals, vecs = np.linalg.eigh(V.embed())
+    na, nb = V.shape
+    H = np.block([[np.zeros((na, na)), V], [V.conj().T, np.zeros((nb, nb))]])
+    vals, vecs = np.linalg.eigh(H)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
@@ -279,17 +259,6 @@ def threshold_omega(lambda2: float, lambda4: float) -> float:
             f"no sign change for lambda2={lambda2}, lambda4={lambda4}"
         )
     return float(np.sqrt(-lambda2 / lambda4))
-
-
-def eta_sign_change(lambda2: float, lambda4: float) -> Optional[float]:
-    """Drive ratio eta where the modelled eigenvalue crosses zero, or None.
-
-    Same closed form and units as threshold_omega.
-    """
-    try:
-        return threshold_omega(lambda2, lambda4)
-    except ThresholdNotApplicableError:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -438,35 +407,41 @@ def negativity_report(
 
     The state is restricted once; V and the partial transpose (kept as
     ``pt``, for a grid of drive strengths) are built from that restriction's
-    one pair matrix. When diluteness was not established the per-mode
-    thresholds keep the asymptotic quartic coefficient and are flagged
-    dilute_extrapolated. A zero negativity is reported as entanglement
-    "undetected", never as separability.
+    one pair matrix. A lambda2 with |lambda2| <= (n_A + n_B) eps max|lambda2|
+    is reported as 0.0, with no closing drive. Each other mode closes at
+    threshold_omega when lambda2 < 0 and lambda4 > 0, and never otherwise.
+    When diluteness was not established the per-mode thresholds keep the
+    asymptotic quartic coefficient and are flagged dilute_extrapolated. A
+    zero negativity is reported as entanglement "undetected", never as
+    separability.
     """
     sub = restrict_state(state, part.atoms)
     vmat = sub.v_matrix()
     na = len(part.group_a)
-    V = VOperator(matrix=vmat[:na, na:].copy())
+    V = _cross_block(vmat, na)
     l2, vecs = lambda2_spectrum(V)
     l4 = lambda4_dilute(vecs, sub.w, state.delta)
+    # V has rank at most min(n_A, n_B); a mode within eigh's backward error
+    # of zero has the sign of its rounding, so it is zero and never closes
+    l2 = np.where(np.abs(l2) <= len(l2) * np.finfo(float).eps * np.max(np.abs(l2)), 0.0, l2)
 
-    scale = max(1.0, float(np.max(np.abs(l2))) if len(l2) else 1.0)
+    scale = max(1.0, float(np.max(np.abs(l2))))
     close = np.abs(np.diff(l2)) <= DEGENERACY_RTOL * scale
     degenerate = np.append(close, False) | np.insert(close, 0, False)
 
     flag = dilute_ok is False
     modes = []
     for a, b, deg in zip(l2.tolist(), l4.tolist(), degenerate.tolist()):
-        ez = eta_sign_change(a, b)
+        ez = threshold_omega(a, b) if a < 0 and b > 0 else None
         modes.append(ModeEntry(lambda2=a, lambda4=b, threshold_omega=ez, eta_zero=ez,
                                omega_zero=None if ez is None else 2.0 * ez,
                                degenerate=deg, dilute_extrapolated=flag))
+    if eta_grid is None:
+        eta_grid = _default_grid(max((m.eta_zero for m in modes if m.eta_zero is not None),
+                                     default=None))
+    curve = negativity_model(l2, l4, eta_grid)
 
-    curve = negativity_model(l2, l4, _default_grid(
-        max((m.eta_zero for m in modes if m.eta_zero), default=None)
-    ) if eta_grid is None else eta_grid)
-
-    negativity2 = float(state.eta**2 * V.singular_values().sum())
+    negativity2 = float(state.eta**2 * np.linalg.svd(V, compute_uv=False).sum())
     pt = _restricted_pt(sub, vmat, na)
     neg_pt, pt_spectrum = pt_negativity(pt)
 

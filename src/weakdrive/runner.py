@@ -266,8 +266,8 @@ def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # validation
 # ----------------------------------------------------------------------
 
-def run_validate(cfg: RunConfig, parallelism: int = 1, inject: Optional[str] = None) -> ResultBundle:
-    results = run_checks(seed=cfg.seed, inject=inject)
+def run_validate(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
+    results = run_checks(seed=cfg.seed)
     report = {
         "provenance": _provenance(cfg, parallelism),
         "checks": [r.to_dict() for r in results],

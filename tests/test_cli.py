@@ -1,12 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weakdrive import cli
+from weakdrive import checks, cli
 from weakdrive.checks import run_checks
 from weakdrive.config import parse_config
-from weakdrive.coupling import coupling_matrix
+from weakdrive.coupling import CouplingMatrix, coupling_matrix
 from weakdrive.errors import ConfigError
 from weakdrive.exact import N_CAP
 from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble
@@ -542,17 +543,56 @@ def test_oracle_compare_three_plus_three(tmp_path):
     assert 8.0 <= rows[1][3] / rows[0][3] <= 32.0
 
 
-def test_validate_cli_and_fault_injection(capsys):
+def test_validate_cli_and_fault_injection(capsys, monkeypatch):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out
     assert "PASS z_symmetry" in out
-    bundle = run_validate(parse_config({"seed": 1}, "validate"), inject="z_asymmetry")
+    clean = checks.build_scenario
+
+    def z_asymmetry(seed):
+        # the state stays solved on the clean Z; only the checked Z is broken
+        sc = clean(seed)
+        z = sc.coupling.z.copy()
+        z[0, 1] += 1e-3
+        return replace(sc, coupling=CouplingMatrix(z))
+
+    monkeypatch.setattr(checks, "build_scenario", z_asymmetry)
+    bundle = run_validate(parse_config({"seed": 1}, "validate"))
     broken = {c["name"]: c for c in bundle.report["checks"]}
     assert not broken["z_symmetry"]["passed"]
     # the pair solve refuses the asymmetric Z instead of solving it
     assert not broken["phase_invariance"]["passed"]
     assert broken["phase_invariance"]["note"].startswith("pair solve refused")
     assert not bundle.report["all_passed"]
+
+
+def test_rounding_level_zero_mode_never_sets_the_threshold(tmp_path):
+    # 2 + 3 atoms with group B dark: V has rank 2, and the structural zero
+    # mode's lambda2 rounds to about -1e-17. Read as negative, it closed at
+    # eta ~ 6e6 and hid the sweep's sign change.
+    positions = np.random.default_rng(1).uniform(0, 30, (5, 3)).tolist()
+    base = {
+        "geometry": {"mode": "explicit", "positions": positions},
+        "dipole": [0, 0, 1],
+        "beam": {"direction": [0, 1, 0], "mask": [2, 3, 4]},
+        "delta": 0.0,
+        "partition": {"A": [0, 1], "B": [2, 3, 4]},
+    }
+    solve_cfg = _write(tmp_path, {**base, "eta": 0.05}, "solve.json")
+    assert cli.main(["solve", "--config", solve_cfg, "--out", str(tmp_path / "solve")]) == 0
+    neg = json.loads((tmp_path / "solve" / "report.json").read_text())["negativity"]
+    assert neg["eta_threshold"] == pytest.approx(0.2183, rel=1e-3)
+    zero = [m for m in neg["modes"] if m["lambda2"] == 0.0]
+    assert len(zero) == 1
+    assert zero[0]["eta_zero"] is None and zero[0]["omega_zero"] is None
+
+    sweep = {**base, "eta_sweep": {"min": 0.01, "max": 0.5, "points": 50, "log": False}}
+    sweep_cfg = _write(tmp_path, sweep, "sweep.json")
+    assert cli.main(["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "sweep")]) == 0
+    thr = json.loads((tmp_path / "sweep" / "report.json").read_text())["threshold"]
+    assert thr["eta_model"] == neg["eta_threshold"]
+    # within one grid step of the model threshold
+    assert abs(thr["eta_sweep_estimate"] - neg["eta_threshold"]) <= 0.01
 
 
 def test_validate_exit_code_on_failure(monkeypatch, capsys):
@@ -648,15 +688,25 @@ def test_lattice_geometry_matches_explicit_corners(tmp_path):
         (["solve"], "config: --config is required for this task"),
         (["sweep"], "config: --config is required for this task"),
         (["bounds", "--seed", "3"], "config: --config is required for this task"),
+        (["solve", "--config", "{directory}"], "config: cannot read "),
+        (["solve", "--config", "{latin1}"], "config: cannot read "),
+        (["validate", "--out", "{taken}"], "out: cannot write results: "),
+        (["validate", "--out", "{taken}/sub"], "out: cannot write results: "),
     ],
 )
 def test_config_file_errors_exit_2(tmp_path, capsys, argv, message):
     invalid = tmp_path / "invalid.json"
     invalid.write_text('{"delta": 0.0,')
-    paths = {"missing": str(tmp_path / "absent.json"), "invalid": str(invalid)}
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"delta": 0.0, "note": "\u00e9"}'.encode("latin-1"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    paths = {"missing": str(tmp_path / "absent.json"), "invalid": str(invalid),
+             "directory": str(tmp_path), "latin1": str(latin1), "taken": str(taken)}
     argv = [a.format(**paths) for a in argv]
     assert cli.main(argv) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -18,10 +18,8 @@ from weakdrive.geometry import (
     random_ensemble,
 )
 from weakdrive.negativity import (
-    VOperator,
     build_pt_matrix,
     build_V,
-    eta_sign_change,
     lambda2_spectrum,
     lambda4_dilute,
     negativity_model,
@@ -343,10 +341,19 @@ def test_two_atom_min_eigenvalue_leading_order():
         assert abs(spectrum[0] - lead) <= 5.0 * eta**3
 
 
+def _embedding(V):
+    """[[0, V], [V^dag, 0]], built entry by entry."""
+    na, nb = V.shape
+    H = np.zeros((na + nb, na + nb), dtype=complex)
+    H[:na, na:] = V
+    H[na:, :na] = V.conj().T
+    return H
+
+
 def test_build_V_zero_and_single_pair():
     state = _manual_state(np.zeros(2), [0.0])
     V = build_V(state, Partition((0,), (1,)))
-    assert np.all(V.matrix == 0.0)
+    assert np.all(V == 0.0)
     state = _manual_state(np.zeros(2), [0.3])
     V = build_V(state, Partition((0,), (1,)))
     vals, _ = lambda2_spectrum(V)
@@ -361,7 +368,7 @@ def test_lambda2_pairing_and_trace():
     state = _manual_state(rng.normal(size=n) + 0j, v)
     V = build_V(state, Partition((0, 1), (2, 3)))
     vals, vecs = lambda2_spectrum(V)
-    assert abs(np.trace(V.embed())) <= 1e-12
+    assert abs(np.trace(_embedding(V))) <= 1e-12
     assert abs(vals.sum()) <= 1e-12
     assert np.max(np.abs(np.sort(vals) + np.sort(vals)[::-1])) <= 1e-12
     # phase convention: largest component real positive
@@ -377,9 +384,9 @@ def test_vectorised_phase_fix_and_degenerate_flags_match_loops():
     # unequal groups leave |n_A - n_B| degenerate zero modes
     rng = np.random.default_rng(12)
     for na, nb in ((1, 1), (1, 3), (2, 5), (4, 4), (6, 2)):
-        V = VOperator(rng.normal(size=(na, nb)) + 1j * rng.normal(size=(na, nb)))
+        V = rng.normal(size=(na, nb)) + 1j * rng.normal(size=(na, nb))
         vals, vecs = lambda2_spectrum(V)
-        ref_vals, ref = np.linalg.eigh(V.embed())
+        ref_vals, ref = np.linalg.eigh(_embedding(V))
         ref = ref[:, np.argsort(ref_vals)[::-1]]
         for k in range(ref.shape[1]):
             col = ref[:, k]
@@ -400,6 +407,50 @@ def test_vectorised_phase_fix_and_degenerate_flags_match_loops():
                 flags[k] = flags[k + 1] = True
         assert [m.degenerate for m in rep.modes] == flags
         assert sum(flags) == (abs(na - nb) if abs(na - nb) > 1 else 0)
+
+
+def test_build_V_is_a_read_only_array():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=10) + 1j * rng.normal(size=10)
+    state = _manual_state(rng.normal(size=5) + 0j, v)
+    V = build_V(state, Partition((3, 0), (4, 1, 2)))
+    assert type(V) is np.ndarray and V.dtype == complex and V.shape == (2, 3)
+    assert not V.flags.writeable
+    # rows are sorted A, columns sorted B
+    assert V[1, 0] == state.v_pair(3, 1)
+
+
+def test_mode_rows_close_only_where_threshold_omega_applies():
+    # V = diag(-0.3, 0.2i, 0.1) on the pairs (0, 3), (1, 4), (2, 5): three
+    # independent +/- mode pairs. Atoms 2 and 5 are dark, so the third
+    # negative mode has lambda4 = 0 and never closes beside two that do.
+    I, J = pair_arrays(6)
+    v = np.zeros(len(I), dtype=complex)
+    for (i, j), x in {(0, 3): -0.3, (1, 4): 0.2j, (2, 5): 0.1}.items():
+        v[(I == i) & (J == j)] = x
+    rng = np.random.default_rng(3)
+    state = PerturbState(u=rng.normal(size=6) + 1j * rng.normal(size=6), v=v,
+                         w=np.array([1.0, 0.7j, 0.0, 0.9, -1.0, 0.0]), delta=0.2, eta=0.05,
+                         atoms=tuple(range(6)))
+    rep = negativity_report(state, Partition((0, 1, 2), (3, 4, 5)))
+    assert [m.lambda2 for m in rep.modes] == pytest.approx([0.3, 0.2, 0.1, -0.1, -0.2, -0.3])
+    closing, never = [], []
+    for m in rep.modes:
+        if m.lambda2 < 0 and m.lambda4 > 0:
+            assert m.eta_zero == threshold_omega(m.lambda2, m.lambda4)
+            assert m.threshold_omega == m.eta_zero
+            assert m.omega_zero == 2.0 * m.eta_zero
+            closing.append(m.eta_zero)
+        else:
+            assert m.threshold_omega is None and m.eta_zero is None and m.omega_zero is None
+            if m.lambda2 < 0:
+                never.append(m)
+    assert len(closing) == 2
+    assert len(never) == 1 and never[0].lambda4 == 0.0
+    top = max(closing)
+    assert np.array_equal(rep.curve.etas, np.geomspace(top / 30.0, 2.0 * top, 121))
+    # the never-closing mode leaves the model without a maximum or threshold
+    assert rep.curve.n_max is None and rep.curve.eta_threshold is None
 
 
 def test_lambda4_plane_wave_values():
@@ -429,7 +480,6 @@ def test_threshold_arithmetic():
         threshold_omega(0.04, 16.0)
     with pytest.raises(ThresholdNotApplicableError):
         threshold_omega(-0.04, 0.0)
-    assert eta_sign_change(0.04, 16.0) is None
 
 
 def test_model_single_mode_calculus():
@@ -472,7 +522,7 @@ def test_model_degenerate_far_field_identity():
 def test_leading_order_consistency_ratio_window():
     _, _, state = _solved([[0, 0, 0], [0.8, 0.9, 0.3]], delta=0.2)
     V = build_V(state, Partition((0,), (1,)))
-    lam = V.singular_values().max()
+    lam = np.linalg.svd(V, compute_uv=False).max()
     gaps = []
     for eta in (0.02, 0.01):
         st = _manual_state(state.u, state.v, eta=eta, delta=0.2)

@@ -255,9 +255,13 @@ def _asymmetric_40_atoms():
 
 
 def _validate_z_asymmetry():
-    sc = build_scenario(inject="z_asymmetry")
-    u = solve_u(sc.coupling, sc.state.delta, sc.state.w)
-    return sc.coupling, sc.state.delta, u, 1e-3
+    # validate's scenario with z[0, 1] raised by 1e-3
+    sc = build_scenario()
+    z = sc.coupling.z.copy()
+    z[0, 1] += 1e-3
+    coupling = CouplingMatrix(z)
+    u = solve_u(coupling, sc.state.delta, sc.state.w)
+    return coupling, sc.state.delta, u, 1e-3
 
 
 @pytest.mark.parametrize("case", [_asymmetric_40_atoms, _validate_z_asymmetry])

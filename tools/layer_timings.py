@@ -1,5 +1,9 @@
-"""In-process wall times of three solver layers, printed one line each.
+"""Import time, line count and in-process wall times of three solver
+layers, printed one line each.
 
+- the cumulative import time of weakdrive.cli in a fresh interpreter
+  (python -X importtime);
+- the line count of src/weakdrive/*.py;
 - solve_v on a 160-atom random cloud (5 calls);
 - a sweep's negativity layer, negativity_report plus pt_negativity_grid,
   on a 40-atom half/half cloud over 50 eta points (20 calls);
@@ -16,7 +20,10 @@ The numbers are recorded, not gated: they depend on the machine and on
 its load.
 """
 
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +34,7 @@ from weakdrive.perturbation import solve_u, solve_v, steady_state
 
 DIPOLE = [0.0, 0.0, 1.0]
 BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "weakdrive"
 
 
 def _times(call, repeats):
@@ -36,6 +44,18 @@ def _times(call, repeats):
         call()
         times.append(time.perf_counter() - t0)
     return times
+
+
+def import_time_line() -> str:
+    """Last line of -X importtime for weakdrive.cli: its cumulative time."""
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", "import weakdrive.cli"],
+                         capture_output=True, text=True, check=True)
+    return run.stderr.strip().splitlines()[-1]
+
+
+def line_count() -> tuple[int, int]:
+    files = list(PACKAGE.glob("*.py"))
+    return sum(len(f.read_text().splitlines()) for f in files), len(files)
 
 
 def solve_v_times():
@@ -73,6 +93,9 @@ def exact_grid_times(n, repeats):
 
 
 def main():
+    print(f"import weakdrive.cli, -X importtime: {import_time_line()}")
+    lines, files = line_count()
+    print(f"src/weakdrive: {lines} lines in {files} files")
     times = solve_v_times()
     print(f"solve_v, n = 160: median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
     times = negativity_layer_times()
