@@ -6,7 +6,7 @@ rate, and the drive strength is eta = Omega / (2 Gamma).
 
 __version__ = "0.1.0"
 
-from .coupling import CouplingMatrix, coupling_matrix, pair_coupling
+from .coupling import coupling_matrix, pair_coupling
 from .errors import (
     AsymmetricCouplingError,
     CapExceededError,

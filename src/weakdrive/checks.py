@@ -83,7 +83,7 @@ def truncated_partial_trace(matrix: np.ndarray, n: int, keep: tuple[int, ...]) -
 @dataclass
 class Scenario:
     part: Partition
-    coupling: object
+    coupling: np.ndarray
     state: PerturbState
 
 
@@ -101,13 +101,13 @@ def build_scenario(seed: int = 1) -> Scenario:
 # ----------------------------------------------------------------------
 
 def check_z_symmetry(sc: Scenario) -> CheckResult:
-    z = sc.coupling.z
+    z = sc.coupling
     measured = float(np.max(np.abs(z - z.T)))
     return CheckResult("z_symmetry", measured == 0.0, measured, 0.0)
 
 
 def check_gamma_psd(sc: Scenario) -> CheckResult:
-    gamma = sc.coupling.z.real
+    gamma = sc.coupling.real
     measured = float(np.linalg.eigvalsh(gamma).min())
     return CheckResult("gamma_psd", measured >= -1e-10, measured, -1e-10,
                        note="minimum eigenvalue of the decay matrix")

@@ -62,6 +62,9 @@ def main(argv=None) -> int:
     except WeakdriveError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OverflowError as exc:
+        print(f"numerical failure: floating-point overflow {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     if args.out:
         print(f"results written to {args.out}")

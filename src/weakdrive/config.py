@@ -163,7 +163,11 @@ def _parse_eta_sweep(data, path="eta_sweep") -> EtaSweep:
         raise ConfigError(f"{path}.min", "log sweep needs min > 0")
     if lo < 0:
         raise ConfigError(f"{path}.min", "eta must be non-negative")
-    return EtaSweep(lo=lo, hi=hi, points=points, log=log)
+    sweep = EtaSweep(lo=lo, hi=hi, points=points, log=log)
+    if not np.all(np.diff(sweep.grid()) > 0):
+        raise ConfigError(f"{path}.points", "too many points for min..max: the grid "
+                          "must be strictly increasing in floating point")
+    return sweep
 
 
 def _parse_partition(data, path="partition") -> tuple[list, list]:

@@ -13,13 +13,12 @@ zero separation is an error, not a limit.
 The matrix is always stored densely, whatever the ensemble size: the pair
 solve decomposes it, and every application of the pair map forms an
 n x n matrix product anyway, so evaluating Z lazily would save no memory.
-``CouplingMatrix.z`` is that matrix, read-only; solvers index and multiply
-it directly.
+coupling_matrix returns that matrix as a plain read-only complex array,
+and every solver takes an n x n array under its ``coupling`` parameter:
+a hand-made one works as well as a computed one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,22 +50,8 @@ def pair_coupling(separation, dipole) -> complex:
     return complex(pair_values(sep[None, :], np.asarray(dipole, dtype=float))[0])
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Dense n x n symmetric coupling matrix with z_ii = 1/2, read-only."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.z.shape[0]
-
-
-def coupling_matrix(ens: Ensemble) -> CouplingMatrix:
-    """Dense coupling matrix of an ensemble.
+def coupling_matrix(ens: Ensemble) -> np.ndarray:
+    """Dense n x n coupling matrix of an ensemble, read-only, z_ii = 1/2.
 
     Assembled from the upper triangle and mirrored, so symmetry holds
     bitwise.
@@ -79,4 +64,5 @@ def coupling_matrix(ens: Ensemble) -> CouplingMatrix:
         vals = pair_values(sep, ens.dipole)
         Z[I, J] = vals
         Z[J, I] = vals
-    return CouplingMatrix(Z)
+    Z.setflags(write=False)
+    return Z

@@ -58,7 +58,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import pair_arrays, pair_count
-from .coupling import CouplingMatrix
 from .errors import (
     CapExceededError,
     PropagationError,
@@ -112,21 +111,25 @@ def lowering_ops(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Liouvillian:
     """Rotating-frame generator L = L0 + eta L1 in operator form, made of
-    couplings, detuning and drive amplitudes. Its level system is factored
-    on first use and kept for every eta solved on it: solve one Liouvillian
-    from one thread at a time. Separate objects share nothing."""
+    couplings, detuning and drive amplitudes. It keeps read-only copies of
+    the coupling and drive arrays, so later edits to the caller's arrays
+    do not reach it. Its level system is factored on first use and kept
+    for every eta solved on it: solve one Liouvillian from one thread at a
+    time. Separate objects share nothing."""
 
-    coupling: CouplingMatrix
+    coupling: np.ndarray
     delta: float
     w: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w", np.array(self.w, dtype=complex))
-        self.w.setflags(write=False)
+        for name in ("coupling", "w"):
+            value = np.array(getattr(self, name), dtype=complex)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.coupling.n
+        return len(self.coupling)
 
     @property
     def dim(self) -> int:
@@ -147,7 +150,7 @@ class Liouvillian:
 def build_liouvillian(coupling, delta: float, w: np.ndarray) -> Liouvillian:
     """Rotating-frame generator, time in units of 1/Gamma; hard cap
     n <= N_CAP."""
-    n = coupling.n
+    n = len(coupling)
     if n > N_CAP:
         raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {n}")
     return Liouvillian(coupling=coupling, delta=float(delta), w=w)
@@ -160,7 +163,7 @@ def _dense_generator(liouv: Liouvillian, eta: float) -> np.ndarray:
     d = liouv.dim
     s = lowering_ops(liouv.n)
     eye = np.eye(d)
-    Z = liouv.coupling.z
+    Z = liouv.coupling
 
     # the lowering operators are real, so s_a^dag = s_a^T and D^* = conj(D)
     drive_op = np.tensordot(liouv.w.conj(), s, axes=1)
@@ -234,7 +237,7 @@ class _LevelSystem:
         self.n, self.d = liouv.n, liouv.dim
         self.delta = liouv.delta
         self.t = t = _level_tables(self.n)
-        Z = liouv.coupling.z
+        Z = liouv.coupling
         self.jump = 2.0 * Z.real
         self.atoms = np.arange(self.n)[:, None]
         # V = W + W^dag has V[x, flip_a(x)] = w_a if atom a is excited in x,
@@ -588,17 +591,17 @@ def amplitude_drift(coupling, delta: float, w: np.ndarray, eta: float, amps: np.
     The non-Hermitian drift combines the collective coupling with the
     laser absorption source; the ground amplitude is stationary.
     """
-    n = coupling.n
+    n = len(coupling)
     M = pair_count(n)
     a_g = amps[0]
     a1 = amps[1 : 1 + n]
     a2 = amps[1 + n :]
     out = np.empty_like(amps)
     out[0] = 0.0
-    out[1 : 1 + n] = 1j * delta * a1 - coupling.z @ a1 + 1j * eta * w * a_g
+    out[1 : 1 + n] = 1j * delta * a1 - coupling @ a1 + 1j * eta * w * a_g
     if M:
         I, J = pair_arrays(n)
-        flow = pair_map_apply(coupling, 0.0, a2, n)
+        flow = pair_map_apply(coupling, 0.0, a2)
         out[1 + n :] = 2j * delta * a2 - flow + 1j * eta * (w[J] * a1[I] + w[I] * a1[J])
     return out
 
@@ -636,7 +639,7 @@ def propagate_truncated(
     Embedded 5(4) stepping; a step whose local error exceeds tol is
     rejected and retried, and shrinking below the dt floor raises.
     """
-    n = coupling.n
+    n = len(coupling)
     w = np.asarray(w, dtype=complex)
     M = pair_count(n)
     if dt_min is None:

@@ -36,7 +36,7 @@ def v_dark(coupling, w: np.ndarray, delta: float, mu: int, nu: int) -> complex:
     if abs(w[mu]) > 0 or abs(w[nu]) > 0:
         raise IlluminatedAtomError(f"atoms {mu}, {nu} must both be dark")
     # diagonal terms carry w = 0, so the full sum is safe
-    total = np.sum(coupling.z[mu] * coupling.z[nu] * w**2)
+    total = np.sum(coupling[mu] * coupling[nu] * w**2)
     return complex(8.0 * (1.0 - 2j * delta) ** -4 * total)
 
 

@@ -93,7 +93,7 @@ def _inverse_checked(A: np.ndarray, delta: float) -> np.ndarray:
 def solve_u(coupling, delta: float, w: np.ndarray) -> np.ndarray:
     """Single-excitation amplitudes from (Z - i delta) u = i w."""
     b = 1j * np.asarray(w, dtype=complex)
-    A = coupling.z - 1j * delta * np.eye(coupling.n)
+    A = coupling - 1j * delta * np.eye(len(coupling))
     _inverse_checked(A, delta)
     u = np.linalg.solve(A, b)
     res = float(np.max(np.abs(A @ u - b)))
@@ -106,18 +106,19 @@ def pair_rhs(coupling, u: np.ndarray) -> np.ndarray:
     """Source term z_munu (u_mu^2 + u_nu^2) over unordered pairs."""
     n = len(u)
     I, J = pair_arrays(n)
-    return coupling.z[I, J] * (u[I] ** 2 + u[J] ** 2)
+    return coupling[I, J] * (u[I] ** 2 + u[J] ** 2)
 
 
-def pair_map_apply(coupling, delta: float, v: np.ndarray, n: int) -> np.ndarray:
+def pair_map_apply(coupling, delta: float, v: np.ndarray) -> np.ndarray:
     """Left-hand map of the pair system applied to a pair vector.
 
     Uses (Z S)^T = S Z^T for symmetric S, so one matrix product serves
     both terms.
     """
+    n = len(coupling)
     I, J = pair_arrays(n)
     S = scatter_pairs(v, n)
-    ZS = coupling.z @ S
+    ZS = coupling @ S
     full = ZS + ZS.T
     return full[I, J] - 2j * delta * v
 
@@ -216,16 +217,16 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
     refinement step is always taken. Z must be symmetric to
     SYMMETRY_RTOL relative, or AsymmetricCouplingError is raised.
     """
-    n = coupling.n
+    Z = coupling
+    n = len(Z)
     if pair_count(n) == 0:
         return np.zeros(0, dtype=complex)
-    Z = coupling.z
     asym = float(np.max(np.abs(Z - Z.T)))
     scale = float(np.max(np.abs(Z)))
     if not asym <= SYMMETRY_RTOL * scale:
         raise AsymmetricCouplingError(asym, scale)
     I, J = pair_arrays(n)
-    b = pair_rhs(coupling, u)
+    b = pair_rhs(Z, u)
     try:
         sylvester, K = _eigen_kernel(*eigenbasis(Z, delta), delta)
     except ResonantSingularityError:  # refused by eigenbasis
@@ -238,10 +239,10 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
         return (S + sylvester(np.diag(d)))[I, J]
 
     v = project(b)
-    r = b - pair_map_apply(coupling, delta, v, n)
+    r = b - pair_map_apply(Z, delta, v)
     for _ in range(REFINE_STEPS):
         v = v + project(r)
-        r = b - pair_map_apply(coupling, delta, v, n)
+        r = b - pair_map_apply(Z, delta, v)
         res = float(np.max(np.abs(r)))
         if res <= RESIDUAL_TOL:
             return v

@@ -25,7 +25,7 @@ from .basis import pair_arrays
 from .checks import run_checks
 from .config import RunConfig, build_drive, build_ensemble, build_partition
 from .coupling import coupling_matrix
-from .errors import CapExceededError, ConfigError, WeakdriveError
+from .errors import ConfigError, WeakdriveError
 from .exact import (
     N_CAP,
     build_liouvillian,
@@ -93,7 +93,7 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         list(zip(report.curve.etas.tolist(), report.curve.values.tolist())),
     )
     if cfg.dump_coupling:
-        z = coupling.z.ravel()
+        z = coupling.ravel()
         mu, nu = np.divmod(np.arange(z.size), ens.n)
         rows = list(zip(mu.tolist(), nu.tolist(), z.real.tolist(), z.imag.tolist()))
         tables["z"] = (["mu", "nu", "re", "im"], rows)
@@ -180,9 +180,12 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     ]
     # the modelled minimum eigenvalue exists at every grid point, whether or
     # not that point's exact column failed; float_power is libm pow, as the
-    # scalar eta**2 and eta**4 are, bit for bit
+    # scalar eta**2 and eta**4 are, bit for bit. A zeroed mode (lambda2 = 0)
+    # never changes sign, and its rounding-level eta^4 lambda4 would pin the
+    # interpolation to a grid point, so it is left out of the minimum
     e = grid[:, None]
-    min_lam = (np.float_power(e, 2) * l2 + np.float_power(e, 4) * l4).min(axis=1)
+    lam = np.float_power(e, 2) * l2 + np.float_power(e, 4) * l4
+    min_lam = np.where(l2 != 0.0, lam, np.inf).min(axis=1)
     threshold_eta = _interp_last_sign_change(grid, min_lam)
 
     report = {
@@ -207,8 +210,6 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     part = build_partition(cfg, ens)
     if set(part.atoms) != set(range(ens.n)):
         raise ConfigError("partition", "oracle comparison needs A u B to cover all atoms")
-    if ens.n > N_CAP:
-        raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {ens.n}")
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
 

@@ -7,7 +7,7 @@ import pytest
 from weakdrive import checks, cli
 from weakdrive.checks import run_checks
 from weakdrive.config import parse_config
-from weakdrive.coupling import CouplingMatrix, coupling_matrix
+from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import ConfigError
 from weakdrive.exact import N_CAP
 from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble
@@ -40,7 +40,7 @@ def test_solve_matches_closed_form(tmp_path, capsys):
     ens = explicit_ensemble(PAIR_CONFIG["geometry"]["positions"], [0, 0, 1])
     drive = Drive(delta=0.0, eta=0.05, beam=PlaneWave(np.array([0.0, 1.0, 0.0])))
     state = steady_state(coupling_matrix(ens), drive, ens)
-    z12 = coupling_matrix(ens).z[0, 1]
+    z12 = coupling_matrix(ens)[0, 1]
     v_closed = -2.0 * z12 / (0.5 + z12) ** 2
     expected = drive.eta**2 * abs(v_closed)
     assert report["negativity"]["negativity2"] == pytest.approx(expected, rel=1e-12)
@@ -552,9 +552,9 @@ def test_validate_cli_and_fault_injection(capsys, monkeypatch):
     def z_asymmetry(seed):
         # the state stays solved on the clean Z; only the checked Z is broken
         sc = clean(seed)
-        z = sc.coupling.z.copy()
+        z = sc.coupling.copy()
         z[0, 1] += 1e-3
-        return replace(sc, coupling=CouplingMatrix(z))
+        return replace(sc, coupling=z)
 
     monkeypatch.setattr(checks, "build_scenario", z_asymmetry)
     bundle = run_validate(parse_config({"seed": 1}, "validate"))
@@ -591,8 +591,9 @@ def test_rounding_level_zero_mode_never_sets_the_threshold(tmp_path):
     assert cli.main(["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "sweep")]) == 0
     thr = json.loads((tmp_path / "sweep" / "report.json").read_text())["threshold"]
     assert thr["eta_model"] == neg["eta_threshold"]
-    # within one grid step of the model threshold
-    assert abs(thr["eta_sweep_estimate"] - neg["eta_threshold"]) <= 0.01
+    # the zero mode's rounding-level eta^4 lambda4 is left out of the
+    # minimum; kept in, it pinned the estimate to the grid point 0.22
+    assert abs(thr["eta_sweep_estimate"] - neg["eta_threshold"]) <= 5e-4
 
 
 def test_validate_exit_code_on_failure(monkeypatch, capsys):
@@ -778,6 +779,11 @@ FARFIELD = {"k0_distance": 1e7, "theta": 1.0, "n_a": 10, "n_b": 10,
                                 "positions": [[0, 0, 0], [float("nan"), 0, 0]]}},
          "geometry.positions[1][0]"),
         ("bounds", {"farfield": {**FARFIELD, "theta": float("nan")}}, "farfield.theta"),
+        # points that round onto each other between min and max
+        ("sweep", {"eta_sweep": {"min": 0.1, "max": 0.10000000000000003, "points": 50}},
+         "eta_sweep.points"),
+        ("sweep", {"eta_sweep": {"min": 0.1, "max": 0.10000000000000003, "points": 50,
+                                 "log": True}}, "eta_sweep.points"),
     ],
 )
 def test_invalid_field_exits_2_with_its_path(tmp_path, capsys, task, change, path):
@@ -786,3 +792,20 @@ def test_invalid_field_exits_2_with_its_path(tmp_path, capsys, task, change, pat
     cfg = _write(tmp_path, {**base, **change})
     assert cli.main([task, "--config", cfg]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "task, config",
+    [
+        ("solve", {**PAIR_CONFIG, "eta": 1e200}),
+        ("solve", {**PAIR_CONFIG, "delta": 1e300}),
+        ("bounds", {"delta": 0.0, "farfield": {**FARFIELD, "k0_distance": 1e-300,
+                                               "mean_spacing": 1e300,
+                                               "omega_over_gamma": 1e300}}),
+    ],
+)
+def test_finite_input_that_overflows_exits_3(tmp_path, capsys, task, config):
+    cfg = _write(tmp_path, config)
+    assert cli.main([task, "--config", cfg]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: floating-point overflow")

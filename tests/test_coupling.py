@@ -33,12 +33,18 @@ def test_far_field_limit():
 
 def test_single_atom_matrix():
     ens = explicit_ensemble([[0.0, 0.0, 0.0]], DIPOLE)
-    assert np.array_equal(coupling_matrix(ens).z, np.array([[0.5 + 0j]]))
+    assert np.array_equal(coupling_matrix(ens), np.array([[0.5 + 0j]]))
+
+
+def test_coupling_matrix_is_a_read_only_array():
+    z = coupling_matrix(random_ensemble(4, 10.0, 2, DIPOLE, min_distance=0.5))
+    assert type(z) is np.ndarray and z.dtype == complex and z.shape == (4, 4)
+    assert not z.flags.writeable
 
 
 def test_symmetry_exact():
     ens = random_ensemble(12, 20.0, 5, DIPOLE, min_distance=0.5)
-    z = coupling_matrix(ens).z
+    z = coupling_matrix(ens)
     assert np.array_equal(z, z.T)
     assert np.all(np.diag(z) == 0.5)
 
@@ -46,7 +52,7 @@ def test_symmetry_exact():
 def test_gamma_positive_semidefinite_many_geometries():
     for seed in range(50):
         ens = random_ensemble(6, 15.0, seed, DIPOLE, min_distance=0.3)
-        gamma = coupling_matrix(ens).z.real
+        gamma = coupling_matrix(ens).real
         assert np.linalg.eigvalsh(gamma).min() >= -1e-10
 
 

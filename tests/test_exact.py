@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from weakdrive import exact, perturbation
 from weakdrive.basis import pair_arrays
 from weakdrive.config import parse_config
-from weakdrive.coupling import CouplingMatrix, coupling_matrix
+from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import (
     CapExceededError,
     PropagationError,
@@ -57,7 +57,7 @@ def _system(positions, delta=0.0, eta=0.05):
 def _reference_liouvillian(coupling, delta, w, eta):
     """Generator assembled term by term from Kronecker products of the
     single-atom operators: the reference route."""
-    n = coupling.n
+    n = len(coupling)
     d = 2**n
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     sms = []
@@ -73,7 +73,7 @@ def _reference_liouvillian(coupling, delta, w, eta):
         H += -delta * num - eta * (np.conj(w[m]) * sms[m] + w[m] * sms[m].conj().T)
     # rho -> A rho B maps to kron(A, B.T) for row-major vec
     L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    Z = coupling.z
+    Z = coupling
     for a in range(n):
         for b in range(n):
             ab = sms[a].conj().T @ sms[b]
@@ -302,7 +302,7 @@ def test_steady_state_logs_route(caplog):
     assert message.startswith("route levels; level dims [1, 3, 3, 1]; gmres iterations ")
     assert ", residual " in message and "; smallest denominator " in message
     caplog.clear()
-    z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
+    z = np.full((2, 2), 0.5 + 0j)
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
         with pytest.warns(UserWarning, match="degenerate"):
             steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex)), 0.0)
@@ -400,7 +400,7 @@ def test_fallback_grid_keeps_its_refused_factorisation(monkeypatch, caplog):
     # one collective decay channel refuses the level factorisation; the
     # refusal is kept, so every point goes straight to the dense fallback
     counts = _count_calls(monkeypatch, ["factor"])
-    z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
+    z = np.full((2, 2), 0.5 + 0j)
     liouv = build_liouvillian(z, 0.0, np.zeros(2, complex))
     etas = np.geomspace(0.01, 0.1, 4)
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
@@ -433,6 +433,18 @@ def test_lowering_ops_read_only():
         ops[0, 0, 1] = 1.0
 
 
+def test_liouvillian_keeps_its_own_coupling():
+    ens, drive, coupling = _system([[0, 0, 0], [1.4, 0.2, 0], [0, 1.1, 0.3]], delta=0.2)
+    z = coupling.copy()
+    liouv = build_liouvillian(z, drive.delta, drive.w(ens))
+    z[0, 1] = z[1, 0] = 7.0
+    assert np.array_equal(liouv.coupling, coupling) and not liouv.coupling.flags.writeable
+    fresh = build_liouvillian(coupling, drive.delta, drive.w(ens))
+    assert np.array_equal(liouv.matrix(drive.eta), fresh.matrix(drive.eta))
+    assert np.array_equal(steady_state_exact(liouv, drive.eta),
+                          steady_state_exact(fresh, drive.eta))
+
+
 def test_ground_state_stationary_without_drive():
     ens, drive, coupling = _system([[0, 0, 0]], eta=0.0)
     liouv = build_liouvillian(coupling, 0.0, drive.w(ens))
@@ -462,7 +474,7 @@ def test_generates_positive_evolution():
 
 
 def test_decoupled_pair_factorises():
-    z = CouplingMatrix(np.diag([0.5 + 0j, 0.5 + 0j]))
+    z = np.diag([0.5 + 0j, 0.5 + 0j])
     w = np.array([np.exp(0.3j), np.exp(-0.8j)])
     rho = steady_state_exact(build_liouvillian(z, 0.2, w), 0.15)
     product = dilute_product_state(w, 0.2, 0.15).full()
@@ -472,7 +484,7 @@ def test_decoupled_pair_factorises():
 @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
 @pytest.mark.parametrize("delta", [0.0, 0.5])
 def test_single_atom_nonperturbative(eta, delta):
-    z = CouplingMatrix(np.array([[0.5 + 0j]]))
+    z = np.array([[0.5 + 0j]])
     w = np.array([np.exp(0.4j)])
     rho = steady_state_exact(build_liouvillian(z, delta, w), eta)
     ref = dilute_product_state(w, delta, eta).single(0)
@@ -597,7 +609,7 @@ def test_cap_enforced():
         build_liouvillian(coupling, 0.0, drive.w(ens))
     # the dense generator stops at DENSE_CAP atoms
     m = DENSE_CAP + 1
-    liouv = build_liouvillian(CouplingMatrix(coupling.z[:m, :m]), 0.0, drive.w(ens)[:m])
+    liouv = build_liouvillian(coupling[:m, :m], 0.0, drive.w(ens)[:m])
     with pytest.raises(CapExceededError):
         liouv.matrix(0.05)
 
@@ -605,9 +617,9 @@ def test_cap_enforced():
 def _operator_residual(coupling, delta, w, eta, rho):
     """max |L rho| from d x d operator products, independent of the level
     solve's index gathers."""
-    n = coupling.n
+    n = len(coupling)
     s = lowering_ops(n)
-    Z = coupling.z
+    Z = coupling
     drive_op = np.tensordot(w.conj(), s, axes=1)
     # sum_a s_a^T M_a as one matrix product over (a, j)
     H = -delta * np.tensordot(s, s, axes=([0, 1], [0, 1])) - eta * (drive_op + drive_op.T.conj())
@@ -667,14 +679,14 @@ def test_degenerate_above_dense_cap_raises():
     # one collective decay channel keeps dark states; past DENSE_CAP there
     # is no eigendecomposition to fall back on
     n = DENSE_CAP + 1
-    z = CouplingMatrix(np.full((n, n), 0.5 + 0j))
+    z = np.full((n, n), 0.5 + 0j)
     with pytest.raises(ResonantSingularityError):
         steady_state_exact(build_liouvillian(z, 0.0, np.zeros(n, complex)), 0.0)
 
 
 def test_degenerate_null_space_warns():
     # perfectly subradiant synthetic coupling leaves a dark steady state
-    z = CouplingMatrix(np.full((2, 2), 0.5 + 0j))
+    z = np.full((2, 2), 0.5 + 0j)
     with pytest.warns(UserWarning, match="degenerate"):
         steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex)), 0.0)
 
@@ -691,7 +703,7 @@ def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
-    z = CouplingMatrix(np.full((3, 3), 0.5 + 0j))
+    z = np.full((3, 3), 0.5 + 0j)
     liouv = build_liouvillian(z, 0.0, np.zeros(3, complex))
     with pytest.warns(UserWarning, match="degenerate"):
         rho = steady_state_exact(liouv, 0.0)

@@ -50,14 +50,14 @@ from weakdrive.errors import ResonantSingularityError
 assert "scipy.linalg" not in sys.modules
 coupling = _defective_coupling()
 try:
-    perturbation.eigenbasis(coupling.z, 0.3)
+    perturbation.eigenbasis(coupling, 0.3)
 except ResonantSingularityError as exc:
     assert exc.cond > perturbation.EIG_COND_GUARD
 else:
     raise AssertionError("eigenbasis accepted the defective coupling")
 u = perturbation.solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
 v = perturbation.solve_v(coupling, 0.3, u)
-r = perturbation.pair_rhs(coupling, u) - perturbation.pair_map_apply(coupling, 0.3, v, 6)
+r = perturbation.pair_rhs(coupling, u) - perturbation.pair_map_apply(coupling, 0.3, v)
 assert np.max(np.abs(r)) <= perturbation.RESIDUAL_TOL
 assert "scipy.linalg" in sys.modules
 """

@@ -3,7 +3,8 @@ layers, printed one line each.
 
 - the cumulative import time of weakdrive.cli in a fresh interpreter
   (python -X importtime);
-- the line count of src/weakdrive/*.py;
+- the line count of src/weakdrive/*.py and the number of public names
+  the weakdrive package exports (its submodules not counted);
 - solve_v on a 160-atom random cloud (5 calls);
 - a sweep's negativity layer, negativity_report plus pt_negativity_grid,
   on a 40-atom half/half cloud over 50 eta points (20 calls);
@@ -23,10 +24,12 @@ its load.
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 
+import weakdrive
 from weakdrive import Drive, Partition, PlaneWave, coupling_matrix, random_ensemble
 from weakdrive.exact import build_liouvillian, steady_state_exact
 from weakdrive.negativity import negativity_report, pt_negativity_grid
@@ -56,6 +59,12 @@ def import_time_line() -> str:
 def line_count() -> tuple[int, int]:
     files = list(PACKAGE.glob("*.py"))
     return sum(len(f.read_text().splitlines()) for f in files), len(files)
+
+
+def export_count() -> int:
+    return sum(not name.startswith("_")
+               and not isinstance(getattr(weakdrive, name), types.ModuleType)
+               for name in dir(weakdrive))
 
 
 def solve_v_times():
@@ -95,7 +104,7 @@ def exact_grid_times(n, repeats):
 def main():
     print(f"import weakdrive.cli, -X importtime: {import_time_line()}")
     lines, files = line_count()
-    print(f"src/weakdrive: {lines} lines in {files} files")
+    print(f"src/weakdrive: {lines} lines in {files} files, {export_count()} public names exported")
     times = solve_v_times()
     print(f"solve_v, n = 160: median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
     times = negativity_layer_times()
