@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .blas import one_thread
 from .config import TASKS, load_config, parse_config
 from .errors import ConfigError, WeakdriveError
 from .reporting import fmt_value
@@ -38,10 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one task with one OpenBLAS thread (see weakdrive.blas); the
+    caller's thread counts and OPENBLAS_NUM_THREADS are restored on return."""
     args = _build_parser().parse_args(argv)
     if args.parallel < 1:
         print("error: --parallel must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    with one_thread():
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         data = load_config(args.config) if args.config else {}
         if args.task != "validate" and not args.config:

@@ -17,8 +17,9 @@ chosen so that diag(S) = 0. With Z = P diag(lambda) P^-1 the Sylvester
 inverse is elementwise, S = P (G o (P^-1 X P^-T)) P^T with
 G_ab = 1 / (lambda_a + lambda_b - 2 i delta). The n multipliers solve the
 Schur complement K d = -diag(S_B), where K_ij is the i-th diagonal entry
-of the Sylvester inverse of e_j e_j^T. For symmetric Z the pair map is
-symmetric under <A, B> = tr(A^T B), so K = K^T; solve_v therefore raises
+of the Sylvester inverse of e_j e_j^T; one projection applies that inverse
+once, with the multipliers folded in (_project). For symmetric Z the pair
+map is symmetric under <A, B> = tr(A^T B), so K = K^T; solve_v raises
 AsymmetricCouplingError when max|Z - Z^T| > SYMMETRY_RTOL max|Z|, before
 decomposing. K_ij is a quadratic form x^T G x in x_a = P_ia (P^-1)_aj,
 built from the symmetries of K and G in ~5n^4/16 complex multiply-adds
@@ -91,11 +92,11 @@ def _inverse_checked(A: np.ndarray, delta: float) -> np.ndarray:
 
 
 def solve_u(coupling, delta: float, w: np.ndarray) -> np.ndarray:
-    """Single-excitation amplitudes from (Z - i delta) u = i w."""
+    """Single-excitation amplitudes from (Z - i delta) u = i w, through the
+    inverse that the condition gate forms, checked by its residual."""
     b = 1j * np.asarray(w, dtype=complex)
     A = coupling - 1j * delta * np.eye(len(coupling))
-    _inverse_checked(A, delta)
-    u = np.linalg.solve(A, b)
+    u = _inverse_checked(A, delta) @ b
     res = float(np.max(np.abs(A @ u - b)))
     if not res <= RESIDUAL_TOL:
         raise SolverConvergenceError(res, 0)
@@ -135,8 +136,9 @@ def eigenbasis(A: np.ndarray, delta: float):
 
 
 def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
-    """Sylvester inverse X -> S in the eigenbasis Z = P diag(lam) Q with
-    Q = P^-1, and the Schur complement K of the diagonal multipliers."""
+    """Sylvester inverse in the eigenbasis Z = P diag(lam) Q with Q = P^-1,
+    as the kernel (P, Q, Y -> G o Y), and the Schur complement K of the
+    diagonal multipliers."""
     n = len(lam)
     Qt = np.ascontiguousarray(Q.T)
     # K_ij = x^T G x with x_a = P_ia Q_aj, for j >= i only: K is symmetric
@@ -177,14 +179,12 @@ def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
                 r += n - k
         K += np.triu(K, 1).T
 
-    def sylvester(X):
-        return P @ (G * (Q @ X @ Q.T)) @ P.T
-
-    return sylvester, K
+    return (P, Q, lambda Y: G * Y), K
 
 
 def _schur_kernel(Z: np.ndarray, delta: float):
-    """Sylvester inverse and K through the complex Schur form Z = U T U^H.
+    """Sylvester inverse through the complex Schur form Z = U T U^H, as the
+    kernel (U, U^H, solve), and K.
 
     With S = U Y U^T the map becomes T Y + Y T^T - 2 i delta Y; reversing
     the column order of Y turns T^T into the upper triangular J T^T J, so
@@ -194,19 +194,36 @@ def _schur_kernel(Z: np.ndarray, delta: float):
     """
     n = Z.shape[0]
     T, U = scipy.linalg.schur(Z, output="complex")
-    Uc = U.conj()
+    L = U.conj().T
     A = T - 2j * delta * np.eye(n)
     R = T.T[::-1, ::-1]
     (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
 
-    def sylvester(X):
-        Yj, scale, info = trsyl(A, R, (Uc.T @ X @ Uc)[:, ::-1])
+    def solve(Y):
+        Yj, scale, info = trsyl(A, R, Y[:, ::-1])
         if info != 0:
             raise ResonantSingularityError(delta, np.inf)
-        return U @ (Yj[:, ::-1] / scale) @ U.T
+        return Yj[:, ::-1] / scale
 
-    K = np.column_stack([np.diagonal(sylvester(np.diag(e))) for e in np.eye(n)])
-    return sylvester, K
+    K = np.column_stack([np.diagonal(U @ solve(np.outer(l, l)) @ U.T) for l in L.T])
+    return (U, L, solve), K
+
+
+def _project(kernel, K_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Projected Sylvester solve of one pair vector.
+
+    The kernel (P, L, solve) writes the Sylvester inverse as
+    X -> P solve(L X L^T) P^T. The inverse is applied once, to the pairs
+    plus the multipliers d = -K_inv diag(S_B): diag(S_B) is read off P Y
+    before the last product, and L diag(d) L^T is (L * d) L^T. That is six
+    n^3 products, against eight for two separate applications.
+    """
+    P, L, solve = kernel
+    n = len(P)
+    PY = P @ solve(L @ scatter_pairs(rhs, n) @ L.T)
+    d = K_inv @ -np.einsum("ij,ij->i", PY, P)
+    I, J = pair_arrays(n)
+    return ((PY + P @ solve((L * d) @ L.T)) @ P.T)[I, J]
 
 
 def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
@@ -225,23 +242,17 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(Z)))
     if not asym <= SYMMETRY_RTOL * scale:
         raise AsymmetricCouplingError(asym, scale)
-    I, J = pair_arrays(n)
     b = pair_rhs(Z, u)
     try:
-        sylvester, K = _eigen_kernel(*eigenbasis(Z, delta), delta)
+        kernel, K = _eigen_kernel(*eigenbasis(Z, delta), delta)
     except ResonantSingularityError:  # refused by eigenbasis
-        sylvester, K = _schur_kernel(Z, delta)
+        kernel, K = _schur_kernel(Z, delta)
     K_inv = _inverse_checked(K, delta)
 
-    def project(rhs):
-        S = sylvester(scatter_pairs(rhs, n))
-        d = K_inv @ -np.diagonal(S)
-        return (S + sylvester(np.diag(d)))[I, J]
-
-    v = project(b)
+    v = _project(kernel, K_inv, b)
     r = b - pair_map_apply(Z, delta, v)
     for _ in range(REFINE_STEPS):
-        v = v + project(r)
+        v = v + _project(kernel, K_inv, r)
         r = b - pair_map_apply(Z, delta, v)
         res = float(np.max(np.abs(r)))
         if res <= RESIDUAL_TOL:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .basis import pair_arrays
 from .checks import run_checks
 from .config import RunConfig, build_drive, build_ensemble, build_partition
@@ -59,6 +59,7 @@ def _provenance(cfg: RunConfig, parallelism: int) -> dict:
         "seed": cfg.seed,
         "version": __version__,
         "parallelism": parallelism,
+        "blas_threads": blas.threads(),
     }
 
 
@@ -66,16 +67,20 @@ def _provenance(cfg: RunConfig, parallelism: int) -> dict:
 # solve
 # ----------------------------------------------------------------------
 
+# table headers of atom labels and the real and imaginary parts of a value
+ATOM_HEADER = np.dtype([("mu", np.int64), ("re", np.float64), ("im", np.float64)])
+PAIR_HEADER = np.dtype(
+    [("mu", np.int64), ("nu", np.int64), ("re", np.float64), ("im", np.float64)]
+)
+
+
 def _amplitude_tables(state: PerturbState) -> dict:
     atoms = np.asarray(state.atoms, dtype=np.int64)
     I, J = pair_arrays(state.n)
     u, v = state.u, state.v
     u_rows = zip(atoms.tolist(), u.real.tolist(), u.imag.tolist())
     v_rows = zip(atoms[I].tolist(), atoms[J].tolist(), v.real.tolist(), v.imag.tolist())
-    return {
-        "u": (["mu", "re", "im"], list(u_rows)),
-        "v": (["mu", "nu", "re", "im"], list(v_rows)),
-    }
+    return {"u": (ATOM_HEADER, list(u_rows)), "v": (PAIR_HEADER, list(v_rows))}
 
 
 def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
@@ -96,7 +101,7 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         z = coupling.ravel()
         mu, nu = np.divmod(np.arange(z.size), ens.n)
         rows = list(zip(mu.tolist(), nu.tolist(), z.real.tolist(), z.imag.tolist()))
-        tables["z"] = (["mu", "nu", "re", "im"], rows)
+        tables["z"] = (PAIR_HEADER, rows)
 
     bundle = ResultBundle(
         report={

@@ -211,14 +211,20 @@ def _cloud_kernel(n, cloud):
     return (*perturbation.eigenbasis(coupling_matrix(ens), 0.3), 0.3)
 
 
+def _sylvester(kernel, X):
+    """The kernel's Sylvester inverse applied to X on its own."""
+    P, L, solve = kernel
+    return P @ solve(L @ X @ L.T) @ P.T
+
+
 @pytest.mark.parametrize("cloud", ["sparse", "dense"])
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 161])
 def test_eigen_kernel_K_matches_column_definition(n, cloud):
     # n = 2 leaves two of the four G blocks empty, n = 3, 5, 17 and 161 make
     # them unequal, and n = 100 and 161 take several row batches, the last
     # one partly filled
-    sylvester, K = perturbation._eigen_kernel(*_cloud_kernel(n, cloud))
-    ref = np.column_stack([np.diagonal(sylvester(np.diag(e))) for e in np.eye(n)])
+    kernel, K = perturbation._eigen_kernel(*_cloud_kernel(n, cloud))
+    ref = np.column_stack([np.diagonal(_sylvester(kernel, np.diag(e))) for e in np.eye(n)])
     assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(K, K.T)
 
@@ -230,6 +236,31 @@ def test_eigen_kernel_K_matches_schur_kernel_on_degenerate_lattice():
     _, K_schur = perturbation._schur_kernel(z, 0.3)
     assert np.array_equal(K, K.T)
     assert np.max(np.abs(K - K_schur)) <= 1e-12 * np.max(np.abs(K_schur))
+
+
+def _check_project_against_two_applications(kernel, K):
+    # the reference applies the Sylvester inverse to the pairs, reads the
+    # multipliers off its diagonal, and applies it again to diag(d)
+    n = len(K)
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal(n * (n - 1) // 2) + 1j * rng.standard_normal(n * (n - 1) // 2)
+    K_inv = np.linalg.inv(K)
+    S = _sylvester(kernel, scatter_pairs(rhs, n))
+    d = K_inv @ -np.diagonal(S)
+    ref = (S + _sylvester(kernel, np.diag(d)))[np.triu_indices(n, 1)]
+    v = perturbation._project(kernel, K_inv, rhs)
+    assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cloud", ["sparse", "dense"])
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 161])
+def test_project_matches_two_applications(n, cloud):
+    _check_project_against_two_applications(*perturbation._eigen_kernel(*_cloud_kernel(n, cloud)))
+
+
+def test_project_matches_two_applications_on_schur_kernel():
+    z = coupling_matrix(lattice_ensemble(3, 1.0, DIPOLE))
+    _check_project_against_two_applications(*perturbation._schur_kernel(z, 0.3))
 
 
 def test_eigen_kernel_memory_bound():

@@ -34,9 +34,33 @@ def test_csv_text_matches_per_cell_reference_on_integers():
 
 
 def test_csv_text_rounds_integers_beyond_double_precision():
-    # the limit of the one-format row: atom labels never come near it
+    # a header of names makes float columns, which print through a double
     assert csv_text(["mu"], [[2**53 + 1]]) == "mu\n9007199254740992\n"
     assert csv_text(["mu"], [[10**17 - 1]]) == "mu\n1e+17\n"
+
+
+LABELS = np.dtype([("mu", np.int64), ("nu", np.uint32), ("re", np.float64)])
+
+
+def test_csv_text_integer_columns_match_float_path_and_stay_exact():
+    rows = [(x, np.int64(abs(x) % 2**32), float(k)) for k, x in enumerate(INTS)]
+    assert csv_text(LABELS, rows) == csv_text(["mu", "nu", "re"], rows)
+    assert csv_text(LABELS, iter(rows)) == _per_cell_csv(["mu", "nu", "re"], rows)
+    exact = csv_text(LABELS, [[2**53 + 1, 10**9, 0.5]])
+    assert exact == "mu,nu,re\n9007199254740993,1000000000,0.5\n"
+
+
+@pytest.mark.parametrize("cell", [1.0, np.float64(2.5), None, "3"])
+def test_csv_text_rejects_non_integers_in_integer_columns(cell):
+    # %d alone would write 1.0 and 2.5 as 1 and 2
+    with pytest.raises(TypeError):
+        csv_text(LABELS, [(0, 0, 0.5), (cell, 0, 0.5)])
+
+
+@pytest.mark.parametrize("kind", [np.complex128, np.bool_, object])
+def test_csv_text_rejects_columns_that_are_not_numbers(kind):
+    with pytest.raises(TypeError):
+        csv_text(np.dtype([("mu", np.int64), ("x", kind)]), [])
 
 
 def test_csv_text_random_rows_match_reference():

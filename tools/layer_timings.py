@@ -5,7 +5,9 @@ layers, printed one line each.
   (python -X importtime);
 - the line count of src/weakdrive/*.py and the number of public names
   the weakdrive package exports (its submodules not counted);
-- solve_v on a 160-atom random cloud (5 calls);
+- the OpenBLAS thread count of the process (null when none is found),
+  and solve_v on a 160-atom random cloud (5 calls) under the CLI's
+  one-thread policy (weakdrive.blas.one_thread);
 - a sweep's negativity layer, negativity_report plus pt_negativity_grid,
   on a 40-atom half/half cloud over 50 eta points (20 calls);
 - the exact oracle's grid, steady_state_exact at four log-spaced eta from
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 import weakdrive
-from weakdrive import Drive, Partition, PlaneWave, coupling_matrix, random_ensemble
+from weakdrive import Drive, Partition, PlaneWave, blas, coupling_matrix, random_ensemble
 from weakdrive.exact import build_liouvillian, steady_state_exact
 from weakdrive.negativity import negativity_report, pt_negativity_grid
 from weakdrive.perturbation import solve_u, solve_v, steady_state
@@ -72,7 +74,8 @@ def solve_v_times():
     coupling = coupling_matrix(ens)
     drive = Drive(delta=0.3, eta=0.05, beam=BEAM)
     u = solve_u(coupling, drive.delta, drive.w(ens))
-    return _times(lambda: solve_v(coupling, drive.delta, u), 5)
+    with blas.one_thread():
+        return _times(lambda: solve_v(coupling, drive.delta, u), 5), blas.threads()
 
 
 def negativity_layer_times():
@@ -105,8 +108,10 @@ def main():
     print(f"import weakdrive.cli, -X importtime: {import_time_line()}")
     lines, files = line_count()
     print(f"src/weakdrive: {lines} lines in {files} files, {export_count()} public names exported")
-    times = solve_v_times()
-    print(f"solve_v, n = 160: median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
+    print(f"OpenBLAS threads of this process: {blas.threads()}")
+    times, threads = solve_v_times()
+    print(f"solve_v, n = 160, {threads} OpenBLAS thread(s) as in a CLI run: "
+          f"median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
     times = negativity_layer_times()
     print(f"negativity_report + pt_negativity_grid, n = 40, 50 points: "
           f"median {np.median(times) * 1e3:.2f} ms, min {min(times) * 1e3:.2f} ms over 20")
