@@ -113,12 +113,15 @@ def check_gamma_psd(sc: Scenario) -> CheckResult:
                        note="minimum eigenvalue of the decay matrix")
 
 
-def check_v_traceless(sc: Scenario) -> CheckResult:
-    V = build_V(sc.state, sc.part)
-    na, nb = V.shape
-    embedding = np.block([[np.zeros((na, na)), V], [V.conj().T, np.zeros((nb, nb))]])
-    measured = float(abs(np.trace(embedding)))
-    return CheckResult("v_traceless", measured <= 1e-12, measured, 1e-12)
+def check_group_swap(sc: Scenario) -> CheckResult:
+    swapped = Partition(sc.part.group_b, sc.part.group_a)
+    l2, _ = lambda2_spectrum(build_V(sc.state, sc.part))
+    l2_swapped, _ = lambda2_spectrum(build_V(sc.state, swapped))
+    n_pt, _ = pt_negativity(build_pt_matrix(sc.state, sc.part))
+    n_swapped, _ = pt_negativity(build_pt_matrix(sc.state, swapped))
+    measured = float(max(np.max(np.abs(l2 - l2_swapped)), abs(n_pt - n_swapped)))
+    return CheckResult("group_swap", measured <= 1e-13, measured, 1e-13,
+                       note="lambda2 and N_pt with A and B exchanged")
 
 
 def check_eig_pairing(sc: Scenario) -> CheckResult:
@@ -229,7 +232,7 @@ def check_propagator_fixed_point(sc: Scenario) -> CheckResult:
 ALL_CHECKS = (
     check_z_symmetry,
     check_gamma_psd,
-    check_v_traceless,
+    check_group_swap,
     check_eig_pairing,
     check_pt_hermitian,
     check_pt_trace,

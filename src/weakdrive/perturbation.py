@@ -63,10 +63,12 @@ EIG_COND_GUARD = 1e4  # kappa above which eigenbasis refuses (module docstring)
 # refinement steps of the pair solve; the first is always taken, because
 # the absolute residual gate cannot see relative errors in tiny entries
 REFINE_STEPS = 3
-# complex entries (4 MB) in the row buffer of the K build, which grows to
-# n^2 entries when n rows of length n do not fit; its product buffer holds
-# a quarter of that
-K_BLOCK = 1 << 18
+# complex entries (1 MB) in the row buffer of the K build, which grows to
+# n^2 entries when n rows of length n do not fit, because a batch holds
+# whole row runs; its product buffer holds a quarter of that (256 kB), so
+# both stay in cache. It sets the batch size only: 1 << 18 built the same
+# K, bit for bit, at n = 40-320
+K_BLOCK = 1 << 16
 # relative asymmetry of Z above which the pair solve refuses it: the eigen
 # kernel builds one triangle of K and mirrors it, which needs Z = Z^T
 SYMMETRY_RTOL = 1e-12
@@ -114,14 +116,12 @@ def pair_map_apply(coupling, delta: float, v: np.ndarray) -> np.ndarray:
     """Left-hand map of the pair system applied to a pair vector.
 
     Uses (Z S)^T = S Z^T for symmetric S, so one matrix product serves
-    both terms.
+    both terms, read off at (i, j) and (j, i) of the pairs only.
     """
     n = len(coupling)
     I, J = pair_arrays(n)
-    S = scatter_pairs(v, n)
-    ZS = coupling @ S
-    full = ZS + ZS.T
-    return full[I, J] - 2j * delta * v
+    ZS = coupling @ scatter_pairs(v, n)
+    return ZS[I, J] + ZS[J, I] - 2j * delta * v
 
 
 def eigenbasis(A: np.ndarray, delta: float):

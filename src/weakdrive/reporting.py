@@ -12,6 +12,12 @@ being truncated, and so does a None cell; neither is ever written.
 report.json is written by json.dumps as is: report values must already be
 JSON types (float, int, str, bool, None, lists and dicts of them), and
 anything else, such as an array or a complex number, raises TypeError.
+
+Tables are formatted and written CHUNK_ROWS rows at a time, each chunk
+with the same one %-format and integer-column check, so writing a table
+holds one chunk's rows and text, never the whole table as one string.
+Rows may be any re-iterable of row sequences; ColumnRows presents numpy
+columns that way without building a list of rows.
 """
 
 from __future__ import annotations
@@ -20,11 +26,13 @@ import hashlib
 import json
 import operator
 from collections import deque
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 FLOAT_FMT = ".17g"
+CHUNK_ROWS = 512
 
 
 def fmt_value(x) -> str:
@@ -48,22 +56,48 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def csv_text(header, rows: Iterable[Sequence]) -> str:
-    """CSV text of rows under header: column names, or a structured dtype
-    whose fields give each column's name and data type."""
+class ColumnRows:
+    """Rows of equal-length numpy columns, re-iterable: each pass converts
+    CHUNK_ROWS rows at a time with .tolist() and yields them as tuples."""
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[tuple]:
+        for lo in range(0, len(self), CHUNK_ROWS):
+            yield from zip(*(c[lo : lo + CHUNK_ROWS].tolist() for c in self.columns))
+
+
+def _csv_chunks(header, rows: Iterable[Sequence]) -> Iterator[str]:
+    """The header line, then the text of each run of CHUNK_ROWS rows; header
+    is column names, or a structured dtype whose fields give each column's
+    name and data type."""
     if not isinstance(header, np.dtype):
         header = np.dtype([(name, np.float64) for name in header])
     kinds = [header[name].kind for name in header.names]
     if not set(kinds) <= set("iuf"):
         raise TypeError(f"CSV columns hold integers or floats, not {header}")
     fmt = ",".join("%" + FLOAT_FMT if kind == "f" else "%d" for kind in kinds) + "\n"
-    rows = list(map(tuple, rows))
-    for k, kind in enumerate(kinds):
-        if kind != "f":  # %d would truncate a float; operator.index raises
-            deque(map(operator.index, map(operator.itemgetter(k), rows)), maxlen=0)
-    return ",".join(header.names) + "\n" + "".join(map(fmt.__mod__, rows))
+    ints = [k for k, kind in enumerate(kinds) if kind != "f"]
+    yield ",".join(header.names) + "\n"
+    rows = iter(rows)
+    while chunk := list(map(tuple, islice(rows, CHUNK_ROWS))):
+        for k in ints:  # %d would truncate a float; operator.index raises
+            deque(map(operator.index, map(operator.itemgetter(k), chunk)), maxlen=0)
+        yield "".join(map(fmt.__mod__, chunk))
+
+
+def csv_text(header, rows: Iterable[Sequence]) -> str:
+    """CSV text of rows under header (see _csv_chunks)."""
+    return "".join(_csv_chunks(header, rows))
 
 
 def write_csv(path: str, header, rows: Iterable[Sequence]) -> None:
+    """Write csv_text(header, rows) to path one chunk at a time. A cell
+    that fails the check raises TypeError with the file holding the header
+    and every whole chunk before the one that held that cell."""
     with open(path, "w") as fh:
-        fh.write(csv_text(header, rows))
+        fh.writelines(_csv_chunks(header, rows))

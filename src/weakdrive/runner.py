@@ -37,11 +37,15 @@ from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analyti
 from .geometry import Partition, regime_check
 from .negativity import PartialTransposeMatrix, build_pt_matrix, negativity_report, pt_negativity_grid
 from .perturbation import PerturbState, steady_state
-from .reporting import config_hash, write_csv, write_json
+from .reporting import ColumnRows, config_hash, write_csv, write_json
 
 
 @dataclass
 class ResultBundle:
+    """report.json and the CSV tables of a task: tables maps a file stem to
+    (header, rows), rows any re-iterable of row sequences (a list, or a
+    ColumnRows view of numpy columns), so write can run more than once."""
+
     report: dict
     tables: dict = field(default_factory=dict)
 
@@ -78,9 +82,10 @@ def _amplitude_tables(state: PerturbState) -> dict:
     atoms = np.asarray(state.atoms, dtype=np.int64)
     I, J = pair_arrays(state.n)
     u, v = state.u, state.v
-    u_rows = zip(atoms.tolist(), u.real.tolist(), u.imag.tolist())
-    v_rows = zip(atoms[I].tolist(), atoms[J].tolist(), v.real.tolist(), v.imag.tolist())
-    return {"u": (ATOM_HEADER, list(u_rows)), "v": (PAIR_HEADER, list(v_rows))}
+    return {
+        "u": (ATOM_HEADER, ColumnRows(atoms, u.real, u.imag)),
+        "v": (PAIR_HEADER, ColumnRows(atoms[I], atoms[J], v.real, v.imag)),
+    }
 
 
 def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
@@ -100,8 +105,7 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     if cfg.dump_coupling:
         z = coupling.ravel()
         mu, nu = np.divmod(np.arange(z.size), ens.n)
-        rows = list(zip(mu.tolist(), nu.tolist(), z.real.tolist(), z.imag.tolist()))
-        tables["z"] = (PAIR_HEADER, rows)
+        tables["z"] = (PAIR_HEADER, ColumnRows(mu, nu, z.real, z.imag))
 
     bundle = ResultBundle(
         report={

@@ -294,7 +294,7 @@ def test_criterion_6_structural_invariants():
     required = {
         "z_symmetry",
         "gamma_psd",
-        "v_traceless",
+        "group_swap",
         "eig_pairing",
         "pt_hermitian",
         "pt_trace",

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakdrive import checks, cli
+from weakdrive import checks, cli, negativity
 from weakdrive.checks import run_checks
 from weakdrive.config import parse_config
 from weakdrive.coupling import coupling_matrix
@@ -12,8 +12,8 @@ from weakdrive.errors import ConfigError
 from weakdrive.exact import N_CAP
 from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble
 from weakdrive.perturbation import steady_state
-from weakdrive.reporting import config_hash
-from weakdrive.runner import ResultBundle, run_validate
+from weakdrive.reporting import CHUNK_ROWS, config_hash, csv_text
+from weakdrive.runner import ResultBundle, run_solve, run_validate
 
 PAIR_CONFIG = {
     "geometry": {"mode": "explicit", "positions": [[0, 0, 0], [1.0, 0, 0]]},
@@ -594,6 +594,35 @@ def test_rounding_level_zero_mode_never_sets_the_threshold(tmp_path):
     # the zero mode's rounding-level eta^4 lambda4 is left out of the
     # minimum; kept in, it pinned the estimate to the grid point 0.22
     assert abs(thr["eta_sweep_estimate"] - neg["eta_threshold"]) <= 5e-4
+
+
+def test_group_swap_check_fails_when_restriction_ignores_group_order(monkeypatch):
+    sc = checks.build_scenario(1)
+    assert checks.check_group_swap(sc).passed
+    restrict = negativity.restrict_state
+    # a restriction that sorts its subset puts B before A in the swapped
+    # partition's local order, so its V is another block of the pairs
+    monkeypatch.setattr(negativity, "restrict_state",
+                        lambda state, subset: restrict(state, sorted(subset)))
+    broken = checks.check_group_swap(sc)
+    assert not broken.passed and broken.measured > 1e-3
+
+
+def test_solve_bundle_writes_the_same_bytes_twice(tmp_path):
+    positions = np.random.default_rng(2).uniform(0, 8, (40, 3)).tolist()
+    config = {**PAIR_CONFIG, "geometry": {"mode": "explicit", "positions": positions},
+              "dump_coupling": True}
+    bundle = run_solve(parse_config(config, "solve"))
+    assert len(bundle.tables["v"][1]) == 780 > CHUNK_ROWS
+    bundle.write(str(tmp_path / "first"))
+    bundle.write(str(tmp_path / "second"))
+    assert (tmp_path / "first" / "report.json").read_bytes() == (
+        tmp_path / "second" / "report.json").read_bytes()
+    for name, (header, rows) in bundle.tables.items():
+        first = (tmp_path / "first" / f"{name}.csv").read_text()
+        assert first == (tmp_path / "second" / f"{name}.csv").read_text()
+        assert first == csv_text(header, list(rows))
+    assert len((tmp_path / "first" / "v.csv").read_text().splitlines()) == 1 + 780
 
 
 def test_validate_exit_code_on_failure(monkeypatch, capsys):

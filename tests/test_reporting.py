@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weakdrive.reporting import csv_text, fmt_value
+from weakdrive import runner
+from weakdrive.basis import pair_arrays
+from weakdrive.perturbation import PerturbState
+from weakdrive.reporting import CHUNK_ROWS, ColumnRows, csv_text, fmt_value, write_csv
 
 
 def _per_cell_csv(header, rows):
@@ -78,3 +83,62 @@ def test_csv_text_empty_table():
 def test_csv_text_rejects_none_cells():
     with pytest.raises(TypeError):
         csv_text(["eta", "N_pt"], [[0.1, None]])
+
+
+def _label_columns(count):
+    rng = np.random.default_rng(count)
+    labels = np.arange(count)
+    return labels, labels // 3, rng.standard_normal(count), rng.standard_normal(count)
+
+
+@pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, 3 * CHUNK_ROWS,
+                                   3 * CHUNK_ROWS + 1])
+def test_write_csv_streams_the_bytes_of_csv_text(tmp_path, count):
+    header = np.dtype([("mu", np.int64), ("nu", np.int64), ("re", np.float64),
+                       ("im", np.float64)])
+    columns = _label_columns(count)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    path = tmp_path / "t.csv"
+    write_csv(str(path), header, iter(rows))
+    text = csv_text(header, rows)
+    assert path.read_text() == text == _per_cell_csv(header.names, rows)
+    view = ColumnRows(*columns)
+    assert len(view) == count
+    assert list(view) == list(view) == rows
+    write_csv(str(path), header, view)
+    assert path.read_text() == text
+
+
+def test_write_csv_rejects_a_float_label_in_a_later_chunk(tmp_path):
+    header = np.dtype([("mu", np.int64), ("re", np.float64)])
+    rows = [(k, 0.5) for k in range(2 * CHUNK_ROWS + 10)]
+    rows[CHUNK_ROWS + 3] = (1.0, 0.5)
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError):
+        write_csv(str(path), header, rows)
+    with pytest.raises(TypeError):
+        csv_text(header, rows)
+    # the header and the whole chunks before the bad one are on disk
+    assert path.read_text() == csv_text(header, rows[:CHUNK_ROWS])
+
+
+def test_v_table_is_built_and_written_in_bounded_memory(tmp_path):
+    # 12,720 pairs of 160 atoms: held as a list of row tuples and one joined
+    # string, the table took 2.0 + 2.0 MB of traced memory
+    n = 160
+    rng = np.random.default_rng(0)
+    m = n * (n - 1) // 2
+    state = PerturbState(u=rng.standard_normal(n) + 0j,
+                         v=rng.standard_normal(m) + 1j * rng.standard_normal(m),
+                         w=np.ones(n, dtype=complex), delta=0.3, eta=0.05,
+                         atoms=tuple(range(n)))
+    pair_arrays(n)  # cached by the pair solve before any table is built
+    tracemalloc.start()
+    try:
+        header, rows = runner._amplitude_tables(state)["v"]
+        write_csv(str(tmp_path / "v.csv"), header, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6e6
+    assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + m

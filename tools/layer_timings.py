@@ -8,6 +8,9 @@ layers, printed one line each.
 - the OpenBLAS thread count of the process (null when none is found),
   and solve_v on a 160-atom random cloud (5 calls) under the CLI's
   one-thread policy (weakdrive.blas.one_thread);
+- the tracemalloc peaks of one solve_v on that cloud and of building and
+  writing its solve tables (u.csv and v.csv, 12,720 pairs) to a
+  temporary directory;
 - a sweep's negativity layer, negativity_report plus pt_negativity_grid,
   on a 40-atom half/half cloud over 50 eta points (20 calls);
 - the exact oracle's grid, steady_state_exact at four log-spaced eta from
@@ -25,7 +28,9 @@ its load.
 
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -36,6 +41,7 @@ from weakdrive import Drive, Partition, PlaneWave, blas, coupling_matrix, random
 from weakdrive.exact import build_liouvillian, steady_state_exact
 from weakdrive.negativity import negativity_report, pt_negativity_grid
 from weakdrive.perturbation import solve_u, solve_v, steady_state
+from weakdrive.runner import ResultBundle, _amplitude_tables
 
 DIPOLE = [0.0, 0.0, 1.0]
 BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
@@ -69,13 +75,37 @@ def export_count() -> int:
                for name in dir(weakdrive))
 
 
-def solve_v_times():
+def _cloud_160():
     ens = random_ensemble(160, 20.0, 0, DIPOLE, min_distance=0.5)
-    coupling = coupling_matrix(ens)
-    drive = Drive(delta=0.3, eta=0.05, beam=BEAM)
+    return coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens
+
+
+def solve_v_times():
+    coupling, drive, ens = _cloud_160()
     u = solve_u(coupling, drive.delta, drive.w(ens))
     with blas.one_thread():
         return _times(lambda: solve_v(coupling, drive.delta, u), 5), blas.threads()
+
+
+def _traced_peak(call) -> float:
+    """Peak traced memory of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def solve_memory_peaks() -> tuple[float, float]:
+    coupling, drive, ens = _cloud_160()
+    with blas.one_thread():
+        state = steady_state(coupling, drive, ens)
+        solve_peak = _traced_peak(lambda: solve_v(coupling, drive.delta, state.u))
+    with tempfile.TemporaryDirectory() as out:
+        write_peak = _traced_peak(
+            lambda: ResultBundle(report={}, tables=_amplitude_tables(state)).write(out))
+    return solve_peak, write_peak
 
 
 def negativity_layer_times():
@@ -112,6 +142,9 @@ def main():
     times, threads = solve_v_times()
     print(f"solve_v, n = 160, {threads} OpenBLAS thread(s) as in a CLI run: "
           f"median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
+    solve_peak, write_peak = solve_memory_peaks()
+    print(f"tracemalloc peaks, n = 160: solve_v {solve_peak:.2f} MB, "
+          f"building and writing its u and v tables {write_peak:.2f} MB")
     times = negativity_layer_times()
     print(f"negativity_report + pt_negativity_grid, n = 40, 50 points: "
           f"median {np.median(times) * 1e3:.2f} ms, min {min(times) * 1e3:.2f} ms over 20")
