@@ -54,7 +54,6 @@ from .geometry import (
     lattice_ensemble,
     random_ensemble,
     regime_check,
-    to_physical,
 )
 from .negativity import (
     NegativityReport,

@@ -69,7 +69,7 @@ class CapExceededError(WeakdriveError):
 
 
 class PropagationError(WeakdriveError):
-    """Adaptive integrator hit the step-size floor."""
+    """The propagated amplitudes overflow."""
 
 
 class PartitionError(WeakdriveError):

@@ -240,13 +240,6 @@ def random_ensemble(
     return Ensemble(pos, np.asarray(dipole, dtype=float))
 
 
-def to_physical(ens: Ensemble, k0_inverse: float) -> np.ndarray:
-    """Positions in physical length units, given k0^-1 in those units."""
-    if k0_inverse <= 0:
-        raise ValueError("k0_inverse must be positive")
-    return ens.positions * k0_inverse
-
-
 # ----------------------------------------------------------------------
 # regime flags
 # ----------------------------------------------------------------------

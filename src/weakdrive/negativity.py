@@ -401,7 +401,7 @@ def negativity_report(
     state: PerturbState,
     part: Partition,
     eta_grid: Optional[Sequence[float]] = None,
-    dilute_ok: Optional[bool] = None,
+    dilute_ok: bool = True,
 ) -> NegativityReport:
     """Everything downstream of the solved amplitudes for one partition.
 
@@ -429,7 +429,7 @@ def negativity_report(
     close = np.abs(np.diff(l2)) <= DEGENERACY_RTOL * scale
     degenerate = np.append(close, False) | np.insert(close, 0, False)
 
-    flag = dilute_ok is False
+    flag = not dilute_ok
     modes = []
     for a, b, deg in zip(l2.tolist(), l4.tolist(), degenerate.tolist()):
         ez = threshold_omega(a, b) if a < 0 and b > 0 else None

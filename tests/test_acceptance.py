@@ -331,9 +331,7 @@ def test_criterion_7_two_routes_to_amplitudes():
         drive = Drive(delta=0.0, eta=0.1, beam=PlaneWave(ZHAT))
         coupling = coupling_matrix(ens)
         ref = steady_state(coupling, drive, ens)
-        prop = propagate_truncated(
-            coupling, 0.0, ref.w, drive.eta, t_final=20.0, dt=0.02, tol=1e-13
-        )
+        prop = propagate_truncated(coupling, 0.0, ref.w, drive.eta, t_final=20.0)
         worst = max(
             worst,
             float(np.max(np.abs(prop.u - ref.u))),

@@ -614,6 +614,13 @@ def test_cap_enforced():
         liouv.matrix(0.05)
 
 
+def test_direct_liouvillian_enforces_the_cap():
+    # the constructor itself refuses, before any level system is gathered
+    n = N_CAP + 1
+    with pytest.raises(CapExceededError):
+        exact.Liouvillian(coupling=0.5 * np.eye(n), delta=0.0, w=np.ones(n))
+
+
 def _operator_residual(coupling, delta, w, eta, rho):
     """max |L rho| from d x d operator products, independent of the level
     solve's index gathers."""
@@ -783,13 +790,27 @@ def test_product_state_invariants():
     assert dps.coherences[1] == 0.0
 
 
-def test_propagate_step_floor():
-    ens, drive, coupling = _system([[0, 0, 0], [1.0, 0, 0]])
+def test_propagate_overflow_raises():
+    # a coupling of -60 grows the single-atom amplitude as e^(60 t)
     with pytest.raises(PropagationError):
-        propagate_truncated(
-            coupling, drive.delta, drive.w(ens), drive.eta,
-            t_final=5.0, dt=0.5, tol=1e-14, dt_min=0.05,
-        )
+        propagate_truncated(np.array([[-60.0 + 0j]]), 0.0, np.ones(1), 0.1)
+
+
+def test_propagate_cap_enforced():
+    with pytest.raises(CapExceededError):
+        propagate_truncated(0.5 * np.eye(N_CAP + 1, dtype=complex), 0.0, np.ones(N_CAP + 1), 0.1)
+
+
+def test_propagate_single_atom_at_finite_time():
+    # a_1' = c a_1 + i eta w with c = i delta - 1/2, so
+    # u(t) = i w (e^(ct) - 1) / c from the ground state
+    delta, eta, t = 0.3, 0.2, 1.7
+    w = np.array([0.8 * np.exp(0.4j)])
+    c = 1j * delta - 0.5
+    state = propagate_truncated(np.array([[0.5 + 0j]]), delta, w, eta, t_final=t)
+    expected = 1j * w * (np.exp(c * t) - 1.0) / c
+    assert np.max(np.abs(state.u - expected)) <= 1e-13
+    assert state.v.shape == (0,)
 
 
 def test_propagate_reaches_solver_fixed_point():
@@ -797,6 +818,6 @@ def test_propagate_reaches_solver_fixed_point():
     # amplitudes relax within twenty decay times
     ens, drive, coupling = _system([[0, 0, 0], [0.5, 0, 0]], eta=0.01)
     ref = steady_state(coupling, drive, ens)
-    prop = propagate_truncated(coupling, 0.0, ref.w, drive.eta, t_final=20.0, dt=0.05, tol=1e-12)
+    prop = propagate_truncated(coupling, 0.0, ref.w, drive.eta, t_final=20.0)
     assert np.max(np.abs(prop.u - ref.u)) <= 1e-8
     assert np.max(np.abs(prop.v - ref.v)) <= 1e-8

@@ -12,7 +12,6 @@ from weakdrive.geometry import (
     lattice_ensemble,
     random_ensemble,
     regime_check,
-    to_physical,
 )
 
 DIPOLE = np.array([0.0, 0.0, 1.0])
@@ -100,13 +99,3 @@ def test_regime_farfield_flag():
     assert regime_check(ens, drive, part).farfield_ok
     near = explicit_ensemble([[0, 0, 0], [10.0, 0, 0], [50.0, 0, 0], [60.0, 0, 0]], DIPOLE)
     assert not regime_check(near, drive, part).farfield_ok
-
-
-def test_to_physical_scaling():
-    ens = explicit_ensemble([[0, 0, 0], [10.0, 0, 0], [1e7, 0, 0]], DIPOLE)
-    phys = to_physical(ens, 0.1)  # k0^-1 = 0.1 micrometre
-    assert phys[0, 0] == 0.0
-    assert phys[1, 0] == pytest.approx(1.0)  # 1 micrometre
-    assert phys[2, 0] == pytest.approx(1e6)  # 1 metre in micrometres
-    with pytest.raises(ValueError):
-        to_physical(ens, -1.0)
