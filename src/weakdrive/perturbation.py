@@ -35,8 +35,9 @@ the same projection runs on the complex Schur form of Z with LAPACK trsyl
 operator-form map pair_map_apply, whose residual also gates the result.
 
 PerturbState.local_index maps an atom label to its local position and
-raises PartitionError for an atom absent from the state, so every
-restriction to a partition fails with that one typed error.
+raises PartitionError for an atom absent from the state, and
+restrict_state raises it for a label listed twice, so every restriction
+to a partition fails with that one typed error.
 assemble_state returns the second-order density matrix on {ground,
 singles, pairs} as a read-only array.
 """
@@ -320,11 +321,15 @@ def restrict_state(state: PerturbState, subset: Iterable[int]) -> PerturbState:
     """Amplitudes of a subensemble: u, v sliced, never re-solved.
 
     subset lists original atom labels; their order fixes the local basis
-    order of the restricted state.
+    order of the restricted state. A label listed twice raises
+    PartitionError.
     """
     subset = tuple(subset)
     if not subset:
         raise ValueError("subset must be non-empty")
+    if len(set(subset)) < len(subset):
+        repeated = sorted({a for a in subset if subset.count(a) > 1})
+        raise PartitionError(f"atoms {repeated} listed more than once in the subset")
     local = [state.local_index(a) for a in subset]
     m = len(local)
     u = state.u[local]

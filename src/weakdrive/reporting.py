@@ -18,11 +18,17 @@ with the same one %-format and integer-column check, so writing a table
 holds one chunk's rows and text, never the whole table as one string.
 Rows may be any re-iterable of row sequences; ColumnRows presents numpy
 columns that way without building a list of rows.
+
+config_hash is the SHA-256 of the canonical JSON of a config (sorted keys,
+no spaces). It takes sha256 from the interpreter's built-in module (_sha2
+on CPython 3.12+, _sha256 on 3.10-3.11), because hashlib loads OpenSSL's
+libcrypto (3.3 MB resident) into the process to hash one short string;
+hashlib.sha256 is used only where neither module exists, as on a FIPS
+build. The digest is the same either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
 from collections import deque
@@ -30,6 +36,14 @@ from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 FLOAT_FMT = ".17g"
 CHUNK_ROWS = 512
@@ -47,7 +61,7 @@ def fmt_value(x) -> str:
 
 def config_hash(data) -> str:
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def write_json(path: str, obj) -> None:

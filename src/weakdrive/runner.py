@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, blas
 from .basis import pair_arrays
-from .checks import run_checks
 from .config import RunConfig, build_drive, build_ensemble, build_partition
 from .coupling import coupling_matrix
 from .errors import ConfigError, WeakdriveError
@@ -277,6 +276,8 @@ def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 # ----------------------------------------------------------------------
 
 def run_validate(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
+    from .checks import run_checks  # only validate needs the checks module
+
     results = run_checks(seed=cfg.seed)
     report = {
         "provenance": _provenance(cfg, parallelism),

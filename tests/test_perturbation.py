@@ -10,6 +10,7 @@ from weakdrive.coupling import coupling_matrix
 from weakdrive.checks import build_scenario
 from weakdrive.errors import (
     AsymmetricCouplingError,
+    PartitionError,
     ResonantSingularityError,
     SolverConvergenceError,
 )
@@ -426,6 +427,27 @@ def test_restrict_empty_subset_rejected():
     state = steady_state(coupling, drive, ens)
     with pytest.raises(ValueError):
         restrict_state(state, ())
+
+
+def test_restrict_repeated_label_rejected():
+    ens = random_ensemble(3, 4.0, 2, DIPOLE, min_distance=0.5)
+    state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
+    for subset in ((0, 0), (1, 2, 1)):
+        with pytest.raises(PartitionError, match="more than once"):
+            restrict_state(state, subset)
+
+
+def test_pair_index_table_is_read_only_and_matches_v_matrix():
+    ens = random_ensemble(5, 5.0, 4, DIPOLE, min_distance=0.5)
+    state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
+    table = pair_index_table(state.n)
+    assert not table.flags.writeable
+    assert pair_index_table(state.n) is table
+    vmat = state.v_matrix()
+    for i in range(state.n):
+        for j in range(state.n):
+            if i != j:
+                assert state.v_pair(i, j) == vmat[i, j]
 
 
 def test_assemble_ground_state_at_zero_drive():

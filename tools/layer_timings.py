@@ -3,6 +3,9 @@ layers, printed one line each.
 
 - the cumulative import time of weakdrive.cli in a fresh interpreter
   (python -X importtime);
+- the peak resident memory (VmHWM of /proc/self/status) of a fresh
+  interpreter after import weakdrive.cli, and whether that import loaded
+  _hashlib (OpenSSL's libcrypto), scipy.linalg and weakdrive.checks;
 - the line count of src/weakdrive/*.py and the number of public names
   the weakdrive package exports (its submodules not counted);
 - the OpenBLAS thread count of the process (null when none is found),
@@ -62,6 +65,25 @@ def import_time_line() -> str:
     run = subprocess.run([sys.executable, "-X", "importtime", "-c", "import weakdrive.cli"],
                          capture_output=True, text=True, check=True)
     return run.stderr.strip().splitlines()[-1]
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+import weakdrive.cli
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+loaded = ", ".join(f"{m} {'yes' if m in sys.modules else 'no'}"
+                   for m in ("_hashlib", "scipy.linalg", "weakdrive.checks"))
+print(f"VmHWM {hwm_kb / 1024:.2f} MB; loaded: {loaded}")
+"""
+
+
+def import_footprint_line() -> str:
+    """VmHWM of a fresh interpreter after import weakdrive.cli, and which
+    of _hashlib, scipy.linalg and weakdrive.checks the import loaded."""
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    return run.stdout.strip()
 
 
 def line_count() -> tuple[int, int]:
@@ -136,6 +158,7 @@ def exact_grid_times(n, repeats):
 
 def main():
     print(f"import weakdrive.cli, -X importtime: {import_time_line()}")
+    print(f"import weakdrive.cli, fresh interpreter: {import_footprint_line()}")
     lines, files = line_count()
     print(f"src/weakdrive: {lines} lines in {files} files, {export_count()} public names exported")
     print(f"OpenBLAS threads of this process: {blas.threads()}")
