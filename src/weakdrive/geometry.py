@@ -60,26 +60,27 @@ class Ensemble:
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (n, 3) array")
         d = _unit(self.dipole, "dipole")
+        min_distance = np.inf
         if pos.shape[0] > 1:
             diff = pos[:, None, :] - pos[None, :, :]
             dist = np.linalg.norm(diff, axis=-1)
             iu = np.triu_indices(pos.shape[0], 1)
             k = np.argmin(dist[iu])
-            if dist[iu][k] <= 0.0:
+            min_distance = float(dist[iu][k])
+            if min_distance <= 0.0:
                 raise DuplicatePositionError(int(iu[0][k]), int(iu[1][k]))
         object.__setattr__(self, "positions", _frozen_array(pos))
         object.__setattr__(self, "dipole", _frozen_array(d))
+        object.__setattr__(self, "_min_distance", min_distance)
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
     def min_distance(self) -> float:
-        if self.n < 2:
-            return np.inf
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        return float(dist[np.triu_indices(self.n, 1)].min())
+        """Smallest pairwise distance, found when the positions were checked
+        for duplicates; inf for a single atom."""
+        return self._min_distance
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
     n = len(lam)
     Qt = np.ascontiguousarray(Q.T)
     # K_ij = x^T G x with x_a = P_ia Q_aj, for j >= i only: K is symmetric
-    # for symmetric Z, so the lower triangle is mirrored. The rows x of
+    # for symmetric Z, so each row is mirrored into its column. The rows x of
     # consecutive i fill xbuf, which is multiplied by G in four column
     # blocks b into ybuf, a quarter its size. G is symmetric, so the rows a
     # of the blocks left of b are doubled and those right of b skipped:
@@ -176,9 +176,8 @@ def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
                 forms += np.einsum("ij,ij->i", XG, xbuf[:m, lo:hi])
             r = 0
             for k in range(first, i):
-                K[k, k:] = forms[r : r + n - k]
+                K[k, k:] = K[k:, k] = forms[r : r + n - k]
                 r += n - k
-        K += np.triu(K, 1).T
 
     return (P, Q, lambda Y: G * Y), K
 

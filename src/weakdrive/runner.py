@@ -1,13 +1,15 @@
 """Task orchestration: solve, sweep, bounds, oracle comparison, validation.
 
-Sweeps and oracle comparisons solve the amplitudes once and then share one
-walk over the eta grid, in order and in-process: the partial-transpose
-cores (dimension n + 2) of the whole grid are built from one set of
+Sweeps and oracle comparisons solve the amplitudes once and then go over
+the eta grid in order and in-process: the partial-transpose cores
+(dimension n + 2) of the whole grid are built from one set of
 drive-independent pieces and diagonalised as stacks, one eigvalsh call per
-block, and with the exact column each point adds one Lindblad steady
-state; an oracle comparison is that walk with the exact column always on.
+block, and the exact column adds one Lindblad steady state per point, all
+on one Liouvillian; an oracle comparison always has the exact column.
 A point whose exact column raises a package error is recorded in
-point_errors and the walk goes on. The --parallel degree is validated and
+point_errors and the others go on; the table keeps the points that
+passed. Every table is a mapping from column name to a 1-D numpy array,
+written by reporting.write_csv. The --parallel degree is validated and
 recorded in the provenance but does not change how points run, so results
 do not depend on it.
 """
@@ -34,16 +36,16 @@ from .exact import (
 )
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
-from .negativity import PartialTransposeMatrix, build_pt_matrix, negativity_report, pt_negativity_grid
+from .negativity import build_pt_matrix, negativity_report, pt_negativity_grid
 from .perturbation import PerturbState, steady_state
-from .reporting import ColumnRows, config_hash, write_csv, write_json
+from .reporting import config_hash, write_csv, write_json
 
 
 @dataclass
 class ResultBundle:
     """report.json and the CSV tables of a task: tables maps a file stem to
-    (header, rows), rows any re-iterable of row sequences (a list, or a
-    ColumnRows view of numpy columns), so write can run more than once."""
+    its columns, a mapping from header name to a 1-D numpy array, which
+    write leaves untouched, so it can run more than once."""
 
     report: dict
     tables: dict = field(default_factory=dict)
@@ -51,8 +53,8 @@ class ResultBundle:
     def write(self, outdir: str) -> None:
         os.makedirs(outdir, exist_ok=True)
         write_json(os.path.join(outdir, "report.json"), self.report)
-        for name, (header, rows) in self.tables.items():
-            write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
+        for name, columns in self.tables.items():
+            write_csv(os.path.join(outdir, f"{name}.csv"), columns)
 
 
 def _provenance(cfg: RunConfig, parallelism: int) -> dict:
@@ -70,20 +72,13 @@ def _provenance(cfg: RunConfig, parallelism: int) -> dict:
 # solve
 # ----------------------------------------------------------------------
 
-# table headers of atom labels and the real and imaginary parts of a value
-ATOM_HEADER = np.dtype([("mu", np.int64), ("re", np.float64), ("im", np.float64)])
-PAIR_HEADER = np.dtype(
-    [("mu", np.int64), ("nu", np.int64), ("re", np.float64), ("im", np.float64)]
-)
-
-
 def _amplitude_tables(state: PerturbState) -> dict:
     atoms = np.asarray(state.atoms, dtype=np.int64)
     I, J = pair_arrays(state.n)
     u, v = state.u, state.v
     return {
-        "u": (ATOM_HEADER, ColumnRows(atoms, u.real, u.imag)),
-        "v": (PAIR_HEADER, ColumnRows(atoms[I], atoms[J], v.real, v.imag)),
+        "u": {"mu": atoms, "re": u.real, "im": u.imag},
+        "v": {"mu": atoms[I], "nu": atoms[J], "re": v.real, "im": v.imag},
     }
 
 
@@ -97,14 +92,11 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     report = negativity_report(state, part, dilute_ok=regime.dilute_ok)
 
     tables = _amplitude_tables(state)
-    tables["curve"] = (
-        ["eta", "N_model"],
-        list(zip(report.curve.etas.tolist(), report.curve.values.tolist())),
-    )
+    tables["curve"] = {"eta": report.curve.etas, "N_model": report.curve.values}
     if cfg.dump_coupling:
         z = coupling.ravel()
         mu, nu = np.divmod(np.arange(z.size), ens.n)
-        tables["z"] = (PAIR_HEADER, ColumnRows(mu, nu, z.real, z.imag))
+        tables["z"] = {"mu": mu, "nu": nu, "re": z.real, "im": z.imag}
 
     bundle = ResultBundle(
         report={
@@ -134,25 +126,23 @@ def _exact_negativity(liouv, part: Partition, eta: float) -> float:
     return n_exact
 
 
-def _walk_grid(pt: PartialTransposeMatrix, state: PerturbState, part: Partition, coupling,
-               grid: np.ndarray) -> tuple[list, list]:
-    """Every grid point in order: rows (k, eta, N_pt, N_exact) that passed,
-    and point_errors for those whose exact column raised a package error.
-
-    N_pt comes from pt_negativity_grid of pt over the whole grid; N_exact is
-    solved per point on one Liouvillian, or None when coupling is None.
-    """
-    n_pt = pt_negativity_grid(pt, grid).tolist()
-    liouv = None if coupling is None else build_liouvillian(coupling, state.delta, state.w)
-    rows, errors = [], []
+def _exact_column(state: PerturbState, part: Partition, coupling,
+                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """N_exact at every grid point in order, each a steady state of one
+    Liouvillian: the column (NaN where a point failed), the mask of the
+    points that passed, and point_errors for those whose exact solve raised
+    a package error."""
+    liouv = build_liouvillian(coupling, state.delta, state.w)
+    n_exact = np.full(len(grid), np.nan)
+    passed = np.ones(len(grid), dtype=bool)
+    errors = []
     for k, eta in enumerate(grid.tolist()):
         try:
-            n_exact = None if liouv is None else _exact_negativity(liouv, part, eta)
+            n_exact[k] = _exact_negativity(liouv, part, eta)
         except WeakdriveError as exc:
             errors.append({"eta": eta, "error": str(exc)})
-            continue
-        rows.append((k, eta, n_pt[k], n_exact))
-    return rows, errors
+            passed[k] = False
+    return n_exact, passed, errors
 
 
 def _interp_last_sign_change(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -179,13 +169,11 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     curve = rep.curve
     l2, l4 = rep.lambda2, rep.lambda4
 
-    rows, errors = _walk_grid(rep.pt, state, part, coupling if cfg.exact else None, grid)
-    n_model = curve.values.tolist()
-    header = ["eta", "N_model", "N_pt"] + (["N_exact"] if cfg.exact else [])
-    table_rows = [
-        [eta, n_model[k], n_pt] + ([n_exact] if cfg.exact else [])
-        for k, eta, n_pt, n_exact in rows
-    ]
+    columns = {"eta": grid, "N_model": curve.values, "N_pt": pt_negativity_grid(rep.pt, grid)}
+    errors = []
+    if cfg.exact:
+        columns["N_exact"], passed, errors = _exact_column(state, part, coupling, grid)
+        columns = {name: c[passed] for name, c in columns.items()}
     # the modelled minimum eigenvalue exists at every grid point, whether or
     # not that point's exact column failed; float_power is libm pow, as the
     # scalar eta**2 and eta**4 are, bit for bit. A zeroed mode (lambda2 = 0)
@@ -209,7 +197,7 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         "extremum": {"eta_max": curve.eta_max, "n_max": curve.n_max},
         "point_errors": errors,
     }
-    return ResultBundle(report=report, tables={"sweep": (header, table_rows)})
+    return ResultBundle(report=report, tables={"sweep": columns})
 
 
 def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
@@ -218,21 +206,24 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     part = build_partition(cfg, ens)
     if set(part.atoms) != set(range(ens.n)):
         raise ConfigError("partition", "oracle comparison needs A u B to cover all atoms")
+    if ens.n > N_CAP:
+        raise ConfigError("geometry",
+                          f"oracle comparison needs {N_CAP} atoms or fewer, got {ens.n}")
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
 
-    pt = build_pt_matrix(state, part)
-    rows, errors = _walk_grid(pt, state, part, coupling, cfg.eta_sweep.grid())
-    table_rows = [
-        [eta, n_exact, n_pt, abs(n_exact - n_pt)] for _, eta, n_pt, n_exact in rows
-    ]
+    grid = cfg.eta_sweep.grid()
+    n_pt = pt_negativity_grid(build_pt_matrix(state, part), grid)
+    n_exact, passed, errors = _exact_column(state, part, coupling, grid)
+    columns = {"eta": grid, "N_exact": n_exact, "N_perturbative": n_pt,
+               "abs_error": np.abs(n_exact - n_pt)}
     report = {
         "provenance": _provenance(cfg, parallelism),
         "point_errors": errors,
     }
     return ResultBundle(
         report=report,
-        tables={"oracle": (["eta", "N_exact", "N_perturbative", "abs_error"], table_rows)},
+        tables={"oracle": {name: c[passed] for name, c in columns.items()}},
     )
 
 

@@ -12,7 +12,7 @@ from weakdrive.errors import ConfigError
 from weakdrive.exact import N_CAP
 from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble
 from weakdrive.perturbation import steady_state
-from weakdrive.reporting import CHUNK_ROWS, config_hash, csv_text
+from weakdrive.reporting import CHUNK_ROWS, config_hash, fmt_value
 from weakdrive.runner import ResultBundle, run_solve, run_validate
 
 PAIR_CONFIG = {
@@ -325,10 +325,12 @@ def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task)
     bundle = runner_mod.TASK_RUNNERS[task](cfg, parallelism=1)
     errors = bundle.report["point_errors"]
     assert [e["eta"] for e in errors] == [grid[1]]
-    ((header, rows),) = bundle.tables.values()
-    assert [r[0] for r in rows] == [grid[0], grid[2]]
-    ((_, clean_rows),) = clean.tables.values()
-    assert rows == [clean_rows[0], clean_rows[2]]
+    (columns,) = bundle.tables.values()
+    assert columns["eta"].tolist() == [grid[0], grid[2]]
+    (clean_columns,) = clean.tables.values()
+    assert columns.keys() == clean_columns.keys()
+    for name, column in columns.items():
+        assert column.tolist() == clean_columns[name][[0, 2]].tolist()
     if task == "sweep":
         # the estimate interpolates the model over the whole grid, so an
         # exact failure next to the crossing moves nothing
@@ -357,13 +359,11 @@ def test_sweep_exact_and_oracle_compare_agree(group_a, group_b, tol):
     oracle = run_oracle_compare(parse_config(config, "oracle-compare"))
     config["exact"] = True
     sweep = run_sweep(parse_config(config, "sweep"))
-    _, sweep_rows = sweep.tables["sweep"]
-    _, oracle_rows = oracle.tables["oracle"]
-    assert len(sweep_rows) == len(oracle_rows) == 4
-    for (eta, _, n_pt, n_exact), (o_eta, o_exact, o_pt, _) in zip(sweep_rows, oracle_rows):
-        assert eta == o_eta
-        assert n_pt == o_pt
-        assert abs(n_exact - o_exact) <= tol
+    sweep_columns, oracle_columns = sweep.tables["sweep"], oracle.tables["oracle"]
+    assert len(sweep_columns["eta"]) == len(oracle_columns["eta"]) == 4
+    assert sweep_columns["eta"].tolist() == oracle_columns["eta"].tolist()
+    assert sweep_columns["N_pt"].tolist() == oracle_columns["N_perturbative"].tolist()
+    assert np.abs(sweep_columns["N_exact"] - oracle_columns["N_exact"]).max() <= tol
 
 
 def test_solve_negativity_pt_equals_sweep_n_pt(tmp_path):
@@ -382,10 +382,10 @@ def test_solve_negativity_pt_equals_sweep_n_pt(tmp_path):
     del config["eta"]
     config["eta_sweep"] = {"min": 0.01, "max": 0.13, "points": 5}
     sweep = run_sweep(parse_config(config, "sweep"))
-    _, rows = sweep.tables["sweep"]
-    eta, _, n_pt = rows[-1]
-    assert eta == 0.13
-    assert solve.report["negativity"]["negativity_pt"] == n_pt
+    columns = sweep.tables["sweep"]
+    assert list(columns) == ["eta", "N_model", "N_pt"]
+    assert columns["eta"][-1] == 0.13
+    assert solve.report["negativity"]["negativity_pt"] == columns["N_pt"][-1]
 
 
 @pytest.mark.parametrize("task", ["solve", "sweep", "oracle-compare"])
@@ -490,7 +490,7 @@ def test_oracle_compare_errors(tmp_path, capsys):
     cfg = _write(tmp_path, config)
     assert cli.main(["oracle-compare", "--config", cfg]) == 2
 
-    # too many atoms for the exact solver -> numerical failure
+    # too many atoms for the exact solver -> configuration error, before any solve
     n = N_CAP + 1
     config["geometry"] = {
         "mode": "explicit",
@@ -498,7 +498,10 @@ def test_oracle_compare_errors(tmp_path, capsys):
     }
     config["partition"] = {"A": list(range(n // 2)), "B": list(range(n // 2, n))}
     cfg = _write(tmp_path, config)
-    assert cli.main(["oracle-compare", "--config", cfg]) == 3
+    capsys.readouterr()
+    assert cli.main(["oracle-compare", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: geometry: oracle comparison needs {N_CAP} atoms or fewer, got {n}")
 
 
 def test_oracle_compare_table(tmp_path):
@@ -613,15 +616,18 @@ def test_solve_bundle_writes_the_same_bytes_twice(tmp_path):
     config = {**PAIR_CONFIG, "geometry": {"mode": "explicit", "positions": positions},
               "dump_coupling": True}
     bundle = run_solve(parse_config(config, "solve"))
-    assert len(bundle.tables["v"][1]) == 780 > CHUNK_ROWS
+    assert len(bundle.tables["v"]["mu"]) == 780 > CHUNK_ROWS
     bundle.write(str(tmp_path / "first"))
     bundle.write(str(tmp_path / "second"))
     assert (tmp_path / "first" / "report.json").read_bytes() == (
         tmp_path / "second" / "report.json").read_bytes()
-    for name, (header, rows) in bundle.tables.items():
+    for name, columns in bundle.tables.items():
         first = (tmp_path / "first" / f"{name}.csv").read_text()
         assert first == (tmp_path / "second" / f"{name}.csv").read_text()
-        assert first == csv_text(header, list(rows))
+        # one fmt_value call per cell, as a reference for the chunked writer
+        cells = zip(*columns.values())
+        assert first.splitlines() == [",".join(columns)] + [
+            ",".join(map(fmt_value, row)) for row in cells]
     assert len((tmp_path / "first" / "v.csv").read_text().splitlines()) == 1 + 780
 
 

@@ -668,12 +668,12 @@ def test_oracle_compare_four_plus_four():
     }, "oracle-compare")
     bundle = run_oracle_compare(cfg)
     assert bundle.report["point_errors"] == []
-    rows = bundle.tables["oracle"][1]
-    assert [r[0] for r in rows] == pytest.approx([0.0025, 0.005, 0.01], rel=1e-12)
-    for eta, n_exact, n_pt, err in rows:
-        assert n_exact > 0.0 and err <= 1e-2 * n_exact
-    assert 8.0 <= rows[1][3] / rows[0][3] <= 32.0
-    assert 8.0 <= rows[2][3] / rows[1][3] <= 32.0
+    columns = bundle.tables["oracle"]
+    assert columns["eta"] == pytest.approx([0.0025, 0.005, 0.01], rel=1e-12)
+    n_exact, err = columns["N_exact"], columns["abs_error"]
+    assert np.all(n_exact > 0.0) and np.all(err <= 1e-2 * n_exact)
+    assert 8.0 <= err[1] / err[0] <= 32.0
+    assert 8.0 <= err[2] / err[1] <= 32.0
     ens, _, coupling = _system(positions)
     w = BEAM.amplitudes(ens)
     rho = steady_state_exact(build_liouvillian(coupling, 0.3, w), 0.01)

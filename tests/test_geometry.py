@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,13 @@ def test_duplicate_positions_rejected():
     with pytest.raises(DuplicatePositionError) as exc:
         explicit_ensemble([[0, 0, 0], [0, 0, 0]], DIPOLE)
     assert exc.value.indices == (0, 1)
+
+
+def test_min_distance_is_the_pairwise_minimum():
+    ens = random_ensemble(30, 10.0, 7, DIPOLE)
+    direct = min(math.dist(p, q) for p, q in combinations(ens.positions.tolist(), 2))
+    assert ens.min_distance() == pytest.approx(direct, rel=1e-15)
+    assert explicit_ensemble([[1.0, 2.0, 3.0]], DIPOLE).min_distance() == math.inf
 
 
 def test_random_deterministic():

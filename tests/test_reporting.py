@@ -6,15 +6,21 @@ import pytest
 from weakdrive import runner
 from weakdrive.basis import pair_arrays
 from weakdrive.perturbation import PerturbState
-from weakdrive.reporting import CHUNK_ROWS, ColumnRows, csv_text, fmt_value, write_csv
+from weakdrive.reporting import CHUNK_ROWS, fmt_value, write_csv
 
 
-def _per_cell_csv(header, rows):
-    """Reference writer: one fmt_value call per cell, joined per line."""
-    lines = [",".join(header)]
-    for row in rows:
+def _per_cell_csv(columns):
+    """Reference writer: one fmt_value call per numpy scalar, joined per line."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join(fmt_value(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _csv(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), columns)
+    return path.read_text()
 
 
 FLOATS = [
@@ -22,104 +28,86 @@ FLOATS = [
     float("inf"), float("-inf"), float("nan"), 0.1, -1.0 / 3.0, 1.2345678901234567,
     9.8765432109876543e-12, 12345678901234567.0, 1e17, 1e16, 123.0,
 ]
-# %g prints through a double, so integers are exact up to 2**53 in magnitude
+# a float64 column prints through a double, so integers in it are exact up
+# to 2**53 in magnitude
 INTS = [0, 1, -1, 7, 10**15, 2**53 - 1, 2**53, -(2**53)]
 
 
-def test_csv_text_matches_per_cell_reference_on_floats():
-    rows = [FLOATS[k : k + 3] for k in range(0, len(FLOATS), 3)]
-    assert csv_text(["a", "b", "c"], rows) == _per_cell_csv(["a", "b", "c"], rows)
-    rows64 = [[np.float64(x) for x in row] for row in rows]
-    assert csv_text(["a", "b", "c"], rows64) == _per_cell_csv(["a", "b", "c"], rows)
+def test_csv_text_matches_per_cell_reference_on_floats(tmp_path):
+    values = np.array(FLOATS)
+    columns = {"a": values[0::3], "b": values[1::3], "c": values[2::3]}
+    assert _csv(tmp_path, columns) == _per_cell_csv(columns)
 
 
-def test_csv_text_matches_per_cell_reference_on_integers():
-    rows = [(x, np.int64(x), float(k)) for k, x in enumerate(INTS)]
-    assert csv_text(["mu", "nu", "re"], rows) == _per_cell_csv(["mu", "nu", "re"], rows)
+def test_csv_text_matches_per_cell_reference_on_integers(tmp_path):
+    columns = {"mu": np.array(INTS), "nu": np.array(INTS, dtype=np.int64),
+               "re": np.arange(len(INTS), dtype=float)}
+    assert _csv(tmp_path, columns) == _per_cell_csv(columns)
 
 
-def test_csv_text_rounds_integers_beyond_double_precision():
-    # a header of names makes float columns, which print through a double
-    assert csv_text(["mu"], [[2**53 + 1]]) == "mu\n9007199254740992\n"
-    assert csv_text(["mu"], [[10**17 - 1]]) == "mu\n1e+17\n"
+def test_csv_text_rounds_integers_beyond_double_precision(tmp_path):
+    # a float64 column prints through a double
+    assert _csv(tmp_path, {"mu": np.array([2.0**53 + 1])}) == "mu\n9007199254740992\n"
+    assert _csv(tmp_path, {"mu": np.array([10.0**17 - 1])}) == "mu\n1e+17\n"
 
 
-LABELS = np.dtype([("mu", np.int64), ("nu", np.uint32), ("re", np.float64)])
+def test_csv_text_integer_columns_match_float_path_and_stay_exact(tmp_path):
+    mu = np.array(INTS, dtype=np.int64)
+    nu = (np.abs(mu) % 2**32).astype(np.uint32)
+    re = np.arange(len(INTS), dtype=float)
+    text = _csv(tmp_path, {"mu": mu, "nu": nu, "re": re})
+    assert text == _csv(tmp_path, {"mu": mu.astype(float), "nu": nu.astype(float), "re": re})
+    assert text == _per_cell_csv({"mu": mu, "nu": nu, "re": re})
+    exact = _csv(tmp_path, {"mu": np.array([2**53 + 1]), "nu": np.array([2**64 - 1], np.uint64),
+                            "re": np.array([0.5])})
+    assert exact == "mu,nu,re\n9007199254740993,18446744073709551615,0.5\n"
 
 
-def test_csv_text_integer_columns_match_float_path_and_stay_exact():
-    rows = [(x, np.int64(abs(x) % 2**32), float(k)) for k, x in enumerate(INTS)]
-    assert csv_text(LABELS, rows) == csv_text(["mu", "nu", "re"], rows)
-    assert csv_text(LABELS, iter(rows)) == _per_cell_csv(["mu", "nu", "re"], rows)
-    exact = csv_text(LABELS, [[2**53 + 1, 10**9, 0.5]])
-    assert exact == "mu,nu,re\n9007199254740993,1000000000,0.5\n"
-
-
-@pytest.mark.parametrize("cell", [1.0, np.float64(2.5), None, "3"])
-def test_csv_text_rejects_non_integers_in_integer_columns(cell):
-    # %d alone would write 1.0 and 2.5 as 1 and 2
+@pytest.mark.parametrize("kind", [np.complex128, np.bool_, object, np.float32])
+def test_csv_text_rejects_columns_that_are_not_numbers(tmp_path, kind):
+    # a float32 would print the digits of its widened double
     with pytest.raises(TypeError):
-        csv_text(LABELS, [(0, 0, 0.5), (cell, 0, 0.5)])
+        write_csv(str(tmp_path / "t.csv"), {"mu": np.arange(2), "x": np.zeros(2, dtype=kind)})
+    assert not (tmp_path / "t.csv").exists()
 
 
-@pytest.mark.parametrize("kind", [np.complex128, np.bool_, object])
-def test_csv_text_rejects_columns_that_are_not_numbers(kind):
-    with pytest.raises(TypeError):
-        csv_text(np.dtype([("mu", np.int64), ("x", kind)]), [])
+@pytest.mark.parametrize("shapes", [[(3,), (2,)], [(2, 2), (2, 2)], [()], []])
+def test_write_csv_rejects_columns_of_unequal_length_or_rank(tmp_path, shapes):
+    columns = {f"c{k}": np.zeros(shape) for k, shape in enumerate(shapes)}
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), columns)
+    assert not (tmp_path / "t.csv").exists()
 
 
-def test_csv_text_random_rows_match_reference():
+def test_csv_text_random_rows_match_reference(tmp_path):
     rng = np.random.default_rng(3)
-    values = rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4))
-    rows = [[int(k), *row] for k, row in enumerate(values.tolist())]
-    header = ["mu", "a", "b", "c", "d"]
-    assert csv_text(header, rows) == _per_cell_csv(header, rows)
+    values = rng.standard_normal((4, 50)) * 10.0 ** rng.integers(-300, 300, (4, 50))
+    columns = {"mu": np.arange(50), **dict(zip("abcd", values))}
+    assert _csv(tmp_path, columns) == _per_cell_csv(columns)
 
 
-def test_csv_text_empty_table():
-    assert csv_text(["eta", "N_pt"], []) == _per_cell_csv(["eta", "N_pt"], []) == "eta,N_pt\n"
+def test_csv_text_empty_table(tmp_path):
+    columns = {"eta": np.zeros(0), "N_pt": np.zeros(0)}
+    assert _csv(tmp_path, columns) == _per_cell_csv(columns) == "eta,N_pt\n"
 
 
-def test_csv_text_rejects_none_cells():
+def test_csv_text_rejects_none_cells(tmp_path):
+    # a None among floats makes an object column, which is refused whole
     with pytest.raises(TypeError):
-        csv_text(["eta", "N_pt"], [[0.1, None]])
-
-
-def _label_columns(count):
-    rng = np.random.default_rng(count)
-    labels = np.arange(count)
-    return labels, labels // 3, rng.standard_normal(count), rng.standard_normal(count)
+        write_csv(str(tmp_path / "t.csv"), {"eta": np.array([0.1, None])})
 
 
 @pytest.mark.parametrize("count", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, 3 * CHUNK_ROWS,
                                    3 * CHUNK_ROWS + 1])
 def test_write_csv_streams_the_bytes_of_csv_text(tmp_path, count):
-    header = np.dtype([("mu", np.int64), ("nu", np.int64), ("re", np.float64),
-                       ("im", np.float64)])
-    columns = _label_columns(count)
-    rows = list(zip(*(c.tolist() for c in columns)))
-    path = tmp_path / "t.csv"
-    write_csv(str(path), header, iter(rows))
-    text = csv_text(header, rows)
-    assert path.read_text() == text == _per_cell_csv(header.names, rows)
-    view = ColumnRows(*columns)
-    assert len(view) == count
-    assert list(view) == list(view) == rows
-    write_csv(str(path), header, view)
-    assert path.read_text() == text
-
-
-def test_write_csv_rejects_a_float_label_in_a_later_chunk(tmp_path):
-    header = np.dtype([("mu", np.int64), ("re", np.float64)])
-    rows = [(k, 0.5) for k in range(2 * CHUNK_ROWS + 10)]
-    rows[CHUNK_ROWS + 3] = (1.0, 0.5)
-    path = tmp_path / "t.csv"
-    with pytest.raises(TypeError):
-        write_csv(str(path), header, rows)
-    with pytest.raises(TypeError):
-        csv_text(header, rows)
-    # the header and the whole chunks before the bad one are on disk
-    assert path.read_text() == csv_text(header, rows[:CHUNK_ROWS])
+    # strided real and imaginary views, as the amplitude tables pass them
+    rng = np.random.default_rng(count)
+    labels = np.arange(count)
+    value = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    columns = {"mu": labels, "nu": labels // 3, "re": value.real, "im": value.imag}
+    text = _csv(tmp_path, columns)
+    assert text == _per_cell_csv(columns)
+    assert len(text.splitlines()) == 1 + count
 
 
 def test_v_table_is_built_and_written_in_bounded_memory(tmp_path):
@@ -135,8 +123,7 @@ def test_v_table_is_built_and_written_in_bounded_memory(tmp_path):
     pair_arrays(n)  # cached by the pair solve before any table is built
     tracemalloc.start()
     try:
-        header, rows = runner._amplitude_tables(state)["v"]
-        write_csv(str(tmp_path / "v.csv"), header, rows)
+        write_csv(str(tmp_path / "v.csv"), runner._amplitude_tables(state)["v"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
