@@ -28,20 +28,6 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return I, J
 
 
-@functools.lru_cache(maxsize=8)
-def pair_index_table(n: int) -> np.ndarray:
-    """(n, n) lookup of the pair id for (i, j), symmetric, -1 on the diagonal.
-
-    Cached and shared like pair_arrays, hence read-only."""
-    I, J = pair_arrays(n)
-    table = np.full((n, n), -1, dtype=np.int64)
-    ids = np.arange(len(I))
-    table[I, J] = ids
-    table[J, I] = ids
-    table.setflags(write=False)
-    return table
-
-
 def scatter_pairs(values: np.ndarray, n: int) -> np.ndarray:
     """Symmetric zero-diagonal (n, n) matrix from a pair-ordered vector."""
     I, J = pair_arrays(n)

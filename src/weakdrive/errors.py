@@ -46,14 +46,13 @@ class SolverConvergenceError(WeakdriveError):
     """A solve ended with its residual above the target; iterations counts
     the refinement steps taken (0 for a direct solve), or, for the GMRES
     of the exact steady state, the GMRES iterations spent, with residual
-    the GMRES residual norm."""
+    the GMRES residual norm. unit names what iterations counts in the
+    message."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float, iterations: int, unit: str = "refinement steps"):
         self.residual = residual
         self.iterations = iterations
-        super().__init__(
-            f"residual {residual:.3e} above target after {iterations} refinement steps"
-        )
+        super().__init__(f"residual {residual:.3e} above target after {iterations} {unit}")
 
 
 class ThresholdNotApplicableError(WeakdriveError):

@@ -44,6 +44,11 @@ DENSE_CAP atoms, which warns about a degenerate steady-state manifold;
 above DENSE_CAP it raises ResonantSingularityError. Either route ends in
 the residual gate of the operator-form generator; a fallback state that
 fails it raises the guard's ResonantSingularityError too.
+
+The generator is written once, in the level system: A per level, the
+jump and drive gathers. Its apply(rho, eta) = L rho serves the residual
+gate, and Liouvillian.matrix assembles the dense generator from it two
+columns at a time.
 """
 
 from __future__ import annotations
@@ -92,23 +97,6 @@ log = logging.getLogger("weakdrive.exact")
 # operators
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def lowering_ops(n: int) -> np.ndarray:
-    """Per-atom lowering operators |g><e| on the 2^n product space, stacked
-    as a read-only real (n, 2^n, 2^n) array, atom 0 the leading factor.
-
-    The cached array is shared by every caller, hence read-only."""
-    d = 2**n
-    states = np.arange(d)
-    ops = np.zeros((n, d, d))
-    for m in range(n):
-        bit = 1 << (n - 1 - m)
-        excited = states[(states & bit) != 0]
-        ops[m, excited ^ bit, excited] = 1.0
-    ops.setflags(write=False)
-    return ops
-
-
 @dataclass(frozen=True)
 class Liouvillian:
     """Rotating-frame generator L = L0 + eta L1 in operator form, made of
@@ -142,10 +130,30 @@ class Liouvillian:
 
     def matrix(self, eta: float) -> np.ndarray:
         """The dense generator at drive strength eta on row-major
-        vectorised density matrices, built for up to DENSE_CAP atoms."""
+        vectorised density matrices, built for up to DENSE_CAP atoms from
+        the operator form. L is complex linear and maps Hermitian matrices
+        to Hermitian ones, so for p <= q the columns of E_pq and E_qp are
+        L Re + i L Im and L Re - i L Im, with Re = (E_pq + E_qp)/2 and
+        Im = (E_pq - E_qp)/2i applied on the level-ordered basis."""
         if self.n > DENSE_CAP:
             raise CapExceededError(f"dense generator capped at {DENSE_CAP} atoms, got {self.n}")
-        return _dense_generator(self, eta)
+        system, d = self._levels, self.dim
+        order, natural = system.t.order, np.ix_(system.t.pos, system.t.pos)
+        L = np.empty((d, d, d, d), dtype=complex)
+        for p in range(d):
+            for q in range(p, d):
+                E = np.zeros((d, d), dtype=complex)
+                E[p, q] += 0.5
+                E[q, p] += 0.5
+                re = system.apply(E, eta)[natural]
+                if p == q:
+                    L[:, :, order[p], order[p]] = re
+                    continue
+                E[p, q], E[q, p] = -0.5j, 0.5j
+                im = 1j * system.apply(E, eta)[natural]
+                L[:, :, order[p], order[q]] = re + im
+                L[:, :, order[q], order[p]] = re - im
+        return L.reshape(d * d, d * d)
 
     @functools.cached_property
     def _levels(self) -> "_LevelSystem":
@@ -155,28 +163,6 @@ class Liouvillian:
 def build_liouvillian(coupling, delta: float, w: np.ndarray) -> Liouvillian:
     """Rotating-frame generator with a float detuning."""
     return Liouvillian(coupling=coupling, delta=float(delta), w=w)
-
-
-def _dense_generator(liouv: Liouvillian, eta: float) -> np.ndarray:
-    """With D = sum_ab z_ab s_a^dag s_b the generator is
-    rho -> (-iH - D) rho + rho (iH - D^*) + sum_ab 2 Re z_ab s_a rho s_b^dag,
-    and rho -> A rho B maps to kron(A, B^T) on the row-major vector."""
-    d = liouv.dim
-    s = lowering_ops(liouv.n)
-    eye = np.eye(d)
-    Z = liouv.coupling
-
-    # the lowering operators are real, so s_a^dag = s_a^T and D^* = conj(D)
-    drive_op = np.tensordot(liouv.w.conj(), s, axes=1)
-    number = np.einsum("aji,ajk->ik", s, s)
-    H = -liouv.delta * number - eta * (drive_op + drive_op.conj().T)
-    D = np.einsum("aji,ajk->ik", s, np.tensordot(Z, s, axes=1))
-
-    L = np.kron(-1j * H - D, eye)
-    L += np.kron(eye, (1j * H - D.conj()).T)
-    jump = np.tensordot(2.0 * Z.real, s, axes=1)
-    L += np.einsum("aij,akl->ikjl", s, jump).reshape(d * d, d * d)
-    return L
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +319,8 @@ class _LevelSystem:
         X = x.view(complex).reshape(self.d, self.d)
         return self.solve_undriven(self.drive(X)).reshape(-1).view(float)
 
-    def residual(self, rho: np.ndarray, eta: float) -> float:
-        """max |L rho| of a Hermitian rho on the level-ordered basis."""
+    def apply(self, rho: np.ndarray, eta: float) -> np.ndarray:
+        """L rho of a Hermitian rho on the level-ordered basis."""
         off, n = self.t.off, self.n
         out = eta * self.drive(rho)
         Arho = np.concatenate([A @ rho[off[k] : off[k + 1]] for k, A in enumerate(self.A)])
@@ -344,7 +330,11 @@ class _LevelSystem:
             S = self._jump_rows(rho, k)
             out[a:b, a:c] += S
             out[b:c, a:b] += S[:, b - a :].conj().T
-        return float(np.max(np.abs(out)))
+        return out
+
+    def residual(self, rho: np.ndarray, eta: float) -> float:
+        """max |L rho| of a Hermitian rho on the level-ordered basis."""
+        return float(np.max(np.abs(self.apply(rho, eta))))
 
     def steady_state(self, eta: float) -> tuple:
         """rho_G + X with (I + eta K) X = eta b0, K = L0^-1 L1, on the
@@ -364,7 +354,7 @@ class _LevelSystem:
         beta = float(np.linalg.norm(r))
         while beta > tol:
             if its >= GMRES_MAXITER:
-                raise SolverConvergenceError(beta, its)
+                raise SolverConvergenceError(beta, its, "GMRES iterations")
             if its == 0:
                 if self.krylov is None:
                     self.krylov = _Arnoldi(self.b0, restart)
@@ -441,7 +431,7 @@ def _shifted_gmres(
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         rr = math.hypot(col[j], sub)
         if rr == 0.0:
-            raise SolverConvergenceError(abs(g[j]), its + j + 1)
+            raise SolverConvergenceError(abs(g[j]), its + j + 1, "GMRES iterations")
         rot.append((col[j] / rr, sub / rr))
         col[j] = rr
         R.append(col)
@@ -511,7 +501,9 @@ def steady_state_exact(liouv: Liouvillian, eta: float) -> np.ndarray:
     residual = np.inf if rho is None else system.residual(rho, eta)
     if not residual <= NULL_TOL:
         # a fallback state that fails the gate is the level guard's refusal
-        raise guard if guard is not None else SolverConvergenceError(residual, iterations)
+        if guard is not None:
+            raise guard
+        raise SolverConvergenceError(residual, iterations, "GMRES iterations")
     return rho[np.ix_(system.t.pos, system.t.pos)]
 
 

@@ -299,10 +299,11 @@ def negativity_model(
     The extremum is found from one-variable calculus in x = eta^2: on each
     interval between mode-closing points the active set is fixed and the
     stationary point is sum|l2| / (2 sum l4); the best candidate wins.
-    A negative mode with l4 <= 0 never closes, so the model grows without
-    bound: n_max, eta_max and the threshold are then None. The grid must
-    be non-negative and strictly increasing; at eta = 0 the model value
-    is 0.
+    A negative mode with l4 <= 0 never closes, and a mode with l2 >= 0 and
+    l4 < 0 opens at eta^2 = l2/|l4| and never closes, so in either case
+    the model grows without bound: n_max, eta_max and the threshold are
+    then None. The grid must be non-negative and strictly increasing; at
+    eta = 0 the model value is 0.
     """
     l2 = np.asarray(lambda2, dtype=float)
     l4 = np.asarray(lambda4, dtype=float)
@@ -315,7 +316,7 @@ def negativity_model(
     eta_thr: Optional[float] = None
     eta_max: Optional[float] = None
     n_max: Optional[float] = 0.0
-    if not np.all(l4[neg] > 0):
+    if np.any(l4 < 0) or not np.all(l4[neg] > 0):
         n_max = None
     elif np.any(neg):
         closing = np.zeros(len(l2))  # per-mode closing point in x = eta^2

@@ -50,7 +50,7 @@ from typing import Iterable
 import numpy as np
 import scipy
 
-from .basis import basis_dim, pair_arrays, pair_count, pair_index_table, scatter_pairs
+from .basis import basis_dim, pair_arrays, pair_count, scatter_pairs
 from .errors import (
     AsymmetricCouplingError,
     PartitionError,
@@ -298,9 +298,7 @@ class PerturbState:
         """Pair correlation for local indices i != j."""
         if i == j:
             raise ValueError("pair correlation needs two distinct atoms")
-        a, b = min(i, j), max(i, j)
-        table = pair_index_table(self.n)
-        return complex(self.v[table[a, b]])
+        return complex(self.v_matrix()[i, j])
 
     def v_matrix(self) -> np.ndarray:
         return scatter_pairs(self.v, self.n)
@@ -333,10 +331,11 @@ def restrict_state(state: PerturbState, subset: Iterable[int]) -> PerturbState:
     m = len(local)
     u = state.u[local]
     w = state.w[local]
-    table = pair_index_table(state.n)
     I, J = pair_arrays(m)
     loc = np.asarray(local)
-    v = state.v[table[loc[I], loc[J]]] if m > 1 else np.zeros(0, dtype=complex)
+    a, b = np.minimum(loc[I], loc[J]), np.maximum(loc[I], loc[J])
+    # position of the pair (a, b), a < b, in the lexicographic order
+    v = state.v[a * (2 * state.n - a - 1) // 2 + b - a - 1]
     return PerturbState(
         u=u, v=np.array(v, dtype=complex), w=np.array(w, dtype=complex),
         delta=state.delta, eta=state.eta, atoms=subset,

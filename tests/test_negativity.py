@@ -498,12 +498,18 @@ def test_model_no_negative_modes():
 
 
 def test_model_never_closing_mode_has_no_maximum():
-    # a negative mode with lambda4 <= 0 makes the model grow without bound:
-    # no maximum is reported, where no negative mode at all reports 0.0
+    # a negative mode with lambda4 <= 0, or a mode with lambda4 < 0 that
+    # opens, makes the model grow without bound: no maximum is reported,
+    # where no negative mode at all reports 0.0
     grid = np.linspace(0.01, 0.5, 20)
     for l4 in (0.0, -3.0):
         curve = negativity_model([-0.01, 0.02], [l4, 16.0], grid)
         assert np.all(curve.values > 0.0) and np.all(np.diff(curve.values) > 0.0)
+        assert curve.n_max is None and curve.eta_max is None
+        assert curve.eta_threshold is None
+    for l2, l4 in (([-1.0, 1.0], [1.0, -1.0]), ([0.0, -1.0], [-1.0, 1.0])):
+        curve = negativity_model(l2, l4, np.linspace(0.0, 2.0, 5))
+        assert curve.values[-1] > curve.values[-2] > 1.0
         assert curve.n_max is None and curve.eta_max is None
         assert curve.eta_threshold is None
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weakdrive import perturbation
-from weakdrive.basis import pair_arrays, pair_index_table, scatter_pairs
+from weakdrive.basis import pair_arrays, scatter_pairs
 from weakdrive.coupling import coupling_matrix
 from weakdrive.checks import build_scenario
 from weakdrive.errors import (
@@ -85,7 +85,8 @@ def _reference_pair_matrix(coupling, delta, n):
     """Dense M x M pair matrix assembled entry by entry: the reference route."""
     I, J = pair_arrays(n)
     M = len(I)
-    table = pair_index_table(n)
+    table = np.full((n, n), -1)
+    table[I, J] = table[J, I] = np.arange(M)
     rows = np.repeat(np.arange(M), n)
     xi = np.tile(np.arange(n), M)
     Irep = np.repeat(I, n)
@@ -439,17 +440,18 @@ def test_restrict_repeated_label_rejected():
             restrict_state(state, subset)
 
 
-def test_pair_index_table_is_read_only_and_matches_v_matrix():
+def test_v_pair_matches_v_matrix():
     ens = random_ensemble(5, 5.0, 4, DIPOLE, min_distance=0.5)
     state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
-    table = pair_index_table(state.n)
-    assert not table.flags.writeable
-    assert pair_index_table(state.n) is table
     vmat = state.v_matrix()
     for i in range(state.n):
         for j in range(state.n):
             if i != j:
                 assert state.v_pair(i, j) == vmat[i, j]
+    # a restriction in shuffled order reads the same pairs
+    sub = (3, 0, 4, 1)
+    off = ~np.eye(len(sub), dtype=bool)
+    assert np.array_equal(restrict_state(state, sub).v_matrix()[off], vmat[np.ix_(sub, sub)][off])
 
 
 def test_assemble_ground_state_at_zero_drive():
