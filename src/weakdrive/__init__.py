@@ -65,7 +65,6 @@ from .negativity import (
     negativity_model,
     negativity_report,
     pt_negativity,
-    threshold_omega,
 )
 from .perturbation import (
     PerturbState,

@@ -110,7 +110,8 @@ def _run(args) -> int:
                 f"at eta = {fmt_value(ext['eta_max'])}"
             )
         elif ext["n_max"] is None:
-            print("extremum: none, a negative mode never closes (lambda4 = 0)")
+            print("extremum: none, a negative mode never closes (lambda4 <= 0) "
+                  "or a mode opens (lambda4 < 0)")
         else:
             print("extremum: none, no mode's modelled eigenvalue is negative")
         failures = bundle.report["point_errors"]

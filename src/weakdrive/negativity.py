@@ -29,6 +29,11 @@ it, and negativity_report restricts it once and builds V and the partial
 transpose from the same restriction and pair matrix. V is a plain read-only
 n_A x n_B complex array. An atom of the partition absent from the state
 raises PartitionError on every path.
+
+negativity_model is the only place that turns the per-mode coefficients
+(lambda2, lambda4) into drive numbers: each mode's closing drive, the model
+curve N(eta), its threshold and extremum, and the grid estimate of the
+threshold that sweeps report.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import pair_arrays
-from .errors import ThresholdNotApplicableError
 from .geometry import Partition
 from .perturbation import PerturbState, restrict_state
 
@@ -249,94 +253,107 @@ def lambda4_dilute(phi: np.ndarray, w: np.ndarray, delta: float) -> float | np.n
     return float(l4) if phi.ndim == 1 else l4
 
 
-def threshold_omega(lambda2: float, lambda4: float) -> float:
-    """Closing drive per mode, sqrt(|lambda2| / lambda4), as the drive ratio
-    eta = Omega / (2 Gamma), i.e. Omega in units of 2 Gamma; twice it is
-    Omega / Gamma. Defined only for a negative quadratic and positive
-    quartic coefficient."""
-    if lambda2 >= 0 or lambda4 <= 0:
-        raise ThresholdNotApplicableError(
-            f"no sign change for lambda2={lambda2}, lambda4={lambda4}"
-        )
-    return float(np.sqrt(-lambda2 / lambda4))
-
-
 # ----------------------------------------------------------------------
 # per-mode drive model
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ModelCurve:
-    """N(eta) from the per-mode model lambda_q = eta^2 l2 + eta^4 l4.
+    """The per-mode model lambda_q = eta^2 l2 + eta^4 l4 of one partition.
 
-    n_max is 0.0 when no mode is negative, and None, with eta_max, when a
-    negative mode has l4 <= 0: that mode never closes, so the model has no
-    maximum.
+    eta_zero holds each mode's closing drive sqrt(-l2 / l4) as the drive
+    ratio eta = Omega / (2 Gamma), None unless l2 < 0 and l4 > 0; values is
+    N(eta) on etas. n_max is 0.0 when no mode is negative, and None, with
+    eta_max, eta_threshold and eta_sweep_estimate, when the model grows
+    without bound.
     """
 
     etas: np.ndarray
     values: np.ndarray
+    eta_zero: tuple[Optional[float], ...]
     eta_max: Optional[float]
     n_max: Optional[float]
     eta_threshold: Optional[float]
+    eta_sweep_estimate: Optional[float]
 
     @property
     def omega_threshold(self) -> Optional[float]:
         return None if self.eta_threshold is None else 2.0 * self.eta_threshold
 
 
-def model_negativity_at(lambda2: np.ndarray, lambda4: np.ndarray, eta) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(eta, dtype=float)) ** 2
-    lam = x[:, None] * lambda2[None, :] + (x**2)[:, None] * lambda4[None, :]
-    return np.sum(np.where(lam < 0, -lam, 0.0), axis=1)
+def _interp_last_sign_change(x: np.ndarray, y: np.ndarray) -> Optional[float]:
+    """Linear zero of y in the last cell where it goes from below 0 to >= 0."""
+    idx = np.flatnonzero((y[:-1] < 0) & (y[1:] >= 0))
+    if len(idx) == 0:
+        return None
+    k = idx[-1]
+    return float(x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k]))
 
 
 def negativity_model(
-    lambda2: Sequence[float], lambda4: Sequence[float], eta_grid: Sequence[float]
+    lambda2: Sequence[float],
+    lambda4: Sequence[float],
+    eta_grid: Optional[Sequence[float]] = None,
 ) -> ModelCurve:
-    """Model curve plus its exact extremum and threshold.
+    """Model curve, closing drives, exact extremum and grid threshold.
 
     The extremum is found from one-variable calculus in x = eta^2: on each
     interval between mode-closing points the active set is fixed and the
     stationary point is sum|l2| / (2 sum l4); the best candidate wins.
     A negative mode with l4 <= 0 never closes, and a mode with l2 >= 0 and
-    l4 < 0 opens at eta^2 = l2/|l4| and never closes, so in either case
-    the model grows without bound: n_max, eta_max and the threshold are
-    then None. The grid must be non-negative and strictly increasing; at
-    eta = 0 the model value is 0.
+    l4 < 0 opens at eta^2 = l2/|l4| and never closes: the model then grows
+    without bound. The grid must be non-negative and strictly increasing;
+    by default it spans 1/30 to 2 times the largest closing drive, or 1e-3
+    to 1. lambda_q is evaluated once, on the grid and the candidates, with
+    float_power (libm pow, as the scalar eta**2 and eta**4 are). The grid
+    threshold is where the smallest lambda_q last turns non-negative; a
+    zero mode (l2 = 0) never changes sign, and its rounding-level eta^4 l4
+    would pin that point to the grid, so it is left out.
     """
     l2 = np.asarray(lambda2, dtype=float)
     l4 = np.asarray(lambda4, dtype=float)
+    closes = (l2 < 0) & (l4 > 0)
+    x_zero = np.divide(-l2, l4, out=np.zeros(len(l2)), where=closes)
+    eta_zero = tuple(e if c else None for e, c in zip(np.sqrt(x_zero).tolist(), closes.tolist()))
+    top = float(np.sqrt(x_zero.max())) if closes.any() else None
+    unbounded = bool(np.any(l4 < 0) or np.any((l2 < 0) & ~closes))
+    eta_thr = None if unbounded else top
+
+    if eta_grid is None:
+        eta_grid = (np.geomspace(top / 30.0, 2.0 * top, 121) if top and top < np.inf
+                    else np.geomspace(1e-3, 1.0, 61))
     etas = np.asarray(eta_grid, dtype=float)
     if len(etas) and (np.any(etas < 0) or np.any(np.diff(etas) <= 0)):
         raise ValueError("eta grid must be non-negative and strictly increasing")
-    values = model_negativity_at(l2, l4, etas)
 
-    neg = l2 < 0
-    eta_thr: Optional[float] = None
-    eta_max: Optional[float] = None
-    n_max: Optional[float] = 0.0
-    if np.any(l4 < 0) or not np.all(l4[neg] > 0):
-        n_max = None
-    elif np.any(neg):
-        closing = np.zeros(len(l2))  # per-mode closing point in x = eta^2
-        closing[neg] = -l2[neg] / l4[neg]
-        eta_thr = float(np.sqrt(closing.max()))
-        candidates = set(closing[neg].tolist())
+    candidates: list = []
+    if eta_thr is not None:
+        found = set(x_zero[closes].tolist())
         lo = 0.0
-        for hi in sorted(candidates):
-            active = closing >= hi
+        for hi in sorted(found):
+            active = x_zero >= hi
             xstar = float(np.sum(-l2[active]) / (2.0 * np.sum(l4[active])))
             if lo < xstar <= hi:
-                candidates.add(xstar)
+                found.add(xstar)
             lo = hi
-        for x in candidates:
-            val = float(model_negativity_at(l2, l4, np.sqrt(x))[0])
-            if val > n_max:
-                n_max = val
-                eta_max = float(np.sqrt(x))
+        candidates = list(found)
+
+    e = np.concatenate([etas, np.sqrt(candidates)])[:, None]
+    lam = np.float_power(e, 2) * l2 + np.float_power(e, 4) * l4
+    n_model = np.sum(np.where(lam < 0, -lam, 0.0), axis=1)
+    values, at_candidates = n_model[: len(etas)], n_model[len(etas) :]
+
+    eta_max: Optional[float] = None
+    n_max: Optional[float] = None if unbounded else 0.0
+    estimate: Optional[float] = None
+    if candidates:
+        k = int(np.argmax(at_candidates))
+        if at_candidates[k] > 0.0:
+            n_max, eta_max = float(at_candidates[k]), float(np.sqrt(candidates[k]))
+        estimate = _interp_last_sign_change(etas, lam[: len(etas), l2 != 0].min(axis=1))
     return ModelCurve(
-        etas=etas, values=values, eta_max=eta_max, n_max=n_max, eta_threshold=eta_thr
+        etas=etas, values=values, eta_zero=eta_zero, eta_max=eta_max, n_max=n_max,
+        eta_threshold=eta_thr, eta_sweep_estimate=estimate,
     )
 
 
@@ -392,12 +409,6 @@ class NegativityReport:
         }
 
 
-def _default_grid(eta_thr: Optional[float]) -> np.ndarray:
-    if eta_thr is not None and np.isfinite(eta_thr) and eta_thr > 0:
-        return np.geomspace(eta_thr / 30.0, 2.0 * eta_thr, 121)
-    return np.geomspace(1e-3, 1.0, 61)
-
-
 def negativity_report(
     state: PerturbState,
     part: Partition,
@@ -409,12 +420,11 @@ def negativity_report(
     The state is restricted once; V and the partial transpose (kept as
     ``pt``, for a grid of drive strengths) are built from that restriction's
     one pair matrix. A lambda2 with |lambda2| <= (n_A + n_B) eps max|lambda2|
-    is reported as 0.0, with no closing drive. Each other mode closes at
-    threshold_omega when lambda2 < 0 and lambda4 > 0, and never otherwise.
-    When diluteness was not established the per-mode thresholds keep the
-    asymptotic quartic coefficient and are flagged dilute_extrapolated. A
-    zero negativity is reported as entanglement "undetected", never as
-    separability.
+    is reported as 0.0, with no closing drive. Each mode row reads its
+    closing drive from the model curve (negativity_model). When diluteness
+    was not established the per-mode thresholds keep the asymptotic quartic
+    coefficient and are flagged dilute_extrapolated. A zero negativity is
+    reported as entanglement "undetected", never as separability.
     """
     sub = restrict_state(state, part.atoms)
     vmat = sub.v_matrix()
@@ -431,16 +441,13 @@ def negativity_report(
     degenerate = np.append(close, False) | np.insert(close, 0, False)
 
     flag = not dilute_ok
-    modes = []
-    for a, b, deg in zip(l2.tolist(), l4.tolist(), degenerate.tolist()):
-        ez = threshold_omega(a, b) if a < 0 and b > 0 else None
-        modes.append(ModeEntry(lambda2=a, lambda4=b, threshold_omega=ez, eta_zero=ez,
-                               omega_zero=None if ez is None else 2.0 * ez,
-                               degenerate=deg, dilute_extrapolated=flag))
-    if eta_grid is None:
-        eta_grid = _default_grid(max((m.eta_zero for m in modes if m.eta_zero is not None),
-                                     default=None))
     curve = negativity_model(l2, l4, eta_grid)
+    modes = [
+        ModeEntry(lambda2=a, lambda4=b, threshold_omega=ez, eta_zero=ez,
+                  omega_zero=None if ez is None else 2.0 * ez,
+                  degenerate=deg, dilute_extrapolated=flag)
+        for a, b, ez, deg in zip(l2.tolist(), l4.tolist(), curve.eta_zero, degenerate.tolist())
+    ]
 
     negativity2 = float(state.eta**2 * np.linalg.svd(V, compute_uv=False).sum())
     pt = _restricted_pt(sub, vmat, na)

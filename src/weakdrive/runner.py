@@ -8,17 +8,19 @@ block, and the exact column adds one Lindblad steady state per point, all
 on one Liouvillian; an oracle comparison always has the exact column.
 A point whose exact column raises a package error is recorded in
 point_errors and the others go on; the table keeps the points that
-passed. Every table is a mapping from column name to a 1-D numpy array,
-written by reporting.write_csv. The --parallel degree is validated and
-recorded in the provenance but does not change how points run, so results
-do not depend on it.
+passed. A sweep's N_model column, threshold estimate, model threshold and
+extremum are read from the model curve of negativity_report on the
+sweep's grid, so the estimate covers the whole grid, points whose exact
+column failed included. Every table is a mapping from column name to a
+1-D numpy array, written by reporting.write_csv. The --parallel degree is
+validated and recorded in the provenance but does not change how points
+run, so results do not depend on it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -145,15 +147,6 @@ def _exact_column(state: PerturbState, part: Partition, coupling,
     return n_exact, passed, errors
 
 
-def _interp_last_sign_change(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    sign = np.sign(y)
-    idx = np.where(sign[:-1] * sign[1:] < 0)[0]
-    if len(idx) == 0:
-        return None
-    k = idx[-1]
-    return float(x[k] - y[k] * (x[k + 1] - x[k]) / (y[k + 1] - y[k]))
-
-
 def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     ens = build_ensemble(cfg)
     drive = build_drive(cfg, ens, eta=cfg.eta_sweep.lo)
@@ -167,27 +160,18 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     grid = cfg.eta_sweep.grid()
     rep = negativity_report(state, part, eta_grid=grid)
     curve = rep.curve
-    l2, l4 = rep.lambda2, rep.lambda4
 
     columns = {"eta": grid, "N_model": curve.values, "N_pt": pt_negativity_grid(rep.pt, grid)}
     errors = []
     if cfg.exact:
         columns["N_exact"], passed, errors = _exact_column(state, part, coupling, grid)
         columns = {name: c[passed] for name, c in columns.items()}
-    # the modelled minimum eigenvalue exists at every grid point, whether or
-    # not that point's exact column failed; float_power is libm pow, as the
-    # scalar eta**2 and eta**4 are, bit for bit. A zeroed mode (lambda2 = 0)
-    # never changes sign, and its rounding-level eta^4 lambda4 would pin the
-    # interpolation to a grid point, so it is left out of the minimum
-    e = grid[:, None]
-    lam = np.float_power(e, 2) * l2 + np.float_power(e, 4) * l4
-    min_lam = np.where(l2 != 0.0, lam, np.inf).min(axis=1)
-    threshold_eta = _interp_last_sign_change(grid, min_lam)
+    threshold_eta = curve.eta_sweep_estimate
 
     report = {
         "provenance": _provenance(cfg, parallelism),
         "regime": regime.to_dict(),
-        "modes": {"lambda2": l2.tolist(), "lambda4": l4.tolist()},
+        "modes": {"lambda2": rep.lambda2.tolist(), "lambda4": rep.lambda4.tolist()},
         "threshold": {
             "eta_sweep_estimate": threshold_eta,
             "omega_sweep_estimate": None if threshold_eta is None else 2.0 * threshold_eta,

@@ -214,7 +214,8 @@ def test_sweep_threshold_matches_per_point_loop():
     # the vectorised modelled minimum eigenvalue against the per-point loop
     # it replaced, on a grid where numpy's vector power (eta_grid**4) would
     # move the estimate in its last bit
-    from weakdrive.runner import _interp_last_sign_change, run_sweep
+    from weakdrive.negativity import _interp_last_sign_change
+    from weakdrive.runner import run_sweep
 
     config = dict(PAIR_CONFIG)
     del config["eta"]
@@ -268,7 +269,8 @@ def test_sweep_without_crossing_prints_no_threshold(tmp_path, capsys):
     "mask, lambda2_negative, n_max, line",
     [
         ([0, 1, 2], False, 0.0, "extremum: none, no mode's modelled eigenvalue is negative"),
-        ([1, 2], True, None, "extremum: none, a negative mode never closes (lambda4 = 0)"),
+        ([1, 2], True, None,
+         "extremum: none, a negative mode never closes (lambda4 <= 0) or a mode opens (lambda4 < 0)"),
     ],
     ids=["all-dark", "dark-groups"],
 )

@@ -215,11 +215,7 @@ def test_nmax_matches_model_extremum():
         assert curve.eta_max == pytest.approx(eta_an, rel=0.02)
         # threshold cross-check: the exact crossing sits at twice the
         # leading-order per-mode estimate once expressed as an amplitude
-        from weakdrive.negativity import threshold_omega
-
-        assert 2.0 * threshold_omega(lam2, lam4) == pytest.approx(
-            bound_omega(cfg), rel=0.01
-        )
+        assert 2.0 * curve.eta_zero[0] == pytest.approx(bound_omega(cfg), rel=0.01)
 
 
 def test_lmin_reference_numbers():

@@ -8,7 +8,7 @@ from weakdrive import negativity
 from weakdrive.basis import pair_arrays
 from weakdrive.coupling import coupling_matrix
 from weakdrive.exact import negativity_exact
-from weakdrive.errors import PartitionError, ThresholdNotApplicableError
+from weakdrive.errors import PartitionError
 from weakdrive.geometry import (
     Drive,
     MaskedBeam,
@@ -26,7 +26,6 @@ from weakdrive.negativity import (
     negativity_report,
     pt_negativity,
     pt_negativity_grid,
-    threshold_omega,
 )
 from weakdrive.perturbation import PerturbState, assemble_state, restrict_state, steady_state
 
@@ -435,9 +434,10 @@ def test_mode_rows_close_only_where_threshold_omega_applies():
     rep = negativity_report(state, Partition((0, 1, 2), (3, 4, 5)))
     assert [m.lambda2 for m in rep.modes] == pytest.approx([0.3, 0.2, 0.1, -0.1, -0.2, -0.3])
     closing, never = [], []
-    for m in rep.modes:
+    for m, ez in zip(rep.modes, rep.curve.eta_zero):
+        assert m.eta_zero == ez
         if m.lambda2 < 0 and m.lambda4 > 0:
-            assert m.eta_zero == threshold_omega(m.lambda2, m.lambda4)
+            assert m.eta_zero == math.sqrt(-m.lambda2 / m.lambda4)
             assert m.threshold_omega == m.eta_zero
             assert m.omega_zero == 2.0 * m.eta_zero
             closing.append(m.eta_zero)
@@ -475,11 +475,33 @@ def test_lambda4_block_matches_columns():
 
 
 def test_threshold_arithmetic():
-    assert threshold_omega(-0.04, 16.0) == pytest.approx(0.05)
-    with pytest.raises(ThresholdNotApplicableError):
-        threshold_omega(0.04, 16.0)
-    with pytest.raises(ThresholdNotApplicableError):
-        threshold_omega(-0.04, 0.0)
+    curve = negativity_model([-0.04, 0.04, -0.04], [16.0, 16.0, 0.0])
+    assert curve.eta_zero[0] == pytest.approx(0.05)
+    # a mode closes only for lambda2 < 0 and lambda4 > 0
+    assert curve.eta_zero[1:] == (None, None)
+    # without a grid the model spans its largest closing drive, or a fixed
+    # decade range when no mode closes
+    assert np.array_equal(curve.etas, np.geomspace(0.05 / 30.0, 0.1, 121))
+    assert np.array_equal(negativity_model([0.04], [16.0]).etas, np.geomspace(1e-3, 1.0, 61))
+
+
+def test_grid_threshold_on_a_grid_point():
+    # the only negative mode closes exactly on the grid point 0.125, where
+    # the modelled minimum eigenvalue is 0: the cell ending there has the
+    # crossing
+    curve = negativity_model([-0.015625], [1.0], 0.125 * np.array([0.5, 0.75, 1.0, 1.25, 1.5]))
+    assert curve.eta_threshold == 0.125
+    assert curve.eta_sweep_estimate == pytest.approx(0.125, rel=1e-15, abs=0.0)
+
+
+def test_grid_threshold_is_not_an_opening_mode():
+    # the negative mode closes at eta = 0.1 and the second mode opens at
+    # sqrt(0.02) = 0.1414 and never closes: the model has no threshold, so
+    # the opening sign change is no estimate either
+    curve = negativity_model([-0.1, 0.02], [10.0, -1.0], np.linspace(0.01, 0.3, 60))
+    assert np.any(curve.values == 0.0) and curve.values[-1] > 0.0
+    assert curve.eta_threshold is None and curve.n_max is None
+    assert curve.eta_sweep_estimate is None
 
 
 def test_model_single_mode_calculus():

@@ -89,6 +89,34 @@ def test_model_curve_nonnegative_and_vanishing(l2s, seed):
     assert curve.values[0] <= expected_small * 1.0000001
 
 
+# magnitudes kept where eta^2 lambda2 and eta^4 lambda4 stay normal floats
+# on the grid; some lambda2 and lambda4 exactly 0
+LAMBDA2 = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0, **FINITE),
+                    st.floats(min_value=-1.0, max_value=-1e-6, **FINITE))
+LAMBDA4 = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10.0, **FINITE))
+GRID_STEP = st.floats(min_value=1e-3, max_value=0.5, **FINITE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(LAMBDA2, LAMBDA4), min_size=1, max_size=4),
+       GRID_STEP, st.lists(GRID_STEP, min_size=1, max_size=30))
+def test_grid_threshold_agrees_with_model(modes, start, steps):
+    l2, l4 = (np.array(c) for c in zip(*modes))
+    grid = start + np.cumsum([0.0] + steps)
+    curve = negativity_model(l2, l4, grid)
+    thr, est = curve.eta_threshold, curve.eta_sweep_estimate
+    if thr is None:
+        assert est is None
+        return
+    if grid[0] < thr * (1 - 1e-9) and thr * (1 + 1e-9) < grid[-1]:
+        assert est is not None
+    if est is not None:
+        # the cell that holds the estimate holds the threshold, up to rounding
+        k = min(max(int(np.searchsorted(grid, est)) - 1, 0), len(grid) - 2)
+        assert grid[k] <= est * (1 + 1e-15) and est <= grid[k + 1] * (1 + 1e-15)
+        assert grid[k] * (1 - 1e-12) <= thr <= grid[k + 1] * (1 + 1e-12)
+
+
 # ----------------------------------------------------------------------
 # invariance of the amplitude route and the exact oracle
 # ----------------------------------------------------------------------
