@@ -284,13 +284,12 @@ def load_config(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# object construction
+# object construction: parse_config has already required every field a
+# task's builders read (_TASK_REQUIRED)
 # ----------------------------------------------------------------------
 
 def build_ensemble(cfg: RunConfig) -> Ensemble:
     g = cfg.geometry
-    if g is None:
-        raise ConfigError("geometry", "required for this task")
     try:
         if g["mode"] == "explicit":
             return explicit_ensemble(g["positions"], cfg.dipole)
@@ -306,8 +305,6 @@ def build_ensemble(cfg: RunConfig) -> Ensemble:
 
 
 def build_drive(cfg: RunConfig, ens: Ensemble, eta: Optional[float] = None) -> Drive:
-    if cfg.beam_direction is None:
-        raise ConfigError("beam", "required for this task")
     try:
         beam = PlaneWave(np.asarray(cfg.beam_direction, dtype=float))
     except ValueError as exc:
@@ -324,8 +321,6 @@ def build_drive(cfg: RunConfig, ens: Ensemble, eta: Optional[float] = None) -> D
 
 
 def build_partition(cfg: RunConfig, ens: Ensemble) -> Partition:
-    if cfg.partition is None:
-        raise ConfigError("partition", "required for this task")
     a, b = cfg.partition
     try:
         part = Partition(tuple(a), tuple(b))

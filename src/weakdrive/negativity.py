@@ -13,15 +13,16 @@ exact zeros. Only eta changes along a sweep: the ground entry is
 1 - eta^2 sum|u|^2, the ground row is eta times a fixed row, and the
 singles block B and the border |c| are eta^2 times fixed ones. So a
 PartialTransposeMatrix diagonalises B once per restricted state,
-B = U diag(beta) U^dag, and rotates the phase of each column of U until the
-ground row is real and non-negative on it. On [ground, rotated columns of
-U, c/|c|] the core at any eta is the real symmetric arrowhead with diagonal
+B = U diag(beta) U^dag. A phase on each column of U makes the ground row
+real and non-negative on it, so on [ground, those columns, c/|c|] the core
+at any eta is the real symmetric arrowhead with diagonal
 (1 - eta^2 s, eta^2 beta, 0) and ground border (eta |row U|, eta^2 |c|)
-(O'Leary & Stewart, J. Comput. Phys. 90, 1990). PartialTransposeMatrix.cores
-is the only place these formulas live. pt_negativity diagonalises the core
-at the object's own eta as a stack of one, and pt_negativity_grid the
-cores of a grid of drive strengths as stacked real eigvalsh calls, so both
-give the same value at the same eta bit for bit.
+(O'Leary & Stewart, J. Comput. Phys. 90, 1990); only s, beta, |row U|, |c|
+and the pair count are kept. PartialTransposeMatrix.cores is the only place
+these formulas live. pt_negativity diagonalises the core at the object's
+own eta as a stack of one, and pt_negativity_grid the cores of a grid of
+drive strengths as stacked real eigvalsh calls, so both give the same value
+at the same eta bit for bit.
 
 The solved state is restricted to part.atoms (sorted A, then sorted B) with
 restrict_state once per object: build_V and build_pt_matrix each restrict
@@ -55,36 +56,33 @@ PT_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class PartialTransposeMatrix:
-    """Hermitian second-order partial transpose of a restricted state.
+    """Hermitian second-order partial transpose of a restricted state, kept
+    as the pieces of its real arrowhead core.
 
     The drive-independent pieces are kept, each split from the power of
     eta it carries, so one object serves every drive strength (cores);
-    eta is the drive strength of the state it was built from. At that eta,
-    ``pair_col`` is the ground-to-pairs column c (the pair-pair and
-    single-pair blocks vanish at second order) and ``core`` is the (n + 2)
-    real symmetric arrowhead that carries the rest of the spectrum, on the
-    basis [ground, columns of ``singles_basis``, c/|c|]. ``singles_basis``
-    holds the eigenvectors of the singles block as columns, each
-    phase-rotated so that the ground row is real and non-negative on it;
-    ``core`` has the block's eigenvalues on its diagonal, the ground row and
-    |c| on its first row and column, and zeros elsewhere.
+    eta is the drive strength of the state it was built from, and ``core``
+    is the (n + 2) real symmetric arrowhead at that eta. Its diagonal holds
+    1 - eta^2 s, the singles block eigenvalues and a zero; its first row and
+    column hold the reach of the ground row onto each eigenvector and the
+    border |c| of the ground-to-pairs column (the pair-pair and single-pair
+    blocks vanish at second order). The full matrix of dimension dim has the
+    core's spectrum plus pairs - 1 exact zeros.
     """
 
     eta: float
     s: float  # sum |u|^2: the ground entry is 1 - eta^2 s
     beta: np.ndarray  # eigenvalues of the singles block, scaled by eta^2
-    reach: np.ndarray  # |ground row| on singles_basis, scaled by eta
-    singles_basis: np.ndarray
-    unit_pair_col: np.ndarray  # c, scaled by eta^2
+    reach: np.ndarray  # |ground row| on the eigenvectors, scaled by eta
     border: float  # |c|, scaled by eta^2
+    pairs: int  # pair count n(n - 1)/2
 
     def __post_init__(self):
-        for a in (self.beta, self.reach, self.singles_basis, self.unit_pair_col):
+        for a in (self.beta, self.reach):
             a.setflags(write=False)
 
     def cores(self, etas: np.ndarray) -> np.ndarray:
-        """Stack of the real (n + 2) arrowheads on [ground, singles_basis,
-        c/|c|], one per eta."""
+        """Stack of the real (n + 2) arrowheads, one per eta."""
         n = len(self.beta)
         e2 = etas**2
         diag = np.arange(1, n + 1)
@@ -100,28 +98,8 @@ class PartialTransposeMatrix:
         return self.cores(np.array([self.eta]))[0]
 
     @property
-    def pair_col(self) -> np.ndarray:
-        return self.eta**2 * self.unit_pair_col
-
-    @property
     def dim(self) -> int:
-        return 1 + len(self.beta) + len(self.unit_pair_col)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full dim x dim matrix on the original truncated basis,
-        built on demand."""
-        k = len(self.beta) + 1
-        W = self.singles_basis
-        core = self.core
-        P = np.zeros((self.dim, self.dim), dtype=complex)
-        P[0, 0] = core[0, 0]
-        P[0, 1:k] = W.conj() @ core[0, 1:k]
-        P[1:k, 0] = np.conj(P[0, 1:k])
-        P[1:k, 1:k] = (W * np.diagonal(core)[1:k]) @ W.conj().T
-        P[0, k:] = self.pair_col
-        P[k:, 0] = np.conj(P[0, k:])
-        return P
+        return 1 + len(self.beta) + self.pairs
 
 
 def _restricted_pt(sub: PerturbState, vmat: np.ndarray, na: int) -> PartialTransposeMatrix:
@@ -134,21 +112,17 @@ def _restricted_pt(sub: PerturbState, vmat: np.ndarray, na: int) -> PartialTrans
     # are conjugated
     block = np.where(in_a[:, None] == in_a[None, :], np.outer(u, np.conj(u)), np.outer(u, u) + vmat)
     beta, U = np.linalg.eigh(np.where(in_a[:, None], block, np.conj(block)))
-    row = np.where(in_a, np.conj(u), u) @ U
-    reach = np.abs(row)
-    # rotate each eigenvector so the ground row is real and >= 0 on it
-    phase = np.divide(np.conj(row), reach, out=np.ones(n, dtype=complex), where=reach > 0)
+    # the column c is u_i u_j + v_ij within a group (conjugated within A,
+    # which leaves |c| unchanged) and u_i^* u_j across; only |c| enters
     I, J = pair_arrays(n)
-    amp = u[I] * u[J] + sub.v
-    pair_col = np.where(J < na, np.conj(amp), np.where(I >= na, amp, np.conj(u[I]) * u[J]))
+    col = np.where((I < na) & (J >= na), np.conj(u[I]) * u[J], u[I] * u[J] + sub.v)
     return PartialTransposeMatrix(
         eta=sub.eta,
         s=float(np.sum(np.abs(u) ** 2)),
         beta=beta,
-        reach=reach,
-        singles_basis=U * phase,
-        unit_pair_col=pair_col,
-        border=float(np.linalg.norm(pair_col)),
+        reach=np.abs(np.where(in_a, np.conj(u), u) @ U),
+        border=float(np.linalg.norm(col)),
+        pairs=len(col),
     )
 
 
@@ -173,7 +147,7 @@ def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
     pt_negativity_grid diagonalises its blocks, so both agree bit for bit.
     """
     spectra = np.linalg.eigvalsh(pt.core[None])
-    zeros = np.zeros(len(pt.unit_pair_col) - 1)
+    zeros = np.zeros(pt.pairs - 1)
     return float(_negativities(spectra)[0]), np.sort(np.concatenate([spectra[0], zeros]))
 
 

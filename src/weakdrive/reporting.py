@@ -41,13 +41,12 @@ CHUNK_ROWS = 512
 
 
 def fmt_value(x) -> str:
+    """A number as it is written to CSV; anything else raises TypeError."""
     if isinstance(x, (float, np.floating)):
         return format(float(x), FLOAT_FMT)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if x is None:
-        return ""
-    return str(x)
+    raise TypeError(f"expected a number, not {type(x).__name__}")
 
 
 def config_hash(data) -> str:

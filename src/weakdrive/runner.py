@@ -217,8 +217,6 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 
 def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     ff = cfg.farfield
-    if ff is None:
-        raise ConfigError("farfield", "required for the bounds task")
     params = farfield_parameters(
         distance=ff["k0_distance"],
         theta=ff["theta"],

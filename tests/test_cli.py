@@ -340,6 +340,61 @@ def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task)
         assert grid[1] < bundle.report["threshold"]["eta_sweep_estimate"] < grid[2]
 
 
+def test_sweep_warns_about_a_failed_point_and_exits_0(tmp_path, capsys, monkeypatch):
+    import weakdrive.runner as runner_mod
+    from weakdrive.errors import SolverConvergenceError
+
+    real = runner_mod.steady_state_exact
+    grid = parse_config(SWEEP_CONFIG, "sweep").eta_sweep.grid().tolist()
+
+    def flaky(liouv, eta):
+        if eta == grid[1]:
+            raise SolverConvergenceError(1.0, 0)
+        return real(liouv, eta)
+
+    monkeypatch.setattr(runner_mod, "steady_state_exact", flaky)
+    cfg = _write(tmp_path, {**SWEEP_CONFIG, "exact": True})
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "warning: 1 grid point(s) failed; see report.json"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [e["eta"] for e in report["point_errors"]] == [grid[1]]
+
+
+def test_sweep_exact_above_the_cap_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    import weakdrive.runner as runner_mod
+
+    def never(*args):
+        raise AssertionError("solved before the exact cap was checked")
+
+    monkeypatch.setattr(runner_mod, "steady_state", never)
+    positions = [[2.0 * k, 0.0, 0.0] for k in range(N_CAP + 1)]
+    config = {**SWEEP_CONFIG, "exact": True,
+              "geometry": {"mode": "explicit", "positions": positions}}
+    assert cli.main(["sweep", "--config", _write(tmp_path, config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: exact: ")
+
+
+@pytest.mark.parametrize("task", ["solve", "sweep"])
+def test_package_error_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, task):
+    import weakdrive.runner as runner_mod
+    from weakdrive.errors import ResonantSingularityError
+
+    def singular(*args):
+        raise ResonantSingularityError(0.0, 1e17)
+
+    monkeypatch.setattr(runner_mod, "steady_state", singular)
+    base = PAIR_CONFIG if task == "solve" else SWEEP_CONFIG
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", _write(tmp_path, base), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert "overflow" not in err[0]
+    assert not (out / "report.json").exists() and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "group_a, group_b, tol",
     [([0], [1, 2], 0.0), ([2], [0, 1], 1e-15)],
@@ -611,6 +666,33 @@ def test_group_swap_check_fails_when_restriction_ignores_group_order(monkeypatch
                         lambda state, subset: restrict(state, sorted(subset)))
     broken = checks.check_group_swap(sc)
     assert not broken.passed and broken.measured > 1e-3
+
+
+def test_pt_checks_fail_on_a_broken_core(monkeypatch):
+    sc = checks.build_scenario(1)
+    assert checks.check_pt_hermitian(sc).measured == 0.0
+    assert checks.check_pt_trace(sc).passed
+    real_cores = negativity.PartialTransposeMatrix.cores
+
+    def first_row_border(self, etas):
+        # the border written to the first row only: eigvalsh, which reads
+        # the lower triangle, would see no pairs
+        out = real_cores(self, etas)
+        out[:, -1, 0] = 0.0
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(negativity.PartialTransposeMatrix, "cores", first_row_border)
+        assert not checks.check_pt_hermitian(sc).passed
+    build = checks.build_pt_matrix
+
+    def off_trace(state, part):
+        pt = build(state, part)
+        return replace(pt, s=pt.s + 1e-6)
+
+    monkeypatch.setattr(checks, "build_pt_matrix", off_trace)
+    broken = checks.check_pt_trace(sc)
+    assert not broken.passed and broken.measured > 1e-12
 
 
 def test_solve_bundle_writes_the_same_bytes_twice(tmp_path):

@@ -55,20 +55,20 @@ def _manual_state(u, v, eta=0.05, delta=0.0):
 def test_pt_at_zero_drive():
     state = _manual_state([0.3 + 0.2j, -0.1j], [0.05 + 0.02j], eta=0.0)
     pt = build_pt_matrix(state, Partition((0,), (1,)))
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = 1.0
-    assert np.array_equal(pt.matrix, expected)
+    assert np.array_equal(pt.core, np.diag([1.0, 0.0, 0.0, 0.0]))
     neg, spectrum = pt_negativity(pt)
     assert neg == 0.0
     assert spectrum[-1] == pytest.approx(1.0)
     assert np.allclose(spectrum[:-1], 0.0)
+    _assert_compressed_matches_full(state, Partition((0,), (1,)))
 
 
 def test_pt_ground_population():
     _, drive, state = _solved([[0, 0, 0], [1.3, 0.4, 0]], eta=0.08)
     pt = build_pt_matrix(state, Partition((0,), (1,)))
     expected = 1.0 - drive.eta**2 * np.sum(np.abs(state.u) ** 2)
-    assert pt.matrix[0, 0] == pytest.approx(expected, abs=1e-15)
+    assert pt.core[0, 0] == pytest.approx(expected, abs=1e-15)
+    _assert_compressed_matches_full(state, Partition((0,), (1,)))
 
 
 def _two_qubit_pt_route(state, eta):
@@ -86,10 +86,10 @@ def _two_qubit_pt_route(state, eta):
 
 def test_pt_two_route_agreement():
     _, drive, state = _solved([[0, 0, 0], [0.9, 0.4, 0.2]], delta=0.3)
-    pt = build_pt_matrix(state, Partition((0,), (1,)))
-    direct = np.sort(np.linalg.eigvalsh(pt.matrix))
+    _, direct = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
     independent = _two_qubit_pt_route(state, drive.eta)
     assert np.max(np.abs(direct - independent)) <= 1e-12
+    _assert_compressed_matches_full(state, Partition((0,), (1,)))
 
 
 def _reference_pt(u, vmap, na, nb, eta):
@@ -136,7 +136,8 @@ def test_subgroup_in_ensemble_uses_full_amplitudes():
     u = [state.u[li], state.u[lj]]
     vmap = {(0, 1): state.v_pair(li, lj)}
     ref = _reference_pt(u, vmap, 1, 1, drive.eta)
-    assert np.max(np.abs(pt.matrix - ref)) <= 1e-12
+    assert pt.dim == len(ref)
+    assert np.max(np.abs(pt_negativity(pt)[1] - np.linalg.eigvalsh(ref))) <= 1e-12
 
 
 def _assert_compressed_matches_full(state, part):
@@ -181,7 +182,7 @@ def test_compressed_spectrum_single_pair_and_zero_column():
     # u = v = 0: the pair column vanishes and the border is zero
     silent = _manual_state(np.zeros(4), np.zeros(6), eta=0.1)
     pt = build_pt_matrix(silent, Partition((0, 1), (2, 3)))
-    assert np.all(pt.pair_col == 0.0)
+    assert pt.border == 0.0 and pt.pairs == 6
     _assert_compressed_matches_full(silent, Partition((0, 1), (2, 3)))
 
 
@@ -189,9 +190,9 @@ GRID = np.concatenate([[0.0], np.geomspace(0.005, 0.5, 9)])
 
 
 def _assert_arrowhead_route(state, part, etas):
-    """The real arrowhead core against eigvalsh of the full truncated matrix,
-    built both by build_pt_matrix and by the element table, and the grid,
-    the one-point API and negativity_report against each other bit for bit."""
+    """The real arrowhead core, its spectrum and the grid against eigvalsh
+    of the element table's full truncated matrix, and the grid, the
+    one-point API and negativity_report against each other bit for bit."""
     sub = restrict_state(state, part.atoms)
     na = len(part.group_a)
     vmap = {(i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)}
@@ -206,21 +207,17 @@ def _assert_arrowhead_route(state, part, etas):
         assert core.dtype == np.float64 and np.array_equal(core, arrow)
         assert np.array_equal(core, core.T) and np.all(core[0, 1:] >= 0.0)
         assert core[-1, -1] == 0.0
-        W = pt.singles_basis
-        assert np.max(np.abs(W.conj().T @ W - np.eye(sub.n))) <= 1e-13
-        # the basis maps the core back onto the original truncated basis
-        ref = _reference_pt(sub.u, vmap, na, sub.n - na, eta)
-        assert np.max(np.abs(pt.matrix - ref)) <= 1e-14
-        for P in (pt.matrix, ref):
-            full = np.linalg.eigvalsh(P)
-            assert abs(got - abs(full[full < 0].sum())) <= 1e-13
+        # the core plus dim - n - 2 exact zeros is the full spectrum
+        full = np.linalg.eigvalsh(_reference_pt(sub.u, vmap, na, sub.n - na, eta))
+        assert abs(got - abs(full[full < 0].sum())) <= 1e-13
         neg, spectrum = pt_negativity(pt)
+        assert pt.dim == len(full) and np.max(np.abs(spectrum - full)) <= 1e-14
         report = negativity_report(at_eta, part)
         assert neg == got == report.negativity_pt
         assert np.array_equal(spectrum, report.pt_spectrum)
         # the report keeps the same partial transpose, at the same eta
         assert report.pt.eta == pt.eta == eta
-        for field in ("core", "singles_basis", "pair_col"):
+        for field in ("core", "s", "beta", "reach", "border", "pairs"):
             assert np.array_equal(getattr(report.pt, field), getattr(pt, field))
     return grid_neg
 
@@ -229,9 +226,9 @@ def _assert_arrowhead_route(state, part, etas):
 def test_grid_matches_full_matrix_per_point(n):
     # random clouds, lit and partly masked, with covering and embedded
     # partitions: the stacked grid route against eigvalsh of the full
-    # truncated matrix at every eta, built both by build_pt_matrix and by
-    # the element table; the one-point API and negativity_report diagonalise
-    # the same arrowhead core, so they equal the grid bit for bit
+    # truncated matrix at every eta, built by the element table; the
+    # one-point API and negativity_report diagonalise the same arrowhead
+    # core, so they equal the grid bit for bit
     ens = random_ensemble(n, 4.0, 200 + n, DIPOLE, min_distance=0.5)
     partitions = [
         Partition(tuple(range(n // 2)), tuple(range(n // 2, n))),

@@ -464,6 +464,21 @@ def test_assemble_ground_state_at_zero_drive():
     assert np.allclose(rho, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.5, -1.3])
+def test_single_atom_steady_state(delta):
+    # one atom has no pairs: u = i w / (1/2 - i delta), v is empty and the
+    # state lives on {ground, excited}
+    ens = explicit_ensemble([[0.0, 0.0, 0.0]], DIPOLE)
+    drive = Drive(delta=delta, eta=0.1, beam=BEAM)
+    state = steady_state(coupling_matrix(ens), drive, ens)
+    w = drive.w(ens)
+    assert abs(state.u[0] - 1j * w[0] / (0.5 - 1j * delta)) <= 1e-15
+    assert state.v.shape == (0,)
+    rho = assemble_state(state)
+    assert rho.shape == (2, 2)
+    assert abs(np.trace(rho) - 1.0) <= 1e-15
+
+
 def test_assemble_entries_and_trace():
     ens = random_ensemble(4, 8.0, 9, DIPOLE, min_distance=0.5)
     coupling = coupling_matrix(ens)

@@ -129,3 +129,10 @@ def test_v_table_is_built_and_written_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert peak <= 0.6e6
     assert len((tmp_path / "v.csv").read_text().splitlines()) == 1 + m
+
+
+@pytest.mark.parametrize("value", [None, "0.5", 1j, [1.0]])
+def test_fmt_value_refuses_a_non_number(value):
+    # a None once printed as an empty value
+    with pytest.raises(TypeError, match="expected a number"):
+        fmt_value(value)
