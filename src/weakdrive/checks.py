@@ -125,11 +125,15 @@ def check_group_swap(sc: Scenario) -> CheckResult:
 
 
 def check_eig_pairing(sc: Scenario) -> CheckResult:
+    # lambda2 comes from the SVD of V; eigvalsh of the embedding is the
+    # independent route to the same spectrum
     V = build_V(sc.state, sc.part)
+    na, nb = V.shape
+    H = np.block([[np.zeros((na, na)), V], [V.conj().T, np.zeros((nb, nb))]])
     vals, _ = lambda2_spectrum(V)
-    measured = float(np.max(np.abs(np.sort(vals) + np.sort(vals)[::-1])))
+    measured = float(np.max(np.abs(vals - np.linalg.eigvalsh(H)[::-1])))
     return CheckResult("eig_pairing", measured <= 1e-10, measured, 1e-10,
-                       note="spectrum of V + V^dag symmetric about zero")
+                       note="lambda2 against the eigenvalues of [[0, V], [V^dag, 0]]")
 
 
 def check_pt_hermitian(sc: Scenario) -> CheckResult:
@@ -192,12 +196,8 @@ def _oracle_errors(seed: int) -> tuple[tuple, tuple]:
         n_pt, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
         neg_errors.append(abs(n_exact - n_pt))
         # map truncated basis {G, 1, 2, 12} onto the two-qubit product basis
-        target = np.zeros((4, 4), dtype=complex)
-        tr = assemble_state(state)
-        mapping = [0, 2, 1, 3]
-        for a in range(4):
-            for b in range(4):
-                target[mapping[a], mapping[b]] = tr[a, b]
+        order = [0, 2, 1, 3]
+        target = assemble_state(state)[np.ix_(order, order)]
         state_errors.append(float(np.max(np.abs(rho - target))))
     return tuple(neg_errors), tuple(state_errors)
 

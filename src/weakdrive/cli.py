@@ -81,8 +81,8 @@ def _run(args) -> int:
         for check in bundle.report["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(
-                f"{status} {check['name']}: measured={fmt_value(check['measured'])} "
-                f"threshold={fmt_value(check['threshold'])}"
+                f"{status} {check['name']}: measured={float(check['measured'])!r} "
+                f"threshold={float(check['threshold'])!r}"
             )
         if not bundle.report["all_passed"]:
             print("validation FAILED", file=sys.stderr)

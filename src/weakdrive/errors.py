@@ -56,7 +56,7 @@ class SolverConvergenceError(WeakdriveError):
 
 
 class ThresholdNotApplicableError(WeakdriveError):
-    """Drive threshold undefined (non-negative quadratic or vanishing quartic term)."""
+    """Far-field bound undefined: D0 = 0 in bound_omega, sin(theta) = 0 in lmin_bound."""
 
 
 class IlluminatedAtomError(WeakdriveError):

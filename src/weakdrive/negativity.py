@@ -31,6 +31,8 @@ transpose from the same restriction and pair matrix. V is a plain read-only
 n_A x n_B complex array. An atom of the partition absent from the state
 raises PartitionError on every path.
 
+V is decomposed once, by the SVD in lambda2_spectrum: it gives lambda2, the
+mode weights |phi|^2 that lambda4_dilute reads, and negativity2.
 negativity_model is the only place that turns the per-mode coefficients
 (lambda2, lambda4) into drive numbers: each mode's closing drive, the model
 curve N(eta), its threshold and extremum, and the grid estimate of the
@@ -180,51 +182,41 @@ def _negativities(spectra: np.ndarray) -> np.ndarray:
 def build_V(state: PerturbState, part: Partition) -> np.ndarray:
     """Read-only A x B block of the pair correlations of the state restricted
     to part.atoms; an atom absent from the state raises PartitionError."""
-    vmat = restrict_state(state, part.atoms).v_matrix()
-    return _cross_block(vmat, len(part.group_a))
-
-
-def _cross_block(vmat: np.ndarray, na: int) -> np.ndarray:
-    V = vmat[:na, na:].copy()
+    na = len(part.group_a)
+    V = restrict_state(state, part.atoms).v_matrix()[:na, na:].copy()
     V.setflags(write=False)
     return V
 
 
 def lambda2_spectrum(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian embedding [[0, V], [V^dag, 0]] of the
-    n_A x n_B block V, descending, with a fixed vector phase.
+    """Modes of V + V^dag from one SVD of the n_A x n_B block V.
 
-    Each eigenvector column is rotated so its largest-magnitude component
-    is real and positive, keeping reports reproducible.
+    The Hermitian embedding [[0, V], [V^dag, 0]] has the eigenvalues +/- s,
+    s the singular values of V, plus |n_A - n_B| zeros; lambda2 is s, the
+    zeros, then -s reversed, so it descends. Returned with it are the mode
+    weights |phi|^2 over the A-then-B atoms, one column per mode: the
+    eigenvectors for +/- s_i are (u_i, +/- w_i)/sqrt(2) in the singular
+    vectors u_i, w_i, so both weigh |u_i|^2/2 on A and |w_i|^2/2 on B, and
+    the zero modes are the singular vectors of the larger group that s
+    leaves over.
     """
     na, nb = V.shape
-    H = np.block([[np.zeros((na, na)), V], [V.conj().T, np.zeros((nb, nb))]])
-    vals, vecs = np.linalg.eigh(H)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    piv = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    # hypot, as abs() of one complex scalar computes it
-    mag = np.hypot(piv.real, piv.imag)
-    phase = np.divide(np.conj(piv), mag, out=np.ones(len(mag), dtype=complex), where=mag > 0)
-    return vals, vecs * phase
+    k = min(na, nb)
+    U, s, Wh = np.linalg.svd(V)
+    pair = np.concatenate([np.abs(U[:, :k]) ** 2, np.abs(Wh[:k].T) ** 2]) / 2
+    # n_A - k or n_B - k is 0, so one of the two blocks is empty
+    rest = np.zeros((na + nb, abs(na - nb)))
+    rest[:na, : na - k] = np.abs(U[:, k:]) ** 2
+    rest[na:, na - k :] = np.abs(Wh[k:].T) ** 2
+    lambda2 = np.concatenate([s, np.zeros(abs(na - nb)), -s[::-1]])
+    return lambda2, np.hstack([pair, rest, pair[:, ::-1]])
 
 
-def lambda4_dilute(phi: np.ndarray, w: np.ndarray, delta: float) -> float | np.ndarray:
-    """Quartic eigenvalue coefficient in the dilute asymptotic form.
-
-    phi is a single-excitation eigenvector over the A u B atoms, or a block
-    of them as columns, and w the matching drive amplitudes; masked atoms
-    drop out through |w|^4. Returns a float for one vector and an array with
-    one coefficient per column for a block.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    norm = np.linalg.norm(phi, axis=0)
-    if np.any(norm == 0):
-        raise ValueError("zero eigenvector")
-    w4 = np.abs(np.asarray(w, dtype=complex)) ** 4
-    l4 = (0.25 + delta**2) ** -2 * (w4 @ np.abs(phi / norm) ** 2)
-    return float(l4) if phi.ndim == 1 else l4
+def lambda4_dilute(weights: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
+    """Dilute asymptotic quartic coefficient of each mode: weights holds the
+    modes' |phi|^2 over the A u B atoms as columns (from lambda2_spectrum),
+    w the matching drive amplitudes; masked atoms drop out through |w|^4."""
+    return (0.25 + delta**2) ** -2 * (np.abs(np.asarray(w, dtype=complex)) ** 4 @ weights)
 
 
 # ----------------------------------------------------------------------
@@ -336,26 +328,15 @@ def negativity_model(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModeEntry:
-    lambda2: float
-    lambda4: float
-    threshold_omega: Optional[float]
-    eta_zero: Optional[float]
-    omega_zero: Optional[float]
-    degenerate: bool
-    dilute_extrapolated: bool
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-@dataclass(frozen=True)
 class NegativityReport:
+    """Per-mode columns (lambda2, lambda4, degenerate) and the model curve
+    they give, the partial transpose and its negativity."""
+
     eta: float
     negativity2: float
     lambda2: np.ndarray
     lambda4: np.ndarray
-    modes: list[ModeEntry]
+    degenerate: np.ndarray
     curve: ModelCurve
     pt: PartialTransposeMatrix
     pt_spectrum: np.ndarray
@@ -364,10 +345,17 @@ class NegativityReport:
     dilute_extrapolated: bool
 
     def to_dict(self) -> dict:
+        modes = [
+            {"lambda2": a, "lambda4": b, "threshold_omega": ez, "eta_zero": ez,
+             "omega_zero": None if ez is None else 2.0 * ez, "degenerate": deg,
+             "dilute_extrapolated": self.dilute_extrapolated}
+            for a, b, ez, deg in zip(self.lambda2.tolist(), self.lambda4.tolist(),
+                                     self.curve.eta_zero, self.degenerate.tolist())
+        ]
         return {
             "eta": self.eta,
             "negativity2": self.negativity2,
-            "modes": [m.to_dict() for m in self.modes],
+            "modes": modes,
             "curve": {
                 "eta": self.curve.etas.tolist(),
                 "negativity_model": self.curve.values.tolist(),
@@ -393,7 +381,8 @@ def negativity_report(
 
     The state is restricted once; V and the partial transpose (kept as
     ``pt``, for a grid of drive strengths) are built from that restriction's
-    one pair matrix. A lambda2 with |lambda2| <= (n_A + n_B) eps max|lambda2|
+    one pair matrix, and the one SVD of V gives lambda2, the mode weights
+    and negativity2. A lambda2 with |lambda2| <= (n_A + n_B) eps max|lambda2|
     is reported as 0.0, with no closing drive. Each mode row reads its
     closing drive from the model curve (negativity_model). When diluteness
     was not established the per-mode thresholds keep the asymptotic quartic
@@ -402,11 +391,12 @@ def negativity_report(
     """
     sub = restrict_state(state, part.atoms)
     vmat = sub.v_matrix()
-    na = len(part.group_a)
-    V = _cross_block(vmat, na)
-    l2, vecs = lambda2_spectrum(V)
-    l4 = lambda4_dilute(vecs, sub.w, state.delta)
-    # V has rank at most min(n_A, n_B); a mode within eigh's backward error
+    na, nb = len(part.group_a), len(part.group_b)
+    l2, weights = lambda2_spectrum(vmat[:na, na:])
+    # the leading min(n_A, n_B) entries of lambda2 are the singular values
+    negativity2 = float(state.eta**2 * l2[: min(na, nb)].sum())
+    l4 = lambda4_dilute(weights, sub.w, state.delta)
+    # V has rank at most min(n_A, n_B); a mode within the SVD's backward error
     # of zero has the sign of its rounding, so it is zero and never closes
     l2 = np.where(np.abs(l2) <= len(l2) * np.finfo(float).eps * np.max(np.abs(l2)), 0.0, l2)
 
@@ -414,16 +404,6 @@ def negativity_report(
     close = np.abs(np.diff(l2)) <= DEGENERACY_RTOL * scale
     degenerate = np.append(close, False) | np.insert(close, 0, False)
 
-    flag = not dilute_ok
-    curve = negativity_model(l2, l4, eta_grid)
-    modes = [
-        ModeEntry(lambda2=a, lambda4=b, threshold_omega=ez, eta_zero=ez,
-                  omega_zero=None if ez is None else 2.0 * ez,
-                  degenerate=deg, dilute_extrapolated=flag)
-        for a, b, ez, deg in zip(l2.tolist(), l4.tolist(), curve.eta_zero, degenerate.tolist())
-    ]
-
-    negativity2 = float(state.eta**2 * np.linalg.svd(V, compute_uv=False).sum())
     pt = _restricted_pt(sub, vmat, na)
     neg_pt, pt_spectrum = pt_negativity(pt)
 
@@ -432,11 +412,11 @@ def negativity_report(
         negativity2=negativity2,
         lambda2=l2,
         lambda4=l4,
-        modes=modes,
-        curve=curve,
+        degenerate=degenerate,
+        curve=negativity_model(l2, l4, eta_grid),
         pt=pt,
         pt_spectrum=pt_spectrum,
         negativity_pt=neg_pt,
         entanglement="detected" if negativity2 > 0.0 else "undetected",
-        dilute_extrapolated=flag,
+        dilute_extrapolated=not dilute_ok,
     )

@@ -195,8 +195,8 @@ def _farfield_pipeline(npg, box, seed, delta):
         u=u, v=v, w=drive.w(ens), delta=delta, eta=0.01, atoms=tuple(range(ens.n))
     )
     V = build_V(state, part)
-    l2, vecs = lambda2_spectrum(V)
-    l4 = np.array([lambda4_dilute(vecs[:, k], state.w, delta) for k in range(len(l2))])
+    l2, weights = lambda2_spectrum(V)
+    l4 = lambda4_dilute(weights, state.w, delta)
     model = negativity_model(l2, l4, np.geomspace(1e-6, 1e-1, 20))
     cfg = farfield_config(ens, part, drive)
     return model, cfg

@@ -626,6 +626,33 @@ def test_validate_cli_and_fault_injection(capsys, monkeypatch):
     assert not bundle.report["all_passed"]
 
 
+def test_validate_prints_shortest_round_trip_values(tmp_path, capsys):
+    # stdout prints repr(float), which reads back exactly; report.json keeps
+    # the full values
+    assert cli.main(["validate", "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("PASS")]
+    assert any(line.startswith("PASS pt_trace: measured=") and line.endswith(" threshold=1e-12")
+               for line in lines)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(lines) == len(report["checks"]) == 11
+    for line, check in zip(lines, report["checks"]):
+        measured, threshold = (part.split("=")[1] for part in line.split()[2:])
+        assert float(measured) == check["measured"] and float(threshold) == check["threshold"]
+        assert measured == repr(float(check["measured"]))
+
+
+def test_eig_pairing_check_fails_when_lambda2_loses_its_negative_half(monkeypatch):
+    sc = checks.build_scenario(1)
+    assert checks.check_eig_pairing(sc).passed
+    spectrum = checks.lambda2_spectrum
+    # +s in place of -s: still the right magnitudes, so only the
+    # independent eigvalsh route can see it
+    monkeypatch.setattr(checks, "lambda2_spectrum",
+                        lambda V: (np.abs(spectrum(V)[0]), spectrum(V)[1]))
+    broken = checks.check_eig_pairing(sc)
+    assert not broken.passed and broken.measured > 1e-10
+
+
 def test_rounding_level_zero_mode_never_sets_the_threshold(tmp_path):
     # 2 + 3 atoms with group B dark: V has rank 2, and the structural zero
     # mode's lambda2 rounds to about -1e-17. Read as negative, it closed at
@@ -777,6 +804,8 @@ def test_config_validation_details():
         bad = dict(PAIR_CONFIG)
         bad["beam"] = {"direction": [0, 1, 0], "mask": [-1]}
         parse_config(bad, "solve")
+    with pytest.raises(ConfigError, match="unknown task 'plot'"):
+        parse_config(PAIR_CONFIG, "plot")
 
 
 def test_lattice_geometry_matches_explicit_corners(tmp_path):

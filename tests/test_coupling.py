@@ -76,3 +76,9 @@ def test_far_field_envelope():
 def test_zero_separation_rejected():
     with pytest.raises(CoincidentAtomsError):
         pair_coupling([0.0, 0.0, 0.0], DIPOLE)
+
+
+@pytest.mark.parametrize("separation", [[1.0, 0.0], [[1.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 0.0]])
+def test_separation_must_be_a_3_vector(separation):
+    with pytest.raises(ValueError, match="3-vector"):
+        pair_coupling(separation, DIPOLE)

@@ -817,3 +817,23 @@ def test_propagate_reaches_solver_fixed_point():
     prop = propagate_truncated(coupling, 0.0, ref.w, drive.eta, t_final=20.0)
     assert np.max(np.abs(prop.u - ref.u)) <= 1e-8
     assert np.max(np.abs(prop.v - ref.v)) <= 1e-8
+
+
+def _residual_gate(monkeypatch):
+    # a level-route state whose residual is above the gate
+    monkeypatch.setattr(exact, "NULL_TOL", 0.0)
+    ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0]])
+    steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (_residual_gate, SolverConvergenceError, "GMRES iterations"),
+    (lambda mp: reduce_state(np.eye(4), [0, 0], 2), ValueError, "distinct atoms"),
+    (lambda mp: reduce_state(np.eye(4), [2], 2), ValueError, "distinct atoms"),
+    (lambda mp: negativity_exact(np.eye(4), [1], 3), ValueError, "wrong dimension"),
+    (lambda mp: negativity_exact(np.eye(4), [2], 2), ValueError, "outside the ensemble"),
+], ids=["residual-gate", "repeated-keep", "keep-out-of-range", "wrong-dimension",
+        "b-out-of-range"])
+def test_typed_errors(monkeypatch, call, error, match):
+    with pytest.raises(error, match=match):
+        call(monkeypatch)

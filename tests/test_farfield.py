@@ -242,3 +242,27 @@ def test_random_phase_sums_are_small():
         if s <= 0.2:
             hits += 1
     assert hits >= 95
+
+
+# A = {0, 1} and B = {2, 3} share the centroid (1, 0, 0)
+_CONCENTRIC = explicit_ensemble([[0, 0, 0], [2, 0, 0], [1, 1, 0], [1, -1, 0]], DIPOLE)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: farfield_parameters(0.0, 1.0, 2, 2), ValueError, "distance"),
+    (lambda: farfield_parameters(10.0, 1.0, 2, 2, s_a=1.5), ValueError, "modulus"),
+    (lambda: farfield_config(_CONCENTRIC, Partition((0, 1), (2, 3)),
+                             Drive(delta=0.0, eta=0.05, beam=PlaneWave(KHAT))),
+     ValueError, "centroids coincide"),
+    (lambda: quartic_spectrum(farfield_parameters(10.0, 0.0, 2, 2)), ValueError, "weight y"),
+    (lambda: lmin_bound(0.0, 0.0, 1e3, 0.1, 1.0), ValueError, "must be positive"),
+    (lambda: lmin_bound(1.0, 0.0, 0.0, 0.1, 1.0), ValueError, "must be positive"),
+    (lambda: lmin_bound(1.0, 0.0, 1e3, -0.1, 1.0), ValueError, "non-negative"),
+    (lambda: bound_omega(farfield_parameters(1e3, 0.0, 2, 2)),
+     ThresholdNotApplicableError, "D0 vanishes"),
+    (lambda: lmin_bound(1.0, 0.0, 1e3, 0.1, 0.0), ThresholdNotApplicableError, "sin"),
+], ids=["distance", "phase-sum", "centroids", "quartic-y", "lmin-spacing", "lmin-distance",
+        "lmin-omega", "bound-omega-d0", "lmin-sin-theta"])
+def test_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -109,3 +109,25 @@ def test_regime_farfield_flag():
     assert regime_check(ens, drive, part).farfield_ok
     near = explicit_ensemble([[0, 0, 0], [10.0, 0, 0], [50.0, 0, 0], [60.0, 0, 0]], DIPOLE)
     assert not regime_check(near, drive, part).farfield_ok
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PlaneWave(np.array([1.0, 0.0])), ValueError, "3-vector"),
+    (lambda: Ensemble(np.zeros((2, 2)), DIPOLE), ValueError, r"\(n, 3\)"),
+    (lambda: MaskedBeam(BEAM, frozenset({5})).amplitudes(lattice_ensemble(1, 1.0, DIPOLE)),
+     PartitionError, "outside"),
+    (lambda: Partition((), (1,)), PartitionError, "non-empty"),
+    (lambda: Partition((0, 0), (1,)), PartitionError, "duplicate"),
+    (lambda: Partition((0, 1), (1, 2)), PartitionError, "overlap"),
+    (lambda: lattice_ensemble(0, 1.0, DIPOLE), ValueError, "edge"),
+    (lambda: lattice_ensemble(2, 0.0, DIPOLE), ValueError, "spacing"),
+    (lambda: random_ensemble(0, 1.0, 0, DIPOLE), ValueError, "count"),
+    (lambda: random_ensemble(2, 0.0, 0, DIPOLE), ValueError, "box"),
+    (lambda: random_ensemble(2, 1.0, 0, DIPOLE, min_distance=5.0), ValueError,
+     "could not place"),
+], ids=["unit-shape", "positions-shape", "mask-range", "empty-group", "duplicate",
+        "overlap", "lattice-edge", "lattice-spacing", "random-count", "random-box",
+        "random-placement"])
+def test_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

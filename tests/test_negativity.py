@@ -363,33 +363,34 @@ def test_lambda2_pairing_and_trace():
     v = rng.normal(size=len(I)) + 1j * rng.normal(size=len(I))
     state = _manual_state(rng.normal(size=n) + 0j, v)
     V = build_V(state, Partition((0, 1), (2, 3)))
-    vals, vecs = lambda2_spectrum(V)
+    vals, weights = lambda2_spectrum(V)
     assert abs(np.trace(_embedding(V))) <= 1e-12
     assert abs(vals.sum()) <= 1e-12
     assert np.max(np.abs(np.sort(vals) + np.sort(vals)[::-1])) <= 1e-12
-    # phase convention: largest component real positive
-    for k in range(vecs.shape[1]):
-        j = np.argmax(np.abs(vecs[:, k]))
-        assert vecs[j, k].imag == pytest.approx(0.0, abs=1e-14)
-        assert vecs[j, k].real > 0
+    assert np.all(np.diff(vals) <= 0)
+    # each +/- pair weighs half on A and half on B, and every mode sums to 1
+    assert np.allclose(weights[:2].sum(axis=0), 0.5, atol=1e-14)
+    assert np.allclose(weights.sum(axis=0), 1.0, atol=1e-14)
 
 
-def test_vectorised_phase_fix_and_degenerate_flags_match_loops():
-    # lambda2_spectrum's phase fix and negativity_report's degenerate flags
-    # against the per-column and per-pair loops they replaced, bit for bit;
-    # unequal groups leave |n_A - n_B| degenerate zero modes
+def test_mode_weights_and_degenerate_flags_match_loops():
+    # lambda2_spectrum's SVD route against eigh of the embedding, and
+    # negativity_report's degenerate flags against the per-pair loop they
+    # replaced, bit for bit; unequal groups leave |n_A - n_B| degenerate
+    # zero modes, whose weights are fixed only summed over the null space
     rng = np.random.default_rng(12)
     for na, nb in ((1, 1), (1, 3), (2, 5), (4, 4), (6, 2)):
         V = rng.normal(size=(na, nb)) + 1j * rng.normal(size=(na, nb))
-        vals, vecs = lambda2_spectrum(V)
+        vals, weights = lambda2_spectrum(V)
         ref_vals, ref = np.linalg.eigh(_embedding(V))
-        ref = ref[:, np.argsort(ref_vals)[::-1]]
-        for k in range(ref.shape[1]):
-            col = ref[:, k]
-            j = int(np.argmax(np.abs(col)))
-            if abs(col[j]) > 0:
-                ref[:, k] = col * (np.conj(col[j]) / abs(col[j]))
-        assert vecs.tobytes() == ref.tobytes()
+        order = np.argsort(ref_vals)[::-1]
+        ref_vals, ref = ref_vals[order], np.abs(ref[:, order]) ** 2
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-12
+        k = min(na, nb)
+        paired = np.r_[0:k, na + nb - k : na + nb]
+        assert np.max(np.abs(weights[:, paired] - ref[:, paired])) <= 1e-12
+        zero = np.r_[k : na + nb - k]
+        assert np.max(np.abs(weights[:, zero].sum(axis=1) - ref[:, zero].sum(axis=1))) <= 1e-12
 
         n = na + nb
         state = _manual_state(rng.normal(size=n) + 1j * rng.normal(size=n),
@@ -401,7 +402,8 @@ def test_vectorised_phase_fix_and_degenerate_flags_match_loops():
         for k in range(len(l2) - 1):
             if abs(l2[k] - l2[k + 1]) <= negativity.DEGENERACY_RTOL * scale:
                 flags[k] = flags[k + 1] = True
-        assert [m.degenerate for m in rep.modes] == flags
+        assert rep.degenerate.tolist() == flags
+        assert [m["degenerate"] for m in rep.to_dict()["modes"]] == flags
         assert sum(flags) == (abs(na - nb) if abs(na - nb) > 1 else 0)
 
 
@@ -429,21 +431,23 @@ def test_mode_rows_close_only_where_threshold_omega_applies():
                          w=np.array([1.0, 0.7j, 0.0, 0.9, -1.0, 0.0]), delta=0.2, eta=0.05,
                          atoms=tuple(range(6)))
     rep = negativity_report(state, Partition((0, 1, 2), (3, 4, 5)))
-    assert [m.lambda2 for m in rep.modes] == pytest.approx([0.3, 0.2, 0.1, -0.1, -0.2, -0.3])
+    modes = rep.to_dict()["modes"]
+    assert [m["lambda2"] for m in modes] == pytest.approx([0.3, 0.2, 0.1, -0.1, -0.2, -0.3])
     closing, never = [], []
-    for m, ez in zip(rep.modes, rep.curve.eta_zero):
-        assert m.eta_zero == ez
-        if m.lambda2 < 0 and m.lambda4 > 0:
-            assert m.eta_zero == math.sqrt(-m.lambda2 / m.lambda4)
-            assert m.threshold_omega == m.eta_zero
-            assert m.omega_zero == 2.0 * m.eta_zero
-            closing.append(m.eta_zero)
+    for m, ez in zip(modes, rep.curve.eta_zero):
+        assert m["eta_zero"] == ez
+        if m["lambda2"] < 0 and m["lambda4"] > 0:
+            assert m["eta_zero"] == math.sqrt(-m["lambda2"] / m["lambda4"])
+            assert m["threshold_omega"] == m["eta_zero"]
+            assert m["omega_zero"] == 2.0 * m["eta_zero"]
+            closing.append(m["eta_zero"])
         else:
-            assert m.threshold_omega is None and m.eta_zero is None and m.omega_zero is None
-            if m.lambda2 < 0:
+            assert m["threshold_omega"] is None and m["eta_zero"] is None
+            assert m["omega_zero"] is None
+            if m["lambda2"] < 0:
                 never.append(m)
     assert len(closing) == 2
-    assert len(never) == 1 and never[0].lambda4 == 0.0
+    assert len(never) == 1 and never[0]["lambda4"] == 0.0
     top = max(closing)
     assert np.array_equal(rep.curve.etas, np.geomspace(top / 30.0, 2.0 * top, 121))
     # the never-closing mode leaves the model without a maximum or threshold
@@ -452,23 +456,28 @@ def test_mode_rows_close_only_where_threshold_omega_applies():
 
 def test_lambda4_plane_wave_values():
     phi = np.array([1.0, 1.0j, -0.5]) / np.linalg.norm([1.0, 1.0, 0.5])
+    weights = np.abs(phi[:, None]) ** 2
     w = np.ones(3, dtype=complex)
-    assert lambda4_dilute(phi, w, 0.0) == pytest.approx(16.0)
-    assert lambda4_dilute(phi, w, 0.5) == pytest.approx(4.0)
-    assert lambda4_dilute(phi, np.zeros(3, dtype=complex), 0.0) == 0.0
+    assert lambda4_dilute(weights, w, 0.0) == pytest.approx([16.0])
+    assert lambda4_dilute(weights, w, 0.5) == pytest.approx([4.0])
+    assert lambda4_dilute(weights, np.zeros(3, dtype=complex), 0.0).tolist() == [0.0]
 
 
-def test_lambda4_block_matches_columns():
+def test_lambda4_weights_match_eigenvectors():
+    # with masked atoms, lambda4 of a non-degenerate mode is the quartic
+    # form of its eigenvector of [[0, V], [V^dag, 0]], whatever its phase
     rng = np.random.default_rng(4)
-    vecs = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
+    V = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
     w = rng.normal(size=9) + 1j * rng.normal(size=9)
     w[[2, 5]] = 0.0  # masked atoms
-    block = lambda4_dilute(vecs, w, 0.3)
-    cols = np.array([lambda4_dilute(vecs[:, k], w, 0.3) for k in range(6)])
-    assert block.shape == (6,)
-    assert np.max(np.abs(block - cols) / np.abs(cols)) <= 1e-15
-    with pytest.raises(ValueError):
-        lambda4_dilute(np.column_stack([vecs[:, 0], np.zeros(9)]), w, 0.3)
+    vals, weights = lambda2_spectrum(V)
+    l4 = lambda4_dilute(weights, w, 0.3)
+    ref_vals, vecs = np.linalg.eigh(_embedding(V))
+    vecs = vecs[:, np.argsort(ref_vals)[::-1]]
+    ref = (0.25 + 0.3**2) ** -2 * (np.abs(w) ** 4 @ np.abs(vecs) ** 2)
+    assert l4.shape == (9,)
+    paired = np.r_[0:4, 5:9]
+    assert np.max(np.abs(l4[paired] - ref[paired]) / np.abs(ref[paired])) <= 1e-12
 
 
 def test_threshold_arithmetic():
@@ -606,8 +615,11 @@ def test_report_fields_and_flags():
     assert rep.negativity2 == pytest.approx(drive.eta**2 * abs(state.v[0]))
     assert rep.entanglement == "detected"
     assert rep.dilute_extrapolated
-    assert rep.modes[-1].lambda2 < 0 < rep.modes[-1].lambda4
+    assert rep.lambda2[-1] < 0 < rep.lambda4[-1]
     d = rep.to_dict()
+    assert list(d["modes"][-1]) == ["lambda2", "lambda4", "threshold_omega", "eta_zero",
+                                    "omega_zero", "degenerate", "dilute_extrapolated"]
+    assert d["modes"][-1]["dilute_extrapolated"]
     assert set(d["curve"]) == {"eta", "negativity_model"}
     # undetected wording for uncorrelated input, never "separable"
     silent = _manual_state([0.2, 0.1j], [0.0], eta=0.05)

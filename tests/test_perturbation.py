@@ -621,3 +621,24 @@ def test_global_phase_scaling():
     v2 = solve_v(coupling, drive.delta, u2)
     assert np.max(np.abs(u2 - u1 * np.exp(1j * chi))) <= 1e-12
     assert np.max(np.abs(v2 - v1 * np.exp(2j * chi))) <= 1e-12
+
+
+def _schur_resonance(monkeypatch):
+    # Z = 0.5i I at delta = 0.5 makes T Y + Y T^T - 2 i delta Y vanish; with
+    # the eigenbasis guard at 0 the Schur fallback meets it in trsyl
+    monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
+    solve_v(0.5j * np.eye(2), 0.5, np.ones(2, dtype=complex))
+
+
+_PAIR = PerturbState(u=np.ones(2, dtype=complex), v=np.array([0.1j]),
+                     w=np.ones(2, dtype=complex), delta=0.0, eta=0.05, atoms=(0, 1))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (_schur_resonance, ResonantSingularityError, "condition estimate inf"),
+    (lambda mp: _PAIR.v_pair(1, 1), ValueError, "two distinct atoms"),
+    (lambda mp: pair_correlation(_PAIR, 0, 0), ValueError, "two distinct atoms"),
+], ids=["schur-resonance", "v-pair-same-atom", "pair-correlation-same-atom"])
+def test_typed_errors(monkeypatch, call, error, match):
+    with pytest.raises(error, match=match):
+        call(monkeypatch)

@@ -7,6 +7,9 @@ tree's src/ on PYTHONPATH:
 - every benchmark workload and its -smoke variant at seeds 0 and 5, with
   the config that perfbench.workloads builds for that seed (imported
   read-only), as `weakdrive <task> --config CFG --out DIR`;
+- the runs in EXTRA, which no workload makes (the bounds task, the lattice
+  and random geometries, and a sweep with the exact oracle), each with the
+  config's seed set to 0 and to 5;
 - `weakdrive validate --seed 0` and `--seed 5`, with --out.
 
 Every report.json, CSV, stdout (without the `results written to` line),
@@ -34,9 +37,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.workloads import BEAM, DELTA, DIPOLE, WORKLOADS  # noqa: E402
 
 SEEDS = (0, 5)
+_DRIVE = {"dipole": DIPOLE, "beam": {"direction": BEAM}, "delta": DELTA}
+# name -> (task, config without its seed)
+EXTRA = {
+    "bounds-farfield": ("bounds", {"delta": DELTA, "farfield": {
+        "k0_distance": 1e4, "theta": 1.2, "n_a": 50, "n_b": 50,
+        "omega_over_gamma": 0.1, "mean_spacing": 2.0}}),
+    # the x = 0 and x = 1 faces of a 2 x 2 x 2 lattice
+    "solve-lattice": ("solve", {**_DRIVE, "eta": 0.05,
+                                "geometry": {"mode": "lattice", "edge": 2, "spacing": 1.5},
+                                "partition": {"A": [0, 1, 2, 3], "B": [4, 5, 6, 7]}}),
+    "sweep-exact-random": ("sweep", {**_DRIVE, "exact": True,
+                                     "geometry": {"mode": "random", "count": 6, "box": 3.0,
+                                                  "min_distance": 0.5},
+                                     "eta_sweep": {"min": 0.01, "max": 0.05, "points": 3},
+                                     "partition": {"A": [0, 1, 2], "B": [3, 4, 5]}}),
+}
 # difference lines printed per run
 SHOWN = 40
 
@@ -52,11 +71,17 @@ def _runs(configs: Path) -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) of every run; the configs are written once and
     shared by both trees."""
     runs = []
-    for name, workload in WORKLOADS.items():
+    for name in [*WORKLOADS, *EXTRA]:
         for seed in SEEDS:
+            if name in WORKLOADS:
+                workload = WORKLOADS[name]
+                task, config = workload.task, workload.config(workload.positions(seed))
+            else:
+                task, config = EXTRA[name]
+                config = {**config, "seed": seed}
             path = configs / f"{name}-{seed}.json"
-            path.write_text(json.dumps(workload.config(workload.positions(seed))))
-            runs.append((f"{name} seed {seed}", [workload.task, "--config", str(path)]))
+            path.write_text(json.dumps(config))
+            runs.append((f"{name} seed {seed}", [task, "--config", str(path)]))
     runs += [(f"validate seed {seed}", ["validate", "--seed", str(seed)]) for seed in SEEDS]
     return runs
 
