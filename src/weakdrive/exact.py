@@ -39,16 +39,13 @@ Results depend neither on the order of the points nor on what was kept.
 A level eigenbasis that perturbation.eigenbasis refuses (kappa above
 EIG_COND_GUARD, against at most 2 on five-atom clouds) or a vanishing
 Sylvester denominator (dark states, which can leave several steady states)
-hands the solve to an eigendecomposition of the dense generator up to
-DENSE_CAP atoms, which warns about a degenerate steady-state manifold;
-above DENSE_CAP it raises ResonantSingularityError. Either route ends in
-the residual gate of the operator-form generator; a fallback state that
-fails it raises the guard's ResonantSingularityError too.
+raises ResonantSingularityError at every n, as the amplitude solve does
+for the same inputs. Every returned state passes the residual gate of the
+operator-form generator.
 
 The generator is written once, in the level system: A per level, the
 jump and drive gathers. Its apply(rho, eta) = L rho serves the residual
-gate, and Liouvillian.matrix assembles the dense generator from it two
-columns at a time.
+gate.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +74,6 @@ from .perturbation import (
 )
 
 N_CAP = 8
-# largest system whose dense generator is built: .matrix and the eig fallback
-DENSE_CAP = 5
 NULL_TOL = 1e-10
 # GMRES stops at this residual relative to the right-hand side
 GMRES_RTOL = 1e-13
@@ -127,33 +121,6 @@ class Liouvillian:
     @property
     def dim(self) -> int:
         return 2**self.n
-
-    def matrix(self, eta: float) -> np.ndarray:
-        """The dense generator at drive strength eta on row-major
-        vectorised density matrices, built for up to DENSE_CAP atoms from
-        the operator form. L is complex linear and maps Hermitian matrices
-        to Hermitian ones, so for p <= q the columns of E_pq and E_qp are
-        L Re + i L Im and L Re - i L Im, with Re = (E_pq + E_qp)/2 and
-        Im = (E_pq - E_qp)/2i applied on the level-ordered basis."""
-        if self.n > DENSE_CAP:
-            raise CapExceededError(f"dense generator capped at {DENSE_CAP} atoms, got {self.n}")
-        system, d = self._levels, self.dim
-        order, natural = system.t.order, np.ix_(system.t.pos, system.t.pos)
-        L = np.empty((d, d, d, d), dtype=complex)
-        for p in range(d):
-            for q in range(p, d):
-                E = np.zeros((d, d), dtype=complex)
-                E[p, q] += 0.5
-                E[q, p] += 0.5
-                re = system.apply(E, eta)[natural]
-                if p == q:
-                    L[:, :, order[p], order[p]] = re
-                    continue
-                E[p, q], E[q, p] = -0.5j, 0.5j
-                im = 1j * system.apply(E, eta)[natural]
-                L[:, :, order[p], order[q]] = re + im
-                L[:, :, order[q], order[p]] = re - im
-        return L.reshape(d * d, d * d)
 
     @functools.cached_property
     def _levels(self) -> "_LevelSystem":
@@ -214,11 +181,11 @@ def _level_tables(n: int) -> _LevelTables:
 
 class _LevelSystem:
     """The drive-independent part of one generator on the level-ordered
-    basis: A on each level, jump and drive by index gathers and, unless
-    `factor` refused (the refusal is kept in `refused`), L0^-1 by
+    basis: A on each level, jump and drive by index gathers, L0^-1 by
     per-block Sylvester solves, the start vector b0 = -K rho_G of
     K = L0^-1 L1 and the Arnoldi basis of K grown from it, which every
-    drive strength shares."""
+    drive strength shares. Construction raises the ResonantSingularityError
+    of `factor` when it refuses."""
 
     def __init__(self, liouv: Liouvillian):
         self.n, self.d = liouv.n, liouv.dim
@@ -241,12 +208,8 @@ class _LevelSystem:
             E = E[:, :, :c]
             D = E.reshape(-1, c).T @ np.tensordot(Z, E, axes=1).reshape(-1, c)
             self.A.append(1j * self.delta * k * np.eye(c) - D)
-        self.krylov = self.refused = None
-        try:
-            self.factor()
-        except ResonantSingularityError as exc:
-            # without its traceback, whose frames would hold self
-            self.refused = exc.with_traceback(None)
+        self.krylov = None
+        self.factor()
 
     @property
     def dims(self) -> list:
@@ -446,63 +409,32 @@ def _shifted_gmres(
     return np.linalg.solve(T, g[:k])
 
 
-def _dense_fallback(liouv: Liouvillian, eta: float) -> np.ndarray:
-    """First null vector of the dense generator, Hermitised; warns when the
-    second eigenvalue vanishes too (a degenerate steady-state manifold)."""
-    d = liouv.dim
-    vals, vecs = np.linalg.eig(liouv.matrix(eta))
-    order = np.argsort(np.abs(vals))
-    if len(order) > 1 and np.abs(vals[order[1]]) < NULL_TOL:
-        warnings.warn("degenerate steady-state manifold: second eigenvalue modulus "
-                      f"{np.abs(vals[order[1]]):.2e}", stacklevel=3)
-    return vecs[:, order[0]].reshape(d, d)
-
-
 def steady_state_exact(liouv: Liouvillian, eta: float) -> np.ndarray:
     """Unit-trace Hermitian steady state of liouv at drive strength eta.
 
     The level route (module docstring) solves for X = rho - rho_G by GMRES
     on (I + eta L0^-1 L1) X = -eta L0^-1 L1 rho_G and never forms the dense
-    generator. Its factors and Krylov basis, or the refusal of a level
-    guard (kappa above EIG_COND_GUARD, a Sylvester multiplier above
-    COND_LIMIT), are kept on liouv for the next drive strength. After a
-    refusal, up to DENSE_CAP atoms the dense generator's null vector is
-    taken instead, which warns about a degenerate null space; above
-    DENSE_CAP, or when that null vector fails the residual gate, the
-    guard's ResonantSingularityError is raised. GMRES that does not
-    converge raises SolverConvergenceError with its residual and iteration
-    count, and every returned state has an operator-form residual within
-    NULL_TOL. The route, level dimensions, GMRES iterations (the Krylov
-    dimension of the solution), residual and smallest Sylvester
-    denominator are logged at DEBUG on weakdrive.exact.
+    generator. Its factors and Krylov basis are kept on liouv for the next
+    drive strength. A level guard that trips (kappa above EIG_COND_GUARD,
+    a Sylvester multiplier above COND_LIMIT) raises ResonantSingularityError;
+    GMRES that does not converge raises SolverConvergenceError with its
+    residual and iteration count, and every returned state has an
+    operator-form residual within NULL_TOL. The route, level dimensions,
+    GMRES iterations (the Krylov dimension of the solution), residual and
+    smallest Sylvester denominator are logged at DEBUG on weakdrive.exact.
     """
     system = liouv._levels
-    guard = system.refused
-    if guard is not None:
-        # a fresh copy, so that the kept refusal gathers no traceback
-        guard = ResonantSingularityError(guard.delta, guard.cond)
-        if liouv.n > DENSE_CAP:
-            raise guard
-        log.debug("route dense fallback (%s); level dims %s", guard, system.dims)
-        rho = _dense_fallback(liouv, eta)[np.ix_(system.t.order, system.t.order)]
-        iterations = 0
-    else:
-        rho, iterations, res = system.steady_state(eta)
-        log.debug(
-            "route levels; level dims %s; gmres iterations %d, residual %.3e; "
-            "smallest denominator %.3e",
-            system.dims, iterations, res, system.smallest,
-        )
+    rho, iterations, res = system.steady_state(eta)
+    log.debug(
+        "route levels; level dims %s; gmres iterations %d, residual %.3e; "
+        "smallest denominator %.3e",
+        system.dims, iterations, res, system.smallest,
+    )
     rho = 0.5 * (rho + rho.conj().T)
     # the diagonal of a Hermitian matrix is real
-    tr = np.trace(rho).real
-    # a traceless null vector has no normalised state to gate
-    rho = rho / tr if abs(tr) >= 1e-12 else None
-    residual = np.inf if rho is None else system.residual(rho, eta)
+    rho = rho / np.trace(rho).real
+    residual = system.residual(rho, eta)
     if not residual <= NULL_TOL:
-        # a fallback state that fails the gate is the level guard's refusal
-        if guard is not None:
-            raise guard
         raise SolverConvergenceError(residual, iterations, "GMRES iterations")
     return rho[np.ix_(system.t.pos, system.t.pos)]
 

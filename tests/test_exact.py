@@ -20,7 +20,6 @@ from weakdrive.errors import (
     SolverConvergenceError,
 )
 from weakdrive.exact import (
-    DENSE_CAP,
     N_CAP,
     amplitude_drift,
     build_liouvillian,
@@ -68,26 +67,42 @@ def _lowering_ops(n):
 
 
 def _reference_liouvillian(coupling, delta, w, eta):
-    """Generator assembled term by term from Kronecker products of the
-    single-atom operators: the reference route."""
+    """Generator assembled from Kronecker products of the single-atom
+    operators: the reference route. H and D = sum_ab z_ab s_a^dag s_b are
+    summed as d x d operators first, and the jump is one product per atom."""
     n = len(coupling)
     d = 2**n
     sms = _lowering_ops(n)
     eye = np.eye(d, dtype=complex)
     H = np.zeros((d, d), dtype=complex)
-    for m in range(n):
-        num = sms[m].conj().T @ sms[m]
-        H += -delta * num - eta * (np.conj(w[m]) * sms[m] + w[m] * sms[m].conj().T)
-    # rho -> A rho B maps to kron(A, B.T) for row-major vec
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    Z = coupling
+    D = np.zeros((d, d), dtype=complex)
     for a in range(n):
+        H += -delta * sms[a].T @ sms[a] - eta * (np.conj(w[a]) * sms[a] + w[a] * sms[a].T)
         for b in range(n):
-            ab = sms[a].conj().T @ sms[b]
-            L -= Z[a, b] * np.kron(ab, eye)
-            L -= np.conj(Z[a, b]) * np.kron(eye, ab.T)
-            L += 2.0 * Z[a, b].real * np.kron(sms[a], sms[b])
+            D += coupling[a, b] * sms[a].T @ sms[b]
+    # rho -> A rho B maps to kron(A, B.T) for row-major vec
+    L = np.kron(-1j * H - D, eye) + np.kron(eye, (1j * H - D.conj()).T)
+    jump = np.tensordot(2.0 * coupling.real, sms, axes=1)
+    for a in range(n):
+        L += np.kron(sms[a], jump[a])
     return L
+
+
+def _reference_of(liouv, eta):
+    """The Kronecker reference generator of liouv at drive strength eta."""
+    return _reference_liouvillian(liouv.coupling, liouv.delta, liouv.w, eta)
+
+
+def _generator_apply(liouv, rho, eta):
+    """L rho of a Hermitian rho on the natural basis, by the level system's
+    operator form."""
+    t = liouv._levels.t
+    return liouv._levels.apply(rho[np.ix_(t.order, t.order)], eta)[np.ix_(t.pos, t.pos)]
+
+
+def _random_hermitian(rng, d):
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return A + A.conj().T
 
 
 @dataclass(frozen=True)
@@ -173,8 +188,8 @@ def _random_liouvillian(n, seed, masked, delta):
 
 
 # (n, masked, delta, eta): the full grid up to three atoms, a few corners
-# at four and five, where the Kronecker reference generator takes 0.04 s
-# and about 1 s to build
+# at four and five, where the dense bordered reference solves a 256- and a
+# 1024-dimensional real system
 REFERENCE_CASES = [
     (n, masked, delta, eta)
     for n in range(1, 4)
@@ -192,27 +207,15 @@ def test_routes_match_references(n, masked, delta, eta):
     coupling = coupling_matrix(ens)
     liouv = build_liouvillian(coupling, delta, w)
     ref = _reference_liouvillian(coupling, delta, w, eta)
-    assert np.max(np.abs(liouv.matrix(eta) - ref)) <= 1e-14
+    # the operator form is the Kronecker generator: L is complex linear and
+    # Hermitian inputs span all matrices, so random ones test every entry
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        x = _random_hermitian(rng, liouv.dim)
+        Lx = (ref @ x.reshape(-1)).reshape(x.shape)
+        assert np.max(np.abs(_generator_apply(liouv, x, eta) - Lx)) <= 1e-14 * np.max(np.abs(x))
     rho = steady_state_exact(liouv, eta)
     assert np.max(np.abs(rho - _bordered_reference(ref))) <= 1e-12
-
-
-def test_level_route_builds_no_dense_generator(monkeypatch):
-    # a non-degenerate five-atom state comes from the level solve alone;
-    # the dense generator is only built afterwards, for the check
-    ens, drive, coupling = _system(
-        [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], delta=0.3
-    )
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense generator built on a non-degenerate system")
-
-    monkeypatch.setattr(exact.Liouvillian, "matrix", no_dense)
-    rho = steady_state_exact(liouv, drive.eta)
-    monkeypatch.undo()
-    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(liouv.matrix(drive.eta) @ rho.reshape(-1))) <= 1e-12
 
 
 def test_steady_state_is_exactly_hermitian():
@@ -252,7 +255,7 @@ def test_hermitian_coords_round_trip(d):
 def test_level_route_matches_bordered_reference(n, seed, masked, delta, eta):
     liouv = _random_liouvillian(n, seed, masked, delta)
     rho = steady_state_exact(liouv, eta)
-    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix(eta)))) <= 1e-12
+    assert np.max(np.abs(rho - _bordered_reference(_reference_of(liouv, eta)))) <= 1e-12
     assert _operator_residual(liouv.coupling, liouv.delta, liouv.w, eta, rho) <= 1e-12
 
 
@@ -261,7 +264,7 @@ def test_strong_drive_matches_bordered_reference(eta):
     # hundreds of GMRES iterations, against a handful at weak drive
     liouv = _random_liouvillian(4, 104, False, 0.3)
     rho = steady_state_exact(liouv, eta)
-    assert np.max(np.abs(rho - _bordered_reference(liouv.matrix(eta)))) <= 1e-12
+    assert np.max(np.abs(rho - _bordered_reference(_reference_of(liouv, eta)))) <= 1e-12
     assert _operator_residual(liouv.coupling, liouv.delta, liouv.w, eta, rho) <= 1e-12
 
 
@@ -303,27 +306,16 @@ def test_steady_state_logs_route(caplog):
     message = record.getMessage()
     assert message.startswith("route levels; level dims [1, 3, 3, 1]; gmres iterations ")
     assert ", residual " in message and "; smallest denominator " in message
-    caplog.clear()
-    z = np.full((2, 2), 0.5 + 0j)
-    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
-        with pytest.warns(UserWarning, match="degenerate"):
-            steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex)), 0.0)
-    assert caplog.records[0].getMessage().startswith("route dense fallback (")
 
 
-def test_level_solve_reads_the_shared_eigenbasis_guard(monkeypatch, caplog):
+def test_level_solve_reads_the_shared_eigenbasis_guard(monkeypatch):
     # the level eigenbases pass the gate of perturbation.eigenbasis, which
     # reads EIG_COND_GUARD at call time: a guard of 0 refuses every level
     ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
-    levels = steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
+    steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
     monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
-    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
-        dense = steady_state_exact(
-            build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta
-        )
-    (record,) = caplog.records
-    assert record.getMessage().startswith("route dense fallback (")
-    assert np.max(np.abs(dense - levels)) <= 1e-10
+    with pytest.raises(ResonantSingularityError):
+        steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
 
 
 def _iterations(caplog):
@@ -365,7 +357,7 @@ def test_grid_independent_of_order_and_cache(monkeypatch, caplog):
     for a, b, c in zip(ascending, descending, cold):
         assert np.array_equal(a, b) and np.array_equal(a, c)
     fresh = _random_liouvillian(4, 104, False, 0.3)
-    assert np.max(np.abs(ascending[2] - _bordered_reference(fresh.matrix(5.0)))) <= 1e-12
+    assert np.max(np.abs(ascending[2] - _bordered_reference(_reference_of(fresh, 5.0)))) <= 1e-12
     assert _operator_residual(fresh.coupling, fresh.delta, fresh.w, 5.0, ascending[2]) <= 1e-12
 
 
@@ -399,22 +391,25 @@ def test_grid_shares_one_factorisation_and_basis(monkeypatch, caplog):
     assert counts["solve_undriven"] <= max(iterations) + 2 * len(etas) + 1
 
 
-def test_fallback_grid_keeps_its_refused_factorisation(monkeypatch, caplog):
-    # one collective decay channel refuses the level factorisation; the
-    # refusal is kept, so every point goes straight to the dense fallback
-    counts = _count_calls(monkeypatch, ["factor"])
-    z = np.full((2, 2), 0.5 + 0j)
-    liouv = build_liouvillian(z, 0.0, np.zeros(2, complex))
-    etas = np.geomspace(0.01, 0.1, 4)
-    with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
-        with pytest.warns(UserWarning, match="degenerate"):
-            states = [steady_state_exact(liouv, eta) for eta in etas]
-    assert counts["factor"] == 1
-    routes = [r.getMessage().split(" (")[0] for r in caplog.records]
-    assert routes == ["route dense fallback"] * len(etas)
-    for rho in states:
-        assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
-        assert np.array_equal(rho, states[0])
+def test_oracle_compare_reports_a_refused_factorisation_per_point(monkeypatch):
+    # a guard of 0 refuses every level eigenbasis: each drive strength of
+    # the grid records the ResonantSingularityError as a point error, while
+    # the amplitude solve goes on through its Schur kernel
+    monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
+    cfg = parse_config({
+        "geometry": {"mode": "explicit", "positions": [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]]},
+        "dipole": [0, 0, 1],
+        "beam": {"direction": [0, 1, 0]},
+        "delta": 0.3,
+        "partition": {"A": [0], "B": [1, 2]},
+        "eta_sweep": {"min": 0.01, "max": 0.1, "points": 4, "log": True},
+    }, "oracle-compare")
+    bundle = run_oracle_compare(cfg)
+    errors = bundle.report["point_errors"]
+    assert [e["eta"] for e in errors] == pytest.approx(np.geomspace(0.01, 0.1, 4), rel=1e-12)
+    assert all(e["error"].startswith("linear system ill-conditioned at detuning delta=0.3 ")
+               for e in errors)
+    assert all(len(column) == 0 for column in bundle.tables["oracle"].values())
 
 
 def test_level_system_freed_with_its_liouvillian():
@@ -436,7 +431,9 @@ def test_liouvillian_keeps_its_own_coupling():
     z[0, 1] = z[1, 0] = 7.0
     assert np.array_equal(liouv.coupling, coupling) and not liouv.coupling.flags.writeable
     fresh = build_liouvillian(coupling, drive.delta, drive.w(ens))
-    assert np.array_equal(liouv.matrix(drive.eta), fresh.matrix(drive.eta))
+    x = _random_hermitian(np.random.default_rng(0), liouv.dim)
+    assert np.array_equal(_generator_apply(liouv, x, drive.eta),
+                          _generator_apply(fresh, x, drive.eta))
     assert np.array_equal(steady_state_exact(liouv, drive.eta),
                           steady_state_exact(fresh, drive.eta))
 
@@ -452,8 +449,10 @@ def test_ground_state_stationary_without_drive():
 def test_trace_preservation():
     ens, drive, coupling = _system([[0, 0, 0], [1.4, 0.2, 0]], delta=0.3, eta=0.2)
     liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
-    identity_vec = np.eye(4, dtype=complex).reshape(-1)
-    assert np.max(np.abs(liouv.matrix(drive.eta).conj().T @ identity_vec)) <= 1e-10
+    # tr(L rho) = 0 on every real coordinate direction of a Hermitian rho
+    coords = hermitian_coords(liouv.dim)
+    for x in np.eye(liouv.dim**2):
+        assert abs(np.trace(_generator_apply(liouv, coords.to_matrix(x), drive.eta))) <= 1e-10
 
 
 def test_generates_positive_evolution():
@@ -464,7 +463,7 @@ def test_generates_positive_evolution():
     rho0 = A @ A.conj().T
     rho0 /= np.trace(rho0)
     for t in (0.3, 1.7):
-        prop = sla.expm(liouv.matrix(drive.eta) * t)
+        prop = sla.expm(_reference_of(liouv, drive.eta) * t)
         rho_t = (prop @ rho0.reshape(-1)).reshape(4, 4)
         assert np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().T)).min() >= -1e-8
 
@@ -603,11 +602,6 @@ def test_cap_enforced():
     ens, drive, coupling = _system(pos)
     with pytest.raises(CapExceededError):
         build_liouvillian(coupling, 0.0, drive.w(ens))
-    # the dense generator stops at DENSE_CAP atoms
-    m = DENSE_CAP + 1
-    liouv = build_liouvillian(coupling[:m, :m], 0.0, drive.w(ens)[:m])
-    with pytest.raises(CapExceededError):
-        liouv.matrix(0.05)
 
 
 def test_direct_liouvillian_enforces_the_cap():
@@ -634,8 +628,8 @@ def _operator_residual(coupling, delta, w, eta, rho):
 
 
 def test_above_dense_cap_residual_by_operator_products():
-    # seven atoms have no dense generator; the residual is taken from d x d
-    # operator products
+    # seven atoms are past the dense references here (their generator has
+    # 2^14 rows); the residual is taken from d x d operator products
     n = 7
     ens = random_ensemble(n, 2.0, 107, DIPOLE, min_distance=0.6)
     coupling = coupling_matrix(ens)
@@ -678,69 +672,28 @@ def test_oracle_compare_four_plus_four():
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
 
-def test_degenerate_above_dense_cap_raises():
-    # one collective decay channel keeps dark states; past DENSE_CAP there
-    # is no eigendecomposition to fall back on
-    n = DENSE_CAP + 1
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_collective_channel_raises(n):
+    # one collective decay channel keeps dark states: a Sylvester
+    # denominator of the level solve vanishes at every n
     z = np.full((n, n), 0.5 + 0j)
     with pytest.raises(ResonantSingularityError):
         steady_state_exact(build_liouvillian(z, 0.0, np.zeros(n, complex)), 0.0)
 
 
-def test_degenerate_null_space_warns():
-    # perfectly subradiant synthetic coupling leaves a dark steady state
-    z = np.full((2, 2), 0.5 + 0j)
-    with pytest.warns(UserWarning, match="degenerate"):
-        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(2, complex)), 0.0)
-
-
-def test_degenerate_three_atom_null_space_takes_fallback(monkeypatch):
-    # three atoms under one collective decay channel keep several dark
-    # states: a Sylvester denominator of the level solve vanishes, so the
-    # guard hands over to the eigendecomposition, which warns
-    calls = []
-    eig = np.linalg.eig
-
-    def counted_eig(a):
-        calls.append(a.shape)
-        return eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", counted_eig)
-    z = np.full((3, 3), 0.5 + 0j)
-    liouv = build_liouvillian(z, 0.0, np.zeros(3, complex))
-    with pytest.warns(UserWarning, match="degenerate"):
-        rho = steady_state_exact(liouv, 0.0)
-    assert calls.count((64, 64)) == 1
-    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
-    assert np.array_equal(rho, rho.conj().T)
-
-
-@pytest.mark.filterwarnings("ignore:degenerate steady-state manifold")
 @pytest.mark.parametrize("eta", [0.01, 0.02, 0.1])
 @pytest.mark.parametrize("k0r", [1e-4, 1e-5, 1e-6])
-def test_near_coincident_pair_is_gated_or_refused(monkeypatch, k0r, eta):
+def test_near_coincident_pair_is_gated_or_refused(k0r, eta):
     # two resonant atoms k0 r apart under a uniform drive trip a level
-    # guard, and the dense fallback takes over: its state passes the
-    # residual gate or the guard's ResonantSingularityError is raised, as
-    # the amplitude solve raises it, never a SolverConvergenceError
-    calls = []
-    fallback = exact._dense_fallback
-    monkeypatch.setattr(
-        exact, "_dense_fallback", lambda liouv, eta: calls.append(1) or fallback(liouv, eta)
-    )
+    # guard: the exact solve raises ResonantSingularityError, as the
+    # amplitude solve does, never a SolverConvergenceError
     ens, drive, coupling = _system([[0, 0, 0], [k0r, 0, 0]], eta=eta)
     w = drive.w(ens)
     assert np.array_equal(w, np.ones(2))
     with pytest.raises(ResonantSingularityError):
         steady_state(coupling, drive, ens)
-    try:
-        rho = steady_state_exact(build_liouvillian(coupling, 0.0, w), eta)
-    except ResonantSingularityError:
-        rho = None
-    assert calls == [1]
-    if rho is not None:
-        assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
-        assert _operator_residual(coupling, 0.0, w, eta, rho) <= exact.NULL_TOL
+    with pytest.raises(ResonantSingularityError):
+        steady_state_exact(build_liouvillian(coupling, 0.0, w), eta)
 
 
 def test_reduce_state_product():
@@ -826,14 +779,24 @@ def _residual_gate(monkeypatch):
     steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
 
 
+def _gmres_breakdown(monkeypatch):
+    # K = -2 I from a scaled unit vector: the Hessenberg column is exactly
+    # (-2, 0), so at eta = 0.5 the shifted column 1 + eta h vanishes in the
+    # first iteration
+    b = np.zeros(8)
+    b[0] = 3.0
+    exact._shifted_gmres(lambda v: -v / 0.5, exact._Arnoldi(b, 4), 0.5, 3.0, 1e-13, 4, 0)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (_residual_gate, SolverConvergenceError, "GMRES iterations"),
+    (_gmres_breakdown, SolverConvergenceError, "after 1 GMRES iterations"),
     (lambda mp: reduce_state(np.eye(4), [0, 0], 2), ValueError, "distinct atoms"),
     (lambda mp: reduce_state(np.eye(4), [2], 2), ValueError, "distinct atoms"),
     (lambda mp: negativity_exact(np.eye(4), [1], 3), ValueError, "wrong dimension"),
     (lambda mp: negativity_exact(np.eye(4), [2], 2), ValueError, "outside the ensemble"),
-], ids=["residual-gate", "repeated-keep", "keep-out-of-range", "wrong-dimension",
-        "b-out-of-range"])
+], ids=["residual-gate", "gmres-breakdown", "repeated-keep", "keep-out-of-range",
+        "wrong-dimension", "b-out-of-range"])
 def test_typed_errors(monkeypatch, call, error, match):
     with pytest.raises(error, match=match):
         call(monkeypatch)

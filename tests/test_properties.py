@@ -196,7 +196,7 @@ def _oracle(positions, dipole, beam, delta):
 
 
 @INVARIANCE
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=5))
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=6))
 def test_oracle_invariant_under_relabelling_and_parity(seed, n):
     positions, dipole, beam, delta, rng = _scene(seed, n)
     order = rng.permutation(n)
@@ -208,6 +208,13 @@ def test_oracle_invariant_under_relabelling_and_parity(seed, n):
     relabelled, moved_part = _relabelled(rng, positions, part)
     moved = _exact_negativity(_oracle(relabelled, dipole, beam, delta), moved_part, ETA)
     assert abs(moved - n_exact) <= ORACLE_TOL * n_exact
+    R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    R *= np.sign(np.linalg.det(R))  # proper rotation
+    rotated = _exact_negativity(_oracle(positions @ R.T, R @ dipole, R @ beam, delta), part, ETA)
+    assert abs(rotated - n_exact) <= ORACLE_TOL * n_exact
+    shift = rng.uniform(-5.0, 5.0, 3)
+    shifted = _exact_negativity(_oracle(positions + shift, dipole, beam, delta), part, ETA)
+    assert abs(shifted - n_exact) <= ORACLE_TOL * n_exact
 
     # Pi = (x)sigma_z flips the sign of every drive term: rho(-eta) = Pi rho(eta) Pi
     parity = (-1.0) ** np.array([bin(k).count("1") for k in range(2**n)])
