@@ -2,7 +2,9 @@
 
 Field names are part of the tool contract (documented in the README);
 unknown fields are rejected with their dotted path, as are missing or
-ill-typed ones. Exit-code mapping and task orchestration live in the CLI.
+ill-typed ones and values that the built ensemble, drive or partition
+refuses. parse_config hands each task these built objects. Exit codes
+live in the CLI, task orchestration in the runner.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import ConfigError, DuplicatePositionError, PartitionError
+from .exact import N_CAP
 from .geometry import (
     Drive,
     Ensemble,
@@ -80,31 +83,18 @@ def _index_list(value, path: str) -> list[int]:
 
 
 @dataclass(frozen=True)
-class EtaSweep:
-    lo: float
-    hi: float
-    points: int
-    log: bool
-
-    def grid(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-@dataclass(frozen=True)
 class RunConfig:
+    """A checked configuration: solve, sweep and oracle-compare get the built
+    ensemble, drive (at eta or the first grid point) and partition."""
+
     task: str
     raw: dict
     seed: int
     delta: float = 0.0
-    geometry: Optional[dict] = None
-    dipole: Optional[list] = None
-    beam_direction: Optional[list] = None
-    mask: Optional[list] = None
-    eta: Optional[float] = None
-    eta_sweep: Optional[EtaSweep] = None
-    partition: Optional[tuple[list, list]] = None
+    ensemble: Optional[Ensemble] = None
+    drive: Optional[Drive] = None
+    partition: Optional[Partition] = None
+    eta_grid: Optional[np.ndarray] = None
     exact: bool = False
     dump_coupling: bool = False
     farfield: Optional[dict] = None
@@ -146,7 +136,7 @@ def _parse_geometry(data, path="geometry") -> dict:
     raise ConfigError(f"{path}.mode", "must be one of explicit, lattice, random")
 
 
-def _parse_eta_sweep(data, path="eta_sweep") -> EtaSweep:
+def _parse_eta_sweep(data, path="eta_sweep") -> np.ndarray:
     s = _expect_mapping(data, path)
     _check_keys(s, path, {"min", "max", "points"}, {"log"})
     lo = _number(s["min"], f"{path}.min")
@@ -163,11 +153,12 @@ def _parse_eta_sweep(data, path="eta_sweep") -> EtaSweep:
         raise ConfigError(f"{path}.min", "log sweep needs min > 0")
     if lo < 0:
         raise ConfigError(f"{path}.min", "eta must be non-negative")
-    sweep = EtaSweep(lo=lo, hi=hi, points=points, log=log)
-    if not np.all(np.diff(sweep.grid()) > 0):
+    grid = np.geomspace(lo, hi, points) if log else np.linspace(lo, hi, points)
+    if not np.all(np.diff(grid) > 0):
         raise ConfigError(f"{path}.points", "too many points for min..max: the grid "
                           "must be strictly increasing in floating point")
-    return sweep
+    grid.setflags(write=False)
+    return grid
 
 
 def _parse_partition(data, path="partition") -> tuple[list, list]:
@@ -221,6 +212,12 @@ _TASK_REQUIRED = {
 
 
 def parse_config(data: Any, task: str) -> RunConfig:
+    """Check a configuration for a task and build what the task runs on,
+    raising every configuration error (ConfigError, with its dotted path)
+    before any solve: those of the fields, then of the built ensemble, drive
+    and partition, then an oracle-compare partition that leaves an atom out
+    and exact columns on more than N_CAP atoms. bounds and validate check
+    their optional geometry fields but build nothing from them."""
     if task not in TASKS:
         raise ConfigError("task", f"unknown task {task!r}")
     top = _expect_mapping(data, "config")
@@ -240,20 +237,19 @@ def parse_config(data: Any, task: str) -> RunConfig:
         if abs(np.linalg.norm(dipole) - 1.0) > 1e-12:
             raise ConfigError("dipole", "must be a unit vector")
 
-    beam_direction = None
-    mask = None
+    direction = mask = None
     if "beam" in top:
         beam = _expect_mapping(top["beam"], "beam")
         _check_keys(beam, "beam", {"direction"}, {"mask"})
-        beam_direction = _vector3(beam["direction"], "beam.direction")
+        direction = _vector3(beam["direction"], "beam.direction")
         if "mask" in beam:
             mask = _index_list(beam["mask"], "beam.mask")
 
     eta = _number(top["eta"], "eta") if "eta" in top else None
     if eta is not None and eta < 0:
         raise ConfigError("eta", "must be non-negative")
-    sweep = _parse_eta_sweep(top["eta_sweep"]) if "eta_sweep" in top else None
-    partition = _parse_partition(top["partition"]) if "partition" in top else None
+    grid = _parse_eta_sweep(top["eta_sweep"]) if "eta_sweep" in top else None
+    groups = _parse_partition(top["partition"]) if "partition" in top else None
     farfield = _parse_farfield(top["farfield"]) if "farfield" in top else None
 
     exact = top.get("exact", False)
@@ -263,11 +259,26 @@ def parse_config(data: Any, task: str) -> RunConfig:
     if not isinstance(dump, bool):
         raise ConfigError("dump_coupling", "expected a boolean")
 
+    ensemble = drive = partition = None
+    if "geometry" in _TASK_REQUIRED[task]:
+        ensemble = _build_ensemble(geometry, dipole, seed)
+        n = ensemble.n
+        # a python float, so that the regime flags stay JSON booleans
+        drive = _build_drive(delta, eta if grid is None else float(grid[0]), direction, mask, n)
+        partition = _build_partition(groups, n)
+        if task == "oracle-compare":
+            if set(partition.atoms) != set(range(n)):
+                raise ConfigError("partition", "oracle comparison needs A u B to cover all atoms")
+            if n > N_CAP:
+                raise ConfigError("geometry",
+                                  f"oracle comparison needs {N_CAP} atoms or fewer, got {n}")
+        if task == "sweep" and exact and n > N_CAP:
+            raise ConfigError("exact", f"exact columns need {N_CAP} atoms or fewer")
+
     return RunConfig(
-        task=task, raw=top, seed=seed, delta=delta, geometry=geometry,
-        dipole=dipole, beam_direction=beam_direction, mask=mask, eta=eta,
-        eta_sweep=sweep, partition=partition, exact=exact,
-        dump_coupling=dump, farfield=farfield,
+        task=task, raw=top, seed=seed, delta=delta, ensemble=ensemble, drive=drive,
+        partition=partition, eta_grid=grid, exact=exact, dump_coupling=dump,
+        farfield=farfield,
     )
 
 
@@ -283,48 +294,36 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
 
 
-# ----------------------------------------------------------------------
-# object construction: parse_config has already required every field a
-# task's builders read (_TASK_REQUIRED)
-# ----------------------------------------------------------------------
-
-def build_ensemble(cfg: RunConfig) -> Ensemble:
-    g = cfg.geometry
+def _build_ensemble(g: dict, dipole: list, seed: int) -> Ensemble:
     try:
         if g["mode"] == "explicit":
-            return explicit_ensemble(g["positions"], cfg.dipole)
+            return explicit_ensemble(g["positions"], dipole)
         if g["mode"] == "lattice":
-            return lattice_ensemble(g["edge"], g["spacing"], cfg.dipole)
-        return random_ensemble(
-            g["count"], g["box"], cfg.seed, cfg.dipole, min_distance=g["min_distance"]
-        )
+            return lattice_ensemble(g["edge"], g["spacing"], dipole)
+        return random_ensemble(g["count"], g["box"], seed, dipole, min_distance=g["min_distance"])
     except DuplicatePositionError as exc:
         raise ConfigError("geometry.positions", str(exc)) from None
     except ValueError as exc:
         raise ConfigError("geometry", str(exc)) from None
 
 
-def build_drive(cfg: RunConfig, ens: Ensemble, eta: Optional[float] = None) -> Drive:
+def _build_drive(delta: float, eta: float, direction: list, mask, n: int) -> Drive:
     try:
-        beam = PlaneWave(np.asarray(cfg.beam_direction, dtype=float))
+        beam = PlaneWave(np.asarray(direction, dtype=float))
     except ValueError as exc:
         raise ConfigError("beam.direction", str(exc)) from None
-    if cfg.mask is not None:
-        bad = [i for i in cfg.mask if not 0 <= i < ens.n]
+    if mask is not None:
+        bad = [i for i in mask if not 0 <= i < n]
         if bad:
-            raise ConfigError("beam.mask", f"indices {bad} outside 0..{ens.n - 1}")
-        illuminated = frozenset(range(ens.n)) - frozenset(cfg.mask)
-        beam = MaskedBeam(beam=beam, illuminated=illuminated)
-    if eta is None:
-        eta = cfg.eta if cfg.eta is not None else 0.0
-    return Drive(delta=cfg.delta, eta=eta, beam=beam)
+            raise ConfigError("beam.mask", f"indices {bad} outside 0..{n - 1}")
+        beam = MaskedBeam(beam=beam, illuminated=frozenset(range(n)) - frozenset(mask))
+    return Drive(delta=delta, eta=eta, beam=beam)
 
 
-def build_partition(cfg: RunConfig, ens: Ensemble) -> Partition:
-    a, b = cfg.partition
+def _build_partition(groups: tuple[list, list], n: int) -> Partition:
     try:
-        part = Partition(tuple(a), tuple(b))
-        part.check_range(ens.n)
+        partition = Partition(*groups)
+        partition.check_range(n)
     except PartitionError as exc:
         raise ConfigError("partition", str(exc)) from None
-    return part
+    return partition

@@ -32,8 +32,9 @@ that of K for every eta (Frommer & Glaessner 1998). So a Liouvillian
 keeps its factored levels, b0 and one Arnoldi basis of K for all the
 drive strengths solved on it; the basis grows as far as the slowest
 point needs, and each point solves its own small least squares problem
-on it. A point still unconverged after one cycle (from six atoms on, at
-strong drive) restarts on a private basis, dropping the shared one.
+on it. A point still unconverged after one cycle (at seven and eight
+atoms, at strong drive) restarts on a private basis, dropping the shared
+one; at six atoms one cycle already spans GMRES_MAXITER iterations.
 Results depend neither on the order of the points nor on what was kept.
 
 A level eigenbasis that perturbation.eigenbasis refuses (kappa above
@@ -80,7 +81,9 @@ GMRES_RTOL = 1e-13
 # GMRES iterations per steady state, and float64 entries of Krylov
 # storage, the kept shared basis and a private restart basis together: up
 # to five atoms a basis may grow to all d^2 directions unrestarted, so
-# GMRES cannot stall there; above, it restarts (64 vectors at n = 8)
+# GMRES cannot stall there; at six atoms a cycle holds all 1024 iterations,
+# so a point unconverged at its end raises; at seven and eight it restarts
+# (after 256 and 64 vectors)
 GMRES_MAXITER = 1024
 KRYLOV_ENTRIES = 1 << 23
 

@@ -213,14 +213,15 @@ def lmin_bound(
     necessarily entangled, plus the matching atom number per group.
 
     spacing is the mean interatomic distance in any length unit; the
-    returned edge length uses the same unit. The bound diverges for a
-    dipole along the group axis.
+    returned edge length uses the same unit. It depends on theta through
+    |sin(theta)|, as D0 does through sin^2(theta), and diverges for a dipole
+    along the group axis.
     """
     if spacing <= 0 or k0_distance <= 0:
         raise ValueError("spacing and k0_distance must be positive")
     if omega_over_gamma < 0:
         raise ValueError("omega_over_gamma must be non-negative")
-    s = np.sin(theta)
+    s = abs(np.sin(theta))
     if s == 0:
         raise ThresholdNotApplicableError("bound diverges for sin(theta) = 0")
     L = (

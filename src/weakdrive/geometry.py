@@ -225,19 +225,18 @@ def random_ensemble(
     if min_distance <= 0.0:
         pos = rng.uniform(0.0, 1.0, (count, 3)) * box
     else:
-        placed = []
-        for _ in range(count):
-            for attempt in range(MAX_TRIES):
+        pos = np.empty((count, 3))
+        for k in range(count):
+            for _ in range(MAX_TRIES):
                 cand = rng.uniform(0.0, 1.0, 3) * box
-                if all(np.linalg.norm(cand - p) >= min_distance for p in placed):
-                    placed.append(cand)
+                if np.all(np.linalg.norm(pos[:k] - cand, axis=1) >= min_distance):
+                    pos[k] = cand
                     break
             else:
                 raise ValueError(
                     f"could not place {count} atoms with min_distance={min_distance} "
                     f"in box {box.tolist()}"
                 )
-        pos = np.array(placed)
     return Ensemble(pos, np.asarray(dipole, dtype=float))
 
 

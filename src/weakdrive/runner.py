@@ -1,5 +1,7 @@
 """Task orchestration: solve, sweep, bounds, oracle comparison, validation.
 
+Each task runs on the ensemble, drive, partition and eta grid that
+parse_config built and checked, and raises no configuration error.
 Sweeps and oracle comparisons solve the amplitudes once and then go over
 the eta grid in order and in-process: the partial-transpose cores
 (dimension n + 2) of the whole grid are built from one set of
@@ -26,16 +28,10 @@ import numpy as np
 
 from . import __version__, blas
 from .basis import pair_arrays
-from .config import RunConfig, build_drive, build_ensemble, build_partition
+from .config import RunConfig
 from .coupling import coupling_matrix
-from .errors import ConfigError, WeakdriveError
-from .exact import (
-    N_CAP,
-    build_liouvillian,
-    negativity_exact,
-    reduce_state,
-    steady_state_exact,
-)
+from .errors import WeakdriveError
+from .exact import build_liouvillian, negativity_exact, reduce_state, steady_state_exact
 from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
 from .negativity import build_pt_matrix, negativity_report, pt_negativity_grid
@@ -85,9 +81,7 @@ def _amplitude_tables(state: PerturbState) -> dict:
 
 
 def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
-    ens = build_ensemble(cfg)
-    drive = build_drive(cfg, ens)
-    part = build_partition(cfg, ens)
+    ens, drive, part = cfg.ensemble, cfg.drive, cfg.partition
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
     regime = regime_check(ens, drive, part)
@@ -148,16 +142,11 @@ def _exact_column(state: PerturbState, part: Partition, coupling,
 
 
 def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
-    ens = build_ensemble(cfg)
-    drive = build_drive(cfg, ens, eta=cfg.eta_sweep.lo)
-    part = build_partition(cfg, ens)
-    if cfg.exact and ens.n > N_CAP:
-        raise ConfigError("exact", f"exact columns need {N_CAP} atoms or fewer")
+    ens, drive, part, grid = cfg.ensemble, cfg.drive, cfg.partition, cfg.eta_grid
     coupling = coupling_matrix(ens)
     state = steady_state(coupling, drive, ens)
     regime = regime_check(ens, drive, part)
 
-    grid = cfg.eta_sweep.grid()
     rep = negativity_report(state, part, eta_grid=grid)
     curve = rep.curve
 
@@ -185,18 +174,10 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 
 
 def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
-    ens = build_ensemble(cfg)
-    drive = build_drive(cfg, ens, eta=cfg.eta_sweep.lo)
-    part = build_partition(cfg, ens)
-    if set(part.atoms) != set(range(ens.n)):
-        raise ConfigError("partition", "oracle comparison needs A u B to cover all atoms")
-    if ens.n > N_CAP:
-        raise ConfigError("geometry",
-                          f"oracle comparison needs {N_CAP} atoms or fewer, got {ens.n}")
-    coupling = coupling_matrix(ens)
-    state = steady_state(coupling, drive, ens)
+    part, grid = cfg.partition, cfg.eta_grid
+    coupling = coupling_matrix(cfg.ensemble)
+    state = steady_state(coupling, cfg.drive, cfg.ensemble)
 
-    grid = cfg.eta_sweep.grid()
     n_pt = pt_negativity_grid(build_pt_matrix(state, part), grid)
     n_exact, passed, errors = _exact_column(state, part, coupling, grid)
     columns = {"eta": grid, "N_exact": n_exact, "N_perturbative": n_pt,

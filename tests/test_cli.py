@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_sweep_threshold_matches_per_point_loop():
     cfg = parse_config(config, "sweep")
     report = run_sweep(cfg).report
     l2, l4 = (np.array(report["modes"][k]) for k in ("lambda2", "lambda4"))
-    grid = cfg.eta_sweep.grid()
+    grid = cfg.eta_grid
     min_lam = np.array([float((eta**2 * l2 + eta**4 * l4).min()) for eta in grid.tolist()])
     expected = _interp_last_sign_change(grid, min_lam)
     assert expected is not None
@@ -320,7 +321,7 @@ def test_sweep_records_point_failures_and_continues(tmp_path, monkeypatch, task)
     config["eta_sweep"] = {"min": 0.1, "max": 0.3, "points": 3}
     config["exact"] = task == "sweep"
     cfg = parse_config(config, task)
-    grid = cfg.eta_sweep.grid().tolist()
+    grid = cfg.eta_grid.tolist()
     clean = runner_mod.TASK_RUNNERS[task](cfg, parallelism=1)
     flaky.calls = 0
     monkeypatch.setattr(runner_mod, "steady_state_exact", flaky)
@@ -345,7 +346,7 @@ def test_sweep_warns_about_a_failed_point_and_exits_0(tmp_path, capsys, monkeypa
     from weakdrive.errors import SolverConvergenceError
 
     real = runner_mod.steady_state_exact
-    grid = parse_config(SWEEP_CONFIG, "sweep").eta_sweep.grid().tolist()
+    grid = parse_config(SWEEP_CONFIG, "sweep").eta_grid.tolist()
 
     def flaky(liouv, eta):
         if eta == grid[1]:
@@ -494,6 +495,23 @@ def test_bounds_task(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert set(report) >= {"D0", "bound_omega", "N_max", "eta_max", "L_min", "n_min"}
     assert 48.0 <= report["L_min"] <= 54.0
+
+
+@pytest.mark.parametrize("theta", [-1.0, 4.0])
+def test_bounds_outside_zero_to_pi_writes_finite_json(tmp_path, capsys, theta):
+    config = {"delta": 0.0, "farfield": {**FARFIELD, "theta": theta}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["bounds", "--config", _write(tmp_path, config), "--out", str(out)]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    for key in ("D0", "bound_omega", "N_max", "eta_max", "L_min", "n_min"):
+        assert np.isfinite(report[key])
+    assert "nan" not in capsys.readouterr().out
 
 
 def test_bounds_rejects_negative_drive(tmp_path, capsys):
@@ -814,8 +832,8 @@ def test_lattice_geometry_matches_explicit_corners(tmp_path):
     lattice = dict(PAIR_CONFIG)
     lattice["geometry"] = {"mode": "lattice", "edge": 2, "spacing": 1.3}
     lattice["partition"] = {"A": [0, 1], "B": [6, 7]}
-    assert parse_config(lattice, "solve").geometry == lattice["geometry"]
     corners = [[1.3 * i, 1.3 * j, 1.3 * k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+    assert parse_config(lattice, "solve").ensemble.positions.tolist() == corners
     explicit = {**lattice, "geometry": {"mode": "explicit", "positions": corners}}
     outs = []
     for name, config in (("lattice", lattice), ("explicit", explicit)):
@@ -940,6 +958,38 @@ def test_invalid_field_exits_2_with_its_path(tmp_path, capsys, task, change, pat
     cfg = _write(tmp_path, {**base, **change})
     assert cli.main([task, "--config", cfg]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
+
+
+NINE_ATOMS = {"geometry": {"mode": "explicit",
+                            "positions": [[1.2 * i, 0.4 * (i % 2), 0] for i in range(9)]},
+              "partition": {"A": [0, 1, 2, 3], "B": [4, 5, 6, 7, 8]}}
+
+
+@pytest.mark.parametrize(
+    "task, change, path",
+    [
+        ("solve", {"geometry": {"mode": "random", "count": 2, "box": 1.0, "min_distance": 5.0}},
+         "geometry"),
+        ("solve", {"geometry": {"mode": "explicit", "positions": [[0, 0, 0], [0, 0, 0]]}},
+         "geometry.positions"),
+        ("solve", {"beam": {"direction": [0, 2, 0]}}, "beam.direction"),
+        ("solve", {"beam": {"direction": [0, 1, 0], "mask": [2]}}, "beam.mask"),
+        ("solve", {"partition": {"A": [0], "B": [2]}}, "partition"),
+        ("solve", {"partition": {"A": [0, 1], "B": [1]}}, "partition"),
+        ("oracle-compare", {"geometry": {"mode": "explicit",
+                                         "positions": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}},
+         "partition"),
+        ("oracle-compare", NINE_ATOMS, "geometry"),
+        ("sweep", {**NINE_ATOMS, "exact": True}, "exact"),
+    ],
+)
+def test_parse_config_raises_every_configuration_error(task, change, path):
+    # errors found by building the ensemble, drive and partition, and the
+    # oracle's coverage and atom cap, come from parse_config, before any solve
+    base = {"solve": PAIR_CONFIG, "sweep": SWEEP_CONFIG, "oracle-compare": SWEEP_CONFIG}[task]
+    with pytest.raises(ConfigError) as exc:
+        parse_config({**base, **change}, task)
+    assert exc.value.path == path
 
 
 @pytest.mark.parametrize(

@@ -424,6 +424,38 @@ def test_level_system_freed_with_its_liouvillian():
     assert system() is None and basis() is None
 
 
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (4, 2), (4, 3), (5, 4), (5, 5)])
+def test_kept_krylov_basis_is_an_arnoldi_basis_of_K(n, seed):
+    # after the oracle grid the kept basis Q and Hessenberg columns H satisfy
+    # K Q[:m] = Q[:m + 1] Hbar, so b0 and the series -K rho_k of the
+    # expansion in eta can be read off Q without applying K again
+    liouv = _random_liouvillian(n, seed, False, 0.3)
+    for eta in np.geomspace(0.01, 0.1, 4).tolist():
+        steady_state_exact(liouv, eta)
+    system = liouv._levels
+    b = system.krylov
+    m = len(b.H)
+    # rows of Q past the grown ones are uninitialised
+    assert 6 <= m < b.size and len(b.Q) > m
+    Q = b.Q[: m + 1]
+    Hbar = np.zeros((m + 1, m))
+    for j, (h, hn) in enumerate(b.H):
+        Hbar[: j + 1, j] = h
+        Hbar[j + 1, j] = hn
+    for j in range(m):
+        Kq = system.operator(Q[j].copy())
+        assert np.linalg.norm(Kq - Hbar[:, j] @ Q) <= 1e-13 * np.linalg.norm(Kq)
+    assert np.abs(Q @ Q.T - np.eye(m + 1)).max() <= 1e-13
+    rho = system.b0
+    c = np.zeros(m + 1)
+    c[0] = np.linalg.norm(rho)
+    for _ in range(5):
+        assert np.linalg.norm(c @ Q - rho) <= 1e-13 * np.linalg.norm(rho)
+        rho = -system.operator(rho.copy())
+        c = -Hbar @ c[:m]
+    assert np.linalg.norm(c @ Q - rho) <= 1e-13 * np.linalg.norm(rho)
+
+
 def test_liouvillian_keeps_its_own_coupling():
     ens, drive, coupling = _system([[0, 0, 0], [1.4, 0.2, 0], [0, 1.1, 0.3]], delta=0.2)
     z = coupling.copy()

@@ -231,6 +231,17 @@ def test_lmin_reference_numbers():
         lmin_bound(1.0, 0.0, 1e7, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("theta", [0.7, 1.0, 1.2, 1.5])
+def test_lmin_depends_on_theta_through_abs_sin(theta):
+    # sin(-theta) < 0 and theta outside [0, pi] are the same dipole axis up
+    # to sign: the bound must not raise a negative sine to a fractional power
+    ref = lmin_bound(2.0, 0.3, 1e4, 0.1, theta)
+    for angle in (-theta, np.pi - theta, theta + np.pi, -np.pi - theta):
+        got = lmin_bound(2.0, 0.3, 1e4, 0.1, angle)
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
 def test_random_phase_sums_are_small():
     # uniform clouds spanning many wavelengths rarely stay in phase
     hits = 0

@@ -55,6 +55,34 @@ def test_random_min_distance():
     assert ens.min_distance() >= 5.0
 
 
+def _scalar_random_positions(count, box, seed, min_distance):
+    # the placement loop the vectorised random_ensemble replaced: one
+    # uniform draw per candidate, compared with each placed atom in turn
+    box = np.broadcast_to(np.asarray(box, dtype=float), (3,))
+    rng = np.random.default_rng(seed)
+    placed = []
+    for _ in range(count):
+        while True:
+            cand = rng.uniform(0.0, 1.0, 3) * box
+            if all(np.linalg.norm(cand - p) >= min_distance for p in placed):
+                placed.append(cand)
+                break
+    return np.array(placed)
+
+
+def test_random_min_distance_matches_scalar_loop():
+    params = np.random.default_rng(11)
+    for seed in range(60):
+        count = int(params.integers(2, 62))
+        min_distance = float(params.uniform(0.3, 1.0))
+        # spheres of radius min_distance fill at most a sixth of the box, so
+        # both loops place every atom, some after rejected draws
+        box = max(float(params.uniform(2.0, 20.0)), 3.0 * min_distance * count ** (1 / 3))
+        ens = random_ensemble(count, box, seed, DIPOLE, min_distance=min_distance)
+        reference = _scalar_random_positions(count, box, seed, min_distance)
+        assert np.array_equal(ens.positions, reference)
+
+
 def test_dipole_must_be_unit():
     with pytest.raises(ValueError):
         Ensemble(np.array([[0.0, 0.0, 0.0]]), np.array([0.0, 0.0, 2.0]))

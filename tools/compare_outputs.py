@@ -8,7 +8,8 @@ tree's src/ on PYTHONPATH:
   the config that perfbench.workloads builds for that seed (imported
   read-only), as `weakdrive <task> --config CFG --out DIR`;
 - the runs in EXTRA, which no workload makes (the bounds task, the lattice
-  and random geometries, and a sweep with the exact oracle), each with the
+  and random geometries, a sweep with the exact oracle, and three
+  configuration errors, which write no output and exit 2), each with the
   config's seed set to 0 and to 5;
 - `weakdrive validate --seed 0` and `--seed 5`, with --out.
 
@@ -41,6 +42,9 @@ from perfbench.workloads import BEAM, DELTA, DIPOLE, WORKLOADS  # noqa: E402
 
 SEEDS = (0, 5)
 _DRIVE = {"dipole": DIPOLE, "beam": {"direction": BEAM}, "delta": DELTA}
+_NINE_ATOMS = {"geometry": {"mode": "explicit",
+                             "positions": [[1.2 * i, 0.4 * (i % 2), 0.0] for i in range(9)]},
+               "partition": {"A": [0, 1, 2, 3], "B": [4, 5, 6, 7, 8]}}
 # name -> (task, config without its seed)
 EXTRA = {
     "bounds-farfield": ("bounds", {"delta": DELTA, "farfield": {
@@ -55,6 +59,13 @@ EXTRA = {
                                                   "min_distance": 0.5},
                                      "eta_sweep": {"min": 0.01, "max": 0.05, "points": 3},
                                      "partition": {"A": [0, 1, 2], "B": [3, 4, 5]}}),
+    # configuration errors: each exits 2 and writes no output
+    "oracle-nine-atoms": ("oracle-compare", {**_DRIVE, **_NINE_ATOMS, "eta_sweep": {
+        "min": 0.01, "max": 0.05, "points": 3}}),
+    "solve-mask-out-of-range": ("solve", {**_DRIVE, **_NINE_ATOMS, "eta": 0.05,
+                                          "beam": {"direction": BEAM, "mask": [9]}}),
+    "solve-overlapping-groups": ("solve", {**_DRIVE, **_NINE_ATOMS, "eta": 0.05,
+                                           "partition": {"A": [0, 1, 2], "B": [2, 3]}}),
 }
 # difference lines printed per run
 SHOWN = 40
