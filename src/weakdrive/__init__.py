@@ -6,6 +6,9 @@ rate, and the drive strength is eta = Omega / (2 Gamma).
 
 __version__ = "0.1.0"
 
+# first: blas sets OpenBLAS's idle timeout before numpy loads OpenBLAS
+from . import blas  # noqa: F401
+
 from .coupling import coupling_matrix, pair_coupling
 from .errors import (
     AsymmetricCouplingError,

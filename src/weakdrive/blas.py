@@ -1,4 +1,5 @@
-"""OpenBLAS thread count of the process: one thread for a CLI run.
+"""OpenBLAS thread count of the process, one thread for a CLI run, and the
+idle timeout of its thread pool.
 
 LAPACK's eig and inv round differently at one and at two OpenBLAS threads,
 so with one thread per core the last digits of a solve would follow the
@@ -13,6 +14,23 @@ anything new (RTLD_NOLOAD), the imported extension modules that link an
 OpenBLAS, and asks the dynamic linker for the thread symbols among their
 dependencies: ~0.15 ms cold. A process whose BLAS is not an OpenBLAS linked from
 these modules finds nothing and runs as it is.
+
+Idle timeout: importing this module sets OPENBLAS_THREAD_TIMEOUT=20, unless
+the environment already sets it (a value the user set wins). OpenBLAS reads
+it once, when it loads, as the k of the 2^k CPU cycles an idle pool thread
+spins before it sleeps. At its default k = 28 (~0.1 s) the pool thread of a
+process started with OPENBLAS_NUM_THREADS=2 spins 90-130 ms of CPU after
+numpy's import, more than a short CLI task takes, and the task itself runs
+on one thread; at k = 20 (~0.3-0.5 ms) that spin is gone, so each process
+saves those 90-130 ms of CPU (BENCH_idle-spin.json). 20 sits inside the
+range k = 4 to 22 where 200 back-to-back two-thread 160 x 160 complex
+products keep their wall time, within run-to-run noise, while the pool's
+CPU halves; at k = 26 the
+start-up spin is back. weakdrive/__init__.py imports this module before
+anything that imports numpy. The default takes effect only when weakdrive
+is what loads OpenBLAS: in a process that imported numpy first, OpenBLAS
+has read its environment already and nothing changes but the variable
+that child processes inherit.
 """
 
 from __future__ import annotations
@@ -39,6 +57,10 @@ _SYMBOLS = (
     ("openblas", ""),
 )
 ENV = "OPENBLAS_NUM_THREADS"
+TIMEOUT_ENV = "OPENBLAS_THREAD_TIMEOUT"
+IDLE_TIMEOUT = "20"
+
+os.environ.setdefault(TIMEOUT_ENV, IDLE_TIMEOUT)
 
 
 def _libraries() -> list:

@@ -87,3 +87,47 @@ def test_run_without_openblas_records_null(tmp_path, monkeypatch):
     assert blas.threads() is None
     assert _solve(tmp_path)["blas_threads"] is None
     assert blas.ENV not in os.environ
+
+
+# a fresh interpreter that imports weakdrive, idles 300 ms and prints the
+# OpenBLAS thread count and the CPU its other threads (the pool) used, ms
+IDLE_SCRIPT = """
+import os, time
+import weakdrive
+from weakdrive import blas
+time.sleep(0.3)
+ticks = 0
+for tid in os.listdir("/proc/self/task"):
+    if tid != str(os.getpid()):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])  # utime, stime
+print(blas.threads(), 1e3 * ticks / os.sysconf("SC_CLK_TCK"))
+"""
+
+
+LINUX = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+
+
+def _fresh(script, **env):
+    base = {k: v for k, v in os.environ.items() if k != blas.TIMEOUT_ENV}
+    run = subprocess.run([sys.executable, "-c", script], env=dict(base, PYTHONPATH=SRC, **env),
+                         check=True, capture_output=True, text=True, timeout=60)
+    return run.stdout.split()
+
+
+@LINUX
+def test_idle_pool_does_not_spin_after_import():
+    # at OpenBLAS's default timeout the pool thread spins 90-130 ms of CPU
+    # after numpy's import; weakdrive sets it before numpy loads OpenBLAS
+    threads, pool_ms = _fresh(IDLE_SCRIPT, OPENBLAS_NUM_THREADS="2")
+    if threads == "None":
+        pytest.skip("no OpenBLAS found")
+    assert float(pool_ms) < 40.0
+
+
+@LINUX
+@pytest.mark.parametrize("env, expected", [({}, blas.IDLE_TIMEOUT), ({blas.TIMEOUT_ENV: "25"}, "25")])
+def test_a_callers_idle_timeout_wins(env, expected):
+    script = "import os, weakdrive; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    assert _fresh(script, **env) == [expected]

@@ -659,7 +659,7 @@ def _operator_residual(coupling, delta, w, eta, rho):
     return np.max(np.abs(out))
 
 
-def test_above_dense_cap_residual_by_operator_products():
+def test_seven_atom_state_is_physical_by_operator_products():
     # seven atoms are past the dense references here (their generator has
     # 2^14 rows); the residual is taken from d x d operator products
     n = 7
@@ -715,7 +715,7 @@ def test_collective_channel_raises(n):
 
 @pytest.mark.parametrize("eta", [0.01, 0.02, 0.1])
 @pytest.mark.parametrize("k0r", [1e-4, 1e-5, 1e-6])
-def test_near_coincident_pair_is_gated_or_refused(k0r, eta):
+def test_near_coincident_pair_refused_by_both_solves(k0r, eta):
     # two resonant atoms k0 r apart under a uniform drive trip a level
     # guard: the exact solve raises ResonantSingularityError, as the
     # amplitude solve does, never a SolverConvergenceError
@@ -832,3 +832,17 @@ def _gmres_breakdown(monkeypatch):
 def test_typed_errors(monkeypatch, call, error, match):
     with pytest.raises(error, match=match):
         call(monkeypatch)
+
+
+@pytest.mark.parametrize("its", [0, 7])
+@pytest.mark.parametrize("c", [-2.0, 0.5, 4.0])
+def test_vanishing_gmres_column_reports_its_iterations(c, its):
+    # K = c I leaves the Krylov space of any start vector invariant after
+    # one column, h = (c, 0); at eta = -1/c the shifted column 1 + eta h
+    # vanishes, and the error counts the earlier cycles' iterations too
+    start = np.ones(16)  # normalised exactly: q0 . q0 = 1
+    with pytest.raises(SolverConvergenceError) as err:
+        exact._shifted_gmres(lambda v: c * v, exact._Arnoldi(start, 4), -1.0 / c, 3.0,
+                             1e-13, 4, its)
+    assert err.value.iterations == its + 1
+    assert err.value.residual == 3.0

@@ -197,7 +197,7 @@ def _oracle(positions, dipole, beam, delta):
 
 @INVARIANCE
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=3, max_value=6))
-def test_oracle_invariant_under_relabelling_and_parity(seed, n):
+def test_oracle_invariant_under_relabelling_rotation_translation_and_parity(seed, n):
     positions, dipole, beam, delta, rng = _scene(seed, n)
     order = rng.permutation(n)
     a = rng.integers(1, n - 1)

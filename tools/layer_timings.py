@@ -6,6 +6,10 @@ layers, printed one line each.
 - the peak resident memory (VmHWM of /proc/self/status) of a fresh
   interpreter after import weakdrive.cli, and whether that import loaded
   _hashlib (OpenSSL's libcrypto), scipy.linalg and weakdrive.checks;
+- the CPU time used by the threads other than the main one (OpenBLAS's
+  pool) of a fresh interpreter that imports weakdrive.cli and then idles
+  300 ms, summed from /proc/self/task/*/stat, with the idle timeout in
+  force (weakdrive.blas);
 - the line count of src/weakdrive/*.py and the number of public names
   the weakdrive package exports (its submodules not counted);
 - the OpenBLAS thread count of the process (null when none is found),
@@ -37,9 +41,11 @@ import tracemalloc
 import types
 from pathlib import Path
 
+# weakdrive first, so that its OpenBLAS idle timeout is set before numpy
+# loads OpenBLAS (weakdrive.blas)
+import weakdrive
 import numpy as np
 
-import weakdrive
 from weakdrive import Drive, Partition, PlaneWave, blas, coupling_matrix, random_ensemble
 from weakdrive.exact import build_liouvillian, steady_state_exact
 from weakdrive.negativity import negativity_report, pt_negativity_grid
@@ -82,6 +88,29 @@ def import_footprint_line() -> str:
     """VmHWM of a fresh interpreter after import weakdrive.cli, and which
     of _hashlib, scipy.linalg and weakdrive.checks the import loaded."""
     run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    return run.stdout.strip()
+
+
+IDLE_POOL_SCRIPT = """
+import os, time
+import weakdrive.cli
+time.sleep(0.3)
+ticks = 0
+for tid in os.listdir("/proc/self/task"):
+    if tid != str(os.getpid()):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])  # utime, stime
+print(f"{1e3 * ticks / os.sysconf('SC_CLK_TCK'):.0f} ms with "
+      f"OPENBLAS_THREAD_TIMEOUT={os.environ.get('OPENBLAS_THREAD_TIMEOUT')}")
+"""
+
+
+def idle_pool_line() -> str:
+    """CPU of the non-main threads of a fresh interpreter over 300 ms idle
+    after import weakdrive.cli."""
+    run = subprocess.run([sys.executable, "-c", IDLE_POOL_SCRIPT],
                          capture_output=True, text=True, check=True)
     return run.stdout.strip()
 
@@ -159,6 +188,7 @@ def exact_grid_times(n, repeats):
 def main():
     print(f"import weakdrive.cli, -X importtime: {import_time_line()}")
     print(f"import weakdrive.cli, fresh interpreter: {import_footprint_line()}")
+    print(f"import weakdrive.cli, then 300 ms idle: non-main threads' CPU {idle_pool_line()}")
     lines, files = line_count()
     print(f"src/weakdrive: {lines} lines in {files} files, {export_count()} public names exported")
     print(f"OpenBLAS threads of this process: {blas.threads()}")
