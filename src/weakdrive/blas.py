@@ -25,12 +25,11 @@ on one thread; at k = 20 (~0.3-0.5 ms) that spin is gone, so each process
 saves those 90-130 ms of CPU (BENCH_idle-spin.json). 20 sits inside the
 range k = 4 to 22 where 200 back-to-back two-thread 160 x 160 complex
 products keep their wall time, within run-to-run noise, while the pool's
-CPU halves; at k = 26 the
-start-up spin is back. weakdrive/__init__.py imports this module before
-anything that imports numpy. The default takes effect only when weakdrive
-is what loads OpenBLAS: in a process that imported numpy first, OpenBLAS
-has read its environment already and nothing changes but the variable
-that child processes inherit.
+CPU halves; at k = 26 the start-up spin is back. weakdrive/__init__.py
+imports this module before anything that imports numpy. The default takes
+effect only when weakdrive is what loads OpenBLAS: in a process that
+imported numpy first, OpenBLAS has read its environment already and
+nothing changes but the variable that child processes inherit.
 """
 
 from __future__ import annotations

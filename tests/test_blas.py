@@ -89,11 +89,12 @@ def test_run_without_openblas_records_null(tmp_path, monkeypatch):
     assert blas.ENV not in os.environ
 
 
+LINUX = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+
 # a fresh interpreter that imports weakdrive, idles 300 ms and prints the
 # OpenBLAS thread count and the CPU its other threads (the pool) used, ms
 IDLE_SCRIPT = """
 import os, time
-import weakdrive
 from weakdrive import blas
 time.sleep(0.3)
 ticks = 0
@@ -104,9 +105,6 @@ for tid in os.listdir("/proc/self/task"):
         ticks += int(fields[11]) + int(fields[12])  # utime, stime
 print(blas.threads(), 1e3 * ticks / os.sysconf("SC_CLK_TCK"))
 """
-
-
-LINUX = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 
 
 def _fresh(script, **env):
