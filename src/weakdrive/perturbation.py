@@ -22,9 +22,16 @@ once, with the multipliers folded in (_project). For symmetric Z the pair
 map is symmetric under <A, B> = tr(A^T B), so K = K^T; solve_v raises
 AsymmetricCouplingError when max|Z - Z^T| > SYMMETRY_RTOL max|Z|, before
 decomposing. K_ij is a quadratic form x^T G x in x_a = P_ia (P^-1)_aj,
-built from the symmetries of K and G in ~5n^4/16 complex multiply-adds
-through two fixed buffers (see _eigen_kernel). Everything else is O(n^3),
-and memory stays O(n^2). P and P^-1 come from eigenbasis, shared with the
+and G is a complex-symmetric Cauchy matrix 1 / (x_a + x_b), with
+x = lambda - i delta, of low numerical rank R: _skeleton writes
+G = sum_r c_r c_r^T to SKELETON_RTOL max|G| in every entry, so
+K = sum_r (P diag(c_r) P^-1)^2 elementwise, R matrix products of which
+the upper triangle (~Rn^3/2 complex multiply-adds) is formed and
+mirrored (_eigen_kernel). Random clouds at the benchmark's density
+measure R = 48 at n = 160 and 83-100 at n = 640; cubic lattices, rich in
+subradiant modes, 0.4-0.7 n, where K costs about the 5n^4/16 of the
+blocked quadratic forms it replaced. Everything else is O(n^3), and
+memory stays O(n^2). P and P^-1 come from eigenbasis, shared with the
 exact oracle's levels, which reads off kappa = max_i |p_i| |q_i| (q_i row
 i of P^-1), the largest eigenvalue condition number (Golub & Van Loan
 7.2.2), never above cond_2(P). Random clouds of 40-640 atoms measure kappa
@@ -44,6 +51,7 @@ singles, pairs} as a read-only array.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -64,15 +72,18 @@ EIG_COND_GUARD = 1e4  # kappa above which eigenbasis refuses (module docstring)
 # refinement steps of the pair solve; the first is always taken, because
 # the absolute residual gate cannot see relative errors in tiny entries
 REFINE_STEPS = 3
-# complex entries (1 MB) in the row buffer of the K build, which grows to
-# n^2 entries when n rows of length n do not fit, because a batch holds
-# whole row runs; its product buffer holds a quarter of that (256 kB), so
-# both stay in cache. It sets the batch size only: 1 << 18 built the same
-# K, bit for bit, at n = 40-320
-K_BLOCK = 1 << 16
+# entrywise tolerance, relative to max|G|, of the skeleton G = C^T C that
+# the eigen kernel builds K from (module docstring)
+SKELETON_RTOL = 1e-14
+# Bunch and Parlett's threshold (1 + sqrt(17)) / 8: the skeleton takes a
+# diagonal pivot when it is at least this share of the largest entry of
+# its row, which bounds the growth of that step (_skeleton)
+BUNCH_ALPHA = (1 + 17**0.5) / 8
 # relative asymmetry of Z above which the pair solve refuses it: the eigen
 # kernel builds one triangle of K and mirrors it, which needs Z = Z^T
 SYMMETRY_RTOL = 1e-12
+
+log = logging.getLogger("weakdrive.perturbation")
 
 
 # ----------------------------------------------------------------------
@@ -136,50 +147,95 @@ def eigenbasis(A: np.ndarray, delta: float):
     return lam, P, Q
 
 
+def _skeleton(x: np.ndarray, G_abs: np.ndarray, tol: float) -> np.ndarray:
+    """Rows c_r of C with G = sum_r c_r c_r^T to tol in every entry, for the
+    complex-symmetric Cauchy matrix G_ab = 1 / (x_a + x_b), |G| given.
+
+    Unconjugated symmetric elimination. Eliminating the pivot p leaves the
+    residual E_ab = w_a w_b G_ab, with w (ones at the start) multiplied by
+    (x - x_p) / (x + x_p): the Schur complement of a Cauchy matrix. So each
+    entry of E costs O(1) and carries no cancellation, and w_p becomes 0:
+    an exactly degenerate x_a = x_p drops out with it, and no pivot is
+    ever within tol. The search starts in the row i of the largest
+    diagonal entry of E; once all are within tol, of its largest entry
+    (one n^2 pass, which finds the off-diagonal entries that diagonal
+    pivots leave). With E_ij the largest entry of row i, the pivot is E_ii
+    when |E_ii| >= BUNCH_ALPHA |E_ij|; otherwise a rook search moves to
+    row j until E_ij is the largest entry of both its rows, and the pivot
+    is E_jj under the same test, or else the pair (i, j), as two rows
+    along e_i +- e_j with pivots of at least 2 (1 - BUNCH_ALPHA) |E_ij|.
+    Either way the entries of each c_r c_r^T stay within a few |E_ij|.
+    """
+    n = len(x)
+    w = np.ones(n, dtype=complex)
+    rows = []
+    while True:
+        mag = np.abs(w)
+        diag = mag * mag * G_abs.diagonal()
+        i = int(np.argmax(diag))
+        if not diag[i] > tol:
+            E_abs = G_abs * np.outer(mag, mag)
+            k = int(np.argmax(E_abs))
+            if not E_abs.flat[k] > tol:
+                return np.array(rows)
+            i = k // n
+        ci = w[i] * w / (x[i] + x)
+        j = int(np.argmax(np.abs(ci)))
+        while abs(ci[i]) < BUNCH_ALPHA * abs(ci[j]):
+            cj = w[j] * w / (x[j] + x)
+            k = int(np.argmax(np.abs(cj)))
+            if abs(cj[k]) <= abs(ci[j]):
+                break
+            i, ci, j = j, cj, k
+        if abs(ci[i]) >= BUNCH_ALPHA * abs(ci[j]):
+            rows.append(ci / np.sqrt(ci[i]))
+            w *= (x - x[i]) / (x + x[i])
+        elif abs(cj[j]) >= BUNCH_ALPHA * abs(ci[j]):
+            rows.append(cj / np.sqrt(cj[j]))
+            w *= (x - x[j]) / (x + x[j])
+        else:
+            diag_sum = ci[i] + cj[j]
+            s = 1.0 if abs(diag_sum + 2 * ci[j]) >= abs(diag_sum - 2 * ci[j]) else -1.0
+            g = ci + s * cj
+            c1 = g / np.sqrt(g[i] + s * g[j])
+            g = ci - s * cj - c1 * (c1[i] - s * c1[j])
+            rows += [c1, g / np.sqrt(g[i] - s * g[j])]
+            w *= (x - x[i]) * (x - x[j]) / ((x + x[i]) * (x + x[j]))
+
+
 def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
     """Sylvester inverse in the eigenbasis Z = P diag(lam) Q with Q = P^-1,
-    as the kernel (P, Q, Y -> G o Y), and the Schur complement K of the
-    diagonal multipliers."""
+    as the kernel (P, Q, Y -> G o Y), the Schur complement K of the
+    diagonal multipliers, and the rank R of the skeleton of G that K is
+    built from (module docstring): K = sum_r X_r o X_r with
+    X_r = P diag(c_r) Q, one row c_r of C each.
+    ResonantSingularityError when G is not finite (an exact resonance).
+    """
     n = len(lam)
-    Qt = np.ascontiguousarray(Q.T)
-    # K_ij = x^T G x with x_a = P_ia Q_aj, for j >= i only: K is symmetric
-    # for symmetric Z, so each row is mirrored into its column. The rows x of
-    # consecutive i fill xbuf, which is multiplied by G in four column
-    # blocks b into ybuf, a quarter its size. G is symmetric, so the rows a
-    # of the blocks left of b are doubled and those right of b skipped:
-    # ~5n^4/16 complex multiply-adds in all. Row sums of sum_b (X G_b) o X_b
-    # are the forms. An exact resonance leaves G and K non-finite.
-    rows = max(K_BLOCK, n * n) // n
-    edges = [n * c // 4 for c in range(5)]
-    xbuf = np.empty((rows, n), dtype=complex)
-    ybuf = np.empty(rows * (n - edges[3]), dtype=complex)  # the widest block
-    K = np.zeros((n, n), dtype=complex)
+    x = lam - 1j * delta
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        G = 1.0 / (lam[:, None] + lam[None, :] - 2j * delta)
-        blocks = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi > lo:
-                Gb = G[:hi, lo:hi].copy()
-                Gb[:lo] *= 2.0
-                blocks.append((lo, hi, Gb))
-        i = 0
-        while i < n:
-            first, m = i, 0
-            while i < n and m + n - i <= rows:
-                np.multiply(Qt[i:], P[i], out=xbuf[m : m + n - i])
-                m += n - i
-                i += 1
-            forms = np.zeros(m, dtype=complex)
-            for lo, hi, Gb in blocks:
-                XG = ybuf[: m * (hi - lo)].reshape(m, hi - lo)
-                np.matmul(xbuf[:m, :hi], Gb, out=XG)
-                forms += np.einsum("ij,ij->i", XG, xbuf[:m, lo:hi])
-            r = 0
-            for k in range(first, i):
-                K[k, k:] = K[k:, k] = forms[r : r + n - k]
-                r += n - k
-
-    return (P, Q, lambda Y: G * Y), K
+        G = 1.0 / (x[:, None] + x[None, :])
+        G_abs = np.abs(G)
+    tol = SKELETON_RTOL * float(np.max(G_abs))
+    if not np.isfinite(tol):
+        raise ResonantSingularityError(delta, np.inf)
+    C = _skeleton(x, G_abs, tol)
+    del G_abs
+    # K_ij = sum_r X_r[i, j]^2 for j >= i, m rows at a time: the m-row
+    # slabs of all R products X_r stack into one product of n to 2n rows,
+    # so K's upper triangle takes ~R n^3 / 2 complex multiply-adds in
+    # n / m products; the lower triangle is mirrored
+    R = len(C)
+    m = -(-n // R)
+    K = np.empty((n, n), dtype=complex)
+    for lo in range(0, n, m):
+        hi = min(lo + m, n)
+        X = (C[:, None, :] * P[None, lo:hi, :]).reshape(-1, n) @ Q[:, lo:]
+        X *= X
+        X.reshape(R, hi - lo, -1).sum(axis=0, out=K[lo:hi, lo:])
+    lower = np.tril_indices(n, -1)
+    K[lower] = K.T[lower]
+    return (P, Q, lambda Y: G * Y), K, R
 
 
 def _schur_kernel(Z: np.ndarray, delta: float):
@@ -244,20 +300,25 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
         raise AsymmetricCouplingError(asym, scale)
     b = pair_rhs(Z, u)
     try:
-        kernel, K = _eigen_kernel(*eigenbasis(Z, delta), delta)
-    except ResonantSingularityError:  # refused by eigenbasis
+        kernel, K, rank = _eigen_kernel(*eigenbasis(Z, delta), delta)
+        route = f"eigen, skeleton rank {rank} of {n}"
+    except ResonantSingularityError:  # refused by eigenbasis, or G not finite
         kernel, K = _schur_kernel(Z, delta)
+        route = f"schur, n {n}"
     K_inv = _inverse_checked(K, delta)
 
     v = _project(kernel, K_inv, b)
     r = b - pair_map_apply(Z, delta, v)
-    for _ in range(REFINE_STEPS):
+    for steps in range(1, REFINE_STEPS + 1):
         v = v + _project(kernel, K_inv, r)
         r = b - pair_map_apply(Z, delta, v)
         res = float(np.max(np.abs(r)))
         if res <= RESIDUAL_TOL:
-            return v
-    raise SolverConvergenceError(res, REFINE_STEPS)
+            break
+    log.debug("pair kernel %s; refinement steps %d, residual %.3e", route, steps, res)
+    if not res <= RESIDUAL_TOL:
+        raise SolverConvergenceError(res, REFINE_STEPS)
+    return v
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import logging
+import re
 import tracemalloc
 import warnings
 
@@ -152,6 +154,18 @@ def test_solve_v_matches_reference_lattice():
     assert _relative_gap(v, _reference_v(coupling, drive.delta, u)) <= 1e-12
 
 
+def _spy_kernels(monkeypatch):
+    """The names of the pair kernels called, in call order."""
+    kernels = []
+    for name in ("_eigen_kernel", "_schur_kernel"):
+        def spy(*args, _name=name, _kernel=getattr(perturbation, name)):
+            kernels.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(perturbation, name, spy)
+    return kernels
+
+
 def test_defective_coupling_takes_schur_kernel(monkeypatch):
     coupling = _defective_coupling()
     # symmetric to rounding only, which the symmetry gate lets through
@@ -182,13 +196,7 @@ def test_near_defective_family_takes_kernel_by_kappa(monkeypatch, eps):
     # eigenvalue condition numbers are 1 / |p_i^T p_i| for unit columns
     kappa = float(np.max(1.0 / np.abs(np.sum(P * P, axis=0))))
     assert not 0.5 <= kappa / perturbation.EIG_COND_GUARD <= 2.0
-    kernels = []
-    for name in ("_eigen_kernel", "_schur_kernel"):
-        def spy(*args, _name=name, _kernel=getattr(perturbation, name)):
-            kernels.append(_name)
-            return _kernel(*args)
-
-        monkeypatch.setattr(perturbation, name, spy)
+    kernels = _spy_kernels(monkeypatch)
     u = solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
     v = solve_v(coupling, 0.3, u)
     assert _relative_gap(v, _reference_v(coupling, 0.3, u)) <= 1e-12
@@ -222,10 +230,12 @@ def _sylvester(kernel, X):
 @pytest.mark.parametrize("cloud", ["sparse", "dense"])
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 161])
 def test_eigen_kernel_K_matches_column_definition(n, cloud):
-    # n = 2 leaves two of the four G blocks empty, n = 3, 5, 17 and 161 make
-    # them unequal, and n = 100 and 161 take several row batches, the last
-    # one partly filled
-    kernel, K = perturbation._eigen_kernel(*_cloud_kernel(n, cloud))
+    kernel, K, _ = perturbation._eigen_kernel(*_cloud_kernel(n, cloud))
+    _check_K_against_column_definition(kernel, K)
+
+
+def _check_K_against_column_definition(kernel, K):
+    n = len(K)
     ref = np.column_stack([np.diagonal(_sylvester(kernel, np.diag(e))) for e in np.eye(n)])
     assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(K, K.T)
@@ -234,10 +244,81 @@ def test_eigen_kernel_K_matches_column_definition(n, cloud):
 def test_eigen_kernel_K_matches_schur_kernel_on_degenerate_lattice():
     z = coupling_matrix(lattice_ensemble(3, 1.0, DIPOLE))
     # eigenbasis refuses a basis whose kappa exceeds EIG_COND_GUARD
-    _, K = perturbation._eigen_kernel(*perturbation.eigenbasis(z, 0.3), 0.3)
+    _, K, _ = perturbation._eigen_kernel(*perturbation.eigenbasis(z, 0.3), 0.3)
     _, K_schur = perturbation._schur_kernel(z, 0.3)
     assert np.array_equal(K, K.T)
     assert np.max(np.abs(K - K_schur)) <= 1e-12 * np.max(np.abs(K_schur))
+
+
+def test_degenerate_lattice_takes_eigen_kernel(monkeypatch):
+    # the cubic symmetry of the 4^3 lattice at spacing 2 leaves eigenvalues
+    # degenerate to rounding, so G has duplicate columns: the skeleton
+    # drops each with its twin's pivot instead of dividing by a zero pivot
+    ens = lattice_ensemble(4, 2.0, DIPOLE)
+    coupling = coupling_matrix(ens)
+    lam, P, Q = perturbation.eigenbasis(coupling, 0.3)
+    gaps = np.abs(lam[:, None] - lam[None, :]) + np.eye(ens.n)
+    assert gaps.min() <= 1e-12
+    kernel, K, rank = perturbation._eigen_kernel(lam, P, Q, 0.3)
+    assert rank < ens.n
+    _check_K_against_column_definition(kernel, K)
+    kernels = _spy_kernels(monkeypatch)
+    u = solve_u(coupling, 0.3, Drive(delta=0.3, eta=0.05, beam=BEAM).w(ens))
+    solve_v(coupling, 0.3, u)
+    assert kernels == ["_eigen_kernel"]
+
+
+@pytest.mark.parametrize(
+    "k0r, kernels",
+    [
+        (1e-4, ["_eigen_kernel"]),
+        (1e-5, ["_eigen_kernel"]),
+        # lambda_1 + lambda_2 rounds to exactly 0: G is not finite
+        (1e-6, ["_eigen_kernel", "_schur_kernel"]),
+    ],
+)
+def test_near_coincident_pair_refused_after_eigen_kernel(monkeypatch, k0r, kernels):
+    # two resonant atoms k0 r apart: the diagonal of G is ~ r^3 against
+    # an off-diagonal entry of 1, so its skeleton pivots on the pair, and
+    # K is singular to the condition gate, as it was before the skeleton
+    ens = explicit_ensemble([[0, 0, 0], [k0r, 0, 0]], DIPOLE)
+    coupling = coupling_matrix(ens)
+    u = solve_u(coupling, 0.0, np.ones(2, dtype=complex))
+    called = _spy_kernels(monkeypatch)
+    with pytest.raises(ResonantSingularityError) as exc:
+        solve_v(coupling, 0.0, u)
+    assert called == kernels
+    assert exc.value.cond > perturbation.COND_LIMIT
+
+
+def test_eigen_kernel_refuses_exact_resonance():
+    # lambda_1 + lambda_2 = 2 i delta in binary fractions: G_12 is infinite
+    lam = np.array([0.125 + 0.25j, -0.125 + 0.25j])
+    P = np.eye(2, dtype=complex)
+    with pytest.raises(ResonantSingularityError) as exc:
+        perturbation._eigen_kernel(lam, P, P, 0.25)
+    assert exc.value.cond == np.inf
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        # exact duplicates: the residual of a twin vanishes with its pivot
+        [0.3 + 1j, 0.3 + 1j, 0.5 - 2j, 0.3 + 1j],
+        # a diagonal far below the off-diagonal entry: a pivot on the pair
+        [1 + 1e3j, 1 - 1e3j],
+        # a diagonal within the tolerance: found by the search over all
+        # entries, which diagonal pivots alone would stop before
+        [1 + 1e15j, 1 - 1e15j],
+    ],
+)
+def test_skeleton_reproduces_G(x):
+    x = np.array(x)
+    G = 1.0 / (x[:, None] + x[None, :])
+    tol = perturbation.SKELETON_RTOL * np.max(np.abs(G))
+    C = perturbation._skeleton(x, np.abs(G), tol)
+    assert len(C) == len(set(x))
+    assert np.max(np.abs(G - C.T @ C)) <= tol
 
 
 def _check_project_against_two_applications(kernel, K):
@@ -257,7 +338,8 @@ def _check_project_against_two_applications(kernel, K):
 @pytest.mark.parametrize("cloud", ["sparse", "dense"])
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 161])
 def test_project_matches_two_applications(n, cloud):
-    _check_project_against_two_applications(*perturbation._eigen_kernel(*_cloud_kernel(n, cloud)))
+    kernel, K, _ = perturbation._eigen_kernel(*_cloud_kernel(n, cloud))
+    _check_project_against_two_applications(kernel, K)
 
 
 def test_project_matches_two_applications_on_schur_kernel():
@@ -266,19 +348,18 @@ def test_project_matches_two_applications_on_schur_kernel():
 
 
 def test_eigen_kernel_memory_bound():
-    # a row buffer of max(K_BLOCK, n^2) entries, a product buffer a quarter
-    # that size and a few n x n arrays
+    # G, |G| (freed before the products), K, and the stacked rows and
+    # products of one block of rows (n to 2n rows each): a few n x n arrays
     n = 160
     args = _cloud_kernel(n, "sparse")
     tracemalloc.start()
     try:
-        _, K = perturbation._eigen_kernel(*args)
+        _, K, _ = perturbation._eigen_kernel(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (2 * perturbation.K_BLOCK + 8 * n * n) * 16
-    # 6.9 MB with a 4 MB row buffer (K_BLOCK = 1 << 18), 3.34 MB when the
-    # upper triangle was mirrored through an n^2 temporary after the build
+    # 2.22 MB; the blocked quadratic-form build it replaced peaked at
+    # 2.95 MB with its 1 MB row buffer
     assert peak <= 3.1e6
     assert np.array_equal(K, K.T)
 
@@ -347,6 +428,35 @@ def test_pair_solve_refines_once(monkeypatch):
     solve_v(coupling, 0.3, u)
     # residual of the first solve, then of the refined one
     assert len(calls) == 2
+
+
+def test_solve_v_logs_kernel_rank_and_residual(monkeypatch, caplog):
+    ens = random_ensemble(12, 15.0, 5, DIPOLE, min_distance=0.5)
+    coupling = coupling_matrix(ens)
+    u = solve_u(coupling, 0.3, Drive(delta=0.3, eta=0.05, beam=BEAM).w(ens))
+    defective = _defective_coupling()
+    u6 = solve_u(defective, 0.3, np.exp(1j * np.arange(6)))
+    with caplog.at_level(logging.DEBUG, logger="weakdrive.perturbation"):
+        solve_v(coupling, 0.3, u)
+        solve_v(defective, 0.3, u6)
+        # forced into the eigenbasis of the defective Z: the failing solve
+        # logs its last residual before it raises
+        monkeypatch.setattr(perturbation, "EIG_COND_GUARD", np.inf)
+        with pytest.raises(SolverConvergenceError):
+            solve_v(defective, 0.3, u6)
+    eigen, schur, failed = (r.getMessage() for r in caplog.records)
+    m = re.fullmatch(r"pair kernel eigen, skeleton rank (\d+) of 12; "
+                     r"refinement steps 1, residual (\S+)", eigen)
+    rank = perturbation._eigen_kernel(*perturbation.eigenbasis(coupling, 0.3), 0.3)[2]
+    assert int(m[1]) == rank
+    assert float(m[2]) <= perturbation.RESIDUAL_TOL
+    m = re.fullmatch(r"pair kernel schur, n 6; refinement steps (\d), residual (\S+)", schur)
+    assert 1 <= int(m[1]) <= perturbation.REFINE_STEPS
+    assert float(m[2]) <= perturbation.RESIDUAL_TOL
+    m = re.fullmatch(r"pair kernel eigen, skeleton rank \d of 6; "
+                     r"refinement steps (\d), residual (\S+)", failed)
+    assert int(m[1]) == perturbation.REFINE_STEPS
+    assert float(m[2]) > perturbation.RESIDUAL_TOL
 
 
 def test_nonfinite_pair_residual_raises(monkeypatch):

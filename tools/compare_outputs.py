@@ -14,10 +14,17 @@ tree's src/ on PYTHONPATH:
 - `weakdrive validate --seed 0` and `--seed 5`, with --out.
 
 Every report.json, CSV, stdout (without the `results written to` line),
-stderr and exit code that differs between the trees is printed: a
-report.json as the paths of the JSON values that differ, a CSV or a stream
-as a unified diff. The exit status is 1 on any difference and 0 when every
-run matches byte for byte.
+stderr and exit code that differs between the trees is printed. A CSV or
+a report.json that differs in numbers only (same header, rows and keys,
+every differing cell or value a number on both sides) is printed as the
+count of changed numbers and the largest relative difference
+|a - b| / max(|a|, |b|) among them; for a CSV also the largest |a - b|
+over the largest magnitude in its column, the normwise measure of a
+solution vector such as v.csv's re and im. These judge a change in the
+last digits. Otherwise a report.json is printed as the paths of the JSON
+values that differ, and a CSV or a stream as a unified diff. The exit
+status is 1 on any difference and 0 when every run matches byte for
+byte.
 
 Run from the repository root:
 
@@ -29,6 +36,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -109,13 +117,75 @@ def _run(src: Path, args: list[str], out: Path) -> dict:
             "files": files}
 
 
-def _json_diff(old, new, path="") -> list[str]:
+def _json_diff(old, new, path="") -> list[tuple]:
+    """(path, old, new) for each JSON value that differs; a key that one
+    side lacks reads None there."""
     if isinstance(old, dict) and isinstance(new, dict):
         keys = list(old) + [k for k in new if k not in old]
         return [d for k in keys for d in _json_diff(old.get(k), new.get(k), f"{path}.{k}")]
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [d for i, (a, b) in enumerate(zip(old, new)) for d in _json_diff(a, b, f"{path}[{i}]")]
-    return [] if old == new and type(old) is type(new) else [f"{path or '.'}: {old!r} -> {new!r}"]
+    return [] if old == new and type(old) is type(new) else [(path or ".", old, new)]
+
+
+def _leaf_count(value) -> int:
+    if isinstance(value, dict):
+        return sum(map(_leaf_count, value.values()))
+    if isinstance(value, list):
+        return sum(map(_leaf_count, value))
+    return 1
+
+
+def _csv_cells(old: str, new: str):
+    """(old cell, new cell, largest magnitude in the old column) for each
+    differing cell of two CSV texts with the same header and row count, or
+    None where their shape differs."""
+    a, b = old.splitlines(), new.splitlines()
+    if len(a) != len(b) or a[:1] != b[:1]:
+        return None
+    rows = [(x.split(","), y.split(",")) for x, y in zip(a[1:], b[1:]) if x != y]
+    if any(len(xs) != len(ys) for xs, ys in rows):
+        return None
+    scale = [max((abs(v) for v in map(_as_number, column) if v is not None), default=0.0)
+             for column in zip(*(line.split(",") for line in a[1:]))]
+    return [(p, q, scale[k]) for xs, ys in rows for k, (p, q) in enumerate(zip(xs, ys)) if p != q]
+
+
+def _as_number(value):
+    """A JSON number or a CSV cell as a float; None for anything else."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
+def _numbers_only(pairs, total: int, noun: str):
+    """The count of differing pairs and their largest relative difference
+    (and, for CSV cells, the largest difference over the largest magnitude
+    of its column), or None when there are none or one of them is not two
+    numbers."""
+    if not pairs:
+        return None
+    largest = scaled = 0.0
+    for a, b, scale in pairs:
+        x, y = _as_number(a), _as_number(b)
+        if x is None or y is None:
+            return None
+        diff = abs(x - y)
+        if diff:
+            finite = math.isfinite(diff)
+            largest = max(largest, diff / max(abs(x), abs(y)) if finite else math.inf)
+            if scale is not None:
+                scaled = max(scaled, diff / scale if finite and scale else math.inf)
+    text = (f"{len(pairs)} of {total} {noun} differ in numbers only; "
+            f"largest relative difference {largest:.3e}")
+    if pairs[0][2] is not None:
+        text += f", {scaled:.3e} of its column's largest magnitude"
+    return text
 
 
 def _text_diff(old: str, new: str, label: str) -> list[str]:
@@ -136,10 +206,18 @@ def _differences(old: dict, new: dict) -> list[str]:
         if a is None or b is None:
             found.append(f"{name}: only in {'the working tree' if a is None else 'REV'}")
         elif name.endswith(".json"):
-            lines = _json_diff(json.loads(a), json.loads(b))
-            found += [f"{name} {d}" for d in lines] or [f"{name}: bytes differ"]
+            old_json = json.loads(a)
+            diffs = _json_diff(old_json, json.loads(b))
+            summary = _numbers_only([(x, y, None) for _, x, y in diffs], _leaf_count(old_json),
+                                    "values")
+            found += ([f"{name}: {summary}"] if summary else
+                      [f"{name} {path}: {x!r} -> {y!r}" for path, x, y in diffs]
+                      or [f"{name}: bytes differ"])
         else:
-            found += _text_diff(a.decode(), b.decode(), name)
+            old_text, new_text = a.decode(), b.decode()
+            cells = sum(line.count(",") + 1 for line in old_text.splitlines()[1:])
+            summary = _numbers_only(_csv_cells(old_text, new_text), cells, "cells")
+            found += [f"{name}: {summary}"] if summary else _text_diff(old_text, new_text, name)
     return found
 
 

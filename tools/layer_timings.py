@@ -13,8 +13,11 @@ layers, printed one line each.
 - the line count of src/weakdrive/*.py and the number of public names
   the weakdrive package exports (its submodules not counted);
 - the OpenBLAS thread count of the process (null when none is found),
-  and solve_v on a 160-atom random cloud (5 calls) under the CLI's
-  one-thread policy (weakdrive.blas.one_thread);
+  and solve_v on a 160-atom random cloud (5 calls) and on a 320-atom
+  cloud of the same density (1 call) under the CLI's one-thread policy
+  (weakdrive.blas.one_thread), each with the DEBUG record solve_v logs on
+  weakdrive.perturbation: the pair kernel, the skeleton rank of G, the
+  refinement steps and the final residual;
 - the tracemalloc peaks of one solve_v on that cloud and of building and
   writing its solve tables (u.csv and v.csv, 12,720 pairs) to a
   temporary directory;
@@ -33,6 +36,7 @@ The numbers are recorded, not gated: they depend on the machine and on
 its load.
 """
 
+import logging
 import subprocess
 import sys
 import tempfile
@@ -126,16 +130,37 @@ def export_count() -> int:
                for name in dir(weakdrive))
 
 
-def _cloud_160():
-    ens = random_ensemble(160, 20.0, 0, DIPOLE, min_distance=0.5)
+def _cloud(n):
+    """A random cloud at the density of 160 atoms in a 20-wide box."""
+    ens = random_ensemble(n, 20.0 * (n / 160) ** (1 / 3), 0, DIPOLE, min_distance=0.5)
     return coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens
 
 
-def solve_v_times():
-    coupling, drive, ens = _cloud_160()
+def _logged(call):
+    """call's result and the last DEBUG message it logs on
+    weakdrive.perturbation."""
+    messages = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("weakdrive.perturbation")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return call(), messages[-1]
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def solve_v_times(n, repeats):
+    """Wall times of solve_v on one thread, the OpenBLAS thread count in
+    force and the DEBUG record of the last call."""
+    coupling, drive, ens = _cloud(n)
     u = solve_u(coupling, drive.delta, drive.w(ens))
     with blas.one_thread():
-        return _times(lambda: solve_v(coupling, drive.delta, u), 5), blas.threads()
+        times, record = _logged(lambda: _times(lambda: solve_v(coupling, drive.delta, u), repeats))
+        return times, blas.threads(), record
 
 
 def _traced_peak(call) -> float:
@@ -149,7 +174,7 @@ def _traced_peak(call) -> float:
 
 
 def solve_memory_peaks() -> tuple[float, float]:
-    coupling, drive, ens = _cloud_160()
+    coupling, drive, ens = _cloud(160)
     with blas.one_thread():
         state = steady_state(coupling, drive, ens)
         solve_peak = _traced_peak(lambda: solve_v(coupling, drive.delta, state.u))
@@ -192,9 +217,11 @@ def main():
     lines, files = line_count()
     print(f"src/weakdrive: {lines} lines in {files} files, {export_count()} public names exported")
     print(f"OpenBLAS threads of this process: {blas.threads()}")
-    times, threads = solve_v_times()
+    times, threads, record = solve_v_times(160, 5)
     print(f"solve_v, n = 160, {threads} OpenBLAS thread(s) as in a CLI run: "
-          f"median {np.median(times):.4f} s, min {min(times):.4f} s over 5")
+          f"median {np.median(times):.4f} s, min {min(times):.4f} s over 5; {record}")
+    times, threads, record = solve_v_times(320, 1)
+    print(f"solve_v, n = 320, {threads} OpenBLAS thread(s): {times[0]:.3f} s (1 call); {record}")
     solve_peak, write_peak = solve_memory_peaks()
     print(f"tracemalloc peaks, n = 160: solve_v {solve_peak:.2f} MB, "
           f"building and writing its u and v tables {write_peak:.2f} MB")
