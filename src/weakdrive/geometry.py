@@ -131,6 +131,8 @@ class Drive:
     beam: Beam
 
     def __post_init__(self):
+        if not (np.isfinite(self.delta) and np.isfinite(self.eta)):
+            raise ValueError("delta and eta must be finite")
         if self.eta < 0:
             raise ValueError("eta must be non-negative")
 

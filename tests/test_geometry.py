@@ -113,6 +113,16 @@ def test_drive_eta_nonnegative():
         Drive(delta=0.0, eta=-0.1, beam=BEAM)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["delta", "eta"])
+def test_drive_rejects_non_finite(field, bad):
+    # a NaN eta used to pass, and negativity_report then failed in numpy's
+    # eigensolver with an untyped LinAlgError
+    values = {"delta": 0.0, "eta": 0.05, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        Drive(beam=BEAM, **values)
+
+
 def test_regime_dilute_flag():
     ens = explicit_ensemble([[0, 0, 0], [0.5, 0, 0]], DIPOLE)
     drive = Drive(delta=0.0, eta=0.05, beam=BEAM)

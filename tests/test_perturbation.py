@@ -300,6 +300,12 @@ def test_eigen_kernel_refuses_exact_resonance():
     assert exc.value.cond == np.inf
 
 
+def _skeleton_of(x):
+    G = 1.0 / (x[:, None] + x[None, :])
+    tol = perturbation.SKELETON_RTOL * np.max(np.abs(G))
+    return G, perturbation._skeleton(x, np.abs(G), tol), tol
+
+
 @pytest.mark.parametrize(
     "x",
     [
@@ -310,14 +316,39 @@ def test_eigen_kernel_refuses_exact_resonance():
         # a diagonal within the tolerance: found by the search over all
         # entries, which diagonal pivots alone would stop before
         [1 + 1e15j, 1 - 1e15j],
+        # a diagonal pivot on 0.5 first, then a pair pivot found by the
+        # scan while the diagonal of the first two is still above tol
+        [1 + 1e3j, 1 - 1e3j, 0.5],
     ],
 )
 def test_skeleton_reproduces_G(x):
     x = np.array(x)
-    G = 1.0 / (x[:, None] + x[None, :])
-    tol = perturbation.SKELETON_RTOL * np.max(np.abs(G))
-    C = perturbation._skeleton(x, np.abs(G), tol)
+    G, C, tol = _skeleton_of(x)
     assert len(C) == len(set(x))
+    assert np.max(np.abs(G - C.T @ C)) <= tol
+
+
+@pytest.mark.parametrize("dipole", [DIPOLE, np.array([1.0, 1.0, 1.0]) / 3**0.5],
+                         ids=["z", "tilted"])
+@pytest.mark.parametrize("spacing", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("edge", [2, 3, 4])
+def test_skeleton_reproduces_G_on_lattices(edge, spacing, dipole):
+    # cubic lattices: degenerate and subradiant modes, many pair pivots
+    x = np.linalg.eigvals(coupling_matrix(lattice_ensemble(edge, spacing, dipole))) - 0.3j
+    G, C, tol = _skeleton_of(x)
+    assert len(C) <= len(x)
+    assert np.max(np.abs(G - C.T @ C)) <= tol
+
+
+@pytest.mark.parametrize("n, rank", [(40, 20), (100, 35), (160, 48)])
+def test_skeleton_rank_on_clouds(n, rank):
+    # K costs ~R n^3 / 2, so a pivot rule that raises the rank R slows the
+    # pair solve; random clouds at the density of 160 atoms in a 20-wide
+    # box, whose ranks are stable under 1e-15 relative noise in lambda
+    ens = random_ensemble(n, 20.0 * (n / 160) ** (1 / 3), 0, DIPOLE, min_distance=0.5)
+    x = np.linalg.eigvals(coupling_matrix(ens)) - 0.3j
+    G, C, tol = _skeleton_of(x)
+    assert len(C) <= rank
     assert np.max(np.abs(G - C.T @ C)) <= tol
 
 

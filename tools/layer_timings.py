@@ -18,6 +18,9 @@ layers, printed one line each.
   (weakdrive.blas.one_thread), each with the DEBUG record solve_v logs on
   weakdrive.perturbation: the pair kernel, the skeleton rank of G, the
   refinement steps and the final residual;
+- perturbation._skeleton alone, on the Cauchy matrix G of that 160-atom
+  cloud and of the 6^3 lattice at spacing 1 (delta = 0.3, 20 calls each),
+  with the rank R of the skeleton;
 - the tracemalloc peaks of one solve_v on that cloud and of building and
   writing its solve tables (u.csv and v.csv, 12,720 pairs) to a
   temporary directory;
@@ -50,10 +53,11 @@ from pathlib import Path
 import weakdrive
 import numpy as np
 
-from weakdrive import Drive, Partition, PlaneWave, blas, coupling_matrix, random_ensemble
+from weakdrive import (Drive, Partition, PlaneWave, blas, coupling_matrix, lattice_ensemble,
+                       random_ensemble)
 from weakdrive.exact import build_liouvillian, steady_state_exact
 from weakdrive.negativity import negativity_report, pt_negativity_grid
-from weakdrive.perturbation import solve_u, solve_v, steady_state
+from weakdrive.perturbation import SKELETON_RTOL, _skeleton, solve_u, solve_v, steady_state
 from weakdrive.runner import ResultBundle, _amplitude_tables
 
 DIPOLE = [0.0, 0.0, 1.0]
@@ -163,6 +167,15 @@ def solve_v_times(n, repeats):
         return times, blas.threads(), record
 
 
+def skeleton_times(coupling, repeats):
+    """Wall times of _skeleton on the G of coupling at delta = 0.3, and
+    the rank R of the skeleton."""
+    x = np.linalg.eigvals(coupling) - 0.3j
+    G_abs = np.abs(1.0 / (x[:, None] + x[None, :]))
+    tol = SKELETON_RTOL * float(np.max(G_abs))
+    return _times(lambda: _skeleton(x, G_abs, tol), repeats), len(_skeleton(x, G_abs, tol))
+
+
 def _traced_peak(call) -> float:
     """Peak traced memory of one call, in MB."""
     tracemalloc.start()
@@ -222,6 +235,12 @@ def main():
           f"median {np.median(times):.4f} s, min {min(times):.4f} s over 5; {record}")
     times, threads, record = solve_v_times(320, 1)
     print(f"solve_v, n = 320, {threads} OpenBLAS thread(s): {times[0]:.3f} s (1 call); {record}")
+    for name, coupling in (("160-atom cloud", _cloud(160)[0]),
+                           ("6^3 lattice at spacing 1",
+                            coupling_matrix(lattice_ensemble(6, 1.0, DIPOLE)))):
+        times, rank = skeleton_times(coupling, 20)
+        print(f"_skeleton, {name}: median {np.median(times) * 1e3:.2f} ms, "
+              f"min {min(times) * 1e3:.2f} ms over 20; R = {rank} of {len(coupling)}")
     solve_peak, write_peak = solve_memory_peaks()
     print(f"tracemalloc peaks, n = 160: solve_v {solve_peak:.2f} MB, "
           f"building and writing its u and v tables {write_peak:.2f} MB")
