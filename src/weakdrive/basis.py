@@ -28,6 +28,13 @@ def pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return I, J
 
 
+def pair_index(i, j, n: int):
+    """Position of the pair {i, j}, i != j, in the lexicographic order of
+    pair_arrays(n); i and j are integers or integer arrays, in either order."""
+    a, b = np.minimum(i, j), np.maximum(i, j)
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
 def scatter_pairs(values: np.ndarray, n: int) -> np.ndarray:
     """Symmetric zero-diagonal (n, n) matrix from a pair-ordered vector."""
     I, J = pair_arrays(n)

@@ -1,7 +1,8 @@
-"""Command-line entry point.
+"""Command-line entry point: parses the arguments, runs the task, writes
+its results and prints the console lines its runner returned.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validation failure.
+4 validation failure (a runner's failure line).
 """
 
 from __future__ import annotations
@@ -10,9 +11,8 @@ import argparse
 import sys
 
 from .blas import one_thread
-from .config import TASKS, load_config, parse_config
+from .config import TASK_REQUIRED, TASKS, load_config, parse_config
 from .errors import ConfigError, WeakdriveError
-from .reporting import fmt_value
 from .runner import TASK_RUNNERS
 
 EXIT_OK = 0
@@ -52,11 +52,10 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         data = load_config(args.config) if args.config else {}
-        if args.task != "validate" and not args.config:
+        if TASK_REQUIRED[args.task] and not args.config:
             raise ConfigError("config", "--config is required for this task")
-        if args.seed is not None:
-            data = dict(data)
-            data["seed"] = args.seed
+        if args.seed is not None and isinstance(data, dict):  # parse_config refuses the rest
+            data = {**data, "seed": args.seed}
         cfg = parse_config(data, args.task)
         bundle = TASK_RUNNERS[args.task](cfg, parallelism=args.parallel)
         if args.out:
@@ -76,53 +75,11 @@ def _run(args) -> int:
 
     if args.out:
         print(f"results written to {args.out}")
-
-    if args.task == "validate":
-        for check in bundle.report["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            print(
-                f"{status} {check['name']}: measured={float(check['measured'])!r} "
-                f"threshold={float(check['threshold'])!r}"
-            )
-        if not bundle.report["all_passed"]:
-            print("validation FAILED", file=sys.stderr)
-            return EXIT_VALIDATION
-        print("validation passed")
-    elif args.task == "bounds":
-        for key in ("D0", "bound_omega", "N_max", "eta_max", "L_min", "n_min"):
-            print(f"{key} = {fmt_value(bundle.report[key])}")
-    elif args.task == "sweep":
-        thr = bundle.report["threshold"]
-        if thr["eta_sweep_estimate"] is None:
-            print(
-                "sweep threshold: none, the modelled minimum eigenvalue "
-                "does not change sign on the grid"
-            )
-        else:
-            print(
-                f"sweep threshold: eta = {fmt_value(thr['eta_sweep_estimate'])} "
-                f"(omega/Gamma = {fmt_value(thr['omega_sweep_estimate'])})"
-            )
-        ext = bundle.report["extremum"]
-        if ext["eta_max"] is not None:
-            print(
-                f"extremum: N_max = {fmt_value(ext['n_max'])} "
-                f"at eta = {fmt_value(ext['eta_max'])}"
-            )
-        elif ext["n_max"] is None:
-            print("extremum: none, a negative mode never closes (lambda4 <= 0) "
-                  "or a mode opens (lambda4 < 0)")
-        else:
-            print("extremum: none, no mode's modelled eigenvalue is negative")
-        failures = bundle.report["point_errors"]
-        if failures:
-            print(f"warning: {len(failures)} grid point(s) failed; see report.json")
-    elif args.task == "solve":
-        neg = bundle.report["negativity"]
-        print(
-            f"negativity2 = {fmt_value(neg['negativity2'])} "
-            f"(entanglement {neg['entanglement']})"
-        )
+    for line in bundle.summary:
+        print(line)
+    if bundle.failure:
+        print(bundle.failure, file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

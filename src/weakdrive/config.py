@@ -4,7 +4,8 @@ Field names are part of the tool contract (documented in the README);
 unknown fields are rejected with their dotted path, as are missing or
 ill-typed ones and values that the built ensemble, drive or partition
 refuses. parse_config hands each task these built objects. Exit codes
-live in the CLI, task orchestration in the runner.
+live in the CLI; task orchestration and each task's console lines in the
+runner.
 """
 
 from __future__ import annotations
@@ -202,7 +203,8 @@ _TOP_FIELDS = {
     "partition", "seed", "exact", "dump_coupling", "farfield",
 }
 
-_TASK_REQUIRED = {
+# the top-level fields each task requires; a task with none needs no --config
+TASK_REQUIRED = {
     "solve": {"geometry", "dipole", "beam", "delta", "eta", "partition"},
     "sweep": {"geometry", "dipole", "beam", "delta", "eta_sweep", "partition"},
     "oracle-compare": {"geometry", "dipole", "beam", "delta", "eta_sweep", "partition"},
@@ -221,7 +223,7 @@ def parse_config(data: Any, task: str) -> RunConfig:
     if task not in TASKS:
         raise ConfigError("task", f"unknown task {task!r}")
     top = _expect_mapping(data, "config")
-    _check_keys(top, "", _TASK_REQUIRED[task], _TOP_FIELDS)
+    _check_keys(top, "", TASK_REQUIRED[task], _TOP_FIELDS)
     if "eta" in top and "eta_sweep" in top:
         raise ConfigError("eta", "give either eta or eta_sweep, not both")
 
@@ -260,7 +262,7 @@ def parse_config(data: Any, task: str) -> RunConfig:
         raise ConfigError("dump_coupling", "expected a boolean")
 
     ensemble = drive = partition = None
-    if "geometry" in _TASK_REQUIRED[task]:
+    if "geometry" in TASK_REQUIRED[task]:
         ensemble = _build_ensemble(geometry, dipole, seed)
         n = ensemble.n
         # a python float, so that the regime flags stay JSON booleans

@@ -58,7 +58,9 @@ class FarFieldConfig:
     s_b: complex
 
     def __post_init__(self):
-        if self.distance <= 0:
+        if not np.all(np.isfinite([self.distance, self.theta, self.delta, self.s_a, self.s_b])):
+            raise ValueError("distance, theta, delta and the phase sums must be finite")
+        if not self.distance > 0:
             raise ValueError("distance must be positive")
         if abs(self.s_a) > 1 + 1e-12 or abs(self.s_b) > 1 + 1e-12:
             raise ValueError("group phase sums must have modulus <= 1")
@@ -217,9 +219,11 @@ def lmin_bound(
     |sin(theta)|, as D0 does through sin^2(theta), and diverges for a dipole
     along the group axis.
     """
-    if spacing <= 0 or k0_distance <= 0:
+    if not np.all(np.isfinite([spacing, delta, k0_distance, omega_over_gamma, theta])):
+        raise ValueError("spacing, delta, k0_distance, omega_over_gamma and theta must be finite")
+    if not (spacing > 0 and k0_distance > 0):
         raise ValueError("spacing and k0_distance must be positive")
-    if omega_over_gamma < 0:
+    if not omega_over_gamma >= 0:
         raise ValueError("omega_over_gamma must be non-negative")
     s = abs(np.sin(theta))
     if s == 0:

@@ -38,7 +38,7 @@ def _unit(vec, name: str) -> np.ndarray:
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError(f"{name} must be a unit vector (|{name}| = {norm!r})")
     return v
 
@@ -59,6 +59,8 @@ class Ensemble:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (n, 3) array")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         d = _unit(self.dipole, "dipole")
         min_distance = np.inf
         if pos.shape[0] > 1:
@@ -199,8 +201,8 @@ def lattice_ensemble(edge: int, spacing: float, dipole) -> Ensemble:
     """Cubic lattice with `edge` sites per axis, `spacing` in k0 units."""
     if edge < 1:
         raise ValueError("edge count must be >= 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not (spacing > 0 and np.isfinite(spacing)):
+        raise ValueError("spacing must be positive and finite")
     axes = np.arange(edge) * spacing
     grid = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1)
     return Ensemble(grid.reshape(-1, 3), np.asarray(dipole, dtype=float))
@@ -221,8 +223,10 @@ def random_ensemble(
     if count < 1:
         raise ValueError("count must be >= 1")
     box = np.broadcast_to(np.asarray(box, dtype=float), (3,))
-    if np.any(box <= 0):
-        raise ValueError("box dimensions must be positive")
+    if not np.all((box > 0) & np.isfinite(box)):
+        raise ValueError("box dimensions must be positive and finite")
+    if not np.isfinite(min_distance):
+        raise ValueError("min_distance must be finite")
     rng = np.random.default_rng(seed)
     if min_distance <= 0.0:
         pos = rng.uniform(0.0, 1.0, (count, 3)) * box

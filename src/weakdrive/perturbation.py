@@ -58,7 +58,7 @@ from typing import Iterable
 import numpy as np
 import scipy
 
-from .basis import basis_dim, pair_arrays, pair_count, scatter_pairs
+from .basis import basis_dim, pair_arrays, pair_count, pair_index, scatter_pairs
 from .errors import (
     AsymmetricCouplingError,
     PartitionError,
@@ -342,10 +342,12 @@ class PerturbState:
             raise PartitionError(f"atom {atom} not present in the solved state") from None
 
     def v_pair(self, i: int, j: int) -> complex:
-        """Pair correlation for local indices i != j."""
+        """Pair correlation for local indices i != j in 0..n-1."""
         if i == j:
             raise ValueError("pair correlation needs two distinct atoms")
-        return complex(self.v_matrix()[i, j])
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"local indices {i}, {j} outside 0..{self.n - 1}")
+        return complex(self.v[pair_index(i, j, self.n)])
 
     def v_matrix(self) -> np.ndarray:
         return scatter_pairs(self.v, self.n)
@@ -380,9 +382,7 @@ def restrict_state(state: PerturbState, subset: Iterable[int]) -> PerturbState:
     w = state.w[local]
     I, J = pair_arrays(m)
     loc = np.asarray(local)
-    a, b = np.minimum(loc[I], loc[J]), np.maximum(loc[I], loc[J])
-    # position of the pair (a, b), a < b, in the lexicographic order
-    v = state.v[a * (2 * state.n - a - 1) // 2 + b - a - 1]
+    v = state.v[pair_index(loc[I], loc[J], state.n)]
     return PerturbState(
         u=u, v=np.array(v, dtype=complex), w=np.array(w, dtype=complex),
         delta=state.delta, eta=state.eta, atoms=subset,

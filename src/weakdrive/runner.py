@@ -14,9 +14,11 @@ passed. A sweep's N_model column, threshold estimate, model threshold and
 extremum are read from the model curve of negativity_report on the
 sweep's grid, so the estimate covers the whole grid, points whose exact
 column failed included. Every table is a mapping from column name to a
-1-D numpy array, written by reporting.write_csv. The --parallel degree is
-validated and recorded in the provenance but does not change how points
-run, so results do not depend on it.
+1-D numpy array, written by reporting.write_csv. Each runner also builds
+the lines that the CLI prints (ResultBundle.summary and failure) from the
+values of its report. The --parallel degree is validated and recorded in
+the provenance but does not change how points run, so results do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -36,17 +38,20 @@ from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analyti
 from .geometry import Partition, regime_check
 from .negativity import build_pt_matrix, negativity_report, pt_negativity_grid
 from .perturbation import PerturbState, steady_state
-from .reporting import config_hash, write_csv, write_json
+from .reporting import config_hash, fmt_value, write_csv, write_json
 
 
 @dataclass
 class ResultBundle:
-    """report.json and the CSV tables of a task: tables maps a file stem to
-    its columns, a mapping from header name to a 1-D numpy array, which
-    write leaves untouched, so it can run more than once."""
+    """report.json, CSV tables and console lines of a task: tables maps a
+    file stem to its columns, header name to 1-D numpy array (write leaves
+    them untouched, so it can run more than once); summary holds the stdout
+    lines in order, failure the stderr line, empty when the task passed."""
 
     report: dict
     tables: dict = field(default_factory=dict)
+    summary: list[str] = field(default_factory=list)
+    failure: str = ""
 
     def write(self, outdir: str) -> None:
         os.makedirs(outdir, exist_ok=True)
@@ -94,15 +99,16 @@ def run_solve(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         mu, nu = np.divmod(np.arange(z.size), ens.n)
         tables["z"] = {"mu": mu, "nu": nu, "re": z.real, "im": z.imag}
 
-    bundle = ResultBundle(
+    return ResultBundle(
         report={
             "provenance": _provenance(cfg, parallelism),
             "regime": regime.to_dict(),
             "negativity": report.to_dict(),
         },
         tables=tables,
+        summary=[f"negativity2 = {fmt_value(report.negativity2)} "
+                 f"(entanglement {report.entanglement})"],
     )
-    return bundle
 
 
 # ----------------------------------------------------------------------
@@ -155,22 +161,36 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     if cfg.exact:
         columns["N_exact"], passed, errors = _exact_column(state, part, coupling, grid)
         columns = {name: c[passed] for name, c in columns.items()}
-    threshold_eta = curve.eta_sweep_estimate
+    eta_estimate = curve.eta_sweep_estimate
+    omega_estimate = None if eta_estimate is None else 2.0 * eta_estimate
 
     report = {
         "provenance": _provenance(cfg, parallelism),
         "regime": regime.to_dict(),
         "modes": {"lambda2": rep.lambda2.tolist(), "lambda4": rep.lambda4.tolist()},
         "threshold": {
-            "eta_sweep_estimate": threshold_eta,
-            "omega_sweep_estimate": None if threshold_eta is None else 2.0 * threshold_eta,
+            "eta_sweep_estimate": eta_estimate,
+            "omega_sweep_estimate": omega_estimate,
             "eta_model": curve.eta_threshold,
             "omega_model": curve.omega_threshold,
         },
         "extremum": {"eta_max": curve.eta_max, "n_max": curve.n_max},
         "point_errors": errors,
     }
-    return ResultBundle(report=report, tables={"sweep": columns})
+    if eta_estimate is None:
+        threshold = "none, the modelled minimum eigenvalue does not change sign on the grid"
+    else:
+        threshold = f"eta = {fmt_value(eta_estimate)} (omega/Gamma = {fmt_value(omega_estimate)})"
+    if curve.eta_max is not None:
+        extremum = f"N_max = {fmt_value(curve.n_max)} at eta = {fmt_value(curve.eta_max)}"
+    elif curve.n_max is None:
+        extremum = "none, a negative mode never closes (lambda4 <= 0) or a mode opens (lambda4 < 0)"
+    else:
+        extremum = "none, no mode's modelled eigenvalue is negative"
+    summary = [f"sweep threshold: {threshold}", f"extremum: {extremum}"]
+    if errors:
+        summary.append(f"warning: {len(errors)} grid point(s) failed; see report.json")
+    return ResultBundle(report=report, tables={"sweep": columns}, summary=summary)
 
 
 def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
@@ -182,14 +202,9 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     n_exact, passed, errors = _exact_column(state, part, coupling, grid)
     columns = {"eta": grid, "N_exact": n_exact, "N_perturbative": n_pt,
                "abs_error": np.abs(n_exact - n_pt)}
-    report = {
-        "provenance": _provenance(cfg, parallelism),
-        "point_errors": errors,
-    }
-    return ResultBundle(
-        report=report,
-        tables={"oracle": {name: c[passed] for name, c in columns.items()}},
-    )
+    report = {"provenance": _provenance(cfg, parallelism), "point_errors": errors}
+    return ResultBundle(report=report,
+                        tables={"oracle": {name: c[passed] for name, c in columns.items()}})
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +228,7 @@ def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         omega_over_gamma=ff["omega_over_gamma"],
         theta=ff["theta"],
     )
-    report = {
-        "provenance": _provenance(cfg, parallelism),
+    values = {
         "D0": params.d0,
         "bound_omega": bound_omega(params),
         "N_max": n_max,
@@ -222,7 +236,10 @@ def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
         "L_min": l_min,
         "n_min": n_min,
     }
-    return ResultBundle(report=report)
+    return ResultBundle(
+        report={"provenance": _provenance(cfg, parallelism), **values},
+        summary=[f"{key} = {fmt_value(value)}" for key, value in values.items()],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -233,12 +250,18 @@ def run_validate(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     from .checks import run_checks  # only validate needs the checks module
 
     results = run_checks(seed=cfg.seed)
+    passed = all(r.passed for r in results)
     report = {
         "provenance": _provenance(cfg, parallelism),
         "checks": [r.to_dict() for r in results],
-        "all_passed": all(r.passed for r in results),
+        "all_passed": passed,
     }
-    return ResultBundle(report=report)
+    summary = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured={float(r.measured)!r} "
+               f"threshold={float(r.threshold)!r}" for r in results]
+    if passed:
+        summary.append("validation passed")
+    return ResultBundle(report=report, summary=summary,
+                        failure="" if passed else "validation FAILED")
 
 
 TASK_RUNNERS = {

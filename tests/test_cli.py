@@ -767,7 +767,8 @@ def test_validate_exit_code_on_failure(monkeypatch, capsys):
                 {"name": "synthetic", "passed": False, "measured": 1.0, "threshold": 0.0}
             ],
             "all_passed": False,
-        }
+        },
+        failure="validation FAILED",
     )
     monkeypatch.setitem(cli.TASK_RUNNERS, "validate", lambda cfg, parallelism=1: failing)
     assert cli.main(["validate"]) == 4
@@ -1007,3 +1008,36 @@ def test_finite_input_that_overflows_exits_3(tmp_path, capsys, task, config):
     assert cli.main([task, "--config", cfg]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: floating-point overflow")
+
+
+def _solve_lines(report):
+    neg = report["negativity"]
+    return [f"negativity2 = {fmt_value(neg['negativity2'])} (entanglement {neg['entanglement']})"]
+
+
+def _bounds_lines(report):
+    keys = ("D0", "bound_omega", "N_max", "eta_max", "L_min", "n_min")
+    return [f"{key} = {fmt_value(report[key])}" for key in keys]
+
+
+@pytest.mark.parametrize("task, config, lines", [
+    ("solve", PAIR_CONFIG, _solve_lines),
+    ("bounds", {"delta": 0.0, "farfield": FARFIELD}, _bounds_lines),
+    ("oracle-compare", SWEEP_CONFIG, lambda report: []),
+])
+def test_console_lines_follow_the_report(tmp_path, capsys, task, config, lines):
+    out = tmp_path / "out"
+    assert cli.main([task, "--config", _write(tmp_path, config), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"results written to {out}"] + lines(report)
+    assert captured.err == ""
+
+
+def test_seed_override_on_a_non_object_config_exits_2(tmp_path, capsys):
+    # the override used to copy the config with dict(), which raised
+    # TypeError on a JSON array
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["solve", "--config", str(path), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "config error: config: expected an object, got list\n"

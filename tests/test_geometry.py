@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weakdrive.errors import DuplicatePositionError, PartitionError
+from weakdrive.farfield import farfield_parameters, lmin_bound
 from weakdrive.geometry import (
     Drive,
     Ensemble,
@@ -121,6 +122,28 @@ def test_drive_rejects_non_finite(field, bad):
     values = {"delta": 0.0, "eta": 0.05, field: bad}
     with pytest.raises(ValueError, match="finite"):
         Drive(beam=BEAM, **values)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: PlaneWave(np.array([0.0, math.nan, 0.0])), "unit vector"),
+    (lambda: explicit_ensemble([[0, 0, 0], [1, 0, 0]], [0.0, 0.0, math.nan]), "unit vector"),
+    (lambda: explicit_ensemble([[0, 0, 0], [math.nan, 0, 0]], DIPOLE), "finite"),
+    (lambda: explicit_ensemble([[0, 0, 0], [math.inf, 0, 0]], DIPOLE), "finite"),
+    (lambda: explicit_ensemble([[0, 0, 0], [0, -math.inf, 0]], DIPOLE), "finite"),
+    (lambda: random_ensemble(3, math.nan, 0, DIPOLE), "finite"),
+    # a NaN min_distance used to spin through MAX_TRIES draws per atom
+    (lambda: random_ensemble(3, 4.0, 0, DIPOLE, min_distance=math.nan), "finite"),
+    (lambda: lattice_ensemble(2, math.nan, DIPOLE), "finite"),
+    (lambda: farfield_parameters(math.nan, 1.0, 2, 2), "finite"),
+    (lambda: lmin_bound(math.nan, 0.0, 1e4, 0.1, 1.0), "finite"),
+], ids=["beam-direction", "dipole", "position-nan", "position-inf", "position-minus-inf",
+        "random-box", "random-min-distance", "lattice-spacing", "farfield-distance",
+        "lmin-spacing"])
+def test_non_finite_inputs_rejected(build, match):
+    # the others were accepted and gave NaN positions, a NaN x, a NaN
+    # bound_omega or a NaN L_min
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_regime_dilute_flag():

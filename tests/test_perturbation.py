@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weakdrive import perturbation
-from weakdrive.basis import pair_arrays, scatter_pairs
+from weakdrive.basis import pair_arrays, pair_index, scatter_pairs
 from weakdrive.coupling import coupling_matrix
 from weakdrive.checks import build_scenario
 from weakdrive.errors import (
@@ -581,6 +581,16 @@ def test_restrict_repeated_label_rejected():
             restrict_state(state, subset)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pair_index_matches_pair_arrays(n):
+    I, J = pair_arrays(n)
+    positions = np.arange(len(I))
+    assert np.array_equal(pair_index(I, J, n), positions)
+    assert np.array_equal(pair_index(J, I, n), positions)
+    for k, (i, j) in enumerate(zip(I.tolist(), J.tolist())):
+        assert pair_index(i, j, n) == pair_index(j, i, n) == k
+
+
 def test_v_pair_matches_v_matrix():
     ens = random_ensemble(5, 5.0, 4, DIPOLE, min_distance=0.5)
     state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
@@ -778,8 +788,10 @@ _PAIR = PerturbState(u=np.ones(2, dtype=complex), v=np.array([0.1j]),
 @pytest.mark.parametrize("call, error, match", [
     (_schur_resonance, ResonantSingularityError, "condition estimate inf"),
     (lambda mp: _PAIR.v_pair(1, 1), ValueError, "two distinct atoms"),
+    (lambda mp: _PAIR.v_pair(0, 2), IndexError, "outside 0..1"),
     (lambda mp: pair_correlation(_PAIR, 0, 0), ValueError, "two distinct atoms"),
-], ids=["schur-resonance", "v-pair-same-atom", "pair-correlation-same-atom"])
+], ids=["schur-resonance", "v-pair-same-atom", "v-pair-out-of-range",
+        "pair-correlation-same-atom"])
 def test_typed_errors(monkeypatch, call, error, match):
     with pytest.raises(error, match=match):
         call(monkeypatch)
