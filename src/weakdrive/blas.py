@@ -6,8 +6,8 @@ so with one thread per core the last digits of a solve would follow the
 machine's core count. weakdrive.cli.main therefore runs every task inside
 one_thread(). An OpenBLAS that is already loaded is switched through its
 *_set_num_threads symbol; one loaded during the run (scipy.linalg's, which
-only the Schur fallback of the pair solve loads) reads
-OPENBLAS_NUM_THREADS=1 when it loads.
+only exact.propagate_truncated loads) reads OPENBLAS_NUM_THREADS=1 when it
+loads.
 
 The lookup never searches the file system. It reopens, without loading
 anything new (RTLD_NOLOAD), the imported extension modules that link an

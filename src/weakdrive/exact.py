@@ -40,9 +40,9 @@ Results depend neither on the order of the points nor on what was kept.
 A level eigenbasis that perturbation.eigenbasis refuses (kappa above
 EIG_COND_GUARD, against at most 2 on five-atom clouds) or a vanishing
 Sylvester denominator (dark states, which can leave several steady states)
-raises ResonantSingularityError at every n, as the amplitude solve does
-for the same inputs. Every returned state passes the residual gate of the
-operator-form generator.
+raises ResonantSingularityError at every n, as the pair solve
+perturbation.solve_v does for a Z that eigenbasis refuses. Every returned
+state passes the residual gate of the operator-form generator.
 
 The generator is written once, in the level system: A per level, the
 jump and drive gathers. Its apply(rho, eta) = L rho serves the residual

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IlluminatedAtomError, ThresholdNotApplicableError
-from .geometry import Drive, Ensemble, MaskedBeam, Partition
+from .geometry import Drive, Ensemble, MaskedBeam, Partition, check_count
 
 
 def v_dilute(z_pair: complex, w_mu: complex, w_nu: complex, delta: float) -> complex:
@@ -45,7 +45,9 @@ class FarFieldConfig:
     """Geometry summary of two distant groups under one plane wave.
 
     distance and d0 are in k0 units; e points from the A centroid to the
-    B centroid; theta is the angle between the dipole and e.
+    B centroid; theta is the angle between the dipole and e. The group
+    sizes n_a and n_b must be integers >= 1 (ValueError otherwise). It
+    keeps a read-only copy of e, so the caller's array stays writable.
     """
 
     distance: float
@@ -64,7 +66,11 @@ class FarFieldConfig:
             raise ValueError("distance must be positive")
         if abs(self.s_a) > 1 + 1e-12 or abs(self.s_b) > 1 + 1e-12:
             raise ValueError("group phase sums must have modulus <= 1")
-        self.e.setflags(write=False)
+        for name in ("n_a", "n_b"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        e = np.array(self.e, dtype=float)
+        e.setflags(write=False)
+        object.__setattr__(self, "e", e)
 
     @property
     def x(self) -> complex:
@@ -98,8 +104,8 @@ def farfield_parameters(
         distance=float(distance),
         theta=float(theta),
         e=np.array([1.0, 0.0, 0.0]),
-        n_a=int(n_a),
-        n_b=int(n_b),
+        n_a=n_a,
+        n_b=n_b,
         delta=float(delta),
         s_a=complex(s_a),
         s_b=complex(s_b),
@@ -126,7 +132,7 @@ def farfield_config(ens: Ensemble, part: Partition, drive: Drive) -> FarFieldCon
     return FarFieldConfig(
         distance=distance,
         theta=theta,
-        e=e.copy(),
+        e=e,
         n_a=len(part.group_a),
         n_b=len(part.group_b),
         delta=drive.delta,

@@ -43,6 +43,14 @@ def _unit(vec, name: str) -> np.ndarray:
     return v
 
 
+def check_count(value, name: str) -> int:
+    """value as an int; ValueError unless it is an integer >= 1. numpy
+    integers pass; bool and floats, even integral ones, do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -199,8 +207,7 @@ def explicit_ensemble(positions: Sequence[Sequence[float]], dipole) -> Ensemble:
 
 def lattice_ensemble(edge: int, spacing: float, dipole) -> Ensemble:
     """Cubic lattice with `edge` sites per axis, `spacing` in k0 units."""
-    if edge < 1:
-        raise ValueError("edge count must be >= 1")
+    edge = check_count(edge, "edge count")
     if not (spacing > 0 and np.isfinite(spacing)):
         raise ValueError("spacing must be positive and finite")
     axes = np.arange(edge) * spacing
@@ -220,8 +227,7 @@ def random_ensemble(
     With min_distance > 0 each atom is redrawn until it clears every
     previously placed one; placement stays deterministic in the seed.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = check_count(count, "count")
     box = np.broadcast_to(np.asarray(box, dtype=float), (3,))
     if not np.all((box > 0) & np.isfinite(box)):
         raise ValueError("box dimensions must be positive and finite")

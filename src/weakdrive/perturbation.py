@@ -37,9 +37,10 @@ i of P^-1), the largest eigenvalue condition number (Golub & Van Loan
 7.2.2), never above cond_2(P). Random clouds of 40-640 atoms measure kappa
 5-254, lattices and the oracle's levels at most 2, and the eigen kernel
 loses digits from kappa ~ 1e5 on. Above EIG_COND_GUARD (Z near-defective)
-the same projection runs on the complex Schur form of Z with LAPACK trsyl
-(Bartels-Stewart). Either way the solution is refined through the
-operator-form map pair_map_apply, whose residual also gates the result.
+eigenbasis raises ResonantSingularityError with cond = kappa, and solve_v
+passes it on, as the exact oracle does for the same Z: its levels have
+Z's eigenvectors. The solution is refined through the operator-form map
+pair_map_apply, whose residual also gates the result.
 
 PerturbState.local_index maps an atom label to its local position and
 raises PartitionError for an atom absent from the state, and
@@ -56,7 +57,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy
 
 from .basis import basis_dim, pair_arrays, pair_count, pair_index, scatter_pairs
 from .errors import (
@@ -191,10 +191,10 @@ def _skeleton(x: np.ndarray, G_abs: np.ndarray, tol: float) -> np.ndarray:
 
 def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
     """Sylvester inverse in the eigenbasis Z = P diag(lam) Q with Q = P^-1,
-    as the kernel (P, Q, Y -> G o Y), the Schur complement K of the
-    diagonal multipliers, and the rank R of the skeleton of G that K is
-    built from (module docstring): K = sum_r X_r o X_r with
-    X_r = P diag(c_r) Q, one row c_r of C each.
+    as (G, K, R): the Cauchy matrix G of X -> P (G o (Q X Q^T)) P^T, the
+    Schur complement K of the diagonal multipliers, and the rank R of the
+    skeleton of G that K is built from (module docstring): K = sum_r X_r o X_r
+    with X_r = P diag(c_r) Q, one row c_r of C each.
     ResonantSingularityError when G is not finite (an exact resonance).
     """
     n = len(lam)
@@ -221,51 +221,27 @@ def _eigen_kernel(lam: np.ndarray, P: np.ndarray, Q: np.ndarray, delta: float):
         X.reshape(R, hi - lo, -1).sum(axis=0, out=K[lo:hi, lo:])
     lower = np.tril_indices(n, -1)
     K[lower] = K.T[lower]
-    return (P, Q, lambda Y: G * Y), K, R
+    return G, K, R
 
 
-def _schur_kernel(Z: np.ndarray, delta: float):
-    """Sylvester inverse through the complex Schur form Z = U T U^H, as the
-    kernel (U, U^H, solve), and K.
-
-    With S = U Y U^T the map becomes T Y + Y T^T - 2 i delta Y; reversing
-    the column order of Y turns T^T into the upper triangular J T^T J, so
-    LAPACK trsyl (Bartels-Stewart) takes it directly. trsyl reports common
-    eigenvalues of its two triangles, i.e. a resonance, through info.
-    scipy.linalg is first loaded here, so only this fallback pays its import.
-    """
-    n = Z.shape[0]
-    T, U = scipy.linalg.schur(Z, output="complex")
-    L = U.conj().T
-    A = T - 2j * delta * np.eye(n)
-    R = T.T[::-1, ::-1]
-    (trsyl,) = scipy.linalg.get_lapack_funcs(("trsyl",), (T,))
-
-    def solve(Y):
-        Yj, scale, info = trsyl(A, R, Y[:, ::-1])
-        if info != 0:
-            raise ResonantSingularityError(delta, np.inf)
-        return Yj[:, ::-1] / scale
-
-    K = np.column_stack([np.diagonal(U @ solve(np.outer(l, l)) @ U.T) for l in L.T])
-    return (U, L, solve), K
-
-
-def _project(kernel, K_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _project(P: np.ndarray, Q: np.ndarray, G: np.ndarray, K_inv: np.ndarray,
+             rhs: np.ndarray) -> np.ndarray:
     """Projected Sylvester solve of one pair vector.
 
-    The kernel (P, L, solve) writes the Sylvester inverse as
-    X -> P solve(L X L^T) P^T. The inverse is applied once, to the pairs
-    plus the multipliers d = -K_inv diag(S_B): diag(S_B) is read off P Y
-    before the last product, and L diag(d) L^T is (L * d) L^T. That is six
-    n^3 products, against eight for two separate applications.
+    The Sylvester inverse X -> P (G o (Q X Q^T)) P^T is applied once, to
+    the pairs plus the multipliers d = -K_inv diag(S_B): diag(S_B) is read
+    off P (G o Y) before the last product, and Q diag(d) Q^T is
+    (Q * d) Q^T. That is six n^3 products, against eight for two separate
+    applications. It calls np.multiply(G, ...), not G * (...), which numpy
+    may evaluate in place in the temporary as (...) * G, rounding
+    differently; naming the temporary instead would keep one more n x n
+    array alive.
     """
-    P, L, solve = kernel
     n = len(P)
-    PY = P @ solve(L @ scatter_pairs(rhs, n) @ L.T)
+    PY = P @ np.multiply(G, Q @ scatter_pairs(rhs, n) @ Q.T)
     d = K_inv @ -np.einsum("ij,ij->i", PY, P)
     I, J = pair_arrays(n)
-    return ((PY + P @ solve((L * d) @ L.T)) @ P.T)[I, J]
+    return ((PY + P @ np.multiply(G, (Q * d) @ Q.T)) @ P.T)[I, J]
 
 
 def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
@@ -274,7 +250,9 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
     Projected Sylvester solve (see the module docstring), refined through
     pair_map_apply until the residual meets RESIDUAL_TOL; at least one
     refinement step is always taken. Z must be symmetric to
-    SYMMETRY_RTOL relative, or AsymmetricCouplingError is raised.
+    SYMMETRY_RTOL relative, or AsymmetricCouplingError is raised; the
+    ResonantSingularityError of a Z that eigenbasis refuses (kappa >
+    EIG_COND_GUARD) is passed on.
     """
     Z = coupling
     n = len(Z)
@@ -285,23 +263,20 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
     if not asym <= SYMMETRY_RTOL * scale:
         raise AsymmetricCouplingError(asym, scale)
     b = pair_rhs(Z, u)
-    try:
-        kernel, K, rank = _eigen_kernel(*eigenbasis(Z, delta), delta)
-        route = f"eigen, skeleton rank {rank} of {n}"
-    except ResonantSingularityError:  # refused by eigenbasis, or G not finite
-        kernel, K = _schur_kernel(Z, delta)
-        route = f"schur, n {n}"
+    lam, P, Q = eigenbasis(Z, delta)
+    G, K, rank = _eigen_kernel(lam, P, Q, delta)
     K_inv = _inverse_checked(K, delta)
 
-    v = _project(kernel, K_inv, b)
+    v = _project(P, Q, G, K_inv, b)
     r = b - pair_map_apply(Z, delta, v)
     for steps in range(1, REFINE_STEPS + 1):
-        v = v + _project(kernel, K_inv, r)
+        v = v + _project(P, Q, G, K_inv, r)
         r = b - pair_map_apply(Z, delta, v)
         res = float(np.max(np.abs(r)))
         if res <= RESIDUAL_TOL:
             break
-    log.debug("pair kernel %s; refinement steps %d, residual %.3e", route, steps, res)
+    log.debug("skeleton rank %d of %d; refinement steps %d, residual %.3e",
+              rank, n, steps, res)
     if not res <= RESIDUAL_TOL:
         raise SolverConvergenceError(res, REFINE_STEPS)
     return v

@@ -392,10 +392,13 @@ def test_grid_shares_one_factorisation_and_basis(monkeypatch, caplog):
 
 
 def test_oracle_compare_reports_a_refused_factorisation_per_point(monkeypatch):
-    # a guard of 0 refuses every level eigenbasis: each drive strength of
-    # the grid records the ResonantSingularityError as a point error, while
-    # the amplitude solve goes on through its Schur kernel
-    monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
+    # a refused level eigenbasis: each drive strength of the grid records
+    # the ResonantSingularityError as a point error, while the amplitude
+    # solve, which keeps its own eigenbasis, goes on
+    def refuse(A, delta):
+        raise ResonantSingularityError(delta, np.inf)
+
+    monkeypatch.setattr(exact, "eigenbasis", refuse)
     cfg = parse_config({
         "geometry": {"mode": "explicit", "positions": [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]]},
         "dipole": [0, 0, 1],

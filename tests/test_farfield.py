@@ -6,6 +6,7 @@ from weakdrive.errors import IlluminatedAtomError, ThresholdNotApplicableError
 from weakdrive.farfield import (
     bound_omega,
     build_V_farfield,
+    FarFieldConfig,
     farfield_config,
     farfield_parameters,
     lmin_bound,
@@ -277,3 +278,21 @@ _CONCENTRIC = explicit_ensemble([[0, 0, 0], [2, 0, 0], [1, 1, 0], [1, -1, 0]], D
 def test_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("n_a, n_b", [(2.7, 3), (3, 2.0), (0, 3), (3, -3), (True, 3)],
+                         ids=["fraction", "float", "zero", "negative", "bool"])
+def test_group_sizes_must_be_positive_integers(n_a, n_b):
+    # 2.7 used to be truncated to 2, and -3 gave d0 = nan
+    with pytest.raises(ValueError, match="must be an integer >= 1, got "):
+        farfield_parameters(1e4, 1.0, n_a, n_b)
+
+
+def test_config_keeps_a_read_only_copy_of_e():
+    e = np.array([0.0, 1.0, 0.0])
+    cfg = FarFieldConfig(distance=1e4, theta=1.0, e=e, n_a=np.int64(2), n_b=3,
+                         delta=0.0, s_a=0.0, s_b=0.0)
+    assert e.flags.writeable and not cfg.e.flags.writeable
+    e[0] = 5.0
+    assert np.array_equal(cfg.e, [0.0, 1.0, 0.0])
+    assert type(cfg.n_a) is int and cfg.d0 == pytest.approx(6**0.5 * np.sin(1.0) ** 2)

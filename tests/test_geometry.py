@@ -192,3 +192,24 @@ def test_regime_farfield_flag():
 def test_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lattice_ensemble(2.5, 1.0, DIPOLE),
+    lambda: lattice_ensemble(2.0, 1.0, DIPOLE),
+    lambda: lattice_ensemble(True, 1.0, DIPOLE),
+    lambda: random_ensemble(2.5, 1.0, 0, DIPOLE),
+    lambda: random_ensemble(True, 1.0, 0, DIPOLE),
+], ids=["lattice-fraction", "lattice-float", "lattice-bool", "random-fraction", "random-bool"])
+def test_builder_sizes_must_be_integers(call):
+    # np.arange(2.5) has three sites, and a float count reached numpy's
+    # TypeError: every size must be an integer, as parse_config requires
+    with pytest.raises(ValueError, match="must be an integer >= 1, got "):
+        call()
+
+
+def test_builder_sizes_take_numpy_integers():
+    lattice = lattice_ensemble(np.int64(2), 1.0, DIPOLE)
+    assert np.array_equal(lattice.positions, lattice_ensemble(2, 1.0, DIPOLE).positions)
+    cloud = random_ensemble(np.int32(3), 4.0, 1, DIPOLE)
+    assert np.array_equal(cloud.positions, random_ensemble(3, 4.0, 1, DIPOLE).positions)

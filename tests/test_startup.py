@@ -1,8 +1,8 @@
 """Import hygiene: scipy.linalg, numpy.ma, OpenSSL and the validate
 checks stay out of ordinary runs.
 
-scipy.linalg costs ~0.3 s to import and only the Schur fallback of the pair
-solve uses it; numpy.ma is pulled in by np.unique. hashlib's _hashlib maps
+scipy.linalg costs ~0.3 s to import and only exact.propagate_truncated
+uses it; numpy.ma is pulled in by np.unique. hashlib's _hashlib maps
 OpenSSL's libcrypto (3.3 MB resident), and config_hash takes the
 interpreter's built-in sha256 instead; weakdrive.checks is used by the
 validate task alone. Each check runs in a fresh interpreter, because this
@@ -19,7 +19,6 @@ import weakdrive
 from weakdrive.reporting import config_hash
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(weakdrive.__file__)))
-TESTS = os.path.dirname(os.path.abspath(__file__))
 
 CONFIG = {
     "geometry": {
@@ -48,29 +47,6 @@ for task, cfg, out in zip(sys.argv[2::3], sys.argv[3::3], sys.argv[4::3]):
     assert weakdrive.cli.main([task, "--config", cfg, "--out", out]) == 0
     print(loaded())
 """
-
-SCHUR_SCRIPT = """
-import sys
-import numpy as np
-from test_perturbation import _defective_coupling
-from weakdrive import perturbation
-from weakdrive.errors import ResonantSingularityError
-
-assert "scipy.linalg" not in sys.modules
-coupling = _defective_coupling()
-try:
-    perturbation.eigenbasis(coupling, 0.3)
-except ResonantSingularityError as exc:
-    assert exc.cond > perturbation.EIG_COND_GUARD
-else:
-    raise AssertionError("eigenbasis accepted the defective coupling")
-u = perturbation.solve_u(coupling, 0.3, np.exp(1j * np.arange(6)))
-v = perturbation.solve_v(coupling, 0.3, u)
-r = perturbation.pair_rhs(coupling, u) - perturbation.pair_map_apply(coupling, 0.3, v)
-assert np.max(np.abs(r)) <= perturbation.RESIDUAL_TOL
-assert "scipy.linalg" in sys.modules
-"""
-
 
 def _run(script, *args, path=SRC):
     env = dict(os.environ, PYTHONPATH=path)
@@ -128,6 +104,3 @@ def test_config_hash_is_sha256_of_the_canonical_json():
         "1d443e77df776a96216c5aca7819df0ccac93b1172734819a1280120d5aab26a"
     )
 
-
-def test_schur_fallback_loads_scipy_linalg_on_first_use():
-    _run(SCHUR_SCRIPT, path=os.pathsep.join([SRC, TESTS]))

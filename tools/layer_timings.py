@@ -16,8 +16,8 @@ layers, printed one line each.
   and solve_v on a 160-atom random cloud (5 calls) and on a 320-atom
   cloud of the same density (1 call) under the CLI's one-thread policy
   (weakdrive.blas.one_thread), each with the DEBUG record solve_v logs on
-  weakdrive.perturbation: the pair kernel, the skeleton rank of G, the
-  refinement steps and the final residual;
+  weakdrive.perturbation: the skeleton rank of G, the refinement steps
+  and the final residual;
 - perturbation._skeleton alone, on the Cauchy matrix G of that 160-atom
   cloud and of the 6^3 lattice at spacing 1 (delta = 0.3, 20 calls each),
   with the rank R of the skeleton;
