@@ -72,7 +72,6 @@ from .negativity import (
 from .perturbation import (
     PerturbState,
     assemble_state,
-    pair_correlation,
     restrict_state,
     solve_u,
     solve_v,

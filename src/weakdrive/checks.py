@@ -41,15 +41,6 @@ class CheckResult:
     threshold: float
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "note": self.note,
-        }
-
 
 def truncated_partial_trace(matrix: np.ndarray, n: int, keep: tuple[int, ...]) -> np.ndarray:
     """Partial trace on the {ground, singles, pairs} basis.

@@ -316,14 +316,6 @@ class PerturbState:
         except ValueError:
             raise PartitionError(f"atom {atom} not present in the solved state") from None
 
-    def v_pair(self, i: int, j: int) -> complex:
-        """Pair correlation for local indices i != j in 0..n-1."""
-        if i == j:
-            raise ValueError("pair correlation needs two distinct atoms")
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"local indices {i}, {j} outside 0..{self.n - 1}")
-        return complex(self.v[pair_index(i, j, self.n)])
-
     def v_matrix(self) -> np.ndarray:
         return scatter_pairs(self.v, self.n)
 
@@ -387,20 +379,3 @@ def assemble_state(state: PerturbState) -> np.ndarray:
         rho[0, 1 + n :] = np.conj(amp)
     rho.setflags(write=False)
     return rho
-
-
-def pair_correlation(state: PerturbState, atom_i: int, atom_j: int) -> np.ndarray:
-    """rho_ij - rho_i x rho_j for two atoms, on the basis {gg, ge, eg, ee}.
-
-    At second order only the gg-ee corner survives: eta^2 conj(v) |gg><ee|
-    plus its conjugate.
-    """
-    if atom_i == atom_j:
-        raise ValueError("pair correlation needs two distinct atoms")
-    i = state.local_index(atom_i)
-    j = state.local_index(atom_j)
-    v = state.v_pair(i, j)
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 3] = state.eta**2 * np.conj(v)
-    out[3, 0] = state.eta**2 * v
-    return out

@@ -24,7 +24,7 @@ depend on it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -253,7 +253,7 @@ def run_validate(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     passed = all(r.passed for r in results)
     report = {
         "provenance": _provenance(cfg, parallelism),
-        "checks": [r.to_dict() for r in results],
+        "checks": [asdict(r) for r in results],
         "all_passed": passed,
     }
     summary = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: measured={float(r.measured)!r} "

@@ -1,11 +1,13 @@
 import json
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakdrive import checks, cli, negativity
+from weakdrive import checks, cli, coupling, negativity, perturbation
 from weakdrive.checks import run_checks
 from weakdrive.config import parse_config
 from weakdrive.coupling import coupling_matrix
@@ -621,23 +623,143 @@ def test_oracle_compare_three_plus_three(tmp_path):
     assert 8.0 <= rows[1][3] / rows[0][3] <= 32.0
 
 
-def test_validate_cli_and_fault_injection(capsys, monkeypatch):
-    assert cli.main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS z_symmetry" in out
-    clean = checks.build_scenario
-
-    def z_asymmetry(seed):
+def _z_asymmetry(build_scenario):
+    def fault(seed):
         # the state stays solved on the clean Z; only the checked Z is broken
-        sc = clean(seed)
+        sc = build_scenario(seed)
         z = sc.coupling.copy()
         z[0, 1] += 1e-3
         return replace(sc, coupling=z)
+    return fault
 
-    monkeypatch.setattr(checks, "build_scenario", z_asymmetry)
+
+def _decay_times_20(pair_values):
+    # off-diagonal decay 20 times too strong next to the 1/2 diagonal
+    return lambda separations, dipole: 20.0 * pair_values(separations, dipole)
+
+
+def _sorted_restriction(restrict_state):
+    # a restriction that sorts its subset puts B before A in the swapped
+    # partition's local order, so its V is another block of the pairs
+    return lambda state, subset: restrict_state(state, sorted(subset))
+
+
+def _positive_lambda2(lambda2_spectrum):
+    # +s in place of -s: still the right magnitudes, so only the
+    # independent eigvalsh route can see it
+    def fault(V):
+        vals, vecs = lambda2_spectrum(V)
+        return np.abs(vals), vecs
+    return fault
+
+
+def _first_row_border(cores):
+    # the border written to the first row only: eigvalsh, which reads the
+    # lower triangle, would see no pairs
+    def fault(self, etas):
+        out = cores(self, etas)
+        out[:, -1, 0] = 0.0
+        return out
+    return fault
+
+
+def _off_trace(build_pt_matrix):
+    def fault(state, part):
+        pt = build_pt_matrix(state, part)
+        return replace(pt, s=pt.s + 1e-6)
+    return fault
+
+
+def _reversed_u(restrict_state):
+    def fault(state, subset):
+        sub = restrict_state(state, subset)
+        return replace(sub, u=sub.u[::-1])
+    return fault
+
+
+def _reach_without_conj(restricted_pt):
+    # reach read as |u @ U|, without the conjugate on the rows of A
+    def fault(sub, vmat, na):
+        u = sub.u
+        in_a = np.arange(sub.n) < na
+        block = np.where(in_a[:, None] == in_a[None, :], np.outer(u, np.conj(u)),
+                         np.outer(u, u) + vmat)
+        _, U = np.linalg.eigh(np.where(in_a[:, None], block, np.conj(block)))
+        return replace(restricted_pt(sub, vmat, na), reach=np.abs(u @ U))
+    return fault
+
+
+def _without_v(build_pt_matrix):
+    # the partial transpose without the pair correlations v, which carry
+    # the entanglement: the gap to the oracle no longer falls by eta^3 to eta^4
+    return lambda state, part: build_pt_matrix(replace(state, v=np.zeros_like(state.v)), part)
+
+
+def _uncorrected_ground(assemble_state):
+    # the ground population without its -eta^2 sum|u|^2 correction
+    def fault(state):
+        rho = assemble_state(state).copy()
+        rho[0, 0] = 1.0
+        return rho
+    return fault
+
+
+def _half_pair_source(pair_rhs):
+    return lambda coupling, u: pair_rhs(coupling, u) / 2
+
+
+# one fault per validate check, keyed by check name: (owner, attribute,
+# fault), where fault takes the attribute and returns its broken stand-in
+CHECK_FAULTS = {
+    "z_symmetry": (checks, "build_scenario", _z_asymmetry),
+    "gamma_psd": (coupling, "pair_values", _decay_times_20),
+    "group_swap": (negativity, "restrict_state", _sorted_restriction),
+    "eig_pairing": (checks, "lambda2_spectrum", _positive_lambda2),
+    "pt_hermitian": (negativity.PartialTransposeMatrix, "cores", _first_row_border),
+    "pt_trace": (checks, "build_pt_matrix", _off_trace),
+    "restriction_partial_trace": (checks, "restrict_state", _reversed_u),
+    "phase_invariance": (negativity, "_restricted_pt", _reach_without_conj),
+    "oracle_negativity_scaling": (checks, "build_pt_matrix", _without_v),
+    "oracle_state_scaling": (checks, "assemble_state", _uncorrected_ground),
+    "propagator_fixed_point": (perturbation, "pair_rhs", _half_pair_source),
+}
+CHECKS_BY_NAME = {check.__name__.removeprefix("check_"): check for check in checks.ALL_CHECKS}
+
+
+def test_every_validate_check_has_a_fault_and_passes_clean():
+    assert list(CHECK_FAULTS) == list(CHECKS_BY_NAME)
+    results = run_checks(seed=1)
+    assert [r.name for r in results] == list(CHECKS_BY_NAME)
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("name", list(CHECK_FAULTS))
+def test_validate_check_fails_under_its_fault(monkeypatch, name):
+    owner, attribute, fault = CHECK_FAULTS[name]
+    # the oracle errors are cached: a clean entry would hide the fault and a
+    # faulted one would leak into later runs
+    checks._oracle_errors.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(owner, attribute, fault(getattr(owner, attribute)))
+        result = CHECKS_BY_NAME[name](checks.build_scenario(1))
+    checks._oracle_errors.cache_clear()
+    assert result.name == name
+    assert not result.passed, result
+
+
+def test_readme_lists_the_validate_checks_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("`validate` writes `report.json`", 1)[1]
+    section = section.split("The two oracle checks", 1)[0]
+    assert re.findall(r"^- `(\w+)`:", section, flags=re.M) == list(CHECKS_BY_NAME)
+
+
+def test_validate_cli_and_fault_injection(capsys, monkeypatch):
+    assert cli.main(["validate"]) == 0
+    assert "PASS z_symmetry" in capsys.readouterr().out
+    monkeypatch.setattr(checks, "build_scenario", _z_asymmetry(checks.build_scenario))
     bundle = run_validate(parse_config({"seed": 1}, "validate"))
     broken = {c["name"]: c for c in bundle.report["checks"]}
-    assert not broken["z_symmetry"]["passed"]
     # the pair solve refuses the asymmetric Z instead of solving it
     assert not broken["phase_invariance"]["passed"]
     assert broken["phase_invariance"]["note"].startswith("pair solve refused")
@@ -657,18 +779,6 @@ def test_validate_prints_shortest_round_trip_values(tmp_path, capsys):
         measured, threshold = (part.split("=")[1] for part in line.split()[2:])
         assert float(measured) == check["measured"] and float(threshold) == check["threshold"]
         assert measured == repr(float(check["measured"]))
-
-
-def test_eig_pairing_check_fails_when_lambda2_loses_its_negative_half(monkeypatch):
-    sc = checks.build_scenario(1)
-    assert checks.check_eig_pairing(sc).passed
-    spectrum = checks.lambda2_spectrum
-    # +s in place of -s: still the right magnitudes, so only the
-    # independent eigvalsh route can see it
-    monkeypatch.setattr(checks, "lambda2_spectrum",
-                        lambda V: (np.abs(spectrum(V)[0]), spectrum(V)[1]))
-    broken = checks.check_eig_pairing(sc)
-    assert not broken.passed and broken.measured > 1e-10
 
 
 def test_rounding_level_zero_mode_never_sets_the_threshold(tmp_path):
@@ -699,45 +809,6 @@ def test_rounding_level_zero_mode_never_sets_the_threshold(tmp_path):
     # the zero mode's rounding-level eta^4 lambda4 is left out of the
     # minimum; kept in, it pinned the estimate to the grid point 0.22
     assert abs(thr["eta_sweep_estimate"] - neg["eta_threshold"]) <= 5e-4
-
-
-def test_group_swap_check_fails_when_restriction_ignores_group_order(monkeypatch):
-    sc = checks.build_scenario(1)
-    assert checks.check_group_swap(sc).passed
-    restrict = negativity.restrict_state
-    # a restriction that sorts its subset puts B before A in the swapped
-    # partition's local order, so its V is another block of the pairs
-    monkeypatch.setattr(negativity, "restrict_state",
-                        lambda state, subset: restrict(state, sorted(subset)))
-    broken = checks.check_group_swap(sc)
-    assert not broken.passed and broken.measured > 1e-3
-
-
-def test_pt_checks_fail_on_a_broken_core(monkeypatch):
-    sc = checks.build_scenario(1)
-    assert checks.check_pt_hermitian(sc).measured == 0.0
-    assert checks.check_pt_trace(sc).passed
-    real_cores = negativity.PartialTransposeMatrix.cores
-
-    def first_row_border(self, etas):
-        # the border written to the first row only: eigvalsh, which reads
-        # the lower triangle, would see no pairs
-        out = real_cores(self, etas)
-        out[:, -1, 0] = 0.0
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(negativity.PartialTransposeMatrix, "cores", first_row_border)
-        assert not checks.check_pt_hermitian(sc).passed
-    build = checks.build_pt_matrix
-
-    def off_trace(state, part):
-        pt = build(state, part)
-        return replace(pt, s=pt.s + 1e-6)
-
-    monkeypatch.setattr(checks, "build_pt_matrix", off_trace)
-    broken = checks.check_pt_trace(sc)
-    assert not broken.passed and broken.measured > 1e-12
 
 
 def test_solve_bundle_writes_the_same_bytes_twice(tmp_path):

@@ -134,7 +134,7 @@ def test_subgroup_in_ensemble_uses_full_amplitudes():
     pt = build_pt_matrix(state, part)
     li, lj = state.local_index(1), state.local_index(3)
     u = [state.u[li], state.u[lj]]
-    vmap = {(0, 1): state.v_pair(li, lj)}
+    vmap = {(0, 1): state.v_matrix()[li, lj]}
     ref = _reference_pt(u, vmap, 1, 1, drive.eta)
     assert pt.dim == len(ref)
     assert np.max(np.abs(pt_negativity(pt)[1] - np.linalg.eigvalsh(ref))) <= 1e-12
@@ -143,9 +143,8 @@ def test_subgroup_in_ensemble_uses_full_amplitudes():
 def _assert_compressed_matches_full(state, part):
     sub = restrict_state(state, part.atoms)
     na = len(part.group_a)
-    vmap = {
-        (i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)
-    }
+    vmat = sub.v_matrix()
+    vmap = {(i, j): vmat[i, j] for i in range(sub.n) for j in range(i + 1, sub.n)}
     full = np.linalg.eigvalsh(_reference_pt(sub.u, vmap, na, sub.n - na, sub.eta))
     neg, spectrum = pt_negativity(build_pt_matrix(state, part))
     assert spectrum.shape == full.shape
@@ -195,7 +194,8 @@ def _assert_arrowhead_route(state, part, etas):
     one-point API and negativity_report against each other bit for bit."""
     sub = restrict_state(state, part.atoms)
     na = len(part.group_a)
-    vmap = {(i, j): sub.v_pair(i, j) for i in range(sub.n) for j in range(i + 1, sub.n)}
+    vmat = sub.v_matrix()
+    vmap = {(i, j): vmat[i, j] for i in range(sub.n) for j in range(i + 1, sub.n)}
     grid_neg = pt_negativity_grid(build_pt_matrix(state, part), etas)
     for eta, got in zip(etas, grid_neg):
         at_eta = replace(state, eta=eta)
@@ -415,7 +415,7 @@ def test_build_V_is_a_read_only_array():
     assert type(V) is np.ndarray and V.dtype == complex and V.shape == (2, 3)
     assert not V.flags.writeable
     # rows are sorted A, columns sorted B
-    assert V[1, 0] == state.v_pair(3, 1)
+    assert V[1, 0] == state.v_matrix()[3, 1]
 
 
 def test_mode_rows_close_only_where_threshold_omega_applies():

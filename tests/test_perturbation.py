@@ -25,9 +25,7 @@ from weakdrive.geometry import (
     random_ensemble,
 )
 from weakdrive.perturbation import (
-    PerturbState,
     assemble_state,
-    pair_correlation,
     pair_map_apply,
     pair_rhs,
     restrict_state,
@@ -578,10 +576,6 @@ def test_v_pair_matches_v_matrix():
     ens = random_ensemble(5, 5.0, 4, DIPOLE, min_distance=0.5)
     state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=BEAM), ens)
     vmat = state.v_matrix()
-    for i in range(state.n):
-        for j in range(state.n):
-            if i != j:
-                assert state.v_pair(i, j) == vmat[i, j]
     # a restriction in shuffled order reads the same pairs
     sub = (3, 0, 4, 1)
     off = ~np.eye(len(sub), dtype=bool)
@@ -678,32 +672,6 @@ def test_singleton_restriction_formula():
     assert np.allclose(rho, expected, atol=1e-14)
 
 
-def test_pair_correlation_zero_without_v():
-    state = PerturbState(
-        u=np.array([0.3 + 0.1j, -0.2j]),
-        v=np.array([0.0 + 0.0j]),
-        w=np.ones(2, dtype=complex),
-        delta=0.0,
-        eta=0.1,
-        atoms=(0, 1),
-    )
-    assert np.max(np.abs(pair_correlation(state, 0, 1))) == 0.0
-
-
-def test_pair_correlation_formula():
-    state = PerturbState(
-        u=np.zeros(2, dtype=complex),
-        v=np.array([1.0j]),
-        w=np.ones(2, dtype=complex),
-        delta=0.0,
-        eta=0.1,
-        atoms=(0, 1),
-    )
-    corr = pair_correlation(state, 0, 1)
-    assert corr[0, 3] == pytest.approx(-0.01j)
-    assert corr[3, 0] == pytest.approx(0.01j)
-
-
 def _kron_truncated(rho_i, rho_j, eta):
     """Product of two single-atom states truncated at second order in eta.
 
@@ -740,7 +708,14 @@ def test_pair_correlation_matches_state_reduction():
     rho_i = assemble_state(restrict_state(state, (i,)))
     rho_j = assemble_state(restrict_state(state, (j,)))
     product = _kron_truncated(rho_i, rho_j, drive.eta)
-    assert np.max(np.abs(rho_ij - product - pair_correlation(state, i, j))) <= 1e-12
+    # at second order only the gg-ee corner of the connected correlator
+    # survives: eta^2 conj(v) |gg><ee| plus its conjugate
+    v = state.v_matrix()[i, j]
+    connected = np.zeros((4, 4), dtype=complex)
+    connected[0, 3] = drive.eta**2 * np.conj(v)
+    connected[3, 0] = drive.eta**2 * v
+    assert abs(connected[3, 0]) > 1e-4
+    assert np.max(np.abs(rho_ij - product - connected)) <= 1e-12
 
 
 def test_global_phase_scaling():
@@ -755,18 +730,3 @@ def test_global_phase_scaling():
     v2 = solve_v(coupling, drive.delta, u2)
     assert np.max(np.abs(u2 - u1 * np.exp(1j * chi))) <= 1e-12
     assert np.max(np.abs(v2 - v1 * np.exp(2j * chi))) <= 1e-12
-
-
-_PAIR = PerturbState(u=np.ones(2, dtype=complex), v=np.array([0.1j]),
-                     w=np.ones(2, dtype=complex), delta=0.0, eta=0.05, atoms=(0, 1))
-
-
-@pytest.mark.parametrize("call, error, match", [
-    (lambda mp: _PAIR.v_pair(1, 1), ValueError, "two distinct atoms"),
-    (lambda mp: _PAIR.v_pair(0, 2), IndexError, "outside 0..1"),
-    (lambda mp: pair_correlation(_PAIR, 0, 0), ValueError, "two distinct atoms"),
-], ids=["v-pair-same-atom", "v-pair-out-of-range",
-        "pair-correlation-same-atom"])
-def test_typed_errors(monkeypatch, call, error, match):
-    with pytest.raises(error, match=match):
-        call(monkeypatch)
