@@ -39,7 +39,6 @@ from .farfield import (
     bound_omega,
     build_V_farfield,
     farfield_config,
-    farfield_parameters,
     lmin_bound,
     nmax_analytic,
     quartic_spectrum,
@@ -49,7 +48,6 @@ from .farfield import (
 from .geometry import (
     Drive,
     Ensemble,
-    MaskedBeam,
     Partition,
     PlaneWave,
     RegimeReport,

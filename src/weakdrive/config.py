@@ -22,7 +22,6 @@ from .exact import N_CAP
 from .geometry import (
     Drive,
     Ensemble,
-    MaskedBeam,
     Partition,
     PlaneWave,
     explicit_ensemble,
@@ -239,13 +238,12 @@ def parse_config(data: Any, task: str) -> RunConfig:
         if abs(np.linalg.norm(dipole) - 1.0) > 1e-12:
             raise ConfigError("dipole", "must be a unit vector")
 
-    direction = mask = None
+    direction, mask = None, []
     if "beam" in top:
         beam = _expect_mapping(top["beam"], "beam")
         _check_keys(beam, "beam", {"direction"}, {"mask"})
         direction = _vector3(beam["direction"], "beam.direction")
-        if "mask" in beam:
-            mask = _index_list(beam["mask"], "beam.mask")
+        mask = _index_list(beam.get("mask", []), "beam.mask")
 
     eta = _number(top["eta"], "eta") if "eta" in top else None
     if eta is not None and eta < 0:
@@ -309,16 +307,14 @@ def _build_ensemble(g: dict, dipole: list, seed: int) -> Ensemble:
         raise ConfigError("geometry", str(exc)) from None
 
 
-def _build_drive(delta: float, eta: float, direction: list, mask, n: int) -> Drive:
+def _build_drive(delta: float, eta: float, direction: list, mask: list, n: int) -> Drive:
     try:
-        beam = PlaneWave(np.asarray(direction, dtype=float))
+        beam = PlaneWave(np.asarray(direction, dtype=float), mask=mask)
     except ValueError as exc:
         raise ConfigError("beam.direction", str(exc)) from None
-    if mask is not None:
-        bad = [i for i in mask if not 0 <= i < n]
-        if bad:
-            raise ConfigError("beam.mask", f"indices {bad} outside 0..{n - 1}")
-        beam = MaskedBeam(beam=beam, illuminated=frozenset(range(n)) - frozenset(mask))
+    bad = [i for i in mask if not 0 <= i < n]
+    if bad:
+        raise ConfigError("beam.mask", f"indices {bad} outside 0..{n - 1}")
     return Drive(delta=delta, eta=eta, beam=beam)
 
 

@@ -325,11 +325,15 @@ class _LevelSystem:
                 if self.krylov is None:
                     self.krylov = _Arnoldi(self.b0, restart)
                 basis = self.krylov
+                # the shared basis starts along b0, so rhs = eta b0 has the
+                # signed coefficient eta |b0| on it
+                start = math.copysign(beta, eta)
             else:
                 self.krylov = basis = None
                 basis = _Arnoldi(r, restart)
+                start = beta
             m = min(basis.size, GMRES_MAXITER - its)
-            y = _shifted_gmres(self.operator, basis, eta, beta, tol, m, its)
+            y = _shifted_gmres(self.operator, basis, eta, start, tol, m, its)
             x += y @ basis.Q[: len(y)]
             its += len(y)
             r = rhs - (x + eta * self.operator(x))
@@ -378,13 +382,14 @@ def _shifted_gmres(
     apply, basis: _Arnoldi, eta: float, beta: float, tol: float, m: int, its: int
 ) -> np.ndarray:
     """One GMRES cycle (Saad & Schultz 1986) for I + eta K, K = apply, on
-    an Arnoldi basis of K that starts in the residual direction, beta the
-    residual norm. The Krylov space of I + eta K is that of K for every
-    eta, with Hessenberg matrix I + eta H (Frommer & Glaessner 1998), so
-    Givens rotations run on those columns until the residual estimate
-    meets tol or m columns are spent. Returns the coefficients y of the
-    update y Q[:len(y)]; a vanishing column raises SolverConvergenceError
-    with the iterations so far, the `its` of earlier cycles included."""
+    an Arnoldi basis of K whose first vector is the residual over beta
+    (beta = -|r| when the basis starts against the residual). The Krylov
+    space of I + eta K is that of K for every eta, with Hessenberg matrix
+    I + eta H (Frommer & Glaessner 1998), so Givens rotations run on those
+    columns until the residual estimate meets tol or m columns are spent.
+    Returns the coefficients y of the update y Q[:len(y)]; a vanishing
+    column raises SolverConvergenceError with the iterations so far, the
+    `its` of earlier cycles included."""
     R = []  # columns of the triangular factor
     rot = []
     g = [beta]
@@ -504,7 +509,7 @@ def dilute_product_state(w: np.ndarray, delta: float, eta: float) -> DiluteProdu
     w = np.asarray(w, dtype=complex)
     p = eta**2 * np.abs(w) ** 2 / (0.25 + delta**2 + 2.0 * eta**2 * np.abs(w) ** 2)
     c = np.zeros_like(w)
-    driven = (np.abs(w) > 0) & (eta > 0)
+    driven = (np.abs(w) > 0) & (eta != 0)
     c[driven] = (0.5j - delta) * p[driven] / (eta * np.conj(w[driven]))
     return DiluteProductState(populations=p.real, coherences=c)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IlluminatedAtomError, ThresholdNotApplicableError
-from .geometry import Drive, Ensemble, MaskedBeam, Partition, check_count
+from .geometry import Drive, Ensemble, Partition, check_count
 
 
 def v_dilute(z_pair: complex, w_mu: complex, w_nu: complex, delta: float) -> complex:
@@ -45,21 +45,26 @@ class FarFieldConfig:
     """Geometry summary of two distant groups under one plane wave.
 
     distance and d0 are in k0 units; e points from the A centroid to the
-    B centroid; theta is the angle between the dipole and e. The group
-    sizes n_a and n_b must be integers >= 1 (ValueError otherwise). It
-    keeps a read-only copy of e, so the caller's array stays writable.
+    B centroid (default: the x axis); theta is the angle between the
+    dipole and e. distance, theta and delta are kept as floats, the phase
+    sums as complex numbers. The group sizes n_a and n_b must be integers
+    >= 1 (ValueError otherwise). It keeps a read-only copy of e, so the
+    caller's array stays writable.
     """
 
     distance: float
     theta: float
-    e: np.ndarray
     n_a: int
     n_b: int
-    delta: float
-    s_a: complex
-    s_b: complex
+    delta: float = 0.0
+    s_a: complex = 0j
+    s_b: complex = 0j
+    e: np.ndarray = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
+        for name, kind in (("distance", float), ("theta", float), ("delta", float),
+                           ("s_a", complex), ("s_b", complex)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if not np.all(np.isfinite([self.distance, self.theta, self.delta, self.s_a, self.s_b])):
             raise ValueError("distance, theta, delta and the phase sums must be finite")
         if not self.distance > 0:
@@ -90,33 +95,10 @@ class FarFieldConfig:
         return float(np.sqrt(self.n_a * self.n_b) * np.sin(self.theta) ** 2)
 
 
-def farfield_parameters(
-    distance: float,
-    theta: float,
-    n_a: int,
-    n_b: int,
-    delta: float = 0.0,
-    s_a: complex = 0.0,
-    s_b: complex = 0.0,
-) -> FarFieldConfig:
-    """Config from explicit numbers, e defaulting to the x axis."""
-    return FarFieldConfig(
-        distance=float(distance),
-        theta=float(theta),
-        e=np.array([1.0, 0.0, 0.0]),
-        n_a=n_a,
-        n_b=n_b,
-        delta=float(delta),
-        s_a=complex(s_a),
-        s_b=complex(s_b),
-    )
-
-
 def farfield_config(ens: Ensemble, part: Partition, drive: Drive) -> FarFieldConfig:
     """Config measured from an ensemble: centroids, dipole angle, phase sums."""
     part.check_range(ens.n)
-    beam = drive.beam
-    khat = beam.beam.direction if isinstance(beam, MaskedBeam) else beam.direction
+    khat = drive.beam.direction
     pa = ens.positions[list(part.group_a)]
     pb = ens.positions[list(part.group_b)]
     ca, cb = pa.mean(axis=0), pb.mean(axis=0)

@@ -12,7 +12,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,41 +95,25 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class PlaneWave:
-    """Resonant plane wave along a unit direction (|K| = k0)."""
+    """Resonant plane wave along a unit direction (|K| = k0); the atoms
+    listed in mask stay dark."""
 
     direction: np.ndarray
+    mask: frozenset[int] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(
             self, "direction", _frozen_array(_unit(self.direction, "direction"))
         )
+        object.__setattr__(self, "mask", frozenset(int(i) for i in self.mask))
 
     def amplitudes(self, ens: Ensemble) -> np.ndarray:
-        return np.exp(1j * (ens.positions @ self.direction))
-
-
-@dataclass(frozen=True)
-class MaskedBeam:
-    """Plane wave reaching only the listed atoms; the rest stay dark."""
-
-    beam: PlaneWave
-    illuminated: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "illuminated", frozenset(int(i) for i in self.illuminated))
-
-    def amplitudes(self, ens: Ensemble) -> np.ndarray:
-        w = self.beam.amplitudes(ens)
-        mask = np.zeros(ens.n, dtype=bool)
-        for i in self.illuminated:
-            if not 0 <= i < ens.n:
-                raise PartitionError(f"illuminated index {i} outside 0..{ens.n - 1}")
-            mask[i] = True
-        w[~mask] = 0.0
+        w = np.exp(1j * (ens.positions @ self.direction))
+        bad = sorted(i for i in self.mask if not 0 <= i < ens.n)
+        if bad:
+            raise PartitionError(f"masked indices {bad} outside 0..{ens.n - 1}")
+        w[sorted(self.mask)] = 0.0
         return w
-
-
-Beam = Union[PlaneWave, MaskedBeam]
 
 
 @dataclass(frozen=True)
@@ -138,7 +122,7 @@ class Drive:
 
     delta: float
     eta: float
-    beam: Beam
+    beam: PlaneWave
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and np.isfinite(self.eta)):

@@ -266,6 +266,7 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
     lam, P, Q = eigenbasis(Z, delta)
     G, K, rank = _eigen_kernel(lam, P, Q, delta)
     K_inv = _inverse_checked(K, delta)
+    del K  # only its inverse is read from here on
 
     v = _project(P, Q, G, K_inv, b)
     r = b - pair_map_apply(Z, delta, v)

@@ -34,7 +34,7 @@ from .config import RunConfig
 from .coupling import coupling_matrix
 from .errors import WeakdriveError
 from .exact import build_liouvillian, negativity_exact, reduce_state, steady_state_exact
-from .farfield import bound_omega, farfield_parameters, lmin_bound, nmax_analytic
+from .farfield import FarFieldConfig, bound_omega, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
 from .negativity import build_pt_matrix, negativity_report, pt_negativity_grid
 from .perturbation import PerturbState, steady_state
@@ -213,7 +213,7 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
 
 def run_bounds(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     ff = cfg.farfield
-    params = farfield_parameters(
+    params = FarFieldConfig(
         distance=ff["k0_distance"],
         theta=ff["theta"],
         n_a=ff["n_a"],

@@ -22,8 +22,8 @@ from weakdrive.exact import (
 from weakdrive.farfield import (
     bound_omega,
     build_V_farfield,
+    FarFieldConfig,
     farfield_config,
-    farfield_parameters,
     lmin_bound,
     nmax_analytic,
     quartic_spectrum,
@@ -149,7 +149,7 @@ def test_criterion_3_quartic_spectrum():
         khat /= np.linalg.norm(khat)
         s_a = complex(np.mean(np.exp(2j * (pa @ khat))))
         s_b = complex(np.mean(np.exp(2j * (pb @ khat))))
-        cfg = farfield_parameters(k0d, 1.1, npg, npg, delta=delta, s_a=s_a, s_b=s_b)
+        cfg = FarFieldConfig(k0d, 1.1, npg, npg, delta=delta, s_a=s_a, s_b=s_b)
         V = build_V_farfield(cfg, pa, pb, khat)
         dense = np.sort(lambda2_spectrum(V)[0])
         four = np.sort(np.concatenate([dense[:2], dense[-2:]]))
@@ -157,7 +157,7 @@ def test_criterion_3_quartic_spectrum():
     # forced in-phase sums: doubly degenerate +/- sqrt(y)
     worst_deg = 0.0
     for npg in (5, 20, 50):
-        cfg0 = farfield_parameters(1e6, 1.1, npg, npg, delta=0.25)
+        cfg0 = FarFieldConfig(1e6, 1.1, npg, npg, delta=0.25)
         roots = quartic_spectrum(cfg0)
         ry = np.sqrt(cfg0.y)
         worst_deg = max(

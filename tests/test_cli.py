@@ -13,7 +13,7 @@ from weakdrive.config import parse_config
 from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import ConfigError
 from weakdrive.exact import N_CAP
-from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble
+from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble, random_ensemble
 from weakdrive.perturbation import steady_state
 from weakdrive.reporting import CHUNK_ROWS, config_hash, fmt_value
 from weakdrive.runner import ResultBundle, run_solve, run_validate
@@ -133,6 +133,29 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_config_mask_matches_library_plane_wave():
+    # beam.mask goes into PlaneWave as it is: a library drive with the same
+    # mask gives the same w, u and v bit for bit
+    config = {
+        "geometry": {"mode": "random", "count": 8, "box": 4.0, "min_distance": 0.5},
+        "dipole": [0, 0, 1],
+        "beam": {"direction": [0, 1, 0], "mask": [5, 2, 5]},
+        "delta": 0.3,
+        "eta": 0.05,
+        "partition": {"A": [0, 1], "B": [3, 4]},
+        "seed": 7,
+    }
+    cfg = parse_config(config, "solve")
+    assert cfg.drive.beam.mask == frozenset({2, 5})
+    ens = random_ensemble(8, 4.0, 7, [0.0, 0.0, 1.0], min_distance=0.5)
+    drive = Drive(delta=0.3, eta=0.05, beam=PlaneWave([0.0, 1.0, 0.0], mask={2, 5}))
+    parsed = steady_state(coupling_matrix(cfg.ensemble), cfg.drive, cfg.ensemble)
+    library = steady_state(coupling_matrix(ens), drive, ens)
+    assert np.count_nonzero(library.w == 0) == 2 and library.w[2] == library.w[5] == 0
+    for name in ("w", "u", "v"):
+        assert np.array_equal(getattr(parsed, name), getattr(library, name))
+
+
 def test_dark_groups_still_correlated(tmp_path):
     config = {
         "geometry": {
@@ -206,10 +229,10 @@ def test_sweep_farfield_pair_threshold_matches_bound(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     omega_numeric = report["threshold"]["omega_sweep_estimate"]
-    from weakdrive.farfield import bound_omega, farfield_parameters
+    from weakdrive.farfield import FarFieldConfig, bound_omega
 
     distance = np.hypot(1e6, np.pi / 3)
-    bound = bound_omega(farfield_parameters(distance, np.pi / 2, 1, 1, delta=0.0))
+    bound = bound_omega(FarFieldConfig(distance, np.pi / 2, 1, 1, delta=0.0))
     assert abs(omega_numeric - bound) / bound <= 0.01
 
 

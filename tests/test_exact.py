@@ -31,7 +31,6 @@ from weakdrive.exact import (
 )
 from weakdrive.geometry import (
     Drive,
-    MaskedBeam,
     Partition,
     PlaneWave,
     explicit_ensemble,
@@ -183,7 +182,7 @@ def _random_liouvillian(n, seed, masked, delta):
     if masked:
         rng = np.random.default_rng(seed)
         lit = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-        beam = MaskedBeam(BEAM, frozenset(lit.tolist()))
+        beam = PlaneWave(BEAM.direction, mask=set(range(n)) - set(lit.tolist()))
     return build_liouvillian(coupling_matrix(ens), delta, beam.amplitudes(ens))
 
 
@@ -202,7 +201,7 @@ REFERENCE_CASES = [
 @pytest.mark.parametrize("n, masked, delta, eta", REFERENCE_CASES)
 def test_routes_match_references(n, masked, delta, eta):
     ens = random_ensemble(n, 2.0, 100 + n, DIPOLE, min_distance=0.6)
-    beam = MaskedBeam(BEAM, frozenset(range(0, n, 2))) if masked else BEAM
+    beam = PlaneWave(BEAM.direction, mask=range(1, n, 2)) if masked else BEAM
     w = beam.amplitudes(ens)
     coupling = coupling_matrix(ens)
     liouv = build_liouvillian(coupling, delta, w)
@@ -359,6 +358,29 @@ def test_grid_independent_of_order_and_cache(monkeypatch, caplog):
     fresh = _random_liouvillian(4, 104, False, 0.3)
     assert np.max(np.abs(ascending[2] - _bordered_reference(_reference_of(fresh, 5.0)))) <= 1e-12
     assert _operator_residual(fresh.coupling, fresh.delta, fresh.w, 5.0, ascending[2]) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_drive_sign_is_parity_conjugation(n, caplog):
+    # Pi = prod sigma_z flips the sign of W, so Pi L(eta) Pi = L(-eta): the
+    # steady state and the product state at -eta are Pi rho(eta) Pi. GMRES
+    # takes as many iterations at -eta, where the shared basis starts
+    # against the right-hand side -eta b0
+    ens = random_ensemble(n, 2.0, 0, DIPOLE, min_distance=0.5)
+    w = BEAM.amplitudes(ens)
+    liouv = build_liouvillian(coupling_matrix(ens), 0.3, w)
+    parity = (-1.0) ** np.array([bin(x).count("1") for x in range(2**n)])
+    flip = np.outer(parity, parity)
+    for eta in (0.05, 0.1, 0.3):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
+            plus = steady_state_exact(liouv, eta)
+            minus = steady_state_exact(liouv, -eta)
+        assert np.max(np.abs(minus - flip * plus)) <= 1e-12
+        its_plus, its_minus = _iterations(caplog)
+        assert its_minus == its_plus
+        product = dilute_product_state(w, 0.3, eta).full()
+        assert np.array_equal(dilute_product_state(w, 0.3, -eta).full(), flip * product)
 
 
 def _count_calls(monkeypatch, names):
@@ -620,7 +642,7 @@ def test_oracle_negativity_gap_halving(n, seed, eta):
     n_a = int(rng.integers(1, n))
     part = Partition(tuple(order[:n_a]), tuple(order[n_a:]))
     lit = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-    beam = MaskedBeam(BEAM, frozenset(lit.tolist()))
+    beam = PlaneWave(BEAM.direction, mask=set(range(n)) - set(lit.tolist()))
     coupling = coupling_matrix(ens)
     gaps = []
     for e in (eta, eta / 2):

@@ -8,7 +8,6 @@ from weakdrive.farfield import (
     build_V_farfield,
     FarFieldConfig,
     farfield_config,
-    farfield_parameters,
     lmin_bound,
     nmax_analytic,
     quartic_spectrum,
@@ -106,7 +105,7 @@ def test_v_dark_against_solver_scaling():
 
 
 def test_farfield_V_rank_two_and_dipole_axis():
-    cfg = farfield_parameters(1e6, 1.1, 6, 6, delta=0.25)
+    cfg = FarFieldConfig(1e6, 1.1, 6, 6, delta=0.25)
     rng = np.random.default_rng(2)
     pa = rng.uniform(0, 30, (6, 3))
     pb = rng.uniform(0, 30, (6, 3)) + np.array([1e6, 0, 0])
@@ -114,14 +113,14 @@ def test_farfield_V_rank_two_and_dipole_axis():
     sv = np.linalg.svd(V, compute_uv=False)
     assert sv[2] <= 1e-12 * sv[0]
     # dipole along the group axis kills the coupling
-    cfg0 = farfield_parameters(1e6, 0.0, 6, 6)
+    cfg0 = FarFieldConfig(1e6, 0.0, 6, 6)
     V0 = build_V_farfield(cfg0, pa, pb, KHAT)
     assert np.max(np.abs(V0)) == 0.0
 
 
 def test_build_V_farfield_is_a_read_only_array():
     rng = np.random.default_rng(8)
-    cfg = farfield_parameters(1e6, 1.1, 2, 3, delta=0.1)
+    cfg = FarFieldConfig(1e6, 1.1, 2, 3, delta=0.1)
     V = build_V_farfield(cfg, rng.uniform(0, 30, (2, 3)), rng.uniform(0, 30, (3, 3)), KHAT)
     assert type(V) is np.ndarray and V.dtype == complex and V.shape == (2, 3)
     assert not V.flags.writeable
@@ -155,13 +154,13 @@ def test_farfield_V_matches_dilute_route():
 
 
 def test_quartic_simple_cases():
-    cfg = farfield_parameters(1e5, 1.0, 8, 8, s_a=0.0, s_b=0.0)
+    cfg = FarFieldConfig(1e5, 1.0, 8, 8, s_a=0.0, s_b=0.0)
     roots = quartic_spectrum(cfg)
     ry = np.sqrt(cfg.y)
     assert np.allclose(roots, [-ry, -ry, ry, ry], atol=1e-12 * ry)
     # one group fully in phase: two roots collapse to zero
     s_b = 0.3 * np.exp(0.4j)
-    cfg1 = farfield_parameters(1e5, 1.0, 8, 8, s_a=np.exp(0.9j), s_b=s_b)
+    cfg1 = FarFieldConfig(1e5, 1.0, 8, 8, s_a=np.exp(0.9j), s_b=s_b)
     roots1 = quartic_spectrum(cfg1)
     big = np.sqrt(2.0 * cfg1.y * (1.0 + (np.exp(0.9j) * np.conj(s_b)).real))
     assert np.allclose(np.abs(roots1)[[1, 2]], 0.0, atol=1e-10 * big)
@@ -177,7 +176,7 @@ def test_quartic_matches_dense_eigenvalues():
         khat /= np.linalg.norm(khat)
         s_a = complex(np.mean(np.exp(2j * (pa @ khat))))
         s_b = complex(np.mean(np.exp(2j * (pb @ khat))))
-        cfg = farfield_parameters(1e6, 0.9, npg, npg, delta=0.3, s_a=s_a, s_b=s_b)
+        cfg = FarFieldConfig(1e6, 0.9, npg, npg, delta=0.3, s_a=s_a, s_b=s_b)
         V = build_V_farfield(cfg, pa, pb, khat)
         dense = np.sort(lambda2_spectrum(V)[0])
         four = np.sort(np.concatenate([dense[:2], dense[-2:]]))
@@ -185,21 +184,21 @@ def test_quartic_matches_dense_eigenvalues():
 
 
 def test_bound_omega_values():
-    cfg = farfield_parameters(1e6, np.pi / 2, 100, 100, delta=0.0)
+    cfg = FarFieldConfig(1e6, np.pi / 2, 100, 100, delta=0.0)
     assert cfg.d0 == pytest.approx(100.0)
     assert bound_omega(cfg) == pytest.approx(np.sqrt(3) / 2 * 1e-2, rel=1e-12)
-    unit = farfield_parameters(1.0, np.pi / 2, 1, 1, delta=0.0)
+    unit = FarFieldConfig(1.0, np.pi / 2, 1, 1, delta=0.0)
     assert bound_omega(unit) == pytest.approx(np.sqrt(3) / 2, rel=1e-12)
-    doubled = farfield_parameters(2e6, np.pi / 2, 100, 100, delta=0.0)
+    doubled = FarFieldConfig(2e6, np.pi / 2, 100, 100, delta=0.0)
     assert bound_omega(cfg) / bound_omega(doubled) == pytest.approx(np.sqrt(2), rel=1e-12)
 
 
 def test_nmax_values_and_identity():
-    cfg = farfield_parameters(1e6, np.pi / 2, 100, 100, delta=0.0)
+    cfg = FarFieldConfig(1e6, np.pi / 2, 100, 100, delta=0.0)
     n_max, eta_max = nmax_analytic(cfg)
     assert n_max == pytest.approx(2.8125e-9, rel=1e-12)
     for delta in (0.0, 0.5):
-        c = farfield_parameters(2e5, 1.2, 40, 60, delta=delta)
+        c = FarFieldConfig(2e5, 1.2, 40, 60, delta=delta)
         nm, em = nmax_analytic(c)
         assert nm == pytest.approx(32.0 * (1 + 4 * delta**2) ** -2 * em**4, rel=1e-12)
 
@@ -207,7 +206,7 @@ def test_nmax_values_and_identity():
 def test_nmax_matches_model_extremum():
     # degenerate far-field modes fed through the generic drive model
     for delta in (0.0, 0.5):
-        cfg = farfield_parameters(5e5, np.pi / 2, 30, 30, delta=delta)
+        cfg = FarFieldConfig(5e5, np.pi / 2, 30, 30, delta=delta)
         lam2 = -np.sqrt(cfg.y)
         lam4 = (0.25 + delta**2) ** -2
         curve = negativity_model([lam2, lam2], [lam4, lam4], np.geomspace(1e-5, 1e-1, 40))
@@ -261,16 +260,16 @@ _CONCENTRIC = explicit_ensemble([[0, 0, 0], [2, 0, 0], [1, 1, 0], [1, -1, 0]], D
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: farfield_parameters(0.0, 1.0, 2, 2), ValueError, "distance"),
-    (lambda: farfield_parameters(10.0, 1.0, 2, 2, s_a=1.5), ValueError, "modulus"),
+    (lambda: FarFieldConfig(0.0, 1.0, 2, 2), ValueError, "distance"),
+    (lambda: FarFieldConfig(10.0, 1.0, 2, 2, s_a=1.5), ValueError, "modulus"),
     (lambda: farfield_config(_CONCENTRIC, Partition((0, 1), (2, 3)),
                              Drive(delta=0.0, eta=0.05, beam=PlaneWave(KHAT))),
      ValueError, "centroids coincide"),
-    (lambda: quartic_spectrum(farfield_parameters(10.0, 0.0, 2, 2)), ValueError, "weight y"),
+    (lambda: quartic_spectrum(FarFieldConfig(10.0, 0.0, 2, 2)), ValueError, "weight y"),
     (lambda: lmin_bound(0.0, 0.0, 1e3, 0.1, 1.0), ValueError, "must be positive"),
     (lambda: lmin_bound(1.0, 0.0, 0.0, 0.1, 1.0), ValueError, "must be positive"),
     (lambda: lmin_bound(1.0, 0.0, 1e3, -0.1, 1.0), ValueError, "non-negative"),
-    (lambda: bound_omega(farfield_parameters(1e3, 0.0, 2, 2)),
+    (lambda: bound_omega(FarFieldConfig(1e3, 0.0, 2, 2)),
      ThresholdNotApplicableError, "D0 vanishes"),
     (lambda: lmin_bound(1.0, 0.0, 1e3, 0.1, 0.0), ThresholdNotApplicableError, "sin"),
 ], ids=["distance", "phase-sum", "centroids", "quartic-y", "lmin-spacing", "lmin-distance",
@@ -285,7 +284,7 @@ def test_typed_errors(call, error, match):
 def test_group_sizes_must_be_positive_integers(n_a, n_b):
     # 2.7 used to be truncated to 2, and -3 gave d0 = nan
     with pytest.raises(ValueError, match="must be an integer >= 1, got "):
-        farfield_parameters(1e4, 1.0, n_a, n_b)
+        FarFieldConfig(1e4, 1.0, n_a, n_b)
 
 
 def test_config_keeps_a_read_only_copy_of_e():

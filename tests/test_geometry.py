@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from weakdrive.errors import DuplicatePositionError, PartitionError
-from weakdrive.farfield import farfield_parameters, lmin_bound
+from weakdrive.farfield import FarFieldConfig, lmin_bound
 from weakdrive.geometry import (
     Drive,
     Ensemble,
-    MaskedBeam,
     Partition,
     PlaneWave,
     explicit_ensemble,
@@ -102,9 +101,11 @@ def test_partition_invariants():
 
 def test_masked_beam_amplitudes():
     ens = explicit_ensemble([[0, 0, 0], [0, 2.0, 0], [1.0, 0, 0]], DIPOLE)
-    beam = MaskedBeam(beam=BEAM, illuminated=frozenset({0, 1}))
+    beam = PlaneWave(BEAM.direction, mask=[np.int64(2)])
+    assert beam.mask == frozenset({2})
     w = beam.amplitudes(ens)
     assert w[2] == 0.0
+    assert np.array_equal(w[:2], BEAM.amplitudes(ens)[:2])
     assert abs(w[0]) == pytest.approx(1.0)
     assert w[1] == pytest.approx(np.exp(2.0j))
 
@@ -134,7 +135,7 @@ def test_drive_rejects_non_finite(field, bad):
     # a NaN min_distance used to spin through MAX_TRIES draws per atom
     (lambda: random_ensemble(3, 4.0, 0, DIPOLE, min_distance=math.nan), "finite"),
     (lambda: lattice_ensemble(2, math.nan, DIPOLE), "finite"),
-    (lambda: farfield_parameters(math.nan, 1.0, 2, 2), "finite"),
+    (lambda: FarFieldConfig(math.nan, 1.0, 2, 2), "finite"),
     (lambda: lmin_bound(math.nan, 0.0, 1e4, 0.1, 1.0), "finite"),
 ], ids=["beam-direction", "dipole", "position-nan", "position-inf", "position-minus-inf",
         "random-box", "random-min-distance", "lattice-spacing", "farfield-distance",
@@ -175,7 +176,7 @@ def test_regime_farfield_flag():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: PlaneWave(np.array([1.0, 0.0])), ValueError, "3-vector"),
     (lambda: Ensemble(np.zeros((2, 2)), DIPOLE), ValueError, r"\(n, 3\)"),
-    (lambda: MaskedBeam(BEAM, frozenset({5})).amplitudes(lattice_ensemble(1, 1.0, DIPOLE)),
+    (lambda: PlaneWave(BEAM.direction, mask={5}).amplitudes(lattice_ensemble(1, 1.0, DIPOLE)),
      PartitionError, "outside"),
     (lambda: Partition((), (1,)), PartitionError, "non-empty"),
     (lambda: Partition((0, 0), (1,)), PartitionError, "duplicate"),

@@ -11,7 +11,6 @@ from weakdrive.exact import negativity_exact
 from weakdrive.errors import PartitionError
 from weakdrive.geometry import (
     Drive,
-    MaskedBeam,
     Partition,
     PlaneWave,
     explicit_ensemble,
@@ -158,7 +157,7 @@ def test_compressed_spectrum_matches_full_matrix(n):
     # random clouds: balanced, unequal and embedded partitions, lit and
     # partly masked beams, several drive strengths
     ens = random_ensemble(n, 4.0, 100 + n, DIPOLE, min_distance=0.5)
-    mask = MaskedBeam(BEAM, range(0, n, 2))
+    mask = PlaneWave(BEAM.direction, mask=range(1, n, 2))
     partitions = [
         Partition(tuple(range(n // 2)), tuple(range(n // 2, n))),
         Partition((n - 1,), tuple(range(n - 1))),
@@ -235,7 +234,7 @@ def test_grid_matches_full_matrix_per_point(n):
         Partition((n - 1,), tuple(range(1, n - 1))),
         Partition((0, n - 1), (1,)),
     ]
-    for beam in (BEAM, MaskedBeam(BEAM, range(1, n, 2))):
+    for beam in (BEAM, PlaneWave(BEAM.direction, mask=range(0, n, 2))):
         state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
         for part in partitions:
             _assert_arrowhead_route(state, part, GRID)
@@ -249,7 +248,7 @@ def test_arrowhead_repeated_eigenvalues_and_zero_border():
     ens = explicit_ensemble([[0, 0, 0], [1.1, 0, 0], [0, 1.1, 0], [1.1, 1.1, 0]], DIPOLE)
     face_on = PlaneWave(np.array([0.0, 0.0, 1.0]))
     part = Partition((0, 3), (1, 2))
-    for beam in (face_on, MaskedBeam(face_on, [1, 2])):
+    for beam in (face_on, PlaneWave(face_on.direction, mask=[0, 3])):
         state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
         pt = build_pt_matrix(state, part)
         assert np.sum(np.abs(pt.beta) <= 1e-14) == 2
@@ -263,7 +262,7 @@ def test_arrowhead_repeated_eigenvalues_and_zero_border():
 
 def test_arrowhead_unequal_groups():
     ens = random_ensemble(6, 4.0, 41, DIPOLE, min_distance=0.5)
-    for beam in (BEAM, MaskedBeam(BEAM, [0, 3])):
+    for beam in (BEAM, PlaneWave(BEAM.direction, mask=[1, 2, 4, 5])):
         state = steady_state(coupling_matrix(ens), Drive(delta=0.3, eta=0.05, beam=beam), ens)
         for part in (
             Partition((2,), (0, 1, 3, 4, 5)),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from weakdrive.coupling import coupling_matrix, pair_coupling
 from weakdrive.exact import build_liouvillian, steady_state_exact
-from weakdrive.farfield import farfield_parameters, quartic_spectrum
+from weakdrive.farfield import FarFieldConfig, quartic_spectrum
 from weakdrive.geometry import Drive, Partition, PlaneWave, explicit_ensemble, random_ensemble
 from weakdrive.negativity import lambda2_spectrum, negativity_model, negativity_report
 from weakdrive.perturbation import steady_state
@@ -57,7 +57,7 @@ def test_embedding_spectrum_pairs(n_a, n_b, seed):
     st.floats(min_value=-1.0, max_value=1.0, **FINITE),
 )
 def test_quartic_roots_pair_up(ra, rb, pa, pb, delta):
-    cfg = farfield_parameters(
+    cfg = FarFieldConfig(
         1e5, 1.0, 7, 9, delta=delta,
         s_a=ra * np.exp(1j * pa), s_b=rb * np.exp(1j * pb),
     )
