@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 # first: blas sets OpenBLAS's idle timeout before numpy loads OpenBLAS
 from . import blas  # noqa: F401
 
-from .coupling import coupling_matrix, pair_coupling
+from .coupling import coupling_matrix
 from .errors import (
     AsymmetricCouplingError,
     CapExceededError,
@@ -27,7 +27,6 @@ from .errors import (
 from .exact import (
     DiluteProductState,
     Liouvillian,
-    build_liouvillian,
     dilute_product_state,
     negativity_exact,
     propagate_truncated,
@@ -51,7 +50,6 @@ from .geometry import (
     Partition,
     PlaneWave,
     RegimeReport,
-    explicit_ensemble,
     lattice_ensemble,
     random_ensemble,
     regime_check,

@@ -15,13 +15,8 @@ import numpy as np
 from .basis import basis_dim, pair_arrays
 from .coupling import coupling_matrix
 from .errors import AsymmetricCouplingError
-from .exact import (
-    amplitude_drift,
-    build_liouvillian,
-    negativity_exact,
-    steady_state_exact,
-)
-from .geometry import Drive, Partition, PlaneWave, explicit_ensemble, random_ensemble
+from .exact import Liouvillian, amplitude_drift, negativity_exact, steady_state_exact
+from .geometry import Drive, Ensemble, Partition, PlaneWave, random_ensemble
 from .negativity import build_pt_matrix, build_V, lambda2_spectrum, pt_negativity
 from .perturbation import (
     PerturbState,
@@ -71,7 +66,7 @@ def truncated_partial_trace(matrix: np.ndarray, n: int, keep: tuple[int, ...]) -
 # scenario
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     part: Partition
     coupling: np.ndarray
@@ -85,6 +80,16 @@ def build_scenario(seed: int = 1) -> Scenario:
     state = steady_state(coupling, drive, ens)
     part = Partition((0, 1), (2, 3, 4))
     return Scenario(part=part, coupling=coupling, state=state)
+
+
+def _n_pt(state: PerturbState, part: Partition) -> float:
+    """N_pt of the partition at the state's own drive strength."""
+    return float(pt_negativity(build_pt_matrix(state, part), [state.eta])[0][0])
+
+
+def _core(sc: Scenario) -> np.ndarray:
+    """Partial-transpose core of the scenario at its drive strength."""
+    return build_pt_matrix(sc.state, sc.part).cores(np.array([sc.state.eta]))[0]
 
 
 # ----------------------------------------------------------------------
@@ -108,9 +113,8 @@ def check_group_swap(sc: Scenario) -> CheckResult:
     swapped = Partition(sc.part.group_b, sc.part.group_a)
     l2, _ = lambda2_spectrum(build_V(sc.state, sc.part))
     l2_swapped, _ = lambda2_spectrum(build_V(sc.state, swapped))
-    n_pt, _ = pt_negativity(build_pt_matrix(sc.state, sc.part))
-    n_swapped, _ = pt_negativity(build_pt_matrix(sc.state, swapped))
-    measured = float(max(np.max(np.abs(l2 - l2_swapped)), abs(n_pt - n_swapped)))
+    gap = abs(_n_pt(sc.state, sc.part) - _n_pt(sc.state, swapped))
+    measured = float(max(np.max(np.abs(l2 - l2_swapped)), gap))
     return CheckResult("group_swap", measured <= 1e-13, measured, 1e-13,
                        note="lambda2 and N_pt with A and B exchanged")
 
@@ -129,15 +133,14 @@ def check_eig_pairing(sc: Scenario) -> CheckResult:
 
 def check_pt_hermitian(sc: Scenario) -> CheckResult:
     # eigvalsh reads one triangle of the core, so it assumes this symmetry
-    core = build_pt_matrix(sc.state, sc.part).core
+    core = _core(sc)
     measured = float(np.max(np.abs(core - core.T)))
     return CheckResult("pt_hermitian", measured <= 1e-14, measured, 1e-14)
 
 
 def check_pt_trace(sc: Scenario) -> CheckResult:
     # the exact zeros the core leaves out add nothing to the trace
-    core = build_pt_matrix(sc.state, sc.part).core
-    measured = float(abs(np.trace(core) - 1.0))
+    measured = float(abs(np.trace(_core(sc)) - 1.0))
     return CheckResult("pt_trace", measured <= 1e-12, measured, 1e-12)
 
 
@@ -160,9 +163,7 @@ def check_phase_invariance(sc: Scenario) -> CheckResult:
         return CheckResult("phase_invariance", False, exc.asymmetry, 1e-10,
                            note=f"pair solve refused the coupling: {exc}")
     st2 = PerturbState(u=u2, v=v2, w=w2, delta=st.delta, eta=st.eta, atoms=st.atoms)
-    n1, _ = pt_negativity(build_pt_matrix(st, sc.part))
-    n2, _ = pt_negativity(build_pt_matrix(st2, sc.part))
-    measured = float(abs(n1 - n2))
+    measured = float(abs(_n_pt(st, sc.part) - _n_pt(st2, sc.part)))
     return CheckResult("phase_invariance", measured <= 1e-10, measured, 1e-10,
                        note="negativity under a global drive phase")
 
@@ -173,10 +174,10 @@ def _oracle_errors(seed: int) -> tuple[tuple, tuple]:
     so both oracle checks share one set of exact solves."""
     rng = np.random.default_rng(seed)
     sep = rng.uniform(1.0, 2.0, 3)
-    ens = explicit_ensemble([[0.0, 0.0, 0.0], sep.tolist()], [0.0, 0.0, 1.0])
+    ens = Ensemble([[0.0, 0.0, 0.0], sep.tolist()], [0.0, 0.0, 1.0])
     coupling = coupling_matrix(ens)
     beam = PlaneWave(np.array([0.0, 1.0, 0.0]))
-    liouv = build_liouvillian(coupling, 0.0, beam.amplitudes(ens))
+    liouv = Liouvillian(coupling, 0.0, beam.amplitudes(ens))
     neg_errors = []
     state_errors = []
     for eta in (0.04, 0.02, 0.01):
@@ -184,8 +185,7 @@ def _oracle_errors(seed: int) -> tuple[tuple, tuple]:
         state = steady_state(coupling, drive, ens)
         rho = steady_state_exact(liouv, eta)
         n_exact, _ = negativity_exact(rho, [1], 2)
-        n_pt, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
-        neg_errors.append(abs(n_exact - n_pt))
+        neg_errors.append(abs(n_exact - _n_pt(state, Partition((0,), (1,)))))
         # map truncated basis {G, 1, 2, 12} onto the two-qubit product basis
         order = [0, 2, 1, 3]
         target = assemble_state(state)[np.ix_(order, order)]

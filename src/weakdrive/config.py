@@ -24,7 +24,6 @@ from .geometry import (
     Ensemble,
     Partition,
     PlaneWave,
-    explicit_ensemble,
     lattice_ensemble,
     random_ensemble,
 )
@@ -82,7 +81,7 @@ def _index_list(value, path: str) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """A checked configuration: solve, sweep and oracle-compare get the built
     ensemble, drive (at eta or the first grid point) and partition."""
@@ -297,7 +296,7 @@ def load_config(path: str) -> dict:
 def _build_ensemble(g: dict, dipole: list, seed: int) -> Ensemble:
     try:
         if g["mode"] == "explicit":
-            return explicit_ensemble(g["positions"], dipole)
+            return Ensemble(g["positions"], dipole)
         if g["mode"] == "lattice":
             return lattice_ensemble(g["edge"], g["spacing"], dipole)
         return random_ensemble(g["count"], g["box"], seed, dipole, min_distance=g["min_distance"])

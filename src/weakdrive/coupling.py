@@ -42,14 +42,6 @@ def pair_values(separations: np.ndarray, dipole: np.ndarray) -> np.ndarray:
     )
 
 
-def pair_coupling(separation, dipole) -> complex:
-    """Coefficient z for a single separation vector (k0 units)."""
-    sep = np.asarray(separation, dtype=float)
-    if sep.shape != (3,):
-        raise ValueError("separation must be a 3-vector")
-    return complex(pair_values(sep[None, :], np.asarray(dipole, dtype=float))[0])
-
-
 def coupling_matrix(ens: Ensemble) -> np.ndarray:
     """Dense n x n coupling matrix of an ensemble, read-only, z_ii = 1/2.
 

@@ -94,15 +94,15 @@ log = logging.getLogger("weakdrive.exact")
 # operators
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Liouvillian:
     """Rotating-frame generator L = L0 + eta L1 in operator form, made of
     couplings, detuning and drive amplitudes, time in units of 1/Gamma;
-    more than N_CAP atoms raise CapExceededError. It keeps read-only
-    copies of the coupling and drive arrays, so later edits to the
-    caller's arrays do not reach it. Its level system is factored on first
-    use and kept for every eta solved on it: solve one Liouvillian from one
-    thread at a time. Separate objects share nothing."""
+    more than N_CAP atoms raise CapExceededError. It keeps the detuning as
+    a float and read-only copies of the coupling and drive arrays, so later
+    edits to the caller's arrays do not reach it. Its level system is
+    factored on first use and kept for every eta solved on it: solve one
+    Liouvillian from one thread at a time. Separate objects share nothing."""
 
     coupling: np.ndarray
     delta: float
@@ -112,6 +112,7 @@ class Liouvillian:
         n = len(self.coupling)
         if n > N_CAP:
             raise CapExceededError(f"exact solver capped at {N_CAP} atoms, got {n}")
+        object.__setattr__(self, "delta", float(self.delta))
         for name in ("coupling", "w"):
             value = np.array(getattr(self, name), dtype=complex)
             value.setflags(write=False)
@@ -130,16 +131,11 @@ class Liouvillian:
         return _LevelSystem(self)
 
 
-def build_liouvillian(coupling, delta: float, w: np.ndarray) -> Liouvillian:
-    """Rotating-frame generator with a float detuning."""
-    return Liouvillian(coupling=coupling, delta=float(delta), w=w)
-
-
 # ----------------------------------------------------------------------
 # excitation levels
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LevelTables:
     """The 2^n basis ordered by excitation number, stably, so level k holds
     positions off[k]:off[k + 1]; every table indexes that order.
@@ -482,7 +478,7 @@ def negativity_exact(rho: np.ndarray, b_atoms: Sequence[int], n: int) -> tuple[f
 # independent-atom fixed point
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiluteProductState:
     """Exact single-atom steady states, valid at any drive strength."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IlluminatedAtomError, ThresholdNotApplicableError
-from .geometry import Drive, Ensemble, Partition, check_count
+from .geometry import Drive, Ensemble, Partition, _unit, check_count
 
 
 def v_dilute(z_pair: complex, w_mu: complex, w_nu: complex, delta: float) -> complex:
@@ -40,16 +40,16 @@ def v_dark(coupling, w: np.ndarray, delta: float, mu: int, nu: int) -> complex:
     return complex(8.0 * (1.0 - 2j * delta) ** -4 * total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FarFieldConfig:
     """Geometry summary of two distant groups under one plane wave.
 
-    distance and d0 are in k0 units; e points from the A centroid to the
-    B centroid (default: the x axis); theta is the angle between the
-    dipole and e. distance, theta and delta are kept as floats, the phase
-    sums as complex numbers. The group sizes n_a and n_b must be integers
-    >= 1 (ValueError otherwise). It keeps a read-only copy of e, so the
-    caller's array stays writable.
+    distance and d0 are in k0 units; e is the unit vector from the A
+    centroid to the B centroid (default: the x axis); theta is the angle
+    between the dipole and e. distance, theta and delta are kept as floats,
+    the phase sums as complex numbers. The group sizes n_a and n_b must be
+    integers >= 1 and e a unit 3-vector (ValueError otherwise). It keeps a
+    read-only copy of e, so the caller's array stays writable.
     """
 
     distance: float
@@ -73,7 +73,7 @@ class FarFieldConfig:
             raise ValueError("group phase sums must have modulus <= 1")
         for name in ("n_a", "n_b"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
-        e = np.array(self.e, dtype=float)
+        e = _unit(self.e, "e").copy()
         e.setflags(write=False)
         object.__setattr__(self, "e", e)
 
@@ -96,8 +96,15 @@ class FarFieldConfig:
 
 
 def farfield_config(ens: Ensemble, part: Partition, drive: Drive) -> FarFieldConfig:
-    """Config measured from an ensemble: centroids, dipole angle, phase sums."""
+    """Config measured from an ensemble: centroids, dipole angle, phase sums.
+
+    The closed forms assume that every atom of A u B is lit, so a masked
+    one raises ValueError; masked atoms outside the groups are allowed.
+    """
     part.check_range(ens.n)
+    masked = sorted(drive.beam.mask.intersection(part.atoms))
+    if masked:
+        raise ValueError(f"masked atoms {masked} in A u B: the far-field forms need them lit")
     khat = drive.beam.direction
     pa = ens.positions[list(part.group_a)]
     pb = ens.positions[list(part.group_b)]

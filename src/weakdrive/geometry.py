@@ -12,7 +12,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Atom positions (k0 units) sharing one real dipole orientation."""
 
@@ -93,7 +93,7 @@ class Ensemble:
         return self._min_distance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneWave:
     """Resonant plane wave along a unit direction (|K| = k0); the atoms
     listed in mask stay dark."""
@@ -116,7 +116,7 @@ class PlaneWave:
         return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Drive:
     """Laser drive: detuning delta, strength eta = Omega/2Gamma, beam shape."""
 
@@ -185,10 +185,6 @@ class RegimeReport:
 # geometry builders
 # ----------------------------------------------------------------------
 
-def explicit_ensemble(positions: Sequence[Sequence[float]], dipole) -> Ensemble:
-    return Ensemble(np.asarray(positions, dtype=float), np.asarray(dipole, dtype=float))
-
-
 def lattice_ensemble(edge: int, spacing: float, dipole) -> Ensemble:
     """Cubic lattice with `edge` sites per axis, `spacing` in k0 units."""
     edge = check_count(edge, "edge count")
@@ -196,7 +192,7 @@ def lattice_ensemble(edge: int, spacing: float, dipole) -> Ensemble:
         raise ValueError("spacing must be positive and finite")
     axes = np.arange(edge) * spacing
     grid = np.stack(np.meshgrid(axes, axes, axes, indexing="ij"), axis=-1)
-    return Ensemble(grid.reshape(-1, 3), np.asarray(dipole, dtype=float))
+    return Ensemble(grid.reshape(-1, 3), dipole)
 
 
 def random_ensemble(
@@ -233,7 +229,7 @@ def random_ensemble(
                     f"could not place {count} atoms with min_distance={min_distance} "
                     f"in box {box.tolist()}"
                 )
-    return Ensemble(pos, np.asarray(dipole, dtype=float))
+    return Ensemble(pos, dipole)
 
 
 # ----------------------------------------------------------------------

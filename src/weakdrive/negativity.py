@@ -19,10 +19,10 @@ at any eta is the real symmetric arrowhead with diagonal
 (1 - eta^2 s, eta^2 beta, 0) and ground border (eta |row U|, eta^2 |c|)
 (O'Leary & Stewart, J. Comput. Phys. 90, 1990); only s, beta, |row U|, |c|
 and the pair count are kept. PartialTransposeMatrix.cores is the only place
-these formulas live. pt_negativity diagonalises the core at the object's
-own eta as a stack of one, and pt_negativity_grid the cores of a grid of
-drive strengths as stacked real eigvalsh calls, so both give the same value
-at the same eta bit for bit.
+these formulas live, and pt_negativity the only route to their spectra: it
+diagonalises the cores of a grid of drive strengths as stacked real
+eigvalsh calls, each point alone, so a point's value does not depend on the
+grid around it (negativity_report passes the grid [state.eta]).
 
 The solved state is restricted to part.atoms (sorted A, then sorted B) with
 restrict_state once per object: build_V and build_pt_matrix each restrict
@@ -56,23 +56,22 @@ DEGENERACY_RTOL = 1e-8
 PT_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialTransposeMatrix:
     """Hermitian second-order partial transpose of a restricted state, kept
     as the pieces of its real arrowhead core.
 
-    The drive-independent pieces are kept, each split from the power of
-    eta it carries, so one object serves every drive strength (cores);
-    eta is the drive strength of the state it was built from, and ``core``
-    is the (n + 2) real symmetric arrowhead at that eta. Its diagonal holds
-    1 - eta^2 s, the singles block eigenvalues and a zero; its first row and
-    column hold the reach of the ground row onto each eigenvector and the
-    border |c| of the ground-to-pairs column (the pair-pair and single-pair
-    blocks vanish at second order). The full matrix of dimension dim has the
-    core's spectrum plus pairs - 1 exact zeros.
+    Only the drive-independent pieces are kept, each split from the power
+    of eta it carries, so one object serves every drive strength (cores).
+    The core at eta is the (n + 2) real symmetric arrowhead whose diagonal
+    holds 1 - eta^2 s, the singles block eigenvalues and a zero, and whose
+    first row and column hold the reach of the ground row onto each
+    eigenvector and the border |c| of the ground-to-pairs column (the
+    pair-pair and single-pair blocks vanish at second order). The full
+    matrix of dimension dim has the core's spectrum plus pairs - 1 exact
+    zeros.
     """
 
-    eta: float
     s: float  # sum |u|^2: the ground entry is 1 - eta^2 s
     beta: np.ndarray  # eigenvalues of the singles block, scaled by eta^2
     reach: np.ndarray  # |ground row| on the eigenvectors, scaled by eta
@@ -96,10 +95,6 @@ class PartialTransposeMatrix:
         return out
 
     @property
-    def core(self) -> np.ndarray:
-        return self.cores(np.array([self.eta]))[0]
-
-    @property
     def dim(self) -> int:
         return 1 + len(self.beta) + self.pairs
 
@@ -119,7 +114,6 @@ def _restricted_pt(sub: PerturbState, vmat: np.ndarray, na: int) -> PartialTrans
     I, J = pair_arrays(n)
     col = np.where((I < na) & (J >= na), np.conj(u[I]) * u[J], u[I] * u[J] + sub.v)
     return PartialTransposeMatrix(
-        eta=sub.eta,
         s=float(np.sum(np.abs(u) ** 2)),
         beta=beta,
         reach=np.abs(np.where(in_a, np.conj(u), u) @ U),
@@ -140,26 +134,15 @@ def build_pt_matrix(state: PerturbState, part: Partition) -> PartialTransposeMat
     return _restricted_pt(sub, sub.v_matrix(), len(part.group_a))
 
 
-def pt_negativity(pt: PartialTransposeMatrix) -> tuple[float, np.ndarray]:
-    """Negativity (absolute sum of negative eigenvalues) and the spectrum.
-
-    The pairs couple only to the ground state, through c, so the spectrum is
-    that of the arrowhead core plus M - 1 exact zeros; it is returned in
-    full, ascending. The core is diagonalised as a stack of one, as
-    pt_negativity_grid diagonalises its blocks, so both agree bit for bit.
-    """
-    spectra = np.linalg.eigvalsh(pt.core[None])
-    zeros = np.zeros(pt.pairs - 1)
-    return float(_negativities(spectra)[0]), np.sort(np.concatenate([spectra[0], zeros]))
-
-
-def pt_negativity_grid(pt: PartialTransposeMatrix, etas) -> np.ndarray:
-    """N_pt at every drive strength of a grid (pt.eta is not used).
+def pt_negativity(pt: PartialTransposeMatrix, etas) -> tuple[np.ndarray, np.ndarray]:
+    """N_pt (absolute sum of the negative eigenvalues) and the ascending
+    core spectrum at every drive strength of a 1-D grid.
 
     The real (n + 2) arrowheads of the grid are stacked and diagonalised in
     blocks of at most PT_BLOCK entries, one eigvalsh call per block. Each
-    point is computed alone, so its value does not depend on the grid's
-    order or length.
+    point is computed alone, so its values do not depend on the grid's
+    order or length. The full spectrum at a point is its core spectrum
+    plus pt.pairs - 1 exact zeros.
     """
     etas = np.asarray(etas, dtype=float)
     k = len(pt.beta) + 2
@@ -167,12 +150,8 @@ def pt_negativity_grid(pt: PartialTransposeMatrix, etas) -> np.ndarray:
     spectra = np.empty((len(etas), k))
     for lo in range(0, len(etas), step):
         spectra[lo : lo + step] = np.linalg.eigvalsh(pt.cores(etas[lo : lo + step]))
-    return _negativities(spectra)
-
-
-def _negativities(spectra: np.ndarray) -> np.ndarray:
     # abs, not negation: an empty sum must give +0.0, never -0.0
-    return np.abs(np.where(spectra < 0, spectra, 0.0).sum(axis=-1))
+    return np.abs(np.where(spectra < 0, spectra, 0.0).sum(axis=-1)), spectra
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +202,7 @@ def lambda4_dilute(weights: np.ndarray, w: np.ndarray, delta: float) -> np.ndarr
 # per-mode drive model
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelCurve:
     """The per-mode model lambda_q = eta^2 l2 + eta^4 l4 of one partition.
 
@@ -327,7 +306,7 @@ def negativity_model(
 # full report
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegativityReport:
     """Per-mode columns (lambda2, lambda4, degenerate) and the model curve
     they give, the partial transpose and its negativity."""
@@ -405,7 +384,7 @@ def negativity_report(
     degenerate = np.append(close, False) | np.insert(close, 0, False)
 
     pt = _restricted_pt(sub, vmat, na)
-    neg_pt, pt_spectrum = pt_negativity(pt)
+    neg_pt, core = pt_negativity(pt, [state.eta])
 
     return NegativityReport(
         eta=float(state.eta),
@@ -415,8 +394,8 @@ def negativity_report(
         degenerate=degenerate,
         curve=negativity_model(l2, l4, eta_grid),
         pt=pt,
-        pt_spectrum=pt_spectrum,
-        negativity_pt=neg_pt,
+        pt_spectrum=np.sort(np.concatenate([core[0], np.zeros(pt.pairs - 1)])),
+        negativity_pt=float(neg_pt[0]),
         entanglement="detected" if negativity2 > 0.0 else "undetected",
         dilute_extrapolated=not dilute_ok,
     )

@@ -287,7 +287,7 @@ def solve_v(coupling, delta: float, u: np.ndarray) -> np.ndarray:
 # state objects
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbState:
     """Steady-state amplitudes for a block of atoms.
 

@@ -33,15 +33,15 @@ from .basis import pair_arrays
 from .config import RunConfig
 from .coupling import coupling_matrix
 from .errors import WeakdriveError
-from .exact import build_liouvillian, negativity_exact, reduce_state, steady_state_exact
+from .exact import Liouvillian, negativity_exact, reduce_state, steady_state_exact
 from .farfield import FarFieldConfig, bound_omega, lmin_bound, nmax_analytic
 from .geometry import Partition, regime_check
-from .negativity import build_pt_matrix, negativity_report, pt_negativity_grid
+from .negativity import build_pt_matrix, negativity_report, pt_negativity
 from .perturbation import PerturbState, steady_state
 from .reporting import config_hash, fmt_value, write_csv, write_json
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultBundle:
     """report.json, CSV tables and console lines of a task: tables maps a
     file stem to its columns, header name to 1-D numpy array (write leaves
@@ -134,7 +134,7 @@ def _exact_column(state: PerturbState, part: Partition, coupling,
     Liouvillian: the column (NaN where a point failed), the mask of the
     points that passed, and point_errors for those whose exact solve raised
     a package error."""
-    liouv = build_liouvillian(coupling, state.delta, state.w)
+    liouv = Liouvillian(coupling, state.delta, state.w)
     n_exact = np.full(len(grid), np.nan)
     passed = np.ones(len(grid), dtype=bool)
     errors = []
@@ -156,7 +156,7 @@ def run_sweep(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     rep = negativity_report(state, part, eta_grid=grid)
     curve = rep.curve
 
-    columns = {"eta": grid, "N_model": curve.values, "N_pt": pt_negativity_grid(rep.pt, grid)}
+    columns = {"eta": grid, "N_model": curve.values, "N_pt": pt_negativity(rep.pt, grid)[0]}
     errors = []
     if cfg.exact:
         columns["N_exact"], passed, errors = _exact_column(state, part, coupling, grid)
@@ -198,7 +198,7 @@ def run_oracle_compare(cfg: RunConfig, parallelism: int = 1) -> ResultBundle:
     coupling = coupling_matrix(cfg.ensemble)
     state = steady_state(coupling, cfg.drive, cfg.ensemble)
 
-    n_pt = pt_negativity_grid(build_pt_matrix(state, part), grid)
+    n_pt, _ = pt_negativity(build_pt_matrix(state, part), grid)
     n_exact, passed, errors = _exact_column(state, part, coupling, grid)
     columns = {"eta": grid, "N_exact": n_exact, "N_perturbative": n_pt,
                "abs_error": np.abs(n_exact - n_pt)}

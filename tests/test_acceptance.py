@@ -13,7 +13,7 @@ from weakdrive.basis import pair_arrays
 from weakdrive.checks import run_checks
 from weakdrive.coupling import coupling_matrix
 from weakdrive.exact import (
-    build_liouvillian,
+    Liouvillian,
     dilute_product_state,
     negativity_exact,
     propagate_truncated,
@@ -30,7 +30,7 @@ from weakdrive.farfield import (
     v_dark,
     v_dilute,
 )
-from weakdrive.geometry import Drive, Partition, PlaneWave, explicit_ensemble
+from weakdrive.geometry import Drive, Ensemble, Partition, PlaneWave
 from weakdrive.negativity import (
     build_pt_matrix,
     build_V,
@@ -102,21 +102,18 @@ def test_criterion_2_oracle_equivalence():
     for n, n_a in ((2, 1), (3, 1)):
         part = Partition(tuple(range(n_a)), tuple(range(n_a, n)))
         for _ in range(5):
-            ens = explicit_ensemble(_sample_cluster(rng, n), DIPOLE)
+            ens = Ensemble(_sample_cluster(rng, n), DIPOLE)
             coupling = coupling_matrix(ens)
             for delta in (0.0, 0.5):
                 drive = Drive(delta=delta, eta=0.04, beam=PlaneWave(YHAT))
                 state = steady_state(coupling, drive, ens)
                 errors = []
-                liouv = build_liouvillian(coupling, delta, state.w)
-                for eta in (0.04, 0.02, 0.01):
+                liouv = Liouvillian(coupling, delta, state.w)
+                etas = (0.04, 0.02, 0.01)
+                n_pts, _ = pt_negativity(build_pt_matrix(state, part), etas)
+                for eta, n_pt in zip(etas, n_pts):
                     rho = steady_state_exact(liouv, eta)
                     n_exact, _ = negativity_exact(rho, list(range(n_a, n)), n)
-                    st = PerturbState(
-                        u=state.u, v=state.v, w=state.w,
-                        delta=delta, eta=eta, atoms=state.atoms,
-                    )
-                    n_pt, _ = pt_negativity(build_pt_matrix(st, part))
                     errors.append(abs(n_exact - n_pt))
                 for hi, lo in zip(errors, errors[1:]):
                     ratio = hi / lo
@@ -185,7 +182,7 @@ def _farfield_pipeline(npg, box, seed, delta):
         np.linalg.norm(pos_b[:, None] - pos_b[None], axis=-1).max(),
     )
     pos_b = pos_b + np.array([1000.0 * diam**2, 0.0, 0.0])
-    ens = explicit_ensemble(np.vstack([pos_a, pos_b]), DIPOLE)
+    ens = Ensemble(np.vstack([pos_a, pos_b]), DIPOLE)
     part = Partition(tuple(range(npg)), tuple(range(npg, 2 * npg)))
     drive = Drive(delta=delta, eta=0.01, beam=PlaneWave(YHAT))
     coupling = coupling_matrix(ens)
@@ -244,7 +241,7 @@ def test_criterion_5_dilute_convergence():
     bound_base = None
     for scale in (1.0, 10.0):
         pos = base * scale
-        ens = explicit_ensemble(pos, DIPOLE)
+        ens = Ensemble(pos, DIPOLE)
         coupling = coupling_matrix(ens)
         w = np.exp(1j * (pos @ np.array([1.0, 0.0, 0.0])))
         u = solve_u(coupling, delta, w)
@@ -265,7 +262,7 @@ def test_criterion_5_dilute_convergence():
     dark_errs = []
     for scale in (1.0, 10.0):
         pos = dark_base * scale
-        ens = explicit_ensemble(pos, DIPOLE)
+        ens = Ensemble(pos, DIPOLE)
         coupling = coupling_matrix(ens)
         w = np.exp(1j * (pos @ np.array([1.0, 0.0, 0.0])))
         w[1] = 0.0
@@ -325,7 +322,7 @@ def test_criterion_7_two_routes_to_amplitudes():
         ),
     }
     for n, pos in geometries.items():
-        ens = explicit_ensemble(pos, DIPOLE)
+        ens = Ensemble(pos, DIPOLE)
         # beam along z drives every atom in phase: the slow antisymmetric
         # collective modes stay dark, so Gamma t = 20 suffices
         drive = Drive(delta=0.0, eta=0.1, beam=PlaneWave(ZHAT))
@@ -351,7 +348,7 @@ def test_criterion_8_single_atom_exactness():
     w = np.array([np.exp(0.4j)])
     for eta in (0.01, 0.1, 1.0):
         for delta in (0.0, 0.5):
-            rho = steady_state_exact(build_liouvillian(z, delta, w), eta)
+            rho = steady_state_exact(Liouvillian(z, delta, w), eta)
             ref = dilute_product_state(w, delta, eta).single(0)
             worst = max(worst, float(np.max(np.abs(rho - ref))))
     ok = worst <= 1e-12

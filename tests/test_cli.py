@@ -13,7 +13,7 @@ from weakdrive.config import parse_config
 from weakdrive.coupling import coupling_matrix
 from weakdrive.errors import ConfigError
 from weakdrive.exact import N_CAP
-from weakdrive.geometry import Drive, PlaneWave, explicit_ensemble, random_ensemble
+from weakdrive.geometry import Drive, Ensemble, PlaneWave, random_ensemble
 from weakdrive.perturbation import steady_state
 from weakdrive.reporting import CHUNK_ROWS, config_hash, fmt_value
 from weakdrive.runner import ResultBundle, run_solve, run_validate
@@ -40,7 +40,7 @@ def test_solve_matches_closed_form(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    ens = explicit_ensemble(PAIR_CONFIG["geometry"]["positions"], [0, 0, 1])
+    ens = Ensemble(PAIR_CONFIG["geometry"]["positions"], [0, 0, 1])
     drive = Drive(delta=0.0, eta=0.05, beam=PlaneWave(np.array([0.0, 1.0, 0.0])))
     state = steady_state(coupling_matrix(ens), drive, ens)
     z12 = coupling_matrix(ens)[0, 1]

@@ -21,8 +21,8 @@ from weakdrive.errors import (
 )
 from weakdrive.exact import (
     N_CAP,
+    Liouvillian,
     amplitude_drift,
-    build_liouvillian,
     dilute_product_state,
     negativity_exact,
     propagate_truncated,
@@ -31,9 +31,9 @@ from weakdrive.exact import (
 )
 from weakdrive.geometry import (
     Drive,
+    Ensemble,
     Partition,
     PlaneWave,
-    explicit_ensemble,
     random_ensemble,
 )
 from weakdrive.negativity import build_pt_matrix, pt_negativity
@@ -45,7 +45,7 @@ BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
 
 
 def _system(positions, delta=0.0, eta=0.05):
-    ens = explicit_ensemble(positions, DIPOLE)
+    ens = Ensemble(positions, DIPOLE)
     drive = Drive(delta=delta, eta=eta, beam=BEAM)
     coupling = coupling_matrix(ens)
     return ens, drive, coupling
@@ -183,7 +183,7 @@ def _random_liouvillian(n, seed, masked, delta):
         rng = np.random.default_rng(seed)
         lit = rng.permutation(n)[: int(rng.integers(1, n + 1))]
         beam = PlaneWave(BEAM.direction, mask=set(range(n)) - set(lit.tolist()))
-    return build_liouvillian(coupling_matrix(ens), delta, beam.amplitudes(ens))
+    return Liouvillian(coupling_matrix(ens), delta, beam.amplitudes(ens))
 
 
 # (n, masked, delta, eta): the full grid up to three atoms, a few corners
@@ -204,7 +204,7 @@ def test_routes_match_references(n, masked, delta, eta):
     beam = PlaneWave(BEAM.direction, mask=range(1, n, 2)) if masked else BEAM
     w = beam.amplitudes(ens)
     coupling = coupling_matrix(ens)
-    liouv = build_liouvillian(coupling, delta, w)
+    liouv = Liouvillian(coupling, delta, w)
     ref = _reference_liouvillian(coupling, delta, w, eta)
     # the operator form is the Kronecker generator: L is complex linear and
     # Hermitian inputs span all matrices, so random ones test every entry
@@ -221,7 +221,7 @@ def test_steady_state_is_exactly_hermitian():
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4]], delta=0.3, eta=0.1
     )
-    rho = steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
+    rho = steady_state_exact(Liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
     assert np.array_equal(rho, rho.conj().T)
     assert np.max(np.abs(rho - np.triu(rho))) > 0.0
 
@@ -285,7 +285,7 @@ def test_steady_state_memory():
     ens, drive, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]], eta=0.02
     )
-    liouv = build_liouvillian(coupling, 0.0, drive.w(ens))
+    liouv = Liouvillian(coupling, 0.0, drive.w(ens))
     tracemalloc.start()
     try:
         steady_state_exact(liouv, drive.eta)
@@ -297,7 +297,7 @@ def test_steady_state_memory():
 
 def test_steady_state_logs_route(caplog):
     ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
+    liouv = Liouvillian(coupling, drive.delta, drive.w(ens))
     with caplog.at_level(logging.DEBUG, logger="weakdrive.exact"):
         steady_state_exact(liouv, drive.eta)
     (record,) = caplog.records
@@ -311,10 +311,10 @@ def test_level_solve_reads_the_shared_eigenbasis_guard(monkeypatch):
     # the level eigenbases pass the gate of perturbation.eigenbasis, which
     # reads EIG_COND_GUARD at call time: a guard of 0 refuses every level
     ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0]], delta=0.3)
-    steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
+    steady_state_exact(Liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
     monkeypatch.setattr(perturbation, "EIG_COND_GUARD", 0.0)
     with pytest.raises(ResonantSingularityError):
-        steady_state_exact(build_liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
+        steady_state_exact(Liouvillian(coupling, drive.delta, drive.w(ens)), drive.eta)
 
 
 def _iterations(caplog):
@@ -368,7 +368,7 @@ def test_drive_sign_is_parity_conjugation(n, caplog):
     # against the right-hand side -eta b0
     ens = random_ensemble(n, 2.0, 0, DIPOLE, min_distance=0.5)
     w = BEAM.amplitudes(ens)
-    liouv = build_liouvillian(coupling_matrix(ens), 0.3, w)
+    liouv = Liouvillian(coupling_matrix(ens), 0.3, w)
     parity = (-1.0) ** np.array([bin(x).count("1") for x in range(2**n)])
     flip = np.outer(parity, parity)
     for eta in (0.05, 0.1, 0.3):
@@ -484,10 +484,10 @@ def test_kept_krylov_basis_is_an_arnoldi_basis_of_K(n, seed):
 def test_liouvillian_keeps_its_own_coupling():
     ens, drive, coupling = _system([[0, 0, 0], [1.4, 0.2, 0], [0, 1.1, 0.3]], delta=0.2)
     z = coupling.copy()
-    liouv = build_liouvillian(z, drive.delta, drive.w(ens))
+    liouv = Liouvillian(z, drive.delta, drive.w(ens))
     z[0, 1] = z[1, 0] = 7.0
     assert np.array_equal(liouv.coupling, coupling) and not liouv.coupling.flags.writeable
-    fresh = build_liouvillian(coupling, drive.delta, drive.w(ens))
+    fresh = Liouvillian(coupling, drive.delta, drive.w(ens))
     x = _random_hermitian(np.random.default_rng(0), liouv.dim)
     assert np.array_equal(_generator_apply(liouv, x, drive.eta),
                           _generator_apply(fresh, x, drive.eta))
@@ -497,7 +497,7 @@ def test_liouvillian_keeps_its_own_coupling():
 
 def test_ground_state_stationary_without_drive():
     ens, drive, coupling = _system([[0, 0, 0]], eta=0.0)
-    liouv = build_liouvillian(coupling, 0.0, drive.w(ens))
+    liouv = Liouvillian(coupling, 0.0, drive.w(ens))
     rho = steady_state_exact(liouv, 0.0)
     assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert abs(rho[1, 1]) <= 1e-12
@@ -505,7 +505,7 @@ def test_ground_state_stationary_without_drive():
 
 def test_trace_preservation():
     ens, drive, coupling = _system([[0, 0, 0], [1.4, 0.2, 0]], delta=0.3, eta=0.2)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
+    liouv = Liouvillian(coupling, drive.delta, drive.w(ens))
     # tr(L rho) = 0 on every real coordinate direction of a Hermitian rho
     coords = hermitian_coords(liouv.dim)
     for x in np.eye(liouv.dim**2):
@@ -514,7 +514,7 @@ def test_trace_preservation():
 
 def test_generates_positive_evolution():
     ens, drive, coupling = _system([[0, 0, 0], [0.9, 0, 0]], delta=0.1, eta=0.3)
-    liouv = build_liouvillian(coupling, drive.delta, drive.w(ens))
+    liouv = Liouvillian(coupling, drive.delta, drive.w(ens))
     rng = np.random.default_rng(3)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho0 = A @ A.conj().T
@@ -528,7 +528,7 @@ def test_generates_positive_evolution():
 def test_decoupled_pair_factorises():
     z = np.diag([0.5 + 0j, 0.5 + 0j])
     w = np.array([np.exp(0.3j), np.exp(-0.8j)])
-    rho = steady_state_exact(build_liouvillian(z, 0.2, w), 0.15)
+    rho = steady_state_exact(Liouvillian(z, 0.2, w), 0.15)
     product = dilute_product_state(w, 0.2, 0.15).full()
     assert np.max(np.abs(rho - product)) <= 1e-10
 
@@ -538,14 +538,14 @@ def test_decoupled_pair_factorises():
 def test_single_atom_nonperturbative(eta, delta):
     z = np.array([[0.5 + 0j]])
     w = np.array([np.exp(0.4j)])
-    rho = steady_state_exact(build_liouvillian(z, delta, w), eta)
+    rho = steady_state_exact(Liouvillian(z, delta, w), eta)
     ref = dilute_product_state(w, delta, eta).single(0)
     assert np.max(np.abs(rho - ref)) <= 1e-12
 
 
 def test_zero_drive_many_atoms():
     ens, drive, coupling = _system([[0, 0, 0], [1.3, 0, 0], [0, 1.7, 0]], eta=0.0)
-    rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), 0.0)
+    rho = steady_state_exact(Liouvillian(coupling, 0.0, drive.w(ens)), 0.0)
     expected = np.zeros((8, 8), dtype=complex)
     expected[0, 0] = 1.0
     assert np.max(np.abs(rho - expected)) <= 1e-10
@@ -554,7 +554,7 @@ def test_zero_drive_many_atoms():
 def test_pair_state_matches_perturbative():
     ens, drive, coupling = _system([[0, 0, 0], [1.0, 0, 0]], eta=0.01)
     state = steady_state(coupling, drive, ens)
-    rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
+    rho = steady_state_exact(Liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
     truncated = assemble_state(state)
     mapping = [0, 2, 1, 3]
     target = np.zeros((4, 4), dtype=complex)
@@ -585,7 +585,7 @@ def test_exact_negativity_threshold_scan():
     lam2 = abs(state.v[0])
     eta_est = np.sqrt(lam2 / 16.0)
     # the bisection solves every drive strength on one generator
-    liouv = build_liouvillian(coupling, 0.0, w)
+    liouv = Liouvillian(coupling, 0.0, w)
 
     def exact_neg(eta):
         rho = steady_state_exact(liouv, eta)
@@ -611,7 +611,7 @@ def test_five_atoms_at_the_cap():
     ens, _, coupling = _system(
         [[0, 0, 0], [1.1, 0, 0], [0, 1.3, 0], [0.9, 1.2, 0.4], [0.2, 0.3, 1.5]]
     )
-    liouv = build_liouvillian(coupling, 0.0, BEAM.amplitudes(ens))
+    liouv = Liouvillian(coupling, 0.0, BEAM.amplitudes(ens))
     gaps = []
     for eta in (0.02, 0.01):
         drive = Drive(delta=0.0, eta=eta, beam=BEAM)
@@ -620,7 +620,7 @@ def test_five_atoms_at_the_cap():
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
         state = steady_state(coupling, drive, ens)
         n_exact, _ = negativity_exact(rho, [2, 3, 4], 5)
-        n_pt, _ = pt_negativity(build_pt_matrix(state, Partition((0, 1), (2, 3, 4))))
+        n_pt = pt_negativity(build_pt_matrix(state, Partition((0, 1), (2, 3, 4))), [eta])[0][0]
         gaps.append(abs(n_exact - n_pt))
     assert 8.0 <= gaps[0] / gaps[1] <= 32.0
 
@@ -647,9 +647,9 @@ def test_oracle_negativity_gap_halving(n, seed, eta):
     gaps = []
     for e in (eta, eta / 2):
         drive = Drive(delta=0.0, eta=e, beam=beam)
-        rho = steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), e)
+        rho = steady_state_exact(Liouvillian(coupling, 0.0, drive.w(ens)), e)
         n_exact, _ = negativity_exact(rho, part.group_b, n)
-        n_pt, _ = pt_negativity(build_pt_matrix(steady_state(coupling, drive, ens), part))
+        n_pt = pt_negativity(build_pt_matrix(steady_state(coupling, drive, ens), part), [e])[0][0]
         gaps.append(abs(n_exact - n_pt))
     assert 8.0 <= gaps[0] / gaps[1] <= 32.0
 
@@ -658,7 +658,7 @@ def test_cap_enforced():
     pos = [[float(i), 0.0, 0.0] for i in range(N_CAP + 1)]
     ens, drive, coupling = _system(pos)
     with pytest.raises(CapExceededError):
-        build_liouvillian(coupling, 0.0, drive.w(ens))
+        Liouvillian(coupling, 0.0, drive.w(ens))
 
 
 def test_direct_liouvillian_enforces_the_cap():
@@ -666,6 +666,12 @@ def test_direct_liouvillian_enforces_the_cap():
     n = N_CAP + 1
     with pytest.raises(CapExceededError):
         exact.Liouvillian(coupling=0.5 * np.eye(n), delta=0.0, w=np.ones(n))
+
+
+@pytest.mark.parametrize("delta", [1, np.int64(1), np.float32(0.25)])
+def test_liouvillian_keeps_a_float_detuning(delta):
+    liouv = Liouvillian(0.5 * np.eye(2), delta, np.ones(2))
+    assert type(liouv.delta) is float and liouv.delta == delta
 
 
 def _operator_residual(coupling, delta, w, eta, rho):
@@ -692,7 +698,7 @@ def test_seven_atom_state_is_physical_by_operator_products():
     coupling = coupling_matrix(ens)
     w = BEAM.amplitudes(ens)
     delta, eta = 0.3, 0.1
-    rho = steady_state_exact(build_liouvillian(coupling, delta, w), eta)
+    rho = steady_state_exact(Liouvillian(coupling, delta, w), eta)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert _operator_residual(coupling, delta, w, eta, rho) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
@@ -723,7 +729,7 @@ def test_oracle_compare_four_plus_four():
     assert 8.0 <= err[2] / err[1] <= 32.0
     ens, _, coupling = _system(positions)
     w = BEAM.amplitudes(ens)
-    rho = steady_state_exact(build_liouvillian(coupling, 0.3, w), 0.01)
+    rho = steady_state_exact(Liouvillian(coupling, 0.3, w), 0.01)
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
     assert _operator_residual(coupling, 0.3, w, 0.01, rho) <= 1e-12
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
@@ -735,7 +741,7 @@ def test_collective_channel_raises(n):
     # denominator of the level solve vanishes at every n
     z = np.full((n, n), 0.5 + 0j)
     with pytest.raises(ResonantSingularityError):
-        steady_state_exact(build_liouvillian(z, 0.0, np.zeros(n, complex)), 0.0)
+        steady_state_exact(Liouvillian(z, 0.0, np.zeros(n, complex)), 0.0)
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.02, 0.1])
@@ -750,7 +756,7 @@ def test_near_coincident_pair_refused_by_both_solves(k0r, eta):
     with pytest.raises(ResonantSingularityError):
         steady_state(coupling, drive, ens)
     with pytest.raises(ResonantSingularityError):
-        steady_state_exact(build_liouvillian(coupling, 0.0, w), eta)
+        steady_state_exact(Liouvillian(coupling, 0.0, w), eta)
 
 
 def test_reduce_state_product():
@@ -833,7 +839,7 @@ def _residual_gate(monkeypatch):
     # a level-route state whose residual is above the gate
     monkeypatch.setattr(exact, "NULL_TOL", 0.0)
     ens, drive, coupling = _system([[0, 0, 0], [1.1, 0, 0]])
-    steady_state_exact(build_liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
+    steady_state_exact(Liouvillian(coupling, 0.0, drive.w(ens)), drive.eta)
 
 
 def _gmres_breakdown(monkeypatch):

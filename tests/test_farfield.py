@@ -14,7 +14,7 @@ from weakdrive.farfield import (
     v_dark,
     v_dilute,
 )
-from weakdrive.geometry import Drive, Partition, PlaneWave, explicit_ensemble
+from weakdrive.geometry import Drive, Ensemble, Partition, PlaneWave
 from weakdrive.negativity import lambda2_spectrum, negativity_model
 from weakdrive.perturbation import solve_u, solve_v
 
@@ -36,7 +36,7 @@ def _sample_dilute(seed, n=10, box=400.0, min_dist=50.0):
 
 
 def _solve_pair_table(pos, delta, w):
-    ens = explicit_ensemble(pos, DIPOLE)
+    ens = Ensemble(pos, DIPOLE)
     coupling = coupling_matrix(ens)
     u = solve_u(coupling, delta, w)
     v = solve_v(coupling, delta, u)
@@ -72,7 +72,7 @@ def test_v_dilute_against_solver_scaling():
 
 def test_v_dark_zero_and_single_scatterer():
     pos = np.array([[0, 0, 0], [60.0, 0, 0], [0, 70.0, 0]])
-    ens = explicit_ensemble(pos, DIPOLE)
+    ens = Ensemble(pos, DIPOLE)
     coupling = coupling_matrix(ens)
     w = np.zeros(3, dtype=complex)
     assert v_dark(coupling, w, 0.0, 1, 2) == 0.0
@@ -135,7 +135,7 @@ def test_farfield_V_matches_dilute_route():
     pb = rng.uniform(0, L, (npg, 3)) + np.array([1e4 * L, 0.0, 0.0])
     dipole = DIPOLE
     delta = 0.1
-    ens = explicit_ensemble(np.vstack([pa, pb]), dipole)
+    ens = Ensemble(np.vstack([pa, pb]), dipole)
     drive = Drive(delta=delta, eta=0.01, beam=PlaneWave(KHAT))
     part = Partition(tuple(range(npg)), tuple(range(npg, 2 * npg)))
     cfg = farfield_config(ens, part, drive)
@@ -256,7 +256,7 @@ def test_random_phase_sums_are_small():
 
 
 # A = {0, 1} and B = {2, 3} share the centroid (1, 0, 0)
-_CONCENTRIC = explicit_ensemble([[0, 0, 0], [2, 0, 0], [1, 1, 0], [1, -1, 0]], DIPOLE)
+_CONCENTRIC = Ensemble([[0, 0, 0], [2, 0, 0], [1, 1, 0], [1, -1, 0]], DIPOLE)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -295,3 +295,33 @@ def test_config_keeps_a_read_only_copy_of_e():
     e[0] = 5.0
     assert np.array_equal(cfg.e, [0.0, 1.0, 0.0])
     assert type(cfg.n_a) is int and cfg.d0 == pytest.approx(6**0.5 * np.sin(1.0) ** 2)
+
+
+@pytest.mark.parametrize("e", [(0, 0, 0), (1.0, 0.0, 0.0, 0.0), (0.6, 0.6, 0.0), (np.nan, 0, 0)],
+                         ids=["zero", "4-vector", "not-unit", "nan"])
+def test_config_e_must_be_a_unit_3_vector(e):
+    # build_V_farfield used to take any e and build wrong phases silently
+    with pytest.raises(ValueError, match="e must be a "):
+        FarFieldConfig(1e4, 1.0, 3, 3, e=e)
+
+
+def test_config_from_an_ensemble_refuses_masked_group_atoms():
+    # the closed forms assume every atom of A u B is lit: a masked one used
+    # to count in n_a and s_a, which moved the solver's lambda2 extremes
+    # (+-2.39e-4 to +-2.23e-4 on the two groups alone) but not
+    # quartic_spectrum (+-5.09e-4)
+    rng = np.random.default_rng(0)
+    pos = np.vstack([rng.uniform(0, 3, (4, 3)), rng.uniform(0, 3, (4, 3)) + [2e4, 0, 0],
+                     [[1e4, 0, 0]]])
+    ens = Ensemble(pos, DIPOLE)
+    part = Partition((0, 1, 2, 3), (4, 5, 6, 7))
+    for mask, named in (([1], r"\[1\]"), ([8, 5, 1], r"\[1, 5\]")):
+        drive = Drive(delta=0.3, eta=0.01, beam=PlaneWave(KHAT, mask=mask))
+        with pytest.raises(ValueError, match=rf"masked atoms {named} in A u B"):
+            farfield_config(ens, part, drive)
+    # a masked host atom outside the groups is allowed and changes nothing
+    lit = farfield_config(ens, part, Drive(delta=0.3, eta=0.01, beam=PlaneWave(KHAT)))
+    dark_host = farfield_config(ens, part, Drive(delta=0.3, eta=0.01,
+                                                 beam=PlaneWave(KHAT, mask=[8])))
+    for name in ("distance", "theta", "n_a", "n_b", "delta", "s_a", "s_b", "e"):
+        assert np.array_equal(getattr(dark_host, name), getattr(lit, name))

@@ -11,7 +11,6 @@ from weakdrive.geometry import (
     Ensemble,
     Partition,
     PlaneWave,
-    explicit_ensemble,
     lattice_ensemble,
     random_ensemble,
     regime_check,
@@ -31,7 +30,7 @@ def test_lattice_corners():
 
 def test_duplicate_positions_rejected():
     with pytest.raises(DuplicatePositionError) as exc:
-        explicit_ensemble([[0, 0, 0], [0, 0, 0]], DIPOLE)
+        Ensemble([[0, 0, 0], [0, 0, 0]], DIPOLE)
     assert exc.value.indices == (0, 1)
 
 
@@ -39,7 +38,7 @@ def test_min_distance_is_the_pairwise_minimum():
     ens = random_ensemble(30, 10.0, 7, DIPOLE)
     direct = min(math.dist(p, q) for p, q in combinations(ens.positions.tolist(), 2))
     assert ens.min_distance() == pytest.approx(direct, rel=1e-15)
-    assert explicit_ensemble([[1.0, 2.0, 3.0]], DIPOLE).min_distance() == math.inf
+    assert Ensemble([[1.0, 2.0, 3.0]], DIPOLE).min_distance() == math.inf
 
 
 def test_random_deterministic():
@@ -100,7 +99,7 @@ def test_partition_invariants():
 
 
 def test_masked_beam_amplitudes():
-    ens = explicit_ensemble([[0, 0, 0], [0, 2.0, 0], [1.0, 0, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [0, 2.0, 0], [1.0, 0, 0]], DIPOLE)
     beam = PlaneWave(BEAM.direction, mask=[np.int64(2)])
     assert beam.mask == frozenset({2})
     w = beam.amplitudes(ens)
@@ -127,10 +126,10 @@ def test_drive_rejects_non_finite(field, bad):
 
 @pytest.mark.parametrize("build, match", [
     (lambda: PlaneWave(np.array([0.0, math.nan, 0.0])), "unit vector"),
-    (lambda: explicit_ensemble([[0, 0, 0], [1, 0, 0]], [0.0, 0.0, math.nan]), "unit vector"),
-    (lambda: explicit_ensemble([[0, 0, 0], [math.nan, 0, 0]], DIPOLE), "finite"),
-    (lambda: explicit_ensemble([[0, 0, 0], [math.inf, 0, 0]], DIPOLE), "finite"),
-    (lambda: explicit_ensemble([[0, 0, 0], [0, -math.inf, 0]], DIPOLE), "finite"),
+    (lambda: Ensemble([[0, 0, 0], [1, 0, 0]], [0.0, 0.0, math.nan]), "unit vector"),
+    (lambda: Ensemble([[0, 0, 0], [math.nan, 0, 0]], DIPOLE), "finite"),
+    (lambda: Ensemble([[0, 0, 0], [math.inf, 0, 0]], DIPOLE), "finite"),
+    (lambda: Ensemble([[0, 0, 0], [0, -math.inf, 0]], DIPOLE), "finite"),
     (lambda: random_ensemble(3, math.nan, 0, DIPOLE), "finite"),
     # a NaN min_distance used to spin through MAX_TRIES draws per atom
     (lambda: random_ensemble(3, 4.0, 0, DIPOLE, min_distance=math.nan), "finite"),
@@ -148,15 +147,15 @@ def test_non_finite_inputs_rejected(build, match):
 
 
 def test_regime_dilute_flag():
-    ens = explicit_ensemble([[0, 0, 0], [0.5, 0, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [0.5, 0, 0]], DIPOLE)
     drive = Drive(delta=0.0, eta=0.05, beam=BEAM)
     assert not regime_check(ens, drive).dilute_ok
-    far = explicit_ensemble([[0, 0, 0], [12.0, 0, 0]], DIPOLE)
+    far = Ensemble([[0, 0, 0], [12.0, 0, 0]], DIPOLE)
     assert regime_check(far, drive).dilute_ok
 
 
 def test_regime_eta_window():
-    ens = explicit_ensemble([[0, 0, 0], [15.0, 0, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [15.0, 0, 0]], DIPOLE)
     assert regime_check(ens, Drive(delta=0, eta=0.1, beam=BEAM)).eta_window_ok
     assert not regime_check(ens, Drive(delta=0, eta=1e-12, beam=BEAM)).eta_window_ok
     assert not regime_check(ens, Drive(delta=0, eta=0.5, beam=BEAM)).eta_window_ok
@@ -165,11 +164,11 @@ def test_regime_eta_window():
 def test_regime_farfield_flag():
     # two groups of diameter 10 at centroid distance 1e6 >= 100 * 10^2
     pos = [[0, 0, 0], [10.0, 0, 0], [1e6, 0, 0], [1e6 + 10.0, 0, 0]]
-    ens = explicit_ensemble(pos, DIPOLE)
+    ens = Ensemble(pos, DIPOLE)
     drive = Drive(delta=0.0, eta=0.05, beam=BEAM)
     part = Partition((0, 1), (2, 3))
     assert regime_check(ens, drive, part).farfield_ok
-    near = explicit_ensemble([[0, 0, 0], [10.0, 0, 0], [50.0, 0, 0], [60.0, 0, 0]], DIPOLE)
+    near = Ensemble([[0, 0, 0], [10.0, 0, 0], [50.0, 0, 0], [60.0, 0, 0]], DIPOLE)
     assert not regime_check(near, drive, part).farfield_ok
 
 

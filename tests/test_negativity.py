@@ -11,9 +11,9 @@ from weakdrive.exact import negativity_exact
 from weakdrive.errors import PartitionError
 from weakdrive.geometry import (
     Drive,
+    Ensemble,
     Partition,
     PlaneWave,
-    explicit_ensemble,
     random_ensemble,
 )
 from weakdrive.negativity import (
@@ -24,7 +24,6 @@ from weakdrive.negativity import (
     negativity_model,
     negativity_report,
     pt_negativity,
-    pt_negativity_grid,
 )
 from weakdrive.perturbation import PerturbState, assemble_state, restrict_state, steady_state
 
@@ -33,7 +32,7 @@ BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
 
 
 def _solved(positions, delta=0.0, eta=0.05, beam=BEAM, seed_dipole=DIPOLE):
-    ens = explicit_ensemble(positions, seed_dipole)
+    ens = Ensemble(positions, seed_dipole)
     drive = Drive(delta=delta, eta=eta, beam=beam)
     coupling = coupling_matrix(ens)
     return ens, drive, steady_state(coupling, drive, ens)
@@ -51,11 +50,22 @@ def _manual_state(u, v, eta=0.05, delta=0.0):
     )
 
 
+def _pt_at(state, part):
+    """N_pt and the full ascending spectrum at the state's own eta: the core
+    spectrum plus pairs - 1 exact zeros."""
+    pt = build_pt_matrix(state, part)
+    neg, cores = pt_negativity(pt, [state.eta])
+    return neg[0], np.sort(np.concatenate([cores[0], np.zeros(pt.pairs - 1)]))
+
+
+def _core_at(state, part):
+    return build_pt_matrix(state, part).cores(np.array([state.eta]))[0]
+
+
 def test_pt_at_zero_drive():
     state = _manual_state([0.3 + 0.2j, -0.1j], [0.05 + 0.02j], eta=0.0)
-    pt = build_pt_matrix(state, Partition((0,), (1,)))
-    assert np.array_equal(pt.core, np.diag([1.0, 0.0, 0.0, 0.0]))
-    neg, spectrum = pt_negativity(pt)
+    assert np.array_equal(_core_at(state, Partition((0,), (1,))), np.diag([1.0, 0.0, 0.0, 0.0]))
+    neg, spectrum = _pt_at(state, Partition((0,), (1,)))
     assert neg == 0.0
     assert spectrum[-1] == pytest.approx(1.0)
     assert np.allclose(spectrum[:-1], 0.0)
@@ -64,9 +74,8 @@ def test_pt_at_zero_drive():
 
 def test_pt_ground_population():
     _, drive, state = _solved([[0, 0, 0], [1.3, 0.4, 0]], eta=0.08)
-    pt = build_pt_matrix(state, Partition((0,), (1,)))
     expected = 1.0 - drive.eta**2 * np.sum(np.abs(state.u) ** 2)
-    assert pt.core[0, 0] == pytest.approx(expected, abs=1e-15)
+    assert _core_at(state, Partition((0,), (1,)))[0, 0] == pytest.approx(expected, abs=1e-15)
     _assert_compressed_matches_full(state, Partition((0,), (1,)))
 
 
@@ -85,7 +94,7 @@ def _two_qubit_pt_route(state, eta):
 
 def test_pt_two_route_agreement():
     _, drive, state = _solved([[0, 0, 0], [0.9, 0.4, 0.2]], delta=0.3)
-    _, direct = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
+    _, direct = _pt_at(state, Partition((0,), (1,)))
     independent = _two_qubit_pt_route(state, drive.eta)
     assert np.max(np.abs(direct - independent)) <= 1e-12
     _assert_compressed_matches_full(state, Partition((0,), (1,)))
@@ -136,7 +145,7 @@ def test_subgroup_in_ensemble_uses_full_amplitudes():
     vmap = {(0, 1): state.v_matrix()[li, lj]}
     ref = _reference_pt(u, vmap, 1, 1, drive.eta)
     assert pt.dim == len(ref)
-    assert np.max(np.abs(pt_negativity(pt)[1] - np.linalg.eigvalsh(ref))) <= 1e-12
+    assert np.max(np.abs(_pt_at(state, part)[1] - np.linalg.eigvalsh(ref))) <= 1e-12
 
 
 def _assert_compressed_matches_full(state, part):
@@ -145,7 +154,7 @@ def _assert_compressed_matches_full(state, part):
     vmat = sub.v_matrix()
     vmap = {(i, j): vmat[i, j] for i in range(sub.n) for j in range(i + 1, sub.n)}
     full = np.linalg.eigvalsh(_reference_pt(sub.u, vmap, na, sub.n - na, sub.eta))
-    neg, spectrum = pt_negativity(build_pt_matrix(state, part))
+    neg, spectrum = _pt_at(state, part)
     assert spectrum.shape == full.shape
     assert np.all(np.diff(spectrum) >= 0.0)
     assert np.max(np.abs(spectrum - full)) <= 1e-14
@@ -176,7 +185,7 @@ def test_compressed_spectrum_single_pair_and_zero_column():
     _, _, state = _solved([[0, 0, 0], [0.9, 0.4, 0.2]], delta=0.3)
     part = Partition((0,), (1,))
     _assert_compressed_matches_full(state, part)
-    assert len(pt_negativity(build_pt_matrix(state, part))[1]) == 4
+    assert len(_pt_at(state, part)[1]) == 4
     # u = v = 0: the pair column vanishes and the border is zero
     silent = _manual_state(np.zeros(4), np.zeros(6), eta=0.1)
     pt = build_pt_matrix(silent, Partition((0, 1), (2, 3)))
@@ -189,17 +198,16 @@ GRID = np.concatenate([[0.0], np.geomspace(0.005, 0.5, 9)])
 
 def _assert_arrowhead_route(state, part, etas):
     """The real arrowhead core, its spectrum and the grid against eigvalsh
-    of the element table's full truncated matrix, and the grid, the
-    one-point API and negativity_report against each other bit for bit."""
+    of the element table's full truncated matrix, and the grid, a one-point
+    grid and negativity_report against each other bit for bit."""
     sub = restrict_state(state, part.atoms)
     na = len(part.group_a)
     vmat = sub.v_matrix()
     vmap = {(i, j): vmat[i, j] for i in range(sub.n) for j in range(i + 1, sub.n)}
-    grid_neg = pt_negativity_grid(build_pt_matrix(state, part), etas)
-    for eta, got in zip(etas, grid_neg):
-        at_eta = replace(state, eta=eta)
-        pt = build_pt_matrix(at_eta, part)
-        core = pt.core
+    pt = build_pt_matrix(state, part)
+    grid_neg, grid_cores = pt_negativity(pt, etas)
+    for eta, got, got_core in zip(etas, grid_neg, grid_cores):
+        core = pt.cores(np.array([eta]))[0]
         # diagonal plus a non-negative ground row and column, zero elsewhere
         arrow = np.diag(np.diagonal(core))
         arrow[0, :], arrow[:, 0] = core[0, :], core[:, 0]
@@ -209,14 +217,15 @@ def _assert_arrowhead_route(state, part, etas):
         # the core plus dim - n - 2 exact zeros is the full spectrum
         full = np.linalg.eigvalsh(_reference_pt(sub.u, vmap, na, sub.n - na, eta))
         assert abs(got - abs(full[full < 0].sum())) <= 1e-13
-        neg, spectrum = pt_negativity(pt)
+        at_eta = replace(state, eta=eta)
+        neg, spectrum = _pt_at(at_eta, part)
         assert pt.dim == len(full) and np.max(np.abs(spectrum - full)) <= 1e-14
+        assert np.array_equal(pt_negativity(pt, [eta])[1][0], got_core)
         report = negativity_report(at_eta, part)
         assert neg == got == report.negativity_pt
         assert np.array_equal(spectrum, report.pt_spectrum)
-        # the report keeps the same partial transpose, at the same eta
-        assert report.pt.eta == pt.eta == eta
-        for field in ("core", "s", "beta", "reach", "border", "pairs"):
+        # the report keeps the same drive-independent partial transpose
+        for field in ("s", "beta", "reach", "border", "pairs"):
             assert np.array_equal(getattr(report.pt, field), getattr(pt, field))
     return grid_neg
 
@@ -245,7 +254,7 @@ def test_arrowhead_repeated_eigenvalues_and_zero_border():
     # singles block eigenvalue on which the ground row vanishes, lit or with
     # one diagonal masked; one lit atom with v = 0 leaves a triple zero and
     # an exactly zero border
-    ens = explicit_ensemble([[0, 0, 0], [1.1, 0, 0], [0, 1.1, 0], [1.1, 1.1, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [1.1, 0, 0], [0, 1.1, 0], [1.1, 1.1, 0]], DIPOLE)
     face_on = PlaneWave(np.array([0.0, 0.0, 1.0]))
     part = Partition((0, 3), (1, 2))
     for beam in (face_on, PlaneWave(face_on.direction, mask=[0, 3])):
@@ -280,7 +289,7 @@ def test_arrowhead_zero_drive_gives_positive_zero():
         got = _assert_arrowhead_route(state, part, np.array(etas))
         zero = got[etas.index(0.0)]
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
-    neg, spectrum = pt_negativity(build_pt_matrix(replace(state, eta=0.0), part))
+    neg, spectrum = _pt_at(replace(state, eta=0.0), part)
     assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
     assert spectrum[-1] == 1.0 and np.all(spectrum[:-1] == 0.0)
 
@@ -291,22 +300,26 @@ def test_grid_values_independent_of_blocks_order_and_length(monkeypatch):
     part = Partition((0, 1, 2), (3, 4))
     grid = np.linspace(0.0, 0.4, 41)
     pt = build_pt_matrix(state, part)
-    ref = pt_negativity_grid(pt, grid)
+    ref, ref_cores = pt_negativity(pt, grid)
     assert ref[0] == 0.0 and math.copysign(1.0, ref[0]) == 1.0
     assert np.all(ref[1:] > 0.0)
     # cores of dimension 7: one per block, five per block (a ragged last
-    # block), and the default budget (the whole grid in one block)
+    # block), and the default budget (the whole grid in one block); the
+    # grid, reversed and truncated
+    cases = [(grid, slice(None)), (grid[::-1], slice(None, None, -1))]
+    cases += [(grid[:k], slice(k)) for k in (1, 2, 17)]
     for budget in (1, 5 * 49, negativity.PT_BLOCK):
         monkeypatch.setattr(negativity, "PT_BLOCK", budget)
-        assert np.array_equal(pt_negativity_grid(pt, grid), ref)
-        assert np.array_equal(pt_negativity_grid(pt, grid[::-1]), ref[::-1])
-        for k in (1, 2, 17):
-            assert np.array_equal(pt_negativity_grid(pt, grid[:k]), ref[:k])
-    single = pt_negativity_grid(pt, [grid[9]])
-    assert single.shape == (1,) and single[0] == ref[9]
-    # the one-point API diagonalises the same core as a stack of one
-    neg, _ = pt_negativity(build_pt_matrix(replace(state, eta=grid[9]), part))
-    assert neg == ref[9]
+        for etas, at in cases:
+            neg, cores = pt_negativity(pt, etas)
+            assert np.array_equal(neg, ref[at]) and np.array_equal(cores, ref_cores[at])
+    # a one-point grid equals the same point inside every longer grid, and
+    # so does the report at that point
+    for k in (0, 9, 40):
+        neg, cores = pt_negativity(pt, [grid[k]])
+        assert neg.shape == (1,) and neg[0] == ref[k]
+        assert np.array_equal(cores[0], ref_cores[k])
+    assert negativity_report(replace(state, eta=grid[9]), part).negativity_pt == ref[9]
 
 
 def test_no_pair_correlation_negativity_is_higher_order():
@@ -317,7 +330,7 @@ def test_no_pair_correlation_negativity_is_higher_order():
     vals = []
     for eta in (0.04, 0.02, 0.01):
         state = _manual_state(u, np.zeros(3), eta=eta)
-        neg, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1, 2))))
+        neg, _ = _pt_at(state, Partition((0,), (1, 2)))
         vals.append(neg)
     assert vals[0] / vals[1] == pytest.approx(8.0, rel=0.3)
     assert vals[1] / vals[2] == pytest.approx(8.0, rel=0.3)
@@ -331,7 +344,7 @@ def test_two_atom_min_eigenvalue_leading_order():
     _, _, state = _solved([[0, 0, 0], [1.1, 0.3, 0]])
     for eta in (0.02, 0.01):
         st = _manual_state(state.u, state.v, eta=eta)
-        _, spectrum = pt_negativity(build_pt_matrix(st, Partition((0,), (1,))))
+        _, spectrum = _pt_at(st, Partition((0,), (1,)))
         lead = -(eta**2) * abs(state.v[0])
         assert abs(spectrum[0] - lead) <= 5.0 * eta**3
 
@@ -559,7 +572,7 @@ def test_leading_order_consistency_ratio_window():
     gaps = []
     for eta in (0.02, 0.01):
         st = _manual_state(state.u, state.v, eta=eta, delta=0.2)
-        _, spectrum = pt_negativity(build_pt_matrix(st, Partition((0,), (1,))))
+        _, spectrum = _pt_at(st, Partition((0,), (1,)))
         gaps.append(abs(spectrum[0] + eta**2 * lam))
     ratio = gaps[0] / gaps[1]
     assert 8.0 <= ratio <= 32.0
@@ -571,7 +584,7 @@ def test_odd_orders_vanish_in_min_eigenvalue():
     mins = []
     for eta in etas:
         st = _manual_state(state.u, state.v, eta=eta, delta=0.1)
-        _, spectrum = pt_negativity(build_pt_matrix(st, Partition((0,), (1,))))
+        _, spectrum = _pt_at(st, Partition((0,), (1,)))
         mins.append(spectrum[0])
     # six powers so genuine eta^6 content cannot alias into the odd slots
     powers = np.column_stack([etas**k for k in range(1, 7)])
@@ -585,10 +598,10 @@ def test_negativity_invariant_under_rigid_motions():
     khat = np.array([0.0, 1.0, 0.0])
 
     def run(pos, dip, k):
-        ens = explicit_ensemble(pos, dip)
+        ens = Ensemble(pos, dip)
         drive = Drive(delta=0.2, eta=0.05, beam=PlaneWave(k))
         state = steady_state(coupling_matrix(ens), drive, ens)
-        neg, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1, 2))))
+        neg, _ = _pt_at(state, Partition((0,), (1, 2)))
         return neg
 
     base = run(positions, DIPOLE, khat)
@@ -607,7 +620,7 @@ def test_negativity_invariant_under_rigid_motions():
 
 
 def test_report_fields_and_flags():
-    ens = explicit_ensemble([[0, 0, 0], [1.0, 0, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [1.0, 0, 0]], DIPOLE)
     drive = Drive(delta=0.0, eta=0.05, beam=BEAM)
     state = steady_state(coupling_matrix(ens), drive, ens)
     rep = negativity_report(state, Partition((0,), (1,)), dilute_ok=False)
@@ -641,7 +654,7 @@ def test_absent_partition_atom_raises_partition_error():
 
 def test_zero_negativity_is_positive_zero():
     state = _manual_state([0.3 + 0.2j, -0.1j], [0.05 + 0.02j], eta=0.0)
-    neg, _ = pt_negativity(build_pt_matrix(state, Partition((0,), (1,))))
+    neg, _ = _pt_at(state, Partition((0,), (1,)))
     assert neg == 0.0 and math.copysign(1.0, neg) == 1.0
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0

@@ -16,11 +16,11 @@ from weakdrive.errors import (
     ResonantSingularityError,
     SolverConvergenceError,
 )
-from weakdrive.exact import build_liouvillian, reduce_state, steady_state_exact
+from weakdrive.exact import Liouvillian, reduce_state, steady_state_exact
 from weakdrive.geometry import (
     Drive,
+    Ensemble,
     PlaneWave,
-    explicit_ensemble,
     lattice_ensemble,
     random_ensemble,
 )
@@ -39,7 +39,7 @@ BEAM = PlaneWave(np.array([0.0, 1.0, 0.0]))
 
 
 def _pair_state(separation=1.0, delta=0.0):
-    ens = explicit_ensemble([[0, 0, 0], [separation, 0, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [separation, 0, 0]], DIPOLE)
     drive = Drive(delta=delta, eta=0.05, beam=BEAM)
     coupling = coupling_matrix(ens)
     return ens, drive, coupling
@@ -166,7 +166,7 @@ def test_defective_coupling_takes_schur_kernel():
     assert exc.value.cond > perturbation.EIG_COND_GUARD
     # the exact oracle's levels have Z's eigenvectors: it refuses the same Z
     with pytest.raises(ResonantSingularityError) as exc:
-        steady_state_exact(build_liouvillian(coupling, 0.3, w), 0.05)
+        steady_state_exact(Liouvillian(coupling, 0.3, w), 0.05)
     assert exc.value.cond > perturbation.EIG_COND_GUARD
 
 
@@ -277,7 +277,7 @@ def test_near_coincident_pair_refused_after_eigen_kernel(k0r, cond):
     # two resonant atoms k0 r apart: the diagonal of G is ~ r^3 against
     # an off-diagonal entry of 1, so its skeleton pivots on the pair, and
     # K is singular to the condition gate, as it was before the skeleton
-    ens = explicit_ensemble([[0, 0, 0], [k0r, 0, 0]], DIPOLE)
+    ens = Ensemble([[0, 0, 0], [k0r, 0, 0]], DIPOLE)
     coupling = coupling_matrix(ens)
     u = solve_u(coupling, 0.0, np.ones(2, dtype=complex))
     with pytest.raises(ResonantSingularityError) as exc:
@@ -420,7 +420,7 @@ def test_farfield_cross_block_matches_reference():
         np.linalg.norm(pos_b[:, None] - pos_b[None], axis=-1).max(),
     )
     pos_b = pos_b + np.array([1000.0 * diam**2, 0.0, 0.0])
-    ens = explicit_ensemble(np.vstack([pos_a, pos_b]), DIPOLE)
+    ens = Ensemble(np.vstack([pos_a, pos_b]), DIPOLE)
     coupling = coupling_matrix(ens)
     for delta in (0.0, 0.5):
         drive = Drive(delta=delta, eta=0.01, beam=BEAM)
@@ -596,7 +596,7 @@ def test_assemble_ground_state_at_zero_drive():
 def test_single_atom_steady_state(delta):
     # one atom has no pairs: u = i w / (1/2 - i delta), v is empty and the
     # state lives on {ground, excited}
-    ens = explicit_ensemble([[0.0, 0.0, 0.0]], DIPOLE)
+    ens = Ensemble([[0.0, 0.0, 0.0]], DIPOLE)
     drive = Drive(delta=delta, eta=0.1, beam=BEAM)
     state = steady_state(coupling_matrix(ens), drive, ens)
     w = drive.w(ens)

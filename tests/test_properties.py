@@ -3,10 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from weakdrive.coupling import coupling_matrix, pair_coupling
-from weakdrive.exact import build_liouvillian, steady_state_exact
+from weakdrive.coupling import coupling_matrix, pair_values
+from weakdrive.exact import Liouvillian, steady_state_exact
 from weakdrive.farfield import FarFieldConfig, quartic_spectrum
-from weakdrive.geometry import Drive, Partition, PlaneWave, explicit_ensemble, random_ensemble
+from weakdrive.geometry import Drive, Ensemble, Partition, PlaneWave, random_ensemble
 from weakdrive.negativity import lambda2_spectrum, negativity_model, negativity_report
 from weakdrive.perturbation import steady_state
 from weakdrive.runner import _exact_negativity
@@ -27,10 +27,10 @@ def _unit(vec):
     st.tuples(COORD, COORD, COORD).filter(lambda s: np.linalg.norm(s) > 1e-3),
     st.tuples(COORD, COORD, COORD).filter(lambda s: np.linalg.norm(s) > 1e-3),
 )
-def test_pair_coupling_inversion_symmetry(sep, dip):
+def test_pair_values_inversion_symmetry(sep, dip):
     d = _unit(dip)
     s = np.asarray(sep)
-    assert pair_coupling(s, d) == pair_coupling(-s, d)
+    assert pair_values(s, d) == pair_values(-s, d)
 
 
 @SETTINGS
@@ -140,7 +140,7 @@ def _scene(seed, n):
 
 
 def _amplitude_invariants(positions, dipole, beam, delta, part):
-    ens = explicit_ensemble(positions, dipole)
+    ens = Ensemble(positions, dipole)
     drive = Drive(delta=delta, eta=ETA, beam=PlaneWave(beam))
     rep = negativity_report(steady_state(coupling_matrix(ens), drive, ens), part)
     return {"lambda2": rep.lambda2, "lambda4": rep.lambda4, "N_pt": rep.negativity_pt,
@@ -190,9 +190,9 @@ def test_amplitude_route_invariant_under_relabelling_rotation_and_translation(se
 
 
 def _oracle(positions, dipole, beam, delta):
-    ens = explicit_ensemble(positions, dipole)
+    ens = Ensemble(positions, dipole)
     w = PlaneWave(beam).amplitudes(ens)
-    return build_liouvillian(coupling_matrix(ens), delta, w)
+    return Liouvillian(coupling_matrix(ens), delta, w)
 
 
 @INVARIANCE

@@ -24,7 +24,7 @@ layers, printed one line each.
 - the tracemalloc peaks of one solve_v on that cloud and of building and
   writing its solve tables (u.csv and v.csv, 12,720 pairs) to a
   temporary directory;
-- a sweep's negativity layer, negativity_report plus pt_negativity_grid,
+- a sweep's negativity layer, negativity_report plus pt_negativity,
   on a 40-atom half/half cloud over 50 eta points (20 calls);
 - the exact oracle's grid, steady_state_exact at four log-spaced eta from
   0.01 to 0.1 on one Liouvillian, on 5 atoms (20 calls) and on 4 + 4
@@ -55,8 +55,8 @@ import numpy as np
 
 from weakdrive import (Drive, Partition, PlaneWave, blas, coupling_matrix, lattice_ensemble,
                        random_ensemble)
-from weakdrive.exact import build_liouvillian, steady_state_exact
-from weakdrive.negativity import negativity_report, pt_negativity_grid
+from weakdrive.exact import Liouvillian, steady_state_exact
+from weakdrive.negativity import negativity_report, pt_negativity
 from weakdrive.perturbation import SKELETON_RTOL, _skeleton, solve_u, solve_v, steady_state
 from weakdrive.runner import ResultBundle, _amplitude_tables
 
@@ -206,7 +206,7 @@ def negativity_layer_times():
 
     def layer():
         report = negativity_report(state, part, eta_grid=grid)
-        pt_negativity_grid(report.pt, grid)
+        pt_negativity(report.pt, grid)
 
     return _times(layer, 20)
 
@@ -216,7 +216,7 @@ def exact_grid_times(n, repeats):
     coupling, w = coupling_matrix(ens), BEAM.amplitudes(ens)
 
     def grid():
-        liouv = build_liouvillian(coupling, 0.3, w)
+        liouv = Liouvillian(coupling, 0.3, w)
         for eta in np.geomspace(0.01, 0.1, 4):
             steady_state_exact(liouv, eta)
 
@@ -245,7 +245,7 @@ def main():
     print(f"tracemalloc peaks, n = 160: solve_v {solve_peak:.2f} MB, "
           f"building and writing its u and v tables {write_peak:.2f} MB")
     times = negativity_layer_times()
-    print(f"negativity_report + pt_negativity_grid, n = 40, 50 points: "
+    print(f"negativity_report + pt_negativity, n = 40, 50 points: "
           f"median {np.median(times) * 1e3:.2f} ms, min {min(times) * 1e3:.2f} ms over 20")
     five, eight = exact_grid_times(5, 20), exact_grid_times(8, 5)
     print(f"steady_state_exact, 4 eta points on one Liouvillian: n = 5 median "
